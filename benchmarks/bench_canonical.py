@@ -1,17 +1,16 @@
 #!/usr/bin/env python3
-"""Benchmark the canonical-form kernels: compiled extension vs pure Python.
+"""Micro-benchmark of the canonical-form kernel.
 
 Two suites:
 
   random     random labelled multigraphs; colour refinement splits the
-             nodes into fine cells, so the ordering search is shallow and
-             both backends are quick.
+             nodes into fine cells, so the ordering search is shallow.
   symmetric  uniform-label circulant graphs; refinement cannot split a
              vertex-transitive graph and no two nodes are twins, so the
-             ordering search dominates and the typed kernel pays off.
+             ordering search dominates.
 
-Every timed call is checked to produce identical output on both
-backends.
+Each case reports the median over its graphs of the best of --repeats
+timed calls.  The end-to-end benchmark is ``perfbench/run.py``.
 
 Usage:
     python benchmarks/bench_canonical.py [--random-sizes 6,8,10]
@@ -24,11 +23,6 @@ import statistics
 import time
 
 from moricensus import _canon_py
-
-try:
-    from moricensus import _canon_cy
-except ImportError:
-    _canon_cy = None
 
 
 def random_multigraph(rng, n):
@@ -67,21 +61,12 @@ def best_of(func, graph, repeats):
 
 def run_suite(title, cases, repeats):
     print(title)
-    print(f"  {'case':<12} {'pure':>12} {'compiled':>12} {'speedup':>8}")
+    print(f"  {'case':<12} {'time':>12}")
     for name, graphs in cases:
-        pure = statistics.median(
+        median = statistics.median(
             best_of(_canon_py.canonical_sequence, g, repeats) for g in graphs
         )
-        row = f"  {name:<12} {pure * 1e6:>10.1f}us"
-        if _canon_cy is not None:
-            for g in graphs:
-                assert _canon_py.canonical_sequence(*g) == \
-                    _canon_cy.canonical_sequence(*g)
-            compiled = statistics.median(
-                best_of(_canon_cy.canonical_sequence, g, repeats) for g in graphs
-            )
-            row += f" {compiled * 1e6:>10.1f}us {pure / compiled:>7.1f}x"
-        print(row)
+        print(f"  {name:<12} {median * 1e6:>10.1f}us")
 
 
 def main():
@@ -94,9 +79,6 @@ def main():
     args = parser.parse_args()
 
     rng = random.Random(args.seed)
-    if _canon_cy is None:
-        print("compiled kernel not available; timing pure backend only")
-
     run_suite(
         "random multigraphs",
         [

@@ -1,7 +1,6 @@
 """Pure-Python canonical-form search for small labelled multigraphs.
 
-Reference implementation of the hot kernel; ``moricensus._canon_cy`` is
-the compiled twin and must produce byte-identical output.  The search
+The hot kernel behind ``moricensus.graphs.canonical_graph``.  The search
 minimizes a flat integer encoding over node orderings, restricted to
 orderings compatible with an iterated neighbourhood-colour refinement
 and pruned against the best encoding found so far.

@@ -3,9 +3,7 @@
 Canonicalization is brute force (ordering search with colour-partition
 pruning) and bounded at MAX_NODES nodes; the models under study have
 two or three components, so desk scale needs nothing cleverer.  The
-search kernel has a compiled twin: ``moricensus._canon_cy`` is used
-when the extension built, unless MORICENSUS_PURE=1 forces the
-pure-Python version.
+search itself lives in ``moricensus._canon_py``.
 
 Graph file format (UTF-8, line-oriented; ``#`` starts a comment):
 
@@ -17,20 +15,12 @@ Node ids are arbitrary word tokens, unique per file; mult defaults to 1.
 
 from __future__ import annotations
 
-import os
 import re
 from dataclasses import dataclass
 from typing import Iterable
 
+from ._canon_py import canonical_sequence as _canonical_sequence
 from .errors import ConfigError, SizeLimitError
-
-if os.environ.get("MORICENSUS_PURE") == "1":
-    from ._canon_py import canonical_sequence as _canonical_sequence
-else:
-    try:
-        from ._canon_cy import canonical_sequence as _canonical_sequence
-    except ImportError:
-        from ._canon_py import canonical_sequence as _canonical_sequence
 
 __all__ = [
     "LabeledGraph",
@@ -45,8 +35,8 @@ MAX_NODES = 12
 
 
 def canonical_backend() -> str:
-    """Which kernel is active: ``compiled`` or ``pure``."""
-    return "compiled" if _canonical_sequence.__module__.endswith("_cy") else "pure"
+    """Which kernel is active; there is one, the pure-Python search."""
+    return "pure"
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,19 +105,17 @@ class LabeledGraph:
         return len(self.node_labels)
 
 
-def canonical_graph(g: LabeledGraph, *, max_nodes: int = MAX_NODES) -> bytes:
+def canonical_graph(g: LabeledGraph) -> bytes:
     """Canonical form: equal byte strings iff isomorphic labelled multigraphs."""
-    if g.n > max_nodes:
-        raise SizeLimitError(g.n, max_nodes)
+    if g.n > MAX_NODES:
+        raise SizeLimitError(g.n, MAX_NODES)
     seq = _canonical_sequence(g.n, g.node_labels, g.edges)
     return ",".join(map(str, seq)).encode("ascii")
 
 
-def iso(g1: LabeledGraph, g2: LabeledGraph, *, max_nodes: int = MAX_NODES) -> bool:
+def iso(g1: LabeledGraph, g2: LabeledGraph) -> bool:
     """Isomorphism test by canonical-form comparison."""
-    return canonical_graph(g1, max_nodes=max_nodes) == canonical_graph(
-        g2, max_nodes=max_nodes
-    )
+    return canonical_graph(g1) == canonical_graph(g2)
 
 
 _NODE_RE = re.compile(r"node\s+(\S+)\s+label=(-?\d+)\s*$")

@@ -146,7 +146,7 @@ def test_closure_json(graph_file, capsys):
     payload = json.loads(out)
     assert payload["class_count"] == 6
     assert payload["moves"] == "triple_group"
-    assert payload["backend"] in ("compiled", "pure")
+    assert payload["backend"] == "pure"
 
 
 def test_closure_no_moves(graph_file, capsys):
