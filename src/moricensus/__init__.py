@@ -33,24 +33,15 @@ from .cones import (
     p_cone_count,
     symmetric_p_models,
     t_cone_count,
-    total_census,
 )
-from .declared import (
-    DeclaredEntry,
-    RangeCase,
-    interval_case_count,
-    load_declared,
-    t_flop_case_count,
-)
+from .declared import DeclaredEntry, load_declared
 from .errors import (
     BudgetExceededError,
     ConfigError,
     DuplicateClassError,
-    IncompleteCensusError,
     MoricensusError,
     ParseError,
     SizeLimitError,
-    SymmetryMismatchError,
 )
 from .families import (
     FamilyId,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .claims import AuditReport, Claim, Verdict, evaluate, parse_claims
+from .claims import AuditReport, Claim, Verdict, evaluate_claims, parse_claims
 from .closure import MOVE_SETS, closure, encode_triple
 from .cones import RECORDED_FINDINGS, build_census_report
 from .declared import DeclaredEntry, load_declared
@@ -94,9 +94,9 @@ def run_full_verification(
 ) -> AuditReport:
     """Recompute censuses, run the closure oracle, and evaluate claims.
 
-    Defaults to the shipped declared config and claims file.  Module
-    errors (duplicate classes, symmetry mismatches, short censuses)
-    propagate to the caller.
+    Defaults to the shipped declared config and claims file.  A computed
+    count that differs from its claimed total is a failed ``census.*``
+    verdict; module errors (duplicate classes) propagate to the caller.
     """
     if declared is None:
         from .declared import default_declared_text
@@ -152,12 +152,8 @@ def run_full_verification(
         )
     )
 
-    verdicts.extend(evaluate(c) for c in claims)
-
-    findings = tuple(
-        f"claim {v.name}: recorded identity fails as expected "
-        f"({v.lhs_value} != {v.rhs_value})" + (f" [{v.cite}]" if v.cite else "")
-        for v in verdicts
-        if not v.expect_holds and not v.holds
-    ) + RECORDED_FINDINGS
-    return AuditReport(verdicts=tuple(verdicts), findings=findings)
+    audited = evaluate_claims(claims)
+    return AuditReport(
+        verdicts=tuple(verdicts) + audited.verdicts,
+        findings=audited.findings + RECORDED_FINDINGS,
+    )

@@ -313,8 +313,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except MoricensusError as exc:
-        # Census-level faults (duplicate classes, symmetry mismatches,
-        # incomplete censuses, blown budgets) are verification failures.
+        # Census-level faults (duplicate classes, blown budgets) are
+        # verification failures.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
 

@@ -12,49 +12,19 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .declared import DeclaredEntry
-from .errors import (
-    ConfigError,
-    IncompleteCensusError,
-    SymmetryMismatchError,
-)
+from .errors import ConfigError
 from .families import FamilyId, RegularModel
 from .triples import Triple, orbit
 
 __all__ = [
     "CensusReport",
-    "EXPECTED_SYMMETRIC_TRIPLES",
     "ModelRecord",
     "Source",
     "build_census_report",
     "p_cone_count",
     "symmetric_p_models",
     "t_cone_count",
-    "total_census",
 ]
-
-P_MODELS_TOTAL = 450
-P_REGULAR_TOTAL = 347
-
-# The 12 computed symmetric triples, cross-checked against the source
-# census: one fully symmetric, two with cyclic symmetry (orbit length 2),
-# nine with an order-2 symmetry (orbit length 3).
-EXPECTED_SYMMETRIC_TRIPLES = frozenset(
-    Triple(*t)
-    for t in [
-        (0, 0, 0),
-        (1, 1, 1),
-        (2, 2, 2),
-        (0, 1, -1),
-        (0, -1, 1),
-        (0, 2, -2),
-        (0, -2, 2),
-        (3, 0, -3),
-        (-3, 0, 3),
-        (-4, 0, 4),
-        (-5, 0, 5),
-        (-6, 0, 6),
-    ]
-)
 
 
 class Source(Enum):
@@ -78,24 +48,8 @@ class ModelRecord:
                 f"orbit-stabilizer violation: {self.orbit_length} x "
                 f"{self.symmetry_order} != 6"
             )
-        if self.source is Source.COMPUTED_TRIPLE:
-            if self.triple is None:
-                raise ValueError("computed record needs a triple")
-            rec = orbit(self.triple)
-            if rec.length != self.orbit_length:
-                raise ValueError(
-                    f"orbit length {self.orbit_length} does not match "
-                    f"|orbit({self.triple})| = {rec.length}"
-                )
-
-
-@dataclass(frozen=True, slots=True)
-class ConeTotals:
-    """Cone-count fragment of a census report."""
-
-    p_cones: int
-    t_cones: int
-    total_cones: int
+        if self.source is Source.COMPUTED_TRIPLE and self.triple is None:
+            raise ValueError("computed record needs a triple")
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,33 +83,23 @@ def computed_record(model: RegularModel) -> ModelRecord:
 
 
 def symmetric_p_models(
-    regular: list[RegularModel],
+    records: list[ModelRecord],
     declared_symmetric: list[ModelRecord],
 ) -> list[ModelRecord]:
-    """All symmetric three-component models: 12 computed plus 1 declared.
+    """All symmetric three-component models.
 
-    Validates the computed symmetric triples against the expected set and
-    raises SymmetryMismatchError (carrying the triples found) on any
-    difference; raises IncompleteCensusError unless all 347 regular
-    models are supplied.
+    The computed ``records`` with a nontrivial stabilizer, ordered by
+    orbit length and triple, followed by ``declared_symmetric``.
     """
-    if len(regular) != P_REGULAR_TOTAL:
-        raise IncompleteCensusError(len(regular), P_REGULAR_TOTAL)
-    records = [computed_record(m) for m in regular]
-    symmetric = [r for r in records if r.symmetry_order > 1]
-    found = frozenset(r.triple for r in symmetric)
-    if found != EXPECTED_SYMMETRIC_TRIPLES:
-        raise SymmetryMismatchError(
-            sorted(found), sorted(EXPECTED_SYMMETRIC_TRIPLES)
-        )
-    symmetric.sort(key=lambda r: (r.orbit_length, r.triple))
+    symmetric = sorted(
+        (r for r in records if r.symmetry_order > 1),
+        key=lambda r: (r.orbit_length, r.triple),
+    )
     return symmetric + list(declared_symmetric)
 
 
 def p_cone_count(models: list[ModelRecord]) -> int:
-    """Sum of orbit lengths over the full 450-model census."""
-    if len(models) != P_MODELS_TOTAL:
-        raise IncompleteCensusError(len(models), P_MODELS_TOTAL)
+    """Sum of orbit lengths over the three-component census."""
     return sum(m.orbit_length for m in models)
 
 
@@ -166,10 +110,6 @@ def t_cone_count(t_models: int, t_symmetric: int) -> int:
             f"need 0 <= symmetric <= models, got ({t_models}, {t_symmetric})"
         )
     return (t_models - t_symmetric) * 6 + t_symmetric * 3
-
-
-def total_census(p: int, t: int) -> ConeTotals:
-    return ConeTotals(p_cones=p, t_cones=t, total_cones=p + t)
 
 
 def _require(entries: dict[str, DeclaredEntry], label: str) -> DeclaredEntry:
@@ -231,17 +171,17 @@ def build_census_report(
     ]
     declared_symmetric = [r for r in declared_records if r.symmetry_order > 1]
 
-    symmetric = symmetric_p_models(regular, declared_symmetric)
-    records = [computed_record(m) for m in regular] + declared_records
+    computed = [computed_record(m) for m in regular]
+    symmetric = symmetric_p_models(computed, declared_symmetric)
+    records = computed + declared_records
     p_cones = p_cone_count(records)
     t_cones = t_cone_count(t_models, t_symmetric)
-    totals = total_census(p_cones, t_cones)
     return CensusReport(
         p_models=len(records),
         t_models=t_models,
         p_symmetric=tuple(symmetric),
-        p_cones=totals.p_cones,
-        t_cones=totals.t_cones,
-        total_cones=totals.total_cones,
+        p_cones=p_cones,
+        t_cones=t_cones,
+        total_cones=p_cones + t_cones,
         findings=RECORDED_FINDINGS,
     )

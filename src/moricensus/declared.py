@@ -22,14 +22,7 @@ from importlib import resources
 
 from .errors import ConfigError
 
-__all__ = [
-    "DeclaredEntry",
-    "RangeCase",
-    "default_declared_text",
-    "interval_case_count",
-    "load_declared",
-    "t_flop_case_count",
-]
+__all__ = ["DeclaredEntry", "default_declared_text", "load_declared"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -40,18 +33,6 @@ class DeclaredEntry:
     count: int
     provenance: str = ""
     breakdown: tuple[int, ...] | None = None
-
-
-@dataclass(frozen=True, slots=True)
-class RangeCase:
-    """Inclusive integer interval of self-intersection sub-cases."""
-
-    lo: int
-    hi: int
-
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"empty range: lo={self.lo} > hi={self.hi}")
 
 
 _LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
@@ -172,18 +153,3 @@ def default_declared_text() -> str:
     return (
         resources.files("moricensus").joinpath("data/declared.cfg").read_text("utf-8")
     )
-
-
-def interval_case_count(r: RangeCase) -> int:
-    """Number of integer sub-cases in the inclusive interval."""
-    return r.hi - r.lo + 1
-
-
-def t_flop_case_count(r1_max: int, r2_max: int) -> int:
-    """Flop sub-cases contributed by the two ranges {0..r1_max}, {0..r2_max}.
-
-    A maximum of -1 encodes an empty range.
-    """
-    if r1_max < -1 or r2_max < -1:
-        raise ValueError(f"range maxima must be >= -1, got ({r1_max}, {r2_max})")
-    return (r1_max + 1) + (r2_max + 1)

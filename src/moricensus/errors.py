@@ -54,29 +54,6 @@ class DuplicateClassError(MoricensusError):
         )
 
 
-class SymmetryMismatchError(MoricensusError):
-    """Computed symmetric triples differ from the expected census."""
-
-    def __init__(self, found, expected):
-        self.found = found
-        self.expected = expected
-        extra = sorted(set(found) - set(expected))
-        missing = sorted(set(expected) - set(found))
-        super().__init__(
-            f"symmetric-triple mismatch: {len(found)} found, "
-            f"{len(expected)} expected; extra={extra} missing={missing}"
-        )
-
-
-class IncompleteCensusError(MoricensusError):
-    """A census aggregation received the wrong number of models."""
-
-    def __init__(self, got, expected):
-        self.got = got
-        self.expected = expected
-        super().__init__(f"census has {got} models, expected {expected}")
-
-
 class SizeLimitError(MoricensusError):
     """Graph exceeds the brute-force canonicalizer's node bound."""
 

@@ -12,13 +12,7 @@ from moricensus.claims import evaluate_claims, parse_claims
 from moricensus.cli import main
 from moricensus.closure import MOVE_SETS, closure, encode_triple
 from moricensus.cones import build_census_report, t_cone_count
-from moricensus.declared import (
-    RangeCase,
-    default_declared_text,
-    interval_case_count,
-    load_declared,
-    t_flop_case_count,
-)
+from moricensus.declared import default_declared_text, load_declared
 from moricensus.families import (
     FamilyId,
     family_nondegenerate,
@@ -77,6 +71,23 @@ def test_criterion_3_symmetry_census():
     report = build_census_report(regular_models(), declared)
     computed = [r for r in report.p_symmetric if r.triple is not None]
     declared_only = [r for r in report.p_symmetric if r.triple is None]
+    assert {r.triple for r in computed} == {
+        Triple(*t)
+        for t in [
+            (0, 0, 0),
+            (1, 1, 1),
+            (2, 2, 2),
+            (0, 1, -1),
+            (0, -1, 1),
+            (0, 2, -2),
+            (0, -2, 2),
+            (3, 0, -3),
+            (-3, 0, 3),
+            (-4, 0, 4),
+            (-5, 0, 5),
+            (-6, 0, 6),
+        ]
+    }
     assert len(computed) == 12
     assert sorted(r.orbit_length for r in computed) == [1, 2, 2] + [3] * 9
     assert len(declared_only) == 1
@@ -118,9 +129,18 @@ def test_criterion_6_model_totals():
 
 
 def test_criterion_7_correction_arithmetic():
-    assert interval_case_count(RangeCase(-3, -1)) == 3
-    assert interval_case_count(RangeCase(-3, 0)) == 4
-    assert t_flop_case_count(9, 8) - t_flop_case_count(8, 7) == 2
+    report = evaluate_claims(parse_claims_default())
+    by_name = {v.name: v for v in report.verdicts}
+    for name, value in [
+        ("p_verydeg_cases_corrected", 3),
+        ("p_verydeg_cases_original", 4),
+        ("p_verydeg_overcount", 1),
+        ("t_n1_2_stated_ranges", 17),
+        ("t_n1_2_removed_cases", 2),
+    ]:
+        verdict = by_name[name]
+        assert verdict.holds and verdict.expect_holds, name
+        assert verdict.lhs_value == verdict.rhs_value == value, name
     ok(7, "interval cases 3 vs 4; removed flop sub-cases differ by 2")
 
 

@@ -1,0 +1,53 @@
+"""The names and formats the benchmark in ``perfbench/`` relies on.
+
+``perfbench/tracing.py`` wraps program functions looked up by name, and
+``perfbench/workloads.py`` re-derives claim verdicts with its own
+parser.  These tests load both files by path, unchanged, so a change to
+the program that would break ``--trace 1`` or the benchmark's answers
+fails here first.
+"""
+
+import importlib
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
+
+from moricensus.audit import default_claims_text
+from moricensus.claims import evaluate_claims, parse_claims
+from moricensus.closure import closure
+from moricensus import graphs
+from moricensus.triples import Triple
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load(name):
+    module_name = f"_perfbench_{name}"
+    spec = importlib.util.spec_from_file_location(module_name, PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[module_name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_spanned_functions_exist():
+    for modname, fname in load("tracing").SPANNED:
+        module = importlib.import_module(f"moricensus.{modname}")
+        assert callable(getattr(module, fname, None)), f"{modname}.{fname}"
+
+
+def test_traced_hooks_exist():
+    assert callable(Triple.__post_init__)
+    assert "workers" in inspect.signature(closure).parameters
+    assert callable(getattr(graphs, "canonical_backend", None))
+
+
+def test_claim_answers_match_evaluator():
+    text = default_claims_text()
+    rows = [
+        (v.name, v.holds, v.lhs_value, v.rhs_value,
+         "holds" if v.expect_holds else "fails", v.cite)
+        for v in evaluate_claims(parse_claims(text)).verdicts
+    ]
+    assert load("workloads").claim_answers(text) == rows

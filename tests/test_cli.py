@@ -13,6 +13,13 @@ edge p1 p2 label=0
 edge p2 p0 label=3
 """
 
+VD_104_READING = (
+    "entry t_models: count=129 breakdown=83+1+45\n"
+    "entry t_symmetric: count=11\n"
+    "entry p_very_degenerate: count=104 breakdown=72+7+25\n"
+    "entry p_very_degenerate_symmetric: count=1\n"
+)
+
 
 @pytest.fixture
 def graph_file(tmp_path):
@@ -91,6 +98,31 @@ def test_verify_with_wrong_symmetric_count(tmp_path, capsys):
     by_name = {v["name"]: v for v in payload["verdicts"]}
     assert by_name["census.t_cones"]["lhs"] == 744
     assert not by_name["census.t_cones"]["as_expected"]
+
+    # A different very-degenerate count is a reading to audit, not a fault.
+    config.write_text(VD_104_READING, encoding="utf-8")
+    code, out, _ = run(capsys, "verify", "--config", str(config), "--format", "json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["exit_status"] == 1
+    unexpected = {
+        v["name"]: v["lhs"] for v in payload["verdicts"] if not v["as_expected"]
+    }
+    assert unexpected == {
+        "census.p_models": 451,
+        "census.p_cones": 2663,
+        "census.total_cones": 3404,
+    }
+
+
+def test_census_with_alternative_reading(tmp_path, capsys):
+    config = tmp_path / "declared.cfg"
+    config.write_text(VD_104_READING, encoding="utf-8")
+    code, out, _ = run(capsys, "census", "--config", str(config), "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["p_models"] == 451
+    assert payload["p_cones"] == 2663
 
 
 def test_verify_bad_config_is_input_error(tmp_path, capsys):

@@ -1,13 +1,6 @@
 import pytest
 
-from moricensus.declared import (
-    DeclaredEntry,
-    RangeCase,
-    default_declared_text,
-    interval_case_count,
-    load_declared,
-    t_flop_case_count,
-)
+from moricensus.declared import DeclaredEntry, default_declared_text, load_declared
 from moricensus.errors import ConfigError
 
 
@@ -79,37 +72,3 @@ def test_default_config_loads_and_validates():
     assert entries["p_very_degenerate"].breakdown == (71, 7, 25)
     assert entries["p_very_degenerate_symmetric"].count == 1
 
-
-@pytest.mark.parametrize(
-    "lo,hi,expected",
-    [(-3, -1, 3), (-3, 0, 4), (0, 0, 1)],
-)
-def test_interval_case_count(lo, hi, expected):
-    assert interval_case_count(RangeCase(lo, hi)) == expected
-
-
-def test_empty_range_rejected():
-    with pytest.raises(ValueError):
-        RangeCase(1, 0)
-
-
-@pytest.mark.parametrize(
-    "r1,r2,expected",
-    [(8, 7, 17), (9, 8, 19), (-1, -1, 0)],
-)
-def test_t_flop_case_count(r1, r2, expected):
-    assert t_flop_case_count(r1, r2) == expected
-
-
-def test_t_flop_case_count_rejects_bad_ranges():
-    with pytest.raises(ValueError):
-        t_flop_case_count(-2, 0)
-
-
-def test_correction_differences():
-    # one model too many in the very-degenerate interval case
-    assert interval_case_count(RangeCase(-3, 0)) - interval_case_count(
-        RangeCase(-3, -1)
-    ) == 1
-    # two flop sub-cases removed in the n1=2 correction
-    assert t_flop_case_count(9, 8) - t_flop_case_count(8, 7) == 2
