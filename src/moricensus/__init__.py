@@ -64,7 +64,6 @@ from .triples import (
     Triple,
     apply,
     canonical,
-    compose,
     involution,
     orbit,
     shift,

@@ -18,29 +18,25 @@ from __future__ import annotations
 __all__ = ["canonical_sequence"]
 
 
-def _twins(n, labels, adj):
-    """Static interchangeability matrix.
+def _twins(adj, cells):
+    """Pairs ``(u, v)``, u < v, of interchangeable nodes in one cell.
 
     Nodes u and v are twins when swapping them is an automorphism: equal
     labels and identical edge data to every third node.  Subtrees rooted
     at twin candidates reach the same minimum, so the search only ever
-    expands one of them per depth.
+    expands one of them per depth.  Only pairs inside one refinement
+    cell are tested: the search compares candidates from one cell only,
+    and twins always share a cell (and so a label).  Each node's
+    ``(neighbour, label, mult)`` entries are unique, so sets compare
+    them exactly.
     """
-    view = []
-    for v in range(n):
-        entries = {}
-        for (u, e, m) in adj[v]:
-            entries.setdefault(u, []).append((e, m))
-        view.append({u: tuple(sorted(es)) for u, es in entries.items()})
-    twins = [[False] * n for _ in range(n)]
-    for u in range(n):
-        for v in range(u + 1, n):
-            if labels[u] != labels[v]:
-                continue
-            vu = {w: es for w, es in view[u].items() if w != v}
-            vv = {w: es for w, es in view[v].items() if w != u}
-            if vu == vv:
-                twins[u][v] = twins[v][u] = True
+    twins = set()
+    for cell in cells:
+        for i, u in enumerate(cell):
+            for v in cell[i + 1:]:
+                if {x for x in adj[u] if x[0] != v} == \
+                        {x for x in adj[v] if x[0] != u}:
+                    twins.add((u, v))
     return twins
 
 
@@ -93,7 +89,7 @@ def canonical_sequence(n, labels, edges):
     for cell in cell_order:
         cell_at.extend([cell] * len(cell))
 
-    twins = _twins(n, labels, adj)
+    twins = _twins(adj, cell_order)
     pos = [-1] * n
     cur = [n]
     best = None
@@ -119,7 +115,8 @@ def canonical_sequence(n, labels, edges):
         for v in cell_at[depth]:
             if pos[v] >= 0:
                 continue
-            if any(twins[u][v] for u in tried):
+            # cells list nodes in increasing order, so every u < v
+            if any((u, v) in twins for u in tried):
                 continue
             tried.append(v)
             item = item_for(v)

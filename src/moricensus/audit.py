@@ -96,7 +96,8 @@ def run_full_verification(
 
     Defaults to the shipped declared config and claims file.  A computed
     count that differs from its claimed total is a failed ``census.*``
-    verdict; module errors (duplicate classes) propagate to the caller.
+    verdict; that includes overlapping families, which show as a failed
+    ``census.p_regular_classes``.
     """
     if declared is None:
         from .declared import default_declared_text

@@ -23,7 +23,7 @@ import json
 import sys
 
 from .audit import default_claims_text, run_full_verification
-from .claims import AuditReport, parse_claims
+from .claims import AuditReport, evaluate_claims, parse_claims
 from .closure import MOVE_SETS, closure
 from .cones import CensusReport, build_census_report
 from .declared import default_declared_text, load_declared
@@ -240,8 +240,6 @@ def _cmd_closure(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    from .claims import evaluate_claims
-
     claims = parse_claims(_read(args.claims, default_claims_text))
     report = evaluate_claims(claims)
     _print_audit(report, args.format)

@@ -51,7 +51,7 @@ class ClosureResult:
     applications, including rediscoveries of known classes.
     """
 
-    classes: frozenset[bytes]
+    classes: frozenset[tuple[int, ...]]
     class_count: int
     expansion_steps: int
 
@@ -79,7 +79,7 @@ def closure(
     frontier = [seed]
     steps = 0
 
-    def expand(g: LabeledGraph) -> list[tuple[bytes, LabeledGraph]]:
+    def expand(g: LabeledGraph) -> list[tuple[tuple[int, ...], LabeledGraph]]:
         out = []
         for move in moves:
             for h in move.apply_all(g):
@@ -122,9 +122,9 @@ def closure(
 
 def encode_triple(t: Triple) -> LabeledGraph:
     """Rigid encoding: tuple order is visible to the isomorphism test."""
-    a, b, c = t
-    return LabeledGraph.build(
-        (0, 1, 2), [(0, 1, a), (1, 2, b), (2, 0, c)]
+    return LabeledGraph(
+        node_labels=(0, 1, 2),
+        edges=((0, 1, t.a, 1), (0, 2, t.c, 1), (1, 2, t.b, 1)),
     )
 
 
@@ -138,7 +138,7 @@ def decode_triple(g: LabeledGraph) -> Triple:
     if g.node_labels != (0, 1, 2):
         raise ValueError(f"not a rigid triple encoding: nodes {g.node_labels}")
     by_pair = {(u, v): (label, mult) for (u, v, label, mult) in g.edges}
-    if len(by_pair) != 3 or set(by_pair) != {(0, 1), (1, 2), (0, 2)}:
+    if len(g.edges) != 3 or set(by_pair) != {(0, 1), (1, 2), (0, 2)}:
         raise ValueError(f"not a rigid triple encoding: edges {g.edges}")
     if any(mult != 1 for (_, mult) in by_pair.values()):
         raise ValueError("triple encoding edges must have multiplicity 1")

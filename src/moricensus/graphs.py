@@ -1,9 +1,10 @@
 """Labelled multigraphs, canonical forms, and isomorphism testing.
 
 Canonicalization is brute force (ordering search with colour-partition
-pruning) and bounded at MAX_NODES nodes; the models under study have
-two or three components, so desk scale needs nothing cleverer.  The
-search itself lives in ``moricensus._canon_py``.
+pruning and twin pruning inside each refinement cell) and bounded at
+MAX_NODES nodes; the models under study have two or three components,
+so desk scale needs nothing cleverer.  The search itself lives in
+``moricensus._canon_py``; its integer tuple is the canonical form.
 
 Graph file format (UTF-8, line-oriented; ``#`` starts a comment):
 
@@ -105,12 +106,15 @@ class LabeledGraph:
         return len(self.node_labels)
 
 
-def canonical_graph(g: LabeledGraph) -> bytes:
-    """Canonical form: equal byte strings iff isomorphic labelled multigraphs."""
+def canonical_graph(g: LabeledGraph) -> tuple[int, ...]:
+    """Canonical form: equal tuples iff isomorphic labelled multigraphs.
+
+    The tuple is the kernel's flat encoding (see ``_canon_py``); forms
+    are meant to be compared and hashed, not read.
+    """
     if g.n > MAX_NODES:
         raise SizeLimitError(g.n, MAX_NODES)
-    seq = _canonical_sequence(g.n, g.node_labels, g.edges)
-    return ",".join(map(str, seq)).encode("ascii")
+    return _canonical_sequence(g.n, g.node_labels, g.edges)
 
 
 def iso(g1: LabeledGraph, g2: LabeledGraph) -> bool:

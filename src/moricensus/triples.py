@@ -5,6 +5,11 @@ involution ``(a, b, c) -> (-b, -a, -c)``; together they generate six
 transformations isomorphic to S3.  Orbits under this action are the
 equivalence classes of regular three-component models, and orbit
 lengths feed directly into the maximal-cone census.
+
+Each element is a signed permutation of the components, so the
+group-action functions act on plain ``(a, b, c)`` tuples and build a
+``Triple`` only for their results.  The component bound is symmetric,
+so every image of a valid triple is valid too.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ __all__ = [
     "Triple",
     "apply",
     "canonical",
-    "compose",
     "involution",
     "orbit",
     "shift",
@@ -83,40 +87,21 @@ def involution(t: Triple) -> Triple:
     return Triple(-t.b, -t.a, -t.c)
 
 
+# Each element as a map on plain components: the words in s and i
+# written out as signed permutations.
 _ACTIONS = {
-    GroupElement.E: lambda t: t,
-    GroupElement.S: shift,
-    GroupElement.S2: lambda t: shift(shift(t)),
-    GroupElement.I: involution,
-    GroupElement.IS: lambda t: involution(shift(t)),
-    GroupElement.IS2: lambda t: involution(shift(shift(t))),
+    GroupElement.E: lambda a, b, c: (a, b, c),
+    GroupElement.S: lambda a, b, c: (b, c, a),
+    GroupElement.S2: lambda a, b, c: (c, a, b),
+    GroupElement.I: lambda a, b, c: (-b, -a, -c),
+    GroupElement.IS: lambda a, b, c: (-c, -b, -a),
+    GroupElement.IS2: lambda a, b, c: (-a, -c, -b),
 }
 
 
 def apply(g: GroupElement, t: Triple) -> Triple:
     """Image of ``t`` under the group element ``g``."""
-    return _ACTIONS[g](t)
-
-
-def _build_cayley_table() -> dict[tuple[GroupElement, GroupElement], GroupElement]:
-    # The six transformations act faithfully on any triple with distinct
-    # absolute values, so a single probe identifies each composition.
-    probe = Triple(1, 2, 4)
-    images = {apply(g, probe): g for g in GroupElement}
-    assert len(images) == 6, "group elements must act distinctly on the probe"
-    table = {}
-    for g in GroupElement:
-        for h in GroupElement:
-            table[g, h] = images[apply(g, apply(h, probe))]
-    return table
-
-
-_CAYLEY = _build_cayley_table()
-
-
-def compose(g: GroupElement, h: GroupElement) -> GroupElement:
-    """Group product: ``apply(compose(g, h), t) == apply(g, apply(h, t))``."""
-    return _CAYLEY[g, h]
+    return Triple(*_ACTIONS[g](t.a, t.b, t.c))
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,18 +127,25 @@ class OrbitRecord:
         return len(self.members)
 
 
+def _images(t: Triple) -> list[tuple[int, int, int]]:
+    """Images of ``t`` under the six elements, in enum order."""
+    return [act(t.a, t.b, t.c) for act in _ACTIONS.values()]
+
+
 def stabilizer(t: Triple) -> tuple[GroupElement, ...]:
     """Group elements fixing ``t``, in enum order."""
-    return tuple(g for g in GroupElement if apply(g, t) == t)
+    own = (t.a, t.b, t.c)
+    return tuple(g for g, image in zip(_ACTIONS, _images(t)) if image == own)
 
 
 def orbit(t: Triple) -> OrbitRecord:
     """Orbit of ``t`` under all six group elements."""
-    members = frozenset(apply(g, t) for g in GroupElement)
+    images = _images(t)
+    members = frozenset(Triple(*image) for image in set(images))
     return OrbitRecord(
         representative=min(members),
         members=members,
-        stabilizer_order=len(stabilizer(t)),
+        stabilizer_order=images.count((t.a, t.b, t.c)),
     )
 
 
@@ -163,4 +155,4 @@ def canonical(t: Triple) -> Triple:
     Idempotent and constant on orbits: the deduplication key for
     equivalence classes.
     """
-    return min(apply(g, t) for g in GroupElement)
+    return Triple(*min(_images(t)))

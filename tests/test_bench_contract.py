@@ -1,30 +1,34 @@
 """The names and formats the benchmark in ``perfbench/`` relies on.
 
-``perfbench/tracing.py`` wraps program functions looked up by name, and
+``perfbench/tracing.py`` wraps program functions looked up by name,
 ``perfbench/workloads.py`` re-derives claim verdicts with its own
-parser.  These tests load both files by path, unchanged, so a change to
-the program that would break ``--trace 1`` or the benchmark's answers
-fails here first.
+parser, and its canon-search workload feeds the kernel graphs from
+``benchmarks/bench_canonical.py``.  These tests load those files by
+path, unchanged, so a change to the program that would break
+``--trace 1`` or the benchmark's answers fails here first.
 """
 
 import importlib
 import importlib.util
 import inspect
+import random
 import sys
 from pathlib import Path
 
 from moricensus.audit import default_claims_text
 from moricensus.claims import evaluate_claims, parse_claims
 from moricensus.closure import closure
-from moricensus import graphs
+from moricensus import _canon_py, graphs
 from moricensus.triples import Triple
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
 
 
-def load(name):
-    module_name = f"_perfbench_{name}"
-    spec = importlib.util.spec_from_file_location(module_name, PERFBENCH / f"{name}.py")
+def load(name, directory="perfbench"):
+    module_name = f"_{directory}_{name}"
+    spec = importlib.util.spec_from_file_location(
+        module_name, ROOT / directory / f"{name}.py"
+    )
     module = importlib.util.module_from_spec(spec)
     sys.modules[module_name] = module
     spec.loader.exec_module(module)
@@ -51,3 +55,11 @@ def test_claim_answers_match_evaluator():
         for v in evaluate_claims(parse_claims(text)).verdicts
     ]
     assert load("workloads").claim_answers(text) == rows
+
+
+def test_kernel_signature_serves_bench_graphs():
+    bench = load("bench_canonical", "benchmarks")
+    cases = [bench.random_multigraph(random.Random(1), 8), bench.circulant(8, (1, 2))]
+    for n, labels, edges in cases:
+        seq = _canon_py.canonical_sequence(n, labels, edges)
+        assert graphs.canonical_graph(graphs.LabeledGraph.build(labels, edges)) == seq

@@ -201,6 +201,18 @@ def test_closure_missing_graph_file(capsys):
     assert code == 2
 
 
+def test_closure_rejects_graph_that_is_no_triple_encoding(tmp_path, capsys):
+    path = tmp_path / "double.graph"
+    path.write_text(GRAPH_TEXT.replace(
+        "edge p0 p1 label=-6", "edge p0 p1 label=5\nedge p0 p1 label=7"
+    ), encoding="utf-8")
+    code, out, err = run(capsys, "closure", "--graph", str(path),
+                         "--moves", "triple_group", "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert "not a rigid triple encoding" in err
+
+
 def test_closure_budget_exhaustion_is_verification_failure(graph_file, capsys):
     code, _, err = run(capsys, "closure", "--graph", graph_file,
                        "--moves", "triple_group", "--max-classes", "2")

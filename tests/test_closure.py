@@ -118,7 +118,8 @@ def test_canonical_form_injective_on_reconstruction(data):
     # the form encodes labels and edges positionally, so two graphs with
     # equal forms decode to the same structure
     g = build_graph(data)
-    seq = [int(x) for x in canonical_graph(g).split(b",")]
+    seq = canonical_graph(g)
+    assert all(type(x) is int for x in seq)
     assert seq[0] == g.n
     idx = 1
     degree_total = 0
@@ -156,6 +157,11 @@ def test_decode_rejects_non_encodings():
         decode_triple(LabeledGraph.build([0, 1], [(0, 1, 3)]))
     with pytest.raises(ValueError):
         decode_triple(LabeledGraph.build([0, 1, 2], [(0, 1, 3)]))
+    with pytest.raises(ValueError):
+        # a second edge on one node pair, beside one edge on each other pair
+        decode_triple(LabeledGraph.build(
+            [0, 1, 2], [(0, 1, 5), (0, 1, 7), (1, 2, 0), (2, 0, 3)]
+        ))
 
 
 # ---------------------------------------------------------------------------

@@ -88,3 +88,10 @@ def test_uniform_graph_canonicalizes_quickly():
     # all-twin cells collapse the ordering search to one branch per depth
     seq = _canon_py.canonical_sequence(12, [0] * 12, [])
     assert seq == (12,) + (0, 0) * 12
+    # star K_1,11: refinement splits the centre off, and the 11 leaves are
+    # twins inside their own cell; the centre comes last, with an edge back
+    # to each leaf position
+    star = [(0, leaf, 0, 1) for leaf in range(1, 12)]
+    seq = _canon_py.canonical_sequence(12, [0] * 12, star)
+    back_edges = tuple(x for j in range(11) for x in (j, 0, 1))
+    assert seq == (12,) + (0, 0) * 11 + (0, 11) + back_edges

@@ -9,7 +9,6 @@ from moricensus.triples import (
     Triple,
     apply,
     canonical,
-    compose,
     involution,
     orbit,
     shift,
@@ -95,19 +94,21 @@ def test_group_axioms_property(t):
     assert involution(shift(involution(t))) == shift(shift(t))
 
 
-def test_composition_table_closed_and_associative():
-    for g in GroupElement:
-        for h in GroupElement:
-            assert compose(g, h) in GroupElement
-            for k in GroupElement:
-                assert compose(compose(g, h), k) == compose(g, compose(h, k))
-
-
 @given(triples)
-def test_compose_agrees_with_apply(t):
+def test_group_closed_under_products(t):
+    # The six elements move the probe to six distinct images, so each
+    # product g h matches exactly one element k there, and k must then
+    # agree with g h on every triple.
+    probe = Triple(1, 2, 4)
+    assert len({apply(g, probe) for g in GroupElement}) == 6
     for g in GroupElement:
         for h in GroupElement:
-            assert apply(compose(g, h), t) == apply(g, apply(h, t))
+            products = [
+                k for k in GroupElement
+                if apply(g, apply(h, probe)) == apply(k, probe)
+            ]
+            assert len(products) == 1
+            assert apply(g, apply(h, t)) == apply(products[0], t)
 
 
 @pytest.mark.parametrize(
