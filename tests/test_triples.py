@@ -94,21 +94,32 @@ def test_group_axioms_property(t):
     assert involution(shift(involution(t))) == shift(shift(t))
 
 
-@given(triples)
-def test_group_closed_under_products(t):
-    # The six elements move the probe to six distinct images, so each
-    # product g h matches exactly one element k there, and k must then
-    # agree with g h on every triple.
-    probe = Triple(1, 2, 4)
-    assert len({apply(g, probe) for g in GroupElement}) == 6
+PROBE = Triple(1, 2, 4)
+
+
+def product(g, h):
+    # The six elements move the probe to six distinct images, so the
+    # product g h is the one element that agrees with it there.
+    target = apply(g, apply(h, PROBE))
+    matches = [k for k in GroupElement if apply(k, PROBE) == target]
+    assert len(matches) == 1
+    return matches[0]
+
+
+def test_composition_table_closed_and_associative():
+    assert len({apply(g, PROBE) for g in GroupElement}) == 6
     for g in GroupElement:
         for h in GroupElement:
-            products = [
-                k for k in GroupElement
-                if apply(g, apply(h, probe)) == apply(k, probe)
-            ]
-            assert len(products) == 1
-            assert apply(g, apply(h, t)) == apply(products[0], t)
+            assert product(g, h) in GroupElement
+            for k in GroupElement:
+                assert product(product(g, h), k) == product(g, product(h, k))
+
+
+@given(triples)
+def test_compose_agrees_with_apply(t):
+    for g in GroupElement:
+        for h in GroupElement:
+            assert apply(product(g, h), t) == apply(g, apply(h, t))
 
 
 @pytest.mark.parametrize(
