@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
 """Micro-benchmark of the canonical-form kernel.
 
-Two suites:
+Three suites:
 
+  rigid      the 3-node triple encodings of the 347 regular models, the
+             graphs ``verify`` feeds the kernel; node labels 0, 1, 2 make
+             refinement discrete, so there is no ordering search.
   random     random labelled multigraphs; colour refinement splits the
              nodes into fine cells, so the ordering search is shallow.
   symmetric  uniform-label circulant graphs; refinement cannot split a
@@ -23,6 +26,8 @@ import statistics
 import time
 
 from moricensus import _canon_py
+from moricensus.closure import encode_triple
+from moricensus.families import regular_models
 
 
 def random_multigraph(rng, n):
@@ -38,6 +43,11 @@ def random_multigraph(rng, n):
         merged[key] = merged.get(key, 0) + 1
     edges = sorted((u, v, e, m) for (u, v, e), m in merged.items())
     return n, labels, edges
+
+
+def rigid_triples():
+    graphs = (encode_triple(m.triple) for m in regular_models())
+    return [(g.n, g.node_labels, g.edges) for g in graphs]
 
 
 def circulant(n, dists):
@@ -78,6 +88,7 @@ def main():
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
 
+    run_suite("rigid triple encodings", [("n=3", rigid_triples())], args.repeats)
     rng = random.Random(args.seed)
     run_suite(
         "random multigraphs",

@@ -3,7 +3,9 @@
 The hot kernel behind ``moricensus.graphs.canonical_graph``.  The search
 minimizes a flat integer encoding over node orderings, restricted to
 orderings compatible with an iterated neighbourhood-colour refinement
-and pruned against the best encoding found so far.
+and pruned against the best encoding found so far.  When refinement
+leaves every node in a cell of its own, that ordering is forced: the
+encoding is written out directly, without a search.
 
 Encoding layout: ``(n, item_0, ..., item_{n-1})`` where the item for
 position k is ``(label, b, j_1, e_1, m_1, ..., j_b, e_b, m_b)`` listing
@@ -54,17 +56,18 @@ def _refine(n, labels, adj):
     rank = {key: i for i, key in enumerate(order)}
     colors = [rank[key] for key in base]
     ncolors = len(order)
-    while True:
+    while ncolors < n:
         keys = []
         for v in range(n):
             sig = tuple(sorted((e, m, colors[u]) for (u, e, m) in adj[v]))
             keys.append((colors[v], sig))
         order = sorted(set(keys))
         if len(order) == ncolors:
-            return colors
+            break
         rank = {key: i for i, key in enumerate(order)}
         colors = [rank[key] for key in keys]
         ncolors = len(order)
+    return colors
 
 
 def canonical_sequence(n, labels, edges):
@@ -85,14 +88,7 @@ def canonical_sequence(n, labels, edges):
     for v in range(n):
         cells.setdefault(colors[v], []).append(v)
     cell_order = [cells[c] for c in sorted(cells)]
-    cell_at = []
-    for cell in cell_order:
-        cell_at.extend([cell] * len(cell))
-
-    twins = _twins(adj, cell_order)
     pos = [-1] * n
-    cur = [n]
-    best = None
 
     def item_for(v):
         entries = sorted(
@@ -102,6 +98,22 @@ def canonical_sequence(n, labels, edges):
         for entry in entries:
             flat.extend(entry)
         return flat
+
+    if len(cell_order) == n:
+        # discrete partition: the only admissible ordering is the cell
+        # order, so the search would take one branch per depth
+        seq = [n]
+        for depth, (v,) in enumerate(cell_order):
+            seq.extend(item_for(v))
+            pos[v] = depth
+        return tuple(seq)
+
+    cell_at = []
+    for cell in cell_order:
+        cell_at.extend([cell] * len(cell))
+    twins = _twins(adj, cell_order)
+    cur = [n]
+    best = None
 
     def dfs(depth, tight):
         # tight: cur equals the corresponding prefix of best (when best

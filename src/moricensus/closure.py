@@ -22,7 +22,7 @@ from typing import Callable
 
 from .errors import BudgetExceededError
 from .graphs import LabeledGraph, canonical_graph
-from .triples import Triple, canonical, involution, shift
+from .triples import _ACTIONS, GroupElement, Triple, canonical
 
 __all__ = [
     "ClosureResult",
@@ -73,9 +73,20 @@ def closure(
     Raises BudgetExceededError when a configured class-count or step
     budget is hit (arbitrary move sets may have infinite closures).
     ``workers > 1`` parallelizes frontier expansion without changing
-    the result.
+    the result.  Each distinct graph is canonicalized once per call;
+    rediscoveries are looked up, and still count as expansion steps.
     """
-    seen = {canonical_graph(seed)}
+    # Equal graphs have equal forms.  Two worker threads may both fill
+    # one key; they write the same value.
+    forms: dict[LabeledGraph, tuple[int, ...]] = {}
+
+    def form(h: LabeledGraph) -> tuple[int, ...]:
+        key = forms.get(h)
+        if key is None:
+            key = forms[h] = canonical_graph(h)
+        return key
+
+    seen = {form(seed)}
     frontier = [seed]
     steps = 0
 
@@ -83,7 +94,7 @@ def closure(
         out = []
         for move in moves:
             for h in move.apply_all(g):
-                out.append((canonical_graph(h), h))
+                out.append((form(h), h))
         return out
 
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
@@ -122,9 +133,13 @@ def closure(
 
 def encode_triple(t: Triple) -> LabeledGraph:
     """Rigid encoding: tuple order is visible to the isomorphism test."""
+    return _encode(t.a, t.b, t.c)
+
+
+def _encode(a: int, b: int, c: int) -> LabeledGraph:
     return LabeledGraph(
         node_labels=(0, 1, 2),
-        edges=((0, 1, t.a, 1), (0, 2, t.c, 1), (1, 2, t.b, 1)),
+        edges=((0, 1, a, 1), (0, 2, c, 1), (1, 2, b, 1)),
     )
 
 
@@ -145,9 +160,16 @@ def decode_triple(g: LabeledGraph) -> Triple:
     return Triple(by_pair[(0, 1)][0], by_pair[(1, 2)][0], by_pair[(0, 2)][0])
 
 
-def _triple_move(transform: Callable[[Triple], Triple]):
+def _triple_move(act: Callable[[int, int, int], tuple[int, int, int]]):
+    """Move by a signed permutation of components.
+
+    Each graph is decoded (and so validated) into one Triple; its image
+    is encoded from plain ints, valid because the component bound is
+    symmetric.
+    """
     def apply_all(g: LabeledGraph) -> list[LabeledGraph]:
-        return [encode_triple(transform(decode_triple(g)))]
+        t = decode_triple(g)
+        return [_encode(*act(t.a, t.b, t.c))]
 
     return apply_all
 
@@ -155,7 +177,9 @@ def _triple_move(transform: Callable[[Triple], Triple]):
 MOVE_SETS: dict[str, list[MoveOperator]] = {
     "none": [],
     "triple_group": [
-        MoveOperator(name="shift", apply_all=_triple_move(shift)),
-        MoveOperator(name="involution", apply_all=_triple_move(involution)),
+        MoveOperator(name="shift",
+                     apply_all=_triple_move(_ACTIONS[GroupElement.S])),
+        MoveOperator(name="involution",
+                     apply_all=_triple_move(_ACTIONS[GroupElement.I])),
     ],
 }

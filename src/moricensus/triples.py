@@ -77,16 +77,6 @@ class GroupElement(Enum):
     IS2 = "is2"
 
 
-def shift(t: Triple) -> Triple:
-    """Left cyclic rotation: (a, b, c) -> (b, c, a)."""
-    return Triple(t.b, t.c, t.a)
-
-
-def involution(t: Triple) -> Triple:
-    """Swap the first two components and negate all three."""
-    return Triple(-t.b, -t.a, -t.c)
-
-
 # Each element as a map on plain components: the words in s and i
 # written out as signed permutations.
 _ACTIONS = {
@@ -102,6 +92,16 @@ _ACTIONS = {
 def apply(g: GroupElement, t: Triple) -> Triple:
     """Image of ``t`` under the group element ``g``."""
     return Triple(*_ACTIONS[g](t.a, t.b, t.c))
+
+
+def shift(t: Triple) -> Triple:
+    """Left cyclic rotation: (a, b, c) -> (b, c, a)."""
+    return apply(GroupElement.S, t)
+
+
+def involution(t: Triple) -> Triple:
+    """Swap the first two components and negate all three."""
+    return apply(GroupElement.I, t)
 
 
 @dataclass(frozen=True, slots=True)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from moricensus.audit import default_claims_text
 from moricensus.claims import evaluate_claims, parse_claims
-from moricensus.closure import closure
+from moricensus.closure import MOVE_SETS, closure, encode_triple
 from moricensus import _canon_py, graphs
 from moricensus.triples import Triple
 
@@ -63,3 +63,15 @@ def test_kernel_signature_serves_bench_graphs():
     for n, labels, edges in cases:
         seq = _canon_py.canonical_sequence(n, labels, edges)
         assert graphs.canonical_graph(graphs.LabeledGraph.build(labels, edges)) == seq
+
+
+def test_trace_counts_each_canonicalization_once_per_class():
+    tracing = load("tracing")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        result = closure(encode_triple(Triple(-6, 0, 3)), MOVE_SETS["triple_group"])
+    finally:
+        tracer.uninstall()
+    counts = tracing.exact_counts(tracer.spans, tracer.counts)
+    assert counts["calls.graphs.canonical_graph"] == result.class_count == 6

@@ -1,5 +1,7 @@
+import importlib
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -185,6 +187,33 @@ def test_closure_of_fixed_point_is_single_class():
     assert result.class_count == 1
 
 
+@pytest.mark.parametrize("t, calls, steps", [
+    (Triple(-6, 0, 3), 6, 12),
+    (Triple(0, 0, 0), 1, 2),
+])
+def test_closure_canonicalizes_each_distinct_graph_once(monkeypatch, t, calls, steps):
+    # the package exports the function ``closure`` under the module's name
+    closure_module = importlib.import_module("moricensus.closure")
+    seen = []
+
+    def counting(g):
+        seen.append(g)
+        return canonical_graph(g)
+
+    monkeypatch.setattr(closure_module, "canonical_graph", counting)
+    result = closure(encode_triple(t), MOVE_SETS["triple_group"])
+    assert len(seen) == len(set(seen)) == calls
+    assert result.expansion_steps == steps
+
+
+def test_closure_steps_count_rediscoveries_on_census():
+    from moricensus.families import regular_models
+
+    for model in regular_models():
+        result = closure(encode_triple(model.triple), MOVE_SETS["triple_group"])
+        assert result.expansion_steps == 2 * orbit(model.triple).length
+
+
 def test_closure_oracle_over_sample_of_census():
     rng = random.Random(5)
     from moricensus.families import regular_models
@@ -210,6 +239,25 @@ def test_closure_workers_match_reference():
     threaded = closure(encode_triple(t), moves, workers=4)
     assert single.classes == threaded.classes
     assert single.expansion_steps == threaded.expansion_steps
+
+
+def test_closure_forms_shared_by_threads():
+    # worker threads fill one dict of forms; switching threads often makes
+    # two of them race on one key, which must not change the result
+    from moricensus.families import regular_models
+
+    moves = MOVE_SETS["triple_group"]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for model in random.Random(3).sample(regular_models(), 20):
+            seed = encode_triple(model.triple)
+            single = closure(seed, moves)
+            threaded = closure(seed, moves, workers=8)
+            assert threaded.classes == single.classes
+            assert threaded.expansion_steps == single.expansion_steps
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_closure_monotone_in_move_set():

@@ -6,9 +6,12 @@ brute-force permutation search that shares no code with the kernel.
 
 import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from moricensus import _canon_py
+from moricensus.closure import encode_triple
+from moricensus.triples import Triple
 
 
 graph_data = st.integers(1, 5).flatmap(
@@ -95,3 +98,96 @@ def test_uniform_graph_canonicalizes_quickly():
     seq = _canon_py.canonical_sequence(12, [0] * 12, star)
     back_edges = tuple(x for j in range(11) for x in (j, 0, 1))
     assert seq == (12,) + (0, 0) * 11 + (0, 11) + back_edges
+
+
+# ---------------------------------------------------------------------------
+# discrete partitions: refinement puts every node in a cell of its own
+
+
+@pytest.mark.parametrize("t, seq", [
+    ((-6, 0, 3), (3, 0, 0, 1, 1, 0, -6, 1, 2, 2, 0, 3, 1, 1, 0, 1)),
+    ((0, 0, 0), (3, 0, 0, 1, 1, 0, 0, 1, 2, 2, 0, 0, 1, 1, 0, 1)),
+    ((9, -9, 1), (3, 0, 0, 1, 1, 0, 9, 1, 2, 2, 0, 1, 1, 1, -9, 1)),
+])
+def test_rigid_triple_sequences(t, seq):
+    # sequences the ordering search gave before discrete partitions
+    # skipped it
+    g = encode_triple(Triple(*t))
+    assert _canon_py.canonical_sequence(g.n, g.node_labels, g.edges) == seq
+
+
+def test_discrete_random_multigraph_sequence():
+    # benchmarks/bench_canonical.py: random_multigraph(random.Random(1), 7)
+    n, labels = 7, [0, 0, 1, 0, 1, 1, 1]
+    edges = [
+        (0, 1, 0, 1), (0, 3, 0, 1), (0, 5, 0, 1), (0, 6, 1, 1), (1, 2, 1, 1),
+        (1, 3, 1, 1), (1, 4, 1, 1), (1, 5, 0, 1), (1, 5, 1, 1), (2, 4, 0, 1),
+        (2, 5, 0, 1), (3, 6, 1, 2),
+    ]
+    adj = [[] for _ in range(n)]
+    for (u, v, e, m) in edges:
+        adj[u].append((v, e, m))
+        adj[v].append((u, e, m))
+    assert len(set(_canon_py._refine(n, labels, adj))) == n
+    assert _canon_py.canonical_sequence(n, labels, edges) == (
+        7, 0, 0, 0, 1, 0, 0, 1, 0, 2, 0, 0, 1, 1, 1, 1, 1, 3, 0, 0, 1, 1, 0,
+        1, 1, 1, 1, 1, 2, 1, 1, 1, 3, 0, 1, 1, 2, 1, 1, 1, 4, 0, 1, 1, 2, 0,
+        1, 1, 2, 1, 2,
+    )
+
+
+distinct_label_data = st.integers(1, 5).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.permutations(range(n)),
+        st.lists(
+            st.tuples(
+                st.integers(0, n - 1),
+                st.integers(0, n - 1),
+                st.integers(0, 1),
+                st.integers(1, 2),
+            ),
+            max_size=2 * n,
+        ),
+    )
+)
+
+
+def label_order_sequence(n, labels, edges):
+    """Encoding with nodes placed in increasing label order.
+
+    Refinement ranks nodes by keys led by their label and then only
+    splits cells, so with distinct labels this is the forced order.
+    """
+    order = sorted(range(n), key=labels.__getitem__)
+    pos = {v: k for k, v in enumerate(order)}
+    seq = [n]
+    for k, v in enumerate(order):
+        back = sorted(
+            (pos[w if u == v else u], e, m)
+            for (u, w, e, m) in edges
+            if v in (u, w) and pos[w if u == v else u] < k
+        )
+        seq += [labels[v], len(back)]
+        for entry in back:
+            seq += entry
+    return tuple(seq)
+
+
+@settings(max_examples=150)
+@given(distinct_label_data, distinct_label_data, st.randoms(use_true_random=False))
+def test_discrete_forms_match_brute_isomorphism(d1, d2, rng):
+    g1 = normalize(*d1)
+    n, labels, edges = g1
+    # a relabelled copy of g1 is isomorphic; d2 usually is not
+    perm = list(range(n))
+    rng.shuffle(perm)
+    labels2 = [0] * n
+    for old, new in enumerate(perm):
+        labels2[new] = labels[old]
+    copy = normalize(n, labels2, [(perm[u], perm[v], e, m) for (u, v, e, m) in edges])
+    form1 = _canon_py.canonical_sequence(*g1)
+    assert form1 == label_order_sequence(*g1)
+    for g2 in (copy, normalize(*d2)):
+        form2 = _canon_py.canonical_sequence(*g2)
+        assert (form1 == form2) == brute_isomorphic(g1, g2)
