@@ -23,7 +23,6 @@ from .closure import (
     closure,
     decode_triple,
     encode_triple,
-    encode_triple_class,
 )
 from .cones import (
     CensusReport,

@@ -5,7 +5,9 @@ minimizes a flat integer encoding over node orderings, restricted to
 orderings compatible with an iterated neighbourhood-colour refinement
 and pruned against the best encoding found so far.  When refinement
 leaves every node in a cell of its own, that ordering is forced: the
-encoding is written out directly, without a search.
+encoding is written out directly, without a search.  Distinct node
+labels force the label order before any refinement, so such graphs
+(every rigid triple encoding among them) skip refinement as well.
 
 Encoding layout: ``(n, item_0, ..., item_{n-1})`` where the item for
 position k is ``(label, b, j_1, e_1, m_1, ..., j_b, e_b, m_b)`` listing
@@ -70,14 +72,44 @@ def _refine(n, labels, adj):
     return colors
 
 
+def _forced_sequence(n, order, labels, edges):
+    """Encoding of the nodes placed in ``order``, written in one pass.
+
+    Each edge becomes a back-edge ``(pos, e, m)`` of its later-placed
+    end, as the search's item for that node would list it.
+    """
+    pos = [0] * n
+    for k, v in enumerate(order):
+        pos[v] = k
+    back = [[] for _ in range(n)]
+    for (u, v, e, m) in edges:
+        if pos[u] < pos[v]:
+            back[v].append((pos[u], e, m))
+        else:
+            back[u].append((pos[v], e, m))
+    seq = [n]
+    for v in order:
+        entries = back[v]
+        entries.sort()
+        seq.append(labels[v])
+        seq.append(len(entries))
+        for entry in entries:
+            seq.extend(entry)
+    return tuple(seq)
+
+
 def canonical_sequence(n, labels, edges):
     """Minimal flat encoding of the graph over admissible node orderings.
 
     ``labels`` is a sequence of n ints; ``edges`` a sequence of
     ``(u, v, elabel, mult)`` with u < v and unique (u, v, elabel).
     """
-    if n == 0:
-        return (0,)
+    if len(set(labels)) == n:
+        # refinement's first colours sort distinct labels into singleton
+        # cells, so the label order is forced
+        return _forced_sequence(
+            n, sorted(range(n), key=labels.__getitem__), labels, edges
+        )
     adj = [[] for _ in range(n)]
     for (u, v, e, m) in edges:
         adj[u].append((v, e, m))
@@ -102,11 +134,7 @@ def canonical_sequence(n, labels, edges):
     if len(cell_order) == n:
         # discrete partition: the only admissible ordering is the cell
         # order, so the search would take one branch per depth
-        seq = [n]
-        for depth, (v,) in enumerate(cell_order):
-            seq.extend(item_for(v))
-            pos[v] = depth
-        return tuple(seq)
+        return _forced_sequence(n, [v for (v,) in cell_order], labels, edges)
 
     cell_at = []
     for cell in cell_order:

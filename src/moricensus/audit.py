@@ -21,7 +21,6 @@ from .families import (
     family_two_degenerate,
     subfamily_sizes,
 )
-from .triples import orbit
 
 __all__ = ["CLAIMED", "default_claims_text", "run_full_verification"]
 
@@ -77,13 +76,13 @@ def _computed(name: str, got: int, want: int) -> Verdict:
     )
 
 
-def _closure_oracle_matches(models) -> int:
+def _closure_oracle_matches(records) -> int:
+    """How many census records' orbit lengths the closure reproduces."""
     moves = MOVE_SETS["triple_group"]
     matches = 0
-    for model in models:
-        expected = orbit(model.triple).length
-        result = closure(encode_triple(model.triple), moves)
-        if result.class_count == expected:
+    for record in records:
+        result = closure(encode_triple(record.triple), moves)
+        if result.class_count == record.orbit_length:
             matches += 1
     return matches
 
@@ -148,7 +147,7 @@ def run_full_verification(
     verdicts.append(
         _computed(
             "census.closure_oracle",
-            _closure_oracle_matches(regular),
+            _closure_oracle_matches(report.computed),
             CLAIMED["p_regular"],
         )
     )

@@ -22,7 +22,7 @@ from typing import Callable
 
 from .errors import BudgetExceededError
 from .graphs import LabeledGraph, canonical_graph
-from .triples import _ACTIONS, GroupElement, Triple, canonical
+from .triples import _ACTIONS, GroupElement, Triple, _plain_components
 
 __all__ = [
     "ClosureResult",
@@ -31,7 +31,6 @@ __all__ = [
     "closure",
     "decode_triple",
     "encode_triple",
-    "encode_triple_class",
 ]
 
 
@@ -143,11 +142,6 @@ def _encode(a: int, b: int, c: int) -> LabeledGraph:
     )
 
 
-def encode_triple_class(t: Triple) -> LabeledGraph:
-    """Orbit-quotient encoding: equivalent triples map to equal graphs."""
-    return encode_triple(canonical(t))
-
-
 def decode_triple(g: LabeledGraph) -> Triple:
     """Inverse of :func:`encode_triple`; raises ValueError off the image."""
     if g.node_labels != (0, 1, 2):
@@ -163,11 +157,19 @@ def decode_triple(g: LabeledGraph) -> Triple:
 def _triple_move(act: Callable[[int, int, int], tuple[int, int, int]]):
     """Move by a signed permutation of components.
 
-    Each graph is decoded (and so validated) into one Triple; its image
-    is encoded from plain ints, valid because the component bound is
-    symmetric.
+    The components are read straight off the edge tuple once it has the
+    exact shape :func:`_encode` writes, with int components inside the
+    bound; any other graph goes through :func:`decode_triple`, which
+    raises its ValueError off the image.  The image is encoded from
+    plain ints, valid because the component bound is symmetric.
     """
     def apply_all(g: LabeledGraph) -> list[LabeledGraph]:
+        edges = g.edges
+        if g.node_labels == (0, 1, 2) and len(edges) == 3:
+            (_, _, a, _), (_, _, c, _), (_, _, b, _) = edges
+            if (edges == ((0, 1, a, 1), (0, 2, c, 1), (1, 2, b, 1))
+                    and _plain_components(a, b, c)):
+                return [_encode(*act(a, b, c))]
         t = decode_triple(g)
         return [_encode(*act(t.a, t.b, t.c))]
 

@@ -54,7 +54,10 @@ class ModelRecord:
 
 @dataclass(frozen=True, slots=True)
 class CensusReport:
-    """Reconciliation of computed and declared counts."""
+    """Reconciliation of computed and declared counts.
+
+    ``computed`` holds one record per regular model, in input order.
+    """
 
     p_models: int
     t_models: int
@@ -63,6 +66,7 @@ class CensusReport:
     t_cones: int
     total_cones: int
     findings: tuple[str, ...] = field(default=())
+    computed: tuple[ModelRecord, ...] = field(default=())
 
     def __post_init__(self):
         if self.total_cones != self.p_cones + self.t_cones:
@@ -184,4 +188,5 @@ def build_census_report(
         t_cones=t_cones,
         total_cones=p_cones + t_cones,
         findings=RECORDED_FINDINGS,
+        computed=tuple(computed),
     )

@@ -3,10 +3,11 @@
 Canonicalization is brute force (ordering search with colour-partition
 pruning and twin pruning inside each refinement cell) and bounded at
 MAX_NODES nodes; the models under study have two or three components,
-so desk scale needs nothing cleverer.  When refinement makes the
-partition discrete, as on the rigid triple encodings, the order is
-forced and no search runs.  The search itself lives in
-``moricensus._canon_py``; its integer tuple is the canonical form.
+so desk scale needs nothing cleverer.  When all node labels are
+distinct, as on the rigid triple encodings, or refinement makes the
+partition discrete, the order is forced and no search runs.  The
+search itself lives in ``moricensus._canon_py``; its integer tuple is
+the canonical form.
 
 Graph file format (UTF-8, line-oriented; ``#`` starts a comment):
 

@@ -36,6 +36,14 @@ __all__ = [
 COMPONENT_BOUND = 10**6
 
 
+def _plain_components(a, b, c) -> bool:
+    """Whether a, b and c are all exactly ``int`` and inside the bound."""
+    return (type(a) is int and type(b) is int and type(c) is int
+            and -COMPONENT_BOUND <= a <= COMPONENT_BOUND
+            and -COMPONENT_BOUND <= b <= COMPONENT_BOUND
+            and -COMPONENT_BOUND <= c <= COMPONENT_BOUND)
+
+
 @dataclass(frozen=True, order=True, slots=True)
 class Triple:
     """Ordered integer 3-tuple labelling a three-component model."""
@@ -45,6 +53,10 @@ class Triple:
     c: int
 
     def __post_init__(self):
+        if _plain_components(self.a, self.b, self.c):
+            return
+        # the per-field checks name the offending component; they also
+        # accept int subclasses other than bool
         for name in ("a", "b", "c"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):

@@ -11,11 +11,13 @@ path, unchanged, so a change to the program that would break
 import importlib
 import importlib.util
 import inspect
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
-from moricensus.audit import default_claims_text
+from moricensus.audit import default_claims_text, run_full_verification
 from moricensus.claims import evaluate_claims, parse_claims
 from moricensus.closure import MOVE_SETS, closure, encode_triple
 from moricensus import _canon_py, graphs
@@ -75,3 +77,37 @@ def test_trace_counts_each_canonicalization_once_per_class():
         tracer.uninstall()
     counts = tracing.exact_counts(tracer.spans, tracer.counts)
     assert counts["calls.graphs.canonical_graph"] == result.class_count == 6
+
+
+def test_trace_counts_of_one_verification():
+    # the closure oracle reuses the census's orbit records and its moves
+    # build no Triple
+    tracing = load("tracing")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        run_full_verification()
+    finally:
+        tracer.uninstall()
+    counts = tracing.exact_counts(tracer.spans, tracer.counts)
+    assert counts["calls.triples.orbit"] == 347
+    assert counts["triples.triple_constructions"] == 2736
+    assert counts["calls.graphs.canonical_graph"] == 2042
+    assert counts["closure.expansion_steps"] == 4084
+
+
+def test_kernel_benchmark_runs():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / "bench_canonical.py"),
+         "--random-sizes", "6", "--symmetric-sizes", "8", "--graphs", "2",
+         "--repeats", "1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    for header in ("rigid triple encodings", "random multigraphs",
+                   "uniform circulants"):
+        assert header in done.stdout

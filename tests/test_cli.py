@@ -213,6 +213,21 @@ def test_closure_rejects_graph_that_is_no_triple_encoding(tmp_path, capsys):
     assert "not a rigid triple encoding" in err
 
 
+@pytest.mark.parametrize("label, code", [(1_000_000, 0), (1_000_001, 2)])
+def test_closure_component_bound(tmp_path, capsys, label, code):
+    path = tmp_path / "bound.graph"
+    path.write_text(GRAPH_TEXT.replace("label=-6", f"label={label}"),
+                    encoding="utf-8")
+    got, out, err = run(capsys, "closure", "--graph", str(path),
+                        "--moves", "triple_group", "--format", "json")
+    assert got == code
+    if code == 0:
+        assert json.loads(out)["class_count"] == 6
+    else:
+        assert out == ""
+        assert "guarded range" in err
+
+
 def test_closure_budget_exhaustion_is_verification_failure(graph_file, capsys):
     code, _, err = run(capsys, "closure", "--graph", graph_file,
                        "--moves", "triple_group", "--max-classes", "2")

@@ -12,7 +12,6 @@ from moricensus.closure import (
     closure,
     decode_triple,
     encode_triple,
-    encode_triple_class,
 )
 from moricensus.errors import (
     BudgetExceededError,
@@ -25,7 +24,7 @@ from moricensus.graphs import (
     iso,
     parse_graph_file,
 )
-from moricensus.triples import Triple, canonical, orbit
+from moricensus.triples import Triple, orbit
 
 
 # ---------------------------------------------------------------------------
@@ -147,13 +146,6 @@ def test_rigid_encoding_separates_distinct_triples():
     assert not iso(encode_triple(Triple(1, 2, 3)), encode_triple(Triple(3, 2, 1)))
 
 
-def test_quotient_encoding_identifies_equivalent_triples():
-    g1 = encode_triple_class(Triple(-6, 0, 3))
-    g2 = encode_triple_class(Triple(-3, 0, 6))
-    assert iso(g1, g2)
-    assert not iso(g1, encode_triple_class(Triple(0, 0, 0)))
-
-
 def test_decode_rejects_non_encodings():
     with pytest.raises(ValueError):
         decode_triple(LabeledGraph.build([0, 1], [(0, 1, 3)]))
@@ -168,6 +160,38 @@ def test_decode_rejects_non_encodings():
 
 # ---------------------------------------------------------------------------
 # closure
+
+
+@pytest.mark.parametrize("seed", [
+    LabeledGraph.build([0, 1, 2], [(0, 1, 1_000_001), (1, 2, 0), (2, 0, 3)]),
+    LabeledGraph((0, 1, 2), ((0, 1, True, 1), (0, 2, 3, 1), (1, 2, 0, 1))),
+    LabeledGraph.build([0, 1, 2], [(0, 1, 5, 2), (1, 2, 0), (2, 0, 3)]),
+    LabeledGraph.build([0, 1, 2], [(0, 1, 5), (0, 1, 7), (1, 2, 0), (2, 0, 3)]),
+    LabeledGraph.build([0, 1, 3], [(0, 1, 5), (1, 2, 0), (2, 0, 3)]),
+], ids=["label_out_of_bound", "bool_label", "mult_2", "two_edges_on_a_pair",
+        "node_labels_013"])
+def test_closure_rejects_seeds_off_the_encoding(seed):
+    with pytest.raises(ValueError) as decoded:
+        decode_triple(seed)
+    with pytest.raises(ValueError) as closed:
+        closure(seed, MOVE_SETS["triple_group"])
+    assert str(closed.value) == str(decoded.value)
+
+
+def test_closure_builds_no_triple(monkeypatch):
+    # moves read components off the graphs they encoded themselves
+    seed = encode_triple(Triple(-6, 0, 3))
+    built = []
+    check = Triple.__post_init__
+
+    def counting(t):
+        built.append(t)
+        check(t)
+
+    monkeypatch.setattr(Triple, "__post_init__", counting)
+    result = closure(seed, MOVE_SETS["triple_group"])
+    assert result.class_count == 6
+    assert built == []
 
 
 def test_closure_with_no_moves_is_single_class():

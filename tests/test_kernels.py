@@ -191,3 +191,53 @@ def test_discrete_forms_match_brute_isomorphism(d1, d2, rng):
     for g2 in (copy, normalize(*d2)):
         form2 = _canon_py.canonical_sequence(*g2)
         assert (form1 == form2) == brute_isomorphic(g1, g2)
+
+
+# ---------------------------------------------------------------------------
+# distinct labels: the kernel writes out the label order without refining
+
+
+DISTINCT_LABEL_CASES = [
+    # (n, labels, edges, the sequence the refining kernel gave)
+    (1, [-4], [], (1, -4, 0)),
+    (4, [3, -7, 0, -2],
+     [(0, 1, 2, 1), (0, 3, -1, 1), (1, 2, 0, 1), (2, 3, 5, 1)],
+     (4, -7, 0, -2, 0, 0, 2, 0, 0, 1, 1, 5, 1, 3, 2, 0, 2, 1, 1, -1, 1)),
+    # two edges on the pair (0, 1), one of them with multiplicity 2
+    (3, [9, 2, 5],
+     [(0, 1, 0, 1), (0, 1, 4, 2), (0, 2, 1, 3), (1, 2, -3, 1)],
+     (3, 2, 0, 5, 1, 0, -3, 1, 9, 3, 0, 0, 1, 0, 4, 2, 1, 1, 3)),
+    (5, [40, 10, 30, 0, 20],
+     [(0, 1, 1, 1), (0, 4, 2, 1), (1, 2, 0, 2), (1, 3, 1, 1), (2, 4, 0, 1),
+      (3, 4, 3, 1)],
+     (5, 0, 0, 10, 1, 0, 1, 1, 20, 1, 0, 3, 1, 30, 2, 1, 0, 2, 2, 0, 1, 40, 2,
+      1, 1, 1, 2, 2, 1)),
+    (12, [0, 9, -2, 5, -4, 1, -6, -3, -8, -7, -10, -11],
+     [(0, 1, 0, 1), (0, 6, 7, 2), (0, 11, 2, 1), (1, 2, 1, 1), (2, 3, 2, 1),
+      (3, 4, 0, 1), (3, 9, -1, 1), (4, 5, 1, 1), (5, 6, 2, 1), (6, 7, 0, 1),
+      (7, 8, 1, 1), (8, 9, 2, 1), (9, 10, 0, 1), (10, 11, 1, 1)],
+     (12, -11, 0, -10, 1, 0, 1, 1, -8, 0, -7, 2, 1, 0, 1, 2, 2, 1, -6, 0, -4,
+      0, -3, 2, 2, 1, 1, 4, 0, 1, -2, 0, 0, 2, 0, 2, 1, 4, 7, 2, 1, 2, 4, 2,
+      1, 5, 1, 1, 5, 3, 3, -1, 1, 5, 0, 1, 7, 2, 1, 9, 2, 7, 1, 1, 8, 0, 1)),
+]
+
+
+@pytest.mark.parametrize("n, labels, edges, seq", DISTINCT_LABEL_CASES)
+def test_distinct_label_sequences(n, labels, edges, seq):
+    assert _canon_py.canonical_sequence(n, labels, edges) == seq
+    assert _canon_py.canonical_sequence(n, tuple(labels), tuple(edges)) == seq
+
+
+def test_distinct_labels_skip_refinement(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("refinement ran on distinct labels")
+
+    monkeypatch.setattr(_canon_py, "_refine", refuse)
+    for n, labels, edges, seq in DISTINCT_LABEL_CASES:
+        assert _canon_py.canonical_sequence(n, labels, edges) == seq
+    g = encode_triple(Triple(-6, 0, 3))
+    assert _canon_py.canonical_sequence(g.n, g.node_labels, g.edges) == \
+        (3, 0, 0, 1, 1, 0, -6, 1, 2, 2, 0, 3, 1, 1, 0, 1)
+    # equal labels still need refinement
+    with pytest.raises(AssertionError):
+        _canon_py.canonical_sequence(2, [0, 0], [])

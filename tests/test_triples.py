@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -196,6 +197,38 @@ def test_component_range_guard():
 def test_triple_rejects_non_integers():
     with pytest.raises(ValueError):
         Triple(1.5, 0, 0)
+
+
+class Small(int):
+    pass
+
+
+def per_field_error(a, b, c):
+    """The message of the first failing component check, or None."""
+    for name, value in zip("abc", (a, b, c)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            return f"component {name} must be an int, got {value!r}"
+        if abs(value) > COMPONENT_BOUND:
+            return (f"component {name}={value} outside guarded range "
+                    f"[-{COMPONENT_BOUND}, {COMPONENT_BOUND}]")
+    return None
+
+
+def test_triple_checks_agree_with_per_field_checks():
+    values = [
+        0, -7, True, False, 1.0, Small(3), Small(COMPONENT_BOUND + 1),
+        COMPONENT_BOUND, -COMPONENT_BOUND,
+        COMPONENT_BOUND + 1, -COMPONENT_BOUND - 1,
+    ]
+    for a, b, c in itertools.product(values, repeat=3):
+        want = per_field_error(a, b, c)
+        if want is None:
+            t = Triple(a, b, c)
+            assert (t.a, t.b, t.c) == (a, b, c)
+        else:
+            with pytest.raises(ValueError) as exc_info:
+                Triple(a, b, c)
+            assert str(exc_info.value) == want
 
 
 def test_triple_ordering_is_lexicographic():
