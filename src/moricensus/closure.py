@@ -1,13 +1,19 @@
-"""Breadth-first closure of a seed graph under pluggable move operators.
+"""Breadth-first closure of a seed graph under pluggable move sets.
 
-The search keeps a list of known isomorphism classes (keyed by canonical
-form), repeatedly applies every move to every frontier graph, and stops
-when no move produces a new class; the result is the smallest iso-closed
-set of classes containing the seed.  Move sets are plugins: the
-geometric flop rules live elsewhere, so the only shipped move set is the
-triple group action, which doubles as a test oracle (the closure of a
-rigidly encoded triple has exactly as many classes as the triple's
-orbit).
+A move set (:class:`MoveSet`) acts on *states*: it checks the seed graph
+once, at the boundary, and turns it into a state; its moves map states
+to states; and it builds a state's labelled graph only for the
+canonical-form kernel.  The search keeps the set of known isomorphism
+classes (keyed by canonical form), repeatedly applies every move to
+every frontier state, and stops when no move produces a new class; the
+result is the smallest iso-closed set of classes containing the seed.
+
+Graph-level move sets use the graph itself as the state.  The geometric
+flop rules live elsewhere, so the only shipped moves are the triple
+group action, which doubles as a test oracle (the closure of a rigidly
+encoded triple has exactly as many classes as the triple's orbit).  Its
+states are plain ``(a, b, c)`` tuples, so a move that rediscovers a
+known state costs one tuple lookup, and each new class builds one graph.
 
 Frontier expansion can run on worker threads; results are merged on the
 caller's thread in frontier order, so the final class set is identical
@@ -18,7 +24,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Hashable
 
 from .errors import BudgetExceededError
 from .graphs import LabeledGraph, canonical_graph
@@ -28,6 +34,7 @@ __all__ = [
     "ClosureResult",
     "MOVE_SETS",
     "MoveOperator",
+    "MoveSet",
     "closure",
     "decode_triple",
     "encode_triple",
@@ -36,17 +43,38 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class MoveOperator:
-    """A named, deterministic one-step transition on labelled graphs."""
+    """A named, deterministic one-step transition on move-set states."""
 
     name: str
-    apply_all: Callable[[LabeledGraph], list[LabeledGraph]]
+    apply_all: Callable[[Hashable], list[Hashable]]
+
+
+def _identity(x):
+    return x
+
+
+@dataclass(frozen=True, slots=True)
+class MoveSet:
+    """Moves over states, with the maps between graphs and states.
+
+    ``to_state`` turns the seed graph into a state once, at the closure
+    boundary, and raises ValueError for a seed the moves cannot act on.
+    ``to_graph`` builds the labelled graph of a state for
+    ``canonical_graph``; it must map the seed's state to a graph
+    isomorphic to the seed.  Graph-level move sets keep the identity
+    for both, so their states are the graphs themselves.
+    """
+
+    moves: tuple[MoveOperator, ...] = ()
+    to_state: Callable[[LabeledGraph], Hashable] = _identity
+    to_graph: Callable[[Hashable], LabeledGraph] = _identity
 
 
 @dataclass(frozen=True, slots=True)
 class ClosureResult:
     """Iso-closed class set reached from the seed.
 
-    ``expansion_steps`` counts candidate graphs produced by move
+    ``expansion_steps`` counts candidate states produced by move
     applications, including rediscoveries of known classes.
     """
 
@@ -61,39 +89,41 @@ class ClosureResult:
 
 def closure(
     seed: LabeledGraph,
-    moves: list[MoveOperator],
+    move_set: MoveSet,
     *,
     max_classes: int | None = None,
     max_steps: int | None = None,
     workers: int = 1,
 ) -> ClosureResult:
-    """Breadth-first fixed point of ``moves`` starting from ``seed``.
+    """Breadth-first fixed point of ``move_set`` starting from ``seed``.
 
-    Raises BudgetExceededError when a configured class-count or step
-    budget is hit (arbitrary move sets may have infinite closures).
-    ``workers > 1`` parallelizes frontier expansion without changing
-    the result.  Each distinct graph is canonicalized once per call;
-    rediscoveries are looked up, and still count as expansion steps.
+    Raises the move set's ValueError for a seed it cannot act on, and
+    BudgetExceededError when a configured class-count or step budget is
+    hit (arbitrary move sets may have infinite closures).  ``workers >
+    1`` parallelizes frontier expansion without changing the result;
+    the worker threads are joined before the call returns or raises.
+    Each distinct state is canonicalized once per call, the seed from
+    the caller's graph; rediscoveries are looked up, and still count as
+    expansion steps.
     """
-    # Equal graphs have equal forms.  Two worker threads may both fill
+    moves = move_set.moves
+    to_graph = move_set.to_graph
+    start = move_set.to_state(seed)
+    # Equal states have equal forms.  Two worker threads may both fill
     # one key; they write the same value.
-    forms: dict[LabeledGraph, tuple[int, ...]] = {}
-
-    def form(h: LabeledGraph) -> tuple[int, ...]:
-        key = forms.get(h)
-        if key is None:
-            key = forms[h] = canonical_graph(h)
-        return key
-
-    seen = {form(seed)}
-    frontier = [seed]
+    forms = {start: canonical_graph(seed)}
+    seen = {forms[start]}
+    frontier = [start]
     steps = 0
 
-    def expand(g: LabeledGraph) -> list[tuple[tuple[int, ...], LabeledGraph]]:
+    def expand(state):
         out = []
         for move in moves:
-            for h in move.apply_all(g):
-                out.append((form(h), h))
+            for image in move.apply_all(state):
+                key = forms.get(image)
+                if key is None:
+                    key = forms[image] = canonical_graph(to_graph(image))
+                out.append((key, image))
         return out
 
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
@@ -102,10 +132,10 @@ def closure(
             if pool is not None:
                 batches = list(pool.map(expand, frontier))
             else:
-                batches = [expand(g) for g in frontier]
+                batches = [expand(state) for state in frontier]
             next_frontier = []
             for batch in batches:
-                for key, h in batch:
+                for key, state in batch:
                     steps += 1
                     if max_steps is not None and steps > max_steps:
                         raise BudgetExceededError("step", max_steps)
@@ -114,11 +144,11 @@ def closure(
                     seen.add(key)
                     if max_classes is not None and len(seen) > max_classes:
                         raise BudgetExceededError("class", max_classes)
-                    next_frontier.append(h)
+                    next_frontier.append(state)
             frontier = next_frontier
     finally:
         if pool is not None:
-            pool.shutdown(wait=False)
+            pool.shutdown(cancel_futures=True)
 
     return ClosureResult(
         classes=frozenset(seen), class_count=len(seen), expansion_steps=steps
@@ -132,18 +162,34 @@ def closure(
 
 def encode_triple(t: Triple) -> LabeledGraph:
     """Rigid encoding: tuple order is visible to the isomorphism test."""
-    return _encode(t.a, t.b, t.c)
+    return _encode((t.a, t.b, t.c))
 
 
-def _encode(a: int, b: int, c: int) -> LabeledGraph:
+def _encode(components: tuple[int, int, int]) -> LabeledGraph:
+    a, b, c = components
     return LabeledGraph(
         node_labels=(0, 1, 2),
         edges=((0, 1, a, 1), (0, 2, c, 1), (1, 2, b, 1)),
     )
 
 
+def _rigid_components(g: LabeledGraph) -> tuple[int, int, int] | None:
+    """``(a, b, c)`` if ``g`` is exactly what :func:`_encode` writes for
+    int components inside the bound, else None; builds no Triple."""
+    edges = g.edges
+    if g.node_labels == (0, 1, 2) and len(edges) == 3:
+        (_, _, a, _), (_, _, c, _), (_, _, b, _) = edges
+        if (edges == ((0, 1, a, 1), (0, 2, c, 1), (1, 2, b, 1))
+                and _plain_components(a, b, c)):
+            return a, b, c
+    return None
+
+
 def decode_triple(g: LabeledGraph) -> Triple:
     """Inverse of :func:`encode_triple`; raises ValueError off the image."""
+    components = _rigid_components(g)
+    if components is not None:
+        return Triple(*components)
     if g.node_labels != (0, 1, 2):
         raise ValueError(f"not a rigid triple encoding: nodes {g.node_labels}")
     by_pair = {(u, v): (label, mult) for (u, v, label, mult) in g.edges}
@@ -154,34 +200,31 @@ def decode_triple(g: LabeledGraph) -> Triple:
     return Triple(by_pair[(0, 1)][0], by_pair[(1, 2)][0], by_pair[(0, 2)][0])
 
 
+def _triple_state(g: LabeledGraph) -> tuple[int, int, int]:
+    """The seed's components; a graph off the image raises
+    :func:`decode_triple`'s ValueError."""
+    return _rigid_components(g) or tuple(decode_triple(g))
+
+
 def _triple_move(act: Callable[[int, int, int], tuple[int, int, int]]):
-    """Move by a signed permutation of components.
+    """Move by a signed permutation of the components of a state.
 
-    The components are read straight off the edge tuple once it has the
-    exact shape :func:`_encode` writes, with int components inside the
-    bound; any other graph goes through :func:`decode_triple`, which
-    raises its ValueError off the image.  The image is encoded from
-    plain ints, valid because the component bound is symmetric.
+    The image of a valid state is valid, because the component bound is
+    symmetric, so states are checked only at the boundary.
     """
-    def apply_all(g: LabeledGraph) -> list[LabeledGraph]:
-        edges = g.edges
-        if g.node_labels == (0, 1, 2) and len(edges) == 3:
-            (_, _, a, _), (_, _, c, _), (_, _, b, _) = edges
-            if (edges == ((0, 1, a, 1), (0, 2, c, 1), (1, 2, b, 1))
-                    and _plain_components(a, b, c)):
-                return [_encode(*act(a, b, c))]
-        t = decode_triple(g)
-        return [_encode(*act(t.a, t.b, t.c))]
-
-    return apply_all
+    return lambda state: [act(*state)]
 
 
-MOVE_SETS: dict[str, list[MoveOperator]] = {
-    "none": [],
-    "triple_group": [
-        MoveOperator(name="shift",
-                     apply_all=_triple_move(_ACTIONS[GroupElement.S])),
-        MoveOperator(name="involution",
-                     apply_all=_triple_move(_ACTIONS[GroupElement.I])),
-    ],
+MOVE_SETS: dict[str, MoveSet] = {
+    "none": MoveSet(),
+    "triple_group": MoveSet(
+        moves=(
+            MoveOperator(name="shift",
+                         apply_all=_triple_move(_ACTIONS[GroupElement.S])),
+            MoveOperator(name="involution",
+                         apply_all=_triple_move(_ACTIONS[GroupElement.I])),
+        ),
+        to_state=_triple_state,
+        to_graph=_encode,
+    ),
 }

@@ -43,6 +43,12 @@ def canonical_backend() -> str:
     return "pure"
 
 
+def _check_int(what: str, value) -> None:
+    """Triple's rule for components: an int, and not a bool."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an int, got {value!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class LabeledGraph:
     """Immutable labelled multigraph on nodes 0..n-1.
@@ -50,7 +56,8 @@ class LabeledGraph:
     ``node_labels[k]`` is the integer label of node k.  ``edges`` holds
     normalized entries ``(u, v, label, mult)`` with u < v, unique
     (u, v, label), mult >= 1, sorted; parallel same-label edges are
-    represented by mult.  Use :meth:`build` to normalize raw edge data.
+    represented by mult.  Labels and multiplicities are ints, never
+    bools.  Use :meth:`build` to normalize raw edge data.
     """
 
     node_labels: tuple[int, ...]
@@ -58,9 +65,16 @@ class LabeledGraph:
 
     def __post_init__(self):
         n = len(self.node_labels)
+        for label in self.node_labels:
+            if type(label) is not int:
+                _check_int("node label", label)
         prev = None
         for entry in self.edges:
             u, v, label, mult = entry
+            if type(label) is not int:
+                _check_int("edge label", label)
+            if type(mult) is not int:
+                _check_int("edge multiplicity", mult)
             if not 0 <= u < v < n:
                 raise ValueError(f"bad edge endpoints {entry} for {n} nodes")
             if mult < 1:
@@ -80,7 +94,7 @@ class LabeledGraph:
 
         Edge tuples are ``(u, v, label)`` or ``(u, v, label, mult)``.
         """
-        labels = tuple(int(x) for x in node_labels)
+        labels = tuple(node_labels)
         n = len(labels)
         merged: dict[tuple[int, int, int], int] = {}
         for raw in edges:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -256,3 +257,28 @@ def test_audit_parse_error_reports_location(tmp_path, capsys):
     code, _, err = run(capsys, "audit", "--claims", str(claims))
     assert code == 2
     assert "line 1" in err
+
+
+SNAPSHOTS = Path(__file__).resolve().parents[1] / "perfbench" / "snapshots"
+
+
+@pytest.mark.parametrize("snapshot, argv", [
+    ("census.json", ("census", "--format", "json")),
+    ("verify.json", ("verify", "--format", "json")),
+    ("orbits.json", ("orbits", "--format", "json", "--", "-6", "0", "3")),
+])
+def test_shipped_json_is_byte_identical_to_snapshot(capsys, snapshot, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.encode() == (SNAPSHOTS / snapshot).read_bytes()
+
+
+def test_shipped_closure_json_matches_snapshot(graph_file, capsys):
+    code, out, _ = run(capsys, "closure", "--graph", graph_file,
+                       "--moves", "triple_group", "--format", "json")
+    assert code == 0
+    saved = json.loads((SNAPSHOTS / "closure.json").read_text(encoding="utf-8"))
+    payload = json.loads(out)
+    assert payload.keys() == saved.keys()
+    for field, value in saved.items():
+        assert payload[field] == value, field

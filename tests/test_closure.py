@@ -1,7 +1,9 @@
+import dataclasses
 import importlib
 import itertools
 import random
 import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from moricensus.closure import (
     MOVE_SETS,
     MoveOperator,
+    MoveSet,
     closure,
     decode_triple,
     encode_triple,
@@ -133,6 +136,21 @@ def test_canonical_form_injective_on_reconstruction(data):
     assert degree_total == len(g.edges)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: LabeledGraph((0, 1, 2), ((0, 1, True, 1), (0, 2, 3, 1), (1, 2, 0, 1))),
+    lambda: LabeledGraph((0, True, 2), ()),
+    lambda: LabeledGraph((0, 2.0), ()),
+    lambda: LabeledGraph((0, 1), ((0, 1, 5.0, 1),)),
+    lambda: LabeledGraph((0, 1), ((0, 1, 5, True),)),
+    lambda: LabeledGraph((0, 1), ((0, 1, 5, 2.0),)),
+    lambda: LabeledGraph.build([0, 2.7]),
+], ids=["bool_edge_label", "bool_node_label", "float_node_label",
+        "float_edge_label", "bool_mult", "float_mult", "build_float_node_label"])
+def test_graph_rejects_labels_and_mults_that_are_not_ints(make):
+    with pytest.raises(ValueError, match="must be an int"):
+        make()
+
+
 # ---------------------------------------------------------------------------
 # triple encodings
 
@@ -164,11 +182,10 @@ def test_decode_rejects_non_encodings():
 
 @pytest.mark.parametrize("seed", [
     LabeledGraph.build([0, 1, 2], [(0, 1, 1_000_001), (1, 2, 0), (2, 0, 3)]),
-    LabeledGraph((0, 1, 2), ((0, 1, True, 1), (0, 2, 3, 1), (1, 2, 0, 1))),
     LabeledGraph.build([0, 1, 2], [(0, 1, 5, 2), (1, 2, 0), (2, 0, 3)]),
     LabeledGraph.build([0, 1, 2], [(0, 1, 5), (0, 1, 7), (1, 2, 0), (2, 0, 3)]),
     LabeledGraph.build([0, 1, 3], [(0, 1, 5), (1, 2, 0), (2, 0, 3)]),
-], ids=["label_out_of_bound", "bool_label", "mult_2", "two_edges_on_a_pair",
+], ids=["label_out_of_bound", "mult_2", "two_edges_on_a_pair",
         "node_labels_013"])
 def test_closure_rejects_seeds_off_the_encoding(seed):
     with pytest.raises(ValueError) as decoded:
@@ -194,8 +211,25 @@ def test_closure_builds_no_triple(monkeypatch):
     assert built == []
 
 
+def test_closure_builds_one_graph_per_new_class(monkeypatch):
+    # the caller's seed is canonicalized as given; moves build no graph
+    # for a rediscovered state
+    seed = encode_triple(Triple(-6, 0, 3))
+    built = []
+    check = LabeledGraph.__post_init__
+
+    def counting(g):
+        built.append(g)
+        check(g)
+
+    monkeypatch.setattr(LabeledGraph, "__post_init__", counting)
+    result = closure(seed, MOVE_SETS["triple_group"])
+    assert result.class_count == 6
+    assert len(built) == result.class_count - 1 == 5
+
+
 def test_closure_with_no_moves_is_single_class():
-    result = closure(three_cycle([1, 2, 3]), [])
+    result = closure(three_cycle([1, 2, 3]), MOVE_SETS["none"])
     assert result.class_count == 1
     assert result.expansion_steps == 0
 
@@ -252,7 +286,8 @@ def test_closure_order_independent():
     t = Triple(1, 2, -2)
     moves = MOVE_SETS["triple_group"]
     forward = closure(encode_triple(t), moves)
-    backward = closure(encode_triple(t), list(reversed(moves)))
+    backward = closure(encode_triple(t), dataclasses.replace(
+        moves, moves=tuple(reversed(moves.moves))))
     assert forward.classes == backward.classes
 
 
@@ -286,8 +321,10 @@ def test_closure_forms_shared_by_threads():
 
 def test_closure_monotone_in_move_set():
     t = Triple(1, 1, 1)
-    shift_only = closure(encode_triple(t), MOVE_SETS["triple_group"][:1])
-    both = closure(encode_triple(t), MOVE_SETS["triple_group"])
+    moves = MOVE_SETS["triple_group"]
+    shift_only = closure(encode_triple(t), dataclasses.replace(
+        moves, moves=moves.moves[:1]))
+    both = closure(encode_triple(t), moves)
     assert both.class_count >= shift_only.class_count
 
 
@@ -302,12 +339,34 @@ def test_closure_class_budget():
 
 
 def test_closure_step_budget():
-    counter = MoveOperator(
-        name="spin",
-        apply_all=lambda g: [g],
-    )
+    spin = MoveSet(moves=(MoveOperator(name="spin", apply_all=lambda g: [g]),))
     with pytest.raises(BudgetExceededError):
-        closure(three_cycle([1, 2, 3]), [counter], max_steps=0)
+        closure(three_cycle([1, 2, 3]), spin, max_steps=0)
+
+
+def count_up(k):
+    if k >= 20:
+        raise RuntimeError("move failed")
+    return [k + 1, k + 2]
+
+
+# states are ints, each the label of a one-node graph
+COUNTING = MoveSet(
+    moves=(MoveOperator(name="count", apply_all=count_up),),
+    to_state=lambda g: g.node_labels[0],
+    to_graph=lambda k: LabeledGraph.build([k]),
+)
+
+
+@pytest.mark.parametrize("error, budget", [
+    (RuntimeError, {}),
+    (BudgetExceededError, {"max_classes": 5}),
+], ids=["move_raises", "class_budget"])
+def test_closure_joins_worker_threads_when_it_raises(error, budget):
+    before = threading.active_count()
+    with pytest.raises(error):
+        closure(LabeledGraph.build([0]), COUNTING, workers=4, **budget)
+    assert threading.active_count() == before
 
 
 # ---------------------------------------------------------------------------
