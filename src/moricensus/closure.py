@@ -22,7 +22,6 @@ regardless of scheduling.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Hashable
 
@@ -126,7 +125,12 @@ def closure(
                 out.append((key, image))
         return out
 
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+    pool = None
+    if workers > 1:
+        # imported here so that no subcommand pays for the thread pool
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(max_workers=workers)
     try:
         while frontier:
             if pool is not None:

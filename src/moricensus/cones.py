@@ -14,7 +14,7 @@ from enum import Enum
 from .declared import DeclaredEntry
 from .errors import ConfigError
 from .families import FamilyId, RegularModel
-from .triples import Triple, orbit
+from .triples import Triple, _orbit_counts
 
 __all__ = [
     "CensusReport",
@@ -76,12 +76,18 @@ class CensusReport:
 
 
 def computed_record(model: RegularModel) -> ModelRecord:
-    rec = orbit(model.triple)
+    """The census record of a regular model.
+
+    Orbit length and symmetry order are counted from the six images of
+    the model's triple, as plain tuples: the census sums lengths, so it
+    builds no orbit members.  ``ModelRecord`` checks their product.
+    """
+    images, fixing = _orbit_counts(model.triple)
     return ModelRecord(
         source=Source.COMPUTED_TRIPLE,
         family=model.family,
-        orbit_length=rec.length,
-        symmetry_order=rec.stabilizer_order,
+        orbit_length=len(images),
+        symmetry_order=fixing,
         triple=model.triple,
     )
 

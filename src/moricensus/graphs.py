@@ -49,6 +49,14 @@ def _check_int(what: str, value) -> None:
         raise ValueError(f"{what} must be an int, got {value!r}")
 
 
+def _check_edge_ints(u, v, label, mult) -> None:
+    """Endpoints, label and multiplicity of an edge follow the same rule."""
+    _check_int("edge endpoint", u)
+    _check_int("edge endpoint", v)
+    _check_int("edge label", label)
+    _check_int("edge multiplicity", mult)
+
+
 @dataclass(frozen=True, slots=True)
 class LabeledGraph:
     """Immutable labelled multigraph on nodes 0..n-1.
@@ -56,8 +64,8 @@ class LabeledGraph:
     ``node_labels[k]`` is the integer label of node k.  ``edges`` holds
     normalized entries ``(u, v, label, mult)`` with u < v, unique
     (u, v, label), mult >= 1, sorted; parallel same-label edges are
-    represented by mult.  Labels and multiplicities are ints, never
-    bools.  Use :meth:`build` to normalize raw edge data.
+    represented by mult.  Endpoints, labels and multiplicities are ints,
+    never bools.  Use :meth:`build` to normalize raw edge data.
     """
 
     node_labels: tuple[int, ...]
@@ -71,10 +79,9 @@ class LabeledGraph:
         prev = None
         for entry in self.edges:
             u, v, label, mult = entry
-            if type(label) is not int:
-                _check_int("edge label", label)
-            if type(mult) is not int:
-                _check_int("edge multiplicity", mult)
+            if not (type(u) is int and type(v) is int
+                    and type(label) is int and type(mult) is int):
+                _check_edge_ints(u, v, label, mult)
             if not 0 <= u < v < n:
                 raise ValueError(f"bad edge endpoints {entry} for {n} nodes")
             if mult < 1:
@@ -105,6 +112,8 @@ class LabeledGraph:
                 u, v, label, mult = raw
             else:
                 raise ValueError(f"edge must have 3 or 4 fields: {raw!r}")
+            # before merging: False and 0 would share a key
+            _check_edge_ints(u, v, label, mult)
             if u == v:
                 raise ValueError(f"self-loop on node {u} not supported")
             if not (0 <= u < n and 0 <= v < n):

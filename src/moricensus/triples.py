@@ -9,7 +9,10 @@ lengths feed directly into the maximal-cone census.
 Each element is a signed permutation of the components, so the
 group-action functions act on plain ``(a, b, c)`` tuples and build a
 ``Triple`` only for their results.  The component bound is symmetric,
-so every image of a valid triple is valid too.
+so every image of a valid triple is valid too.  The census needs only
+each orbit's length and stabilizer order; it reads both off the six
+image tuples (``_orbit_counts``) and builds no Triple, while
+:func:`orbit` turns the same images into an :class:`OrbitRecord`.
 """
 
 from __future__ import annotations
@@ -150,14 +153,24 @@ def stabilizer(t: Triple) -> tuple[GroupElement, ...]:
     return tuple(g for g, image in zip(_ACTIONS, _images(t)) if image == own)
 
 
+def _orbit_counts(t: Triple) -> tuple[set[tuple[int, int, int]], int]:
+    """Distinct images of ``t`` and the number of elements fixing it.
+
+    The two are counted independently, so their product being 6 checks
+    orbit-stabilizer.  Builds no Triple.
+    """
+    images = _images(t)
+    return set(images), images.count((t.a, t.b, t.c))
+
+
 def orbit(t: Triple) -> OrbitRecord:
     """Orbit of ``t`` under all six group elements."""
-    images = _images(t)
-    members = frozenset(Triple(*image) for image in set(images))
+    images, fixing = _orbit_counts(t)
+    members = frozenset(Triple(*image) for image in images)
     return OrbitRecord(
         representative=min(members),
         members=members,
-        stabilizer_order=images.count((t.a, t.b, t.c)),
+        stabilizer_order=fixing,
     )
 
 

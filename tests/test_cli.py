@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -259,7 +262,8 @@ def test_audit_parse_error_reports_location(tmp_path, capsys):
     assert "line 1" in err
 
 
-SNAPSHOTS = Path(__file__).resolve().parents[1] / "perfbench" / "snapshots"
+ROOT = Path(__file__).resolve().parents[1]
+SNAPSHOTS = ROOT / "perfbench" / "snapshots"
 
 
 @pytest.mark.parametrize("snapshot, argv", [
@@ -282,3 +286,18 @@ def test_shipped_closure_json_matches_snapshot(graph_file, capsys):
     assert payload.keys() == saved.keys()
     for field, value in saved.items():
         assert payload[field] == value, field
+
+
+def test_cli_import_leaves_out_the_thread_pool():
+    # only ``closure(..., workers > 1)`` imports concurrent.futures
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, moricensus.cli; print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

@@ -144,8 +144,15 @@ def test_canonical_form_injective_on_reconstruction(data):
     lambda: LabeledGraph((0, 1), ((0, 1, 5, True),)),
     lambda: LabeledGraph((0, 1), ((0, 1, 5, 2.0),)),
     lambda: LabeledGraph.build([0, 2.7]),
+    lambda: LabeledGraph((0, 1), ((False, True, 5, 1),)),
+    lambda: LabeledGraph((0, 1), ((0, 1.0, 5, 1),)),
+    lambda: LabeledGraph.build((0, 1), [(False, True, 5)]),
+    lambda: LabeledGraph.build((0, 1), [(0, 1, 5), (False, True, 5)]),
+    lambda: LabeledGraph.build((0, 1), [(0.0, 1, 5)]),
 ], ids=["bool_edge_label", "bool_node_label", "float_node_label",
-        "float_edge_label", "bool_mult", "float_mult", "build_float_node_label"])
+        "float_edge_label", "bool_mult", "float_mult", "build_float_node_label",
+        "bool_endpoints", "float_endpoint", "build_bool_endpoints",
+        "build_bool_endpoints_after_int_twin", "build_float_endpoint"])
 def test_graph_rejects_labels_and_mults_that_are_not_ints(make):
     with pytest.raises(ValueError, match="must be an int"):
         make()

@@ -149,6 +149,23 @@ def test_build_census_report_on_default_config():
     assert report.findings
 
 
+def test_build_census_report_builds_no_triple(monkeypatch):
+    # orbit lengths and stabilizer orders are counted off image tuples
+    declared = load_declared(default_declared_text())
+    models = regular_models()
+    built = []
+    check = Triple.__post_init__
+
+    def counting(t):
+        built.append(t)
+        check(t)
+
+    monkeypatch.setattr(Triple, "__post_init__", counting)
+    report = build_census_report(models, declared)
+    assert report.p_cones == 2657
+    assert built == []
+
+
 def test_build_census_report_with_altered_symmetric_count():
     declared = load_declared(
         "entry t_models: count=129 breakdown=83+1+45\n"
