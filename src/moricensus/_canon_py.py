@@ -7,7 +7,11 @@ and pruned against the best encoding found so far.  When refinement
 leaves every node in a cell of its own, that ordering is forced: the
 encoding is written out directly, without a search.  Distinct node
 labels force the label order before any refinement, so such graphs
-(every rigid triple encoding among them) skip refinement as well.
+skip refinement as well.  When the labels already increase with the
+node index, as on every rigid triple encoding, that order is the
+identity: each edge ``(u, v)`` with u < v is filed as a back-edge of v
+and the items are written out in one pass, with no order or position
+map to build.
 
 Encoding layout: ``(n, item_0, ..., item_{n-1})`` where the item for
 position k is ``(label, b, j_1, e_1, m_1, ..., j_b, e_b, m_b)`` listing
@@ -18,6 +22,8 @@ with itemwise comparison, which makes prefix pruning sound.
 """
 
 from __future__ import annotations
+
+from operator import lt
 
 __all__ = ["canonical_sequence"]
 
@@ -104,6 +110,23 @@ def canonical_sequence(n, labels, edges):
     ``labels`` is a sequence of n ints; ``edges`` a sequence of
     ``(u, v, elabel, mult)`` with u < v and unique (u, v, elabel).
     """
+    if all(map(lt, labels, labels[1:])):
+        # labels already in increasing order: the forced order is the
+        # identity, and each edge (u, v) with u < v is the back-edge
+        # (u, e, m) of node v
+        back = [[] for _ in range(n)]
+        for (u, v, e, m) in edges:
+            back[v].append((u, e, m))
+        seq = [n]
+        for v in range(n):
+            entries = back[v]
+            if len(entries) > 1:  # edges need not come sorted
+                entries.sort()
+            seq.append(labels[v])
+            seq.append(len(entries))
+            for entry in entries:
+                seq.extend(entry)
+        return tuple(seq)
     if len(set(labels)) == n:
         # refinement's first colours sort distinct labels into singleton
         # cells, so the label order is forced

@@ -6,6 +6,7 @@ One claim per line (``#`` starts a comment):
 
 Expressions are exact integer arithmetic over literals with ``+``,
 binary and unary ``-``, ``*`` and parentheses; no floats, no variables.
+At most ``MAX_NESTING`` parentheses and unary minus signs may nest.
 Whitespace within a line is insignificant.  ``expect=fails`` marks an
 identity recorded from a source text that is arithmetically false; the
 audit passes when it indeed fails.
@@ -25,6 +26,7 @@ __all__ = [
     "Claim",
     "EVAL_GUARD",
     "IntLit",
+    "MAX_NESTING",
     "Neg",
     "Verdict",
     "evaluate",
@@ -36,6 +38,11 @@ __all__ = [
 # Claim arithmetic concerns double-digit censuses; anything this large is
 # a malformed input, not a census.
 EVAL_GUARD = 10**12
+
+# Nested '(' and unary '-' each cost the recursive-descent parser and the
+# evaluator stack frames; a census claim needs a handful, and the bound
+# keeps both well inside Python's recursion limit.
+MAX_NESTING = 100
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,10 +111,10 @@ class _ExprParser:
         self.text = text
         self.lineno = lineno
         self.offset = offset  # column of text[0] in the original line, 0-based
-        self.pos = 0
         self.tokens: list[tuple[str, str, int]] = []
         self._tokenize()
         self.index = 0
+        self.depth = 0  # open '(' and unary '-' around the current token
 
     def _tokenize(self):
         pos = 0
@@ -166,16 +173,25 @@ class _ExprParser:
     def _factor(self) -> Expr:
         tok = self._next()
         if tok[0] == "int":
-            return IntLit(int(tok[1]))
+            try:
+                return IntLit(int(tok[1]))
+            except ValueError:  # past the interpreter's int-conversion limit
+                self._fail(f"integer literal of {len(tok[1])} digits is too long",
+                           tok[2])
+        if tok[1] not in "-(":
+            self._fail(f"expected integer, '-' or '(', got {tok[1]!r}", tok[2])
+        if self.depth == MAX_NESTING:
+            self._fail(f"more than {MAX_NESTING} nested '(' or '-'", tok[2])
+        self.depth += 1
         if tok[1] == "-":
-            return Neg(self._factor())
-        if tok[1] == "(":
+            expr = Neg(self._factor())
+        else:
             expr = self._sum()
             closing = self._next()
             if closing[1] != ")":
                 self._fail(f"expected ')', got {closing[1]!r}", closing[2])
-            return expr
-        self._fail(f"expected integer, '-' or '(', got {tok[1]!r}", tok[2])
+        self.depth -= 1
+        return expr
 
 
 _CLAIM_RE = re.compile(
@@ -262,24 +278,34 @@ def format_claims(claims: list[Claim]) -> str:
     return "\n".join(lines) + "\n" if lines else ""
 
 
-def _eval_expr(expr: Expr) -> int:
-    if isinstance(expr, IntLit):
-        value = expr.value
-    elif isinstance(expr, Neg):
-        value = -_eval_expr(expr.operand)
-    else:
-        left = _eval_expr(expr.left)
-        right = _eval_expr(expr.right)
-        if expr.op == "+":
-            value = left + right
-        elif expr.op == "-":
-            value = left - right
-        else:
-            value = left * right
+def _guarded(value: int) -> int:
     if abs(value) > EVAL_GUARD:
         raise OverflowError(
             f"claim value {value} outside guarded range +/-{EVAL_GUARD}"
         )
+    return value
+
+
+def _eval_expr(expr: Expr) -> int:
+    # Sums and products nest to the left, so their spine is walked in a
+    # loop; recursion follows only '(' and unary '-', which the parser
+    # bounds at MAX_NESTING.
+    spine = []
+    while isinstance(expr, BinOp):
+        spine.append(expr)
+        expr = expr.left
+    if isinstance(expr, IntLit):
+        value = _guarded(expr.value)
+    else:
+        value = _guarded(-_eval_expr(expr.operand))
+    for node in reversed(spine):
+        right = _eval_expr(node.right)
+        if node.op == "+":
+            value = _guarded(value + right)
+        elif node.op == "-":
+            value = _guarded(value - right)
+        else:
+            value = _guarded(value * right)
     return value
 
 

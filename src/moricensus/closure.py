@@ -23,7 +23,7 @@ regardless of scheduling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable
+from typing import Callable, Hashable, Iterable
 
 from .errors import BudgetExceededError
 from .graphs import LabeledGraph, canonical_graph
@@ -45,7 +45,7 @@ class MoveOperator:
     """A named, deterministic one-step transition on move-set states."""
 
     name: str
-    apply_all: Callable[[Hashable], list[Hashable]]
+    apply_all: Callable[[Hashable], Iterable[Hashable]]
 
 
 def _identity(x):
@@ -105,7 +105,7 @@ def closure(
     the caller's graph; rediscoveries are looked up, and still count as
     expansion steps.
     """
-    moves = move_set.moves
+    applies = [move.apply_all for move in move_set.moves]
     to_graph = move_set.to_graph
     start = move_set.to_state(seed)
     # Equal states have equal forms.  Two worker threads may both fill
@@ -117,8 +117,8 @@ def closure(
 
     def expand(state):
         out = []
-        for move in moves:
-            for image in move.apply_all(state):
+        for apply_all in applies:
+            for image in apply_all(state):
                 key = forms.get(image)
                 if key is None:
                     key = forms[image] = canonical_graph(to_graph(image))
@@ -131,14 +131,11 @@ def closure(
         from concurrent.futures import ThreadPoolExecutor
 
         pool = ThreadPoolExecutor(max_workers=workers)
+    expand_all = map if pool is None else pool.map
     try:
         while frontier:
-            if pool is not None:
-                batches = list(pool.map(expand, frontier))
-            else:
-                batches = [expand(state) for state in frontier]
             next_frontier = []
-            for batch in batches:
+            for batch in expand_all(expand, frontier):
                 for key, state in batch:
                     steps += 1
                     if max_steps is not None and steps > max_steps:
@@ -216,7 +213,7 @@ def _triple_move(act: Callable[[int, int, int], tuple[int, int, int]]):
     The image of a valid state is valid, because the component bound is
     symmetric, so states are checked only at the boundary.
     """
-    return lambda state: [act(*state)]
+    return lambda state: (act(*state),)
 
 
 MOVE_SETS: dict[str, MoveSet] = {

@@ -138,9 +138,11 @@ def canonical_graph(g: LabeledGraph) -> tuple[int, ...]:
     The tuple is the kernel's flat encoding (see ``_canon_py``); forms
     are meant to be compared and hashed, not read.
     """
-    if g.n > MAX_NODES:
-        raise SizeLimitError(g.n, MAX_NODES)
-    return _canonical_sequence(g.n, g.node_labels, g.edges)
+    labels = g.node_labels
+    n = len(labels)
+    if n > MAX_NODES:
+        raise SizeLimitError(n, MAX_NODES)
+    return _canonical_sequence(n, labels, g.edges)
 
 
 def iso(g1: LabeledGraph, g2: LabeledGraph) -> bool:

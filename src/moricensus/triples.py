@@ -73,10 +73,6 @@ class Triple:
     def __iter__(self) -> Iterator[int]:
         return iter((self.a, self.b, self.c))
 
-    def abs_multiset(self) -> tuple[int, int, int]:
-        """Sorted absolute values; invariant under the whole group."""
-        return tuple(sorted((abs(self.a), abs(self.b), abs(self.c))))
-
     def __repr__(self):
         return f"({self.a}, {self.b}, {self.c})"
 

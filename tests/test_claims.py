@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from moricensus.audit import default_claims_text
 from moricensus.claims import (
     EVAL_GUARD,
+    MAX_NESTING,
     BinOp,
     Claim,
     IntLit,
@@ -110,6 +111,45 @@ def test_evaluation_overflow_guard():
     claim = parse_one(f"claim x: {big} * 2 == 0 expect=fails")
     with pytest.raises(OverflowError):
         evaluate(claim)
+
+
+def nested(shape, depth):
+    """``1`` inside ``depth`` parentheses or unary minus signs."""
+    if shape == "parens":
+        return "(" * depth + "1" + ")" * depth
+    return "-" * depth + "1"
+
+
+@pytest.mark.parametrize("shape", ["parens", "unary_minus"])
+def test_parse_rejects_deep_nesting_with_position(shape):
+    with pytest.raises(ParseError) as exc_info:
+        parse_claims(f"# deep\nclaim x: 1 == {nested(shape, 3000)} expect=holds")
+    assert exc_info.value.line == 2
+    # the first opener past the bound
+    assert exc_info.value.column == len("claim x: 1 == ") + MAX_NESTING + 1
+
+
+@pytest.mark.parametrize("shape", ["parens", "unary_minus"])
+def test_nesting_at_the_bound_parses(shape):
+    claim = parse_one(f"claim x: {nested(shape, MAX_NESTING)} == 0 expect=fails")
+    assert abs(evaluate(claim).lhs_value) == 1
+
+
+def test_parse_rejects_overlong_literal_with_position():
+    digits = "9" * 5000
+    with pytest.raises(ParseError) as exc_info:
+        parse_claims(f"claim x: 1 + {digits} == 2 expect=holds")
+    assert exc_info.value.line == 1
+    assert exc_info.value.column == len("claim x: 1 + ") + 1
+
+
+def test_long_sums_and_products_evaluate():
+    # left-nested chains far longer than the recursion limit
+    terms = 3000
+    claim = parse_one(
+        f"claim x: {' + '.join(['2 * 1 * 1'] * terms)} == {2 * terms} expect=holds"
+    )
+    assert evaluate(claim).holds
 
 
 def test_format_parse_round_trip_on_shipped_file():

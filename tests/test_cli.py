@@ -262,6 +262,21 @@ def test_audit_parse_error_reports_location(tmp_path, capsys):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize("expr", [
+    "(" * 3000 + "1" + ")" * 3000,
+    "-" * 3000 + "1",
+    "9" * 5000,
+], ids=["nested_parens", "nested_unary_minus", "overlong_literal"])
+def test_audit_rejects_oversized_claims_as_input_errors(tmp_path, capsys, expr):
+    claims = tmp_path / "claims.txt"
+    claims.write_text(f"claim deep: {expr} == 1 expect=holds\n", encoding="utf-8")
+    code, out, err = run(capsys, "audit", "--claims", str(claims),
+                         "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert "line 1, column " in err
+
+
 ROOT = Path(__file__).resolve().parents[1]
 SNAPSHOTS = ROOT / "perfbench" / "snapshots"
 

@@ -365,6 +365,16 @@ COUNTING = MoveSet(
 )
 
 
+@pytest.mark.parametrize("workers", [1, 4])
+def test_closure_checks_each_step_before_the_next(workers):
+    # the first new class trips the class budget before the second step
+    # can trip the step budget
+    with pytest.raises(BudgetExceededError) as exc_info:
+        closure(LabeledGraph.build([0]), COUNTING, max_classes=1, max_steps=1,
+                workers=workers)
+    assert exc_info.value.kind == "class"
+
+
 @pytest.mark.parametrize("error, budget", [
     (RuntimeError, {}),
     (BudgetExceededError, {"max_classes": 5}),

@@ -241,3 +241,50 @@ def test_distinct_labels_skip_refinement(monkeypatch):
     # equal labels still need refinement
     with pytest.raises(AssertionError):
         _canon_py.canonical_sequence(2, [0, 0], [])
+
+
+# ---------------------------------------------------------------------------
+# increasing labels: the identity order is written out without a remap
+
+
+increasing_label_data = st.integers(1, 6).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.integers(-3, 3), min_size=n, max_size=n, unique=True)
+        .map(sorted),
+        st.lists(
+            st.tuples(
+                st.integers(0, n - 1),
+                st.integers(0, n - 1),
+                st.integers(-1, 1),
+                st.integers(1, 2),
+            ),
+            max_size=2 * n,
+        ),
+    )
+)
+
+
+@settings(max_examples=150)
+@given(increasing_label_data, st.randoms(use_true_random=False))
+def test_increasing_labels_give_the_identity_order(data, rng):
+    n, labels, edges = normalize(*data)
+    expected = _canon_py._forced_sequence(n, list(range(n)), labels, edges)
+    assert _canon_py.canonical_sequence(n, labels, edges) == expected
+    # the kernel's contract does not promise sorted edges
+    shuffled = list(edges)
+    rng.shuffle(shuffled)
+    assert _canon_py.canonical_sequence(n, labels, shuffled) == expected
+
+
+def test_rigid_encoding_takes_the_label_order_exit(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the forced-order writer ran on increasing labels")
+
+    monkeypatch.setattr(_canon_py, "_forced_sequence", refuse)
+    g = encode_triple(Triple(-6, 0, 3))
+    assert _canon_py.canonical_sequence(g.n, g.node_labels, g.edges) == \
+        (3, 0, 0, 1, 1, 0, -6, 1, 2, 2, 0, 3, 1, 1, 0, 1)
+    # distinct labels in another order still go through it
+    with pytest.raises(AssertionError):
+        _canon_py.canonical_sequence(2, [1, 0], [])

@@ -160,7 +160,7 @@ def test_orbit_stabilizer_product(t):
 @given(triples)
 def test_abs_multiset_invariant(t):
     for g in GroupElement:
-        assert apply(g, t).abs_multiset() == t.abs_multiset()
+        assert sorted(map(abs, apply(g, t))) == sorted(map(abs, t))
 
 
 @pytest.mark.parametrize(
