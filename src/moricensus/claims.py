@@ -15,9 +15,9 @@ audit passes when it indeed fails.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Union
 
+from ._record import Record, _set
 from .errors import ParseError
 
 __all__ = [
@@ -45,56 +45,71 @@ EVAL_GUARD = 10**12
 MAX_NESTING = 100
 
 
-@dataclass(frozen=True, slots=True)
-class IntLit:
-    value: int
+class IntLit(Record):
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True, slots=True)
-class Neg:
-    operand: "Expr"
+class Neg(Record):
+    __slots__ = ("operand",)
+
+    def __init__(self, operand: "Expr"):
+        _set(self, "operand", operand)
 
 
-@dataclass(frozen=True, slots=True)
-class BinOp:
-    op: str  # '+', '-' or '*'
-    left: "Expr"
-    right: "Expr"
+class BinOp(Record):
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: "Expr", right: "Expr"):
+        _set(self, "op", op)  # '+', '-' or '*'
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
 Expr = Union[IntLit, Neg, BinOp]
 
 
-@dataclass(frozen=True, slots=True)
-class Claim:
-    name: str
-    lhs: Expr
-    rhs: Expr
-    expect_holds: bool
-    cite: str = ""
+class Claim(Record):
+    __slots__ = ("name", "lhs", "rhs", "expect_holds", "cite")
+
+    def __init__(self, name: str, lhs: Expr, rhs: Expr, expect_holds: bool,
+                 cite: str = ""):
+        _set(self, "name", name)
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+        _set(self, "expect_holds", expect_holds)
+        _set(self, "cite", cite)
 
 
-@dataclass(frozen=True, slots=True)
-class Verdict:
-    name: str
-    holds: bool
-    lhs_value: int
-    rhs_value: int
-    expect_holds: bool
-    cite: str = ""
+class Verdict(Record):
+    __slots__ = ("name", "holds", "lhs_value", "rhs_value", "expect_holds", "cite")
+
+    def __init__(self, name: str, holds: bool, lhs_value: int, rhs_value: int,
+                 expect_holds: bool, cite: str = ""):
+        _set(self, "name", name)
+        _set(self, "holds", holds)
+        _set(self, "lhs_value", lhs_value)
+        _set(self, "rhs_value", rhs_value)
+        _set(self, "expect_holds", expect_holds)
+        _set(self, "cite", cite)
 
     @property
     def as_expected(self) -> bool:
         return self.holds == self.expect_holds
 
 
-@dataclass(frozen=True, slots=True)
-class AuditReport:
+class AuditReport(Record):
     """Verdicts plus free-form findings; exit_status is 0 only when every
     claim behaved as its ``expect`` marker demands."""
 
-    verdicts: tuple[Verdict, ...]
-    findings: tuple[str, ...] = field(default=())
+    __slots__ = ("verdicts", "findings")
+
+    def __init__(self, verdicts: tuple[Verdict, ...],
+                 findings: tuple[str, ...] = ()):
+        _set(self, "verdicts", verdicts)
+        _set(self, "findings", findings)
 
     @property
     def exit_status(self) -> int:
@@ -240,27 +255,37 @@ def parse_claims(text: str) -> list[Claim]:
     return claims
 
 
-def _format_expr(expr: Expr, parent_op: str = "", right_side: bool = False) -> str:
-    if isinstance(expr, IntLit):
-        return str(expr.value)
-    if isinstance(expr, Neg):
-        return f"-{_format_expr(expr.operand, 'neg')}"
-    text = (
-        f"{_format_expr(expr.left, expr.op)} {expr.op} "
-        f"{_format_expr(expr.right, expr.op, right_side=True)}"
-    )
+def _needs_parens(op: str, parent_op: str, right_side: bool) -> bool:
     # Parenthesize exactly where the left-associative grammar would
     # otherwise regroup: any operator under a negation, sums under a
     # product, and anything on the right of an equal-precedence operator.
     if parent_op == "neg":
-        needs_parens = True
-    elif parent_op == "*":
-        needs_parens = expr.op in "+-" or right_side
-    elif parent_op in "+-":
-        needs_parens = right_side and expr.op in "+-"
+        return True
+    if parent_op == "*":
+        return op in "+-" or right_side
+    if parent_op in "+-":
+        return right_side and op in "+-"
+    return False
+
+
+def _format_expr(expr: Expr, parent_op: str = "", right_side: bool = False) -> str:
+    # The left spine of sums and products is walked in a loop, as in
+    # _eval_expr; recursion follows right operands, '(' and unary '-'.
+    spine = []
+    while isinstance(expr, BinOp):
+        spine.append((expr, _needs_parens(expr.op, parent_op, right_side)))
+        parent_op, right_side = expr.op, False
+        expr = expr.left
+    parts = ["(" * sum(wrap for _, wrap in spine)]
+    if isinstance(expr, IntLit):
+        parts.append(str(expr.value))
     else:
-        needs_parens = False
-    return f"({text})" if needs_parens else text
+        parts.append(f"-{_format_expr(expr.operand, 'neg')}")
+    for node, wrap in reversed(spine):
+        parts.append(f" {node.op} {_format_expr(node.right, node.op, right_side=True)}")
+        if wrap:
+            parts.append(")")
+    return "".join(parts)
 
 
 def format_claims(claims: list[Claim]) -> str:

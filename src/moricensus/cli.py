@@ -18,7 +18,6 @@ Exit codes: 0 success, 1 verification failure, 2 input or parse error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 
@@ -42,6 +41,13 @@ def _read(path: str | None, default_text) -> str:
         return default_text()
     with open(path, encoding="utf-8") as handle:
         return handle.read()
+
+
+def _csv_writer():
+    # imported here so that only ``--format csv`` loads the module
+    import csv
+
+    return csv.writer(sys.stdout)
 
 
 def _triple_json(t: Triple) -> list[int]:
@@ -77,7 +83,7 @@ def _print_census(report: CensusReport, fmt: str) -> None:
         print(json.dumps(payload, indent=2))
         return
     if fmt == "csv":
-        out = csv.writer(sys.stdout)
+        out = _csv_writer()
         out.writerow(["metric", "value"])
         for key in ("p_models", "t_models", "p_cones", "t_cones", "total_cones"):
             out.writerow([key, payload[key]])
@@ -127,7 +133,7 @@ def _print_audit(report: AuditReport, fmt: str) -> None:
         print(json.dumps(payload, indent=2))
         return
     if fmt == "csv":
-        out = csv.writer(sys.stdout)
+        out = _csv_writer()
         out.writerow(["name", "holds", "lhs", "rhs", "expected", "as_expected", "cite"])
         for v in payload["verdicts"]:
             out.writerow(
@@ -184,7 +190,7 @@ def _cmd_orbits(args) -> int:
         )
         return EXIT_OK
     if args.format == "csv":
-        out = csv.writer(sys.stdout)
+        out = _csv_writer()
         out.writerow(["element", "a", "b", "c"])
         for g in GroupElement:
             image = apply(g, t)
@@ -227,7 +233,7 @@ def _cmd_closure(args) -> int:
         )
         return EXIT_OK
     if args.format == "csv":
-        out = csv.writer(sys.stdout)
+        out = _csv_writer()
         out.writerow(["metric", "value"])
         out.writerow(["class_count", result.class_count])
         out.writerow(["expansion_steps", result.expansion_steps])

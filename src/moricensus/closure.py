@@ -22,9 +22,9 @@ regardless of scheduling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable
 
+from ._record import Record, _set
 from .errors import BudgetExceededError
 from .graphs import LabeledGraph, canonical_graph
 from .triples import _ACTIONS, GroupElement, Triple, _plain_components
@@ -40,20 +40,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class MoveOperator:
+class MoveOperator(Record):
     """A named, deterministic one-step transition on move-set states."""
 
-    name: str
-    apply_all: Callable[[Hashable], Iterable[Hashable]]
+    __slots__ = ("name", "apply_all")
+
+    def __init__(self, name: str,
+                 apply_all: Callable[[Hashable], Iterable[Hashable]]):
+        _set(self, "name", name)
+        _set(self, "apply_all", apply_all)
 
 
 def _identity(x):
     return x
 
 
-@dataclass(frozen=True, slots=True)
-class MoveSet:
+class MoveSet(Record):
     """Moves over states, with the maps between graphs and states.
 
     ``to_state`` turns the seed graph into a state once, at the closure
@@ -64,22 +66,34 @@ class MoveSet:
     for both, so their states are the graphs themselves.
     """
 
-    moves: tuple[MoveOperator, ...] = ()
-    to_state: Callable[[LabeledGraph], Hashable] = _identity
-    to_graph: Callable[[Hashable], LabeledGraph] = _identity
+    __slots__ = ("moves", "to_state", "to_graph")
+
+    def __init__(
+        self,
+        moves: tuple[MoveOperator, ...] = (),
+        to_state: Callable[[LabeledGraph], Hashable] = _identity,
+        to_graph: Callable[[Hashable], LabeledGraph] = _identity,
+    ):
+        _set(self, "moves", moves)
+        _set(self, "to_state", to_state)
+        _set(self, "to_graph", to_graph)
 
 
-@dataclass(frozen=True, slots=True)
-class ClosureResult:
+class ClosureResult(Record):
     """Iso-closed class set reached from the seed.
 
     ``expansion_steps`` counts candidate states produced by move
     applications, including rediscoveries of known classes.
     """
 
-    classes: frozenset[tuple[int, ...]]
-    class_count: int
-    expansion_steps: int
+    __slots__ = ("classes", "class_count", "expansion_steps")
+
+    def __init__(self, classes: frozenset[tuple[int, ...]], class_count: int,
+                 expansion_steps: int):
+        _set(self, "classes", classes)
+        _set(self, "class_count", class_count)
+        _set(self, "expansion_steps", expansion_steps)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.class_count != len(self.classes):

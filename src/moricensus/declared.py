@@ -17,22 +17,25 @@ rejected.  A breakdown must sum to the count.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from importlib import resources
 
+from ._record import Record, _set
 from .errors import ConfigError
 
 __all__ = ["DeclaredEntry", "default_declared_text", "load_declared"]
 
 
-@dataclass(frozen=True, slots=True)
-class DeclaredEntry:
+class DeclaredEntry(Record):
     """A count taken on trust, with its citation and optional addends."""
 
-    label: str
-    count: int
-    provenance: str = ""
-    breakdown: tuple[int, ...] | None = None
+    __slots__ = ("label", "count", "provenance", "breakdown")
+
+    def __init__(self, label: str, count: int, provenance: str = "",
+                 breakdown: tuple[int, ...] | None = None):
+        _set(self, "label", label)
+        _set(self, "count", count)
+        _set(self, "provenance", provenance)
+        _set(self, "breakdown", breakdown)
 
 
 _LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")

@@ -13,9 +13,9 @@ order inside each family, so regeneration is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
+from ._record import Record, _set
 from .errors import DuplicateClassError
 from .triples import Triple, canonical
 
@@ -44,13 +44,15 @@ class FamilyId(Enum):
     N2 = "N2"
 
 
-@dataclass(frozen=True, slots=True)
-class RegularModel:
+class RegularModel(Record):
     """One census unit: a triple, its family, and its dedup key."""
 
-    triple: Triple
-    family: FamilyId
-    canonical_key: Triple
+    __slots__ = ("triple", "family", "canonical_key")
+
+    def __init__(self, triple: Triple, family: FamilyId, canonical_key: Triple):
+        _set(self, "triple", triple)
+        _set(self, "family", family)
+        _set(self, "canonical_key", canonical_key)
 
 
 def _models(triples, family: FamilyId) -> list[RegularModel]:

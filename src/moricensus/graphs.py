@@ -20,10 +20,10 @@ Node ids are arbitrary word tokens, unique per file; mult defaults to 1.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable
 
 from ._canon_py import canonical_sequence as _canonical_sequence
+from ._record import Record, _set
 from .errors import ConfigError, SizeLimitError
 
 __all__ = [
@@ -57,8 +57,7 @@ def _check_edge_ints(u, v, label, mult) -> None:
     _check_int("edge multiplicity", mult)
 
 
-@dataclass(frozen=True, slots=True)
-class LabeledGraph:
+class LabeledGraph(Record):
     """Immutable labelled multigraph on nodes 0..n-1.
 
     ``node_labels[k]`` is the integer label of node k.  ``edges`` holds
@@ -68,8 +67,13 @@ class LabeledGraph:
     never bools.  Use :meth:`build` to normalize raw edge data.
     """
 
-    node_labels: tuple[int, ...]
-    edges: tuple[tuple[int, int, int, int], ...]
+    __slots__ = ("node_labels", "edges")
+
+    def __init__(self, node_labels: tuple[int, ...],
+                 edges: tuple[tuple[int, int, int, int], ...]):
+        _set(self, "node_labels", node_labels)
+        _set(self, "edges", edges)
+        self.__post_init__()
 
     def __post_init__(self):
         n = len(self.node_labels)

@@ -17,9 +17,10 @@ image tuples (``_orbit_counts``) and builds no Triple, while
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
+
+from ._record import Record, _set
 
 __all__ = [
     "COMPONENT_BOUND",
@@ -47,13 +48,20 @@ def _plain_components(a, b, c) -> bool:
             and -COMPONENT_BOUND <= c <= COMPONENT_BOUND)
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Triple:
-    """Ordered integer 3-tuple labelling a three-component model."""
+class Triple(Record):
+    """Ordered integer 3-tuple labelling a three-component model.
 
-    a: int
-    b: int
-    c: int
+    Triples compare and order as the tuple ``(a, b, c)``, and only with
+    triples.
+    """
+
+    __slots__ = ("a", "b", "c")
+
+    def __init__(self, a: int, b: int, c: int):
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "c", c)
+        self.__post_init__()
 
     def __post_init__(self):
         if _plain_components(self.a, self.b, self.c):
@@ -69,6 +77,28 @@ class Triple:
                     f"component {name}={value} outside guarded range "
                     f"[-{COMPONENT_BOUND}, {COMPONENT_BOUND}]"
                 )
+
+    # Record gives equality and hashing; the orderings are Triple's own
+    # (the families sort their triples).
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.a, self.b, self.c) < (other.a, other.b, other.c)
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.a, self.b, self.c) <= (other.a, other.b, other.c)
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.a, self.b, self.c) > (other.a, other.b, other.c)
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.a, self.b, self.c) >= (other.a, other.b, other.c)
+        return NotImplemented
 
     def __iter__(self) -> Iterator[int]:
         return iter((self.a, self.b, self.c))
@@ -115,16 +145,20 @@ def involution(t: Triple) -> Triple:
     return apply(GroupElement.I, t)
 
 
-@dataclass(frozen=True, slots=True)
-class OrbitRecord:
+class OrbitRecord(Record):
     """Full orbit of a triple with its canonical representative.
 
     Satisfies orbit-stabilizer: ``len(members) * stabilizer_order == 6``.
     """
 
-    representative: Triple
-    members: frozenset[Triple]
-    stabilizer_order: int
+    __slots__ = ("representative", "members", "stabilizer_order")
+
+    def __init__(self, representative: Triple, members: frozenset[Triple],
+                 stabilizer_order: int):
+        _set(self, "representative", representative)
+        _set(self, "members", members)
+        _set(self, "stabilizer_order", stabilizer_order)
+        self.__post_init__()
 
     def __post_init__(self):
         if len(self.members) * self.stabilizer_order != 6:

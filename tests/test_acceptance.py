@@ -5,13 +5,12 @@ read captured output) to see the checklist.  All comparisons are exact
 integer equality; there are no tolerances anywhere in the pipeline.
 """
 
-import dataclasses
 import random
 
 from moricensus.audit import run_full_verification
 from moricensus.claims import evaluate_claims, parse_claims
 from moricensus.cli import main
-from moricensus.closure import MOVE_SETS, closure, encode_triple
+from moricensus.closure import MOVE_SETS, MoveSet, closure, encode_triple
 from moricensus.cones import build_census_report, t_cone_count
 from moricensus.declared import default_declared_text, load_declared
 from moricensus.families import (
@@ -184,7 +183,8 @@ def test_criterion_9_property_suite():
     moves = MOVE_SETS["triple_group"]
     order = list(moves.moves)
     rng.shuffle(order)
-    shuffled = dataclasses.replace(moves, moves=tuple(order))
+    shuffled = MoveSet(moves=tuple(order), to_state=moves.to_state,
+                       to_graph=moves.to_graph)
     for model in regular_models():
         expected = orbit(model.triple).length
         seed = encode_triple(model.triple)

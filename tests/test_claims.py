@@ -152,6 +152,14 @@ def test_long_sums_and_products_evaluate():
     assert evaluate(claim).holds
 
 
+def test_long_sums_and_products_format():
+    # formatting walks the same left-nested chains without recursing
+    terms = 3000
+    text = (f"claim x: {' + '.join(['2 * 1 * 1'] * terms)} == {2 * terms} "
+            "expect=holds\n")
+    assert format_claims(parse_claims(text)) == text
+
+
 def test_format_parse_round_trip_on_shipped_file():
     claims = parse_claims(default_claims_text())
     assert parse_claims(format_claims(claims)) == claims

@@ -303,15 +303,20 @@ def test_shipped_closure_json_matches_snapshot(graph_file, capsys):
         assert payload[field] == value, field
 
 
-def test_cli_import_leaves_out_the_thread_pool():
-    # only ``closure(..., workers > 1)`` imports concurrent.futures
+@pytest.mark.parametrize(
+    "module",
+    # the closure pool (only ``workers > 1``), the record machinery and
+    # what it pulls in, and the writer behind ``--format csv``
+    ["concurrent.futures", "dataclasses", "inspect", "csv"],
+)
+def test_cli_import_leaves_out_unused_modules(module):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
     done = subprocess.run(
         [sys.executable, "-c",
-         "import sys, moricensus.cli; print('concurrent.futures' in sys.modules)"],
+         f"import sys, moricensus.cli; print({module!r} in sys.modules)"],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert done.returncode == 0, done.stderr
