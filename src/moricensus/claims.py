@@ -10,6 +10,13 @@ At most ``MAX_NESTING`` parentheses and unary minus signs may nest.
 Whitespace within a line is insignificant.  ``expect=fails`` marks an
 identity recorded from a source text that is arithmetically false; the
 audit passes when it indeed fails.
+
+A parsed expression is an :class:`IntLit`, a :class:`Neg`, or an n-ary
+:class:`Sum` or :class:`Product`; a sum of one term or a product of one
+factor is that term or factor itself.  A chain such as ``1 + 2 - 3`` is
+one flat node, and only ``(`` and unary ``-`` nest, so the recursion of
+equality, hashing, evaluation and formatting is bounded by
+``MAX_NESTING``, however long the chains.
 """
 
 from __future__ import annotations
@@ -17,17 +24,18 @@ from __future__ import annotations
 import re
 from typing import Union
 
-from ._record import Record, _set
+from ._record import Record
 from .errors import ParseError
 
 __all__ = [
     "AuditReport",
-    "BinOp",
     "Claim",
     "EVAL_GUARD",
     "IntLit",
     "MAX_NESTING",
     "Neg",
+    "Product",
+    "Sum",
     "Verdict",
     "evaluate",
     "evaluate_claims",
@@ -39,61 +47,44 @@ __all__ = [
 # a malformed input, not a census.
 EVAL_GUARD = 10**12
 
-# Nested '(' and unary '-' each cost the recursive-descent parser and the
-# evaluator stack frames; a census claim needs a handful, and the bound
-# keeps both well inside Python's recursion limit.
+# Nested '(' and unary '-' each cost stack frames in the recursive-descent
+# parser and in every walk of the tree (equality, hashing, evaluation,
+# formatting); a census claim needs a handful, and the bound keeps all of
+# them well inside Python's recursion limit.
 MAX_NESTING = 100
 
 
 class IntLit(Record):
     __slots__ = ("value",)
 
-    def __init__(self, value: int):
-        _set(self, "value", value)
-
 
 class Neg(Record):
     __slots__ = ("operand",)
 
-    def __init__(self, operand: "Expr"):
-        _set(self, "operand", operand)
+
+class Sum(Record):
+    """Two or more ``(op, expr)`` terms; op is '+' or '-', the first '+'."""
+
+    __slots__ = ("terms",)
 
 
-class BinOp(Record):
-    __slots__ = ("op", "left", "right")
+class Product(Record):
+    """Two or more factors."""
 
-    def __init__(self, op: str, left: "Expr", right: "Expr"):
-        _set(self, "op", op)  # '+', '-' or '*'
-        _set(self, "left", left)
-        _set(self, "right", right)
+    __slots__ = ("factors",)
 
 
-Expr = Union[IntLit, Neg, BinOp]
+Expr = Union[IntLit, Neg, Sum, Product]
 
 
 class Claim(Record):
     __slots__ = ("name", "lhs", "rhs", "expect_holds", "cite")
-
-    def __init__(self, name: str, lhs: Expr, rhs: Expr, expect_holds: bool,
-                 cite: str = ""):
-        _set(self, "name", name)
-        _set(self, "lhs", lhs)
-        _set(self, "rhs", rhs)
-        _set(self, "expect_holds", expect_holds)
-        _set(self, "cite", cite)
+    _defaults = {"cite": ""}
 
 
 class Verdict(Record):
     __slots__ = ("name", "holds", "lhs_value", "rhs_value", "expect_holds", "cite")
-
-    def __init__(self, name: str, holds: bool, lhs_value: int, rhs_value: int,
-                 expect_holds: bool, cite: str = ""):
-        _set(self, "name", name)
-        _set(self, "holds", holds)
-        _set(self, "lhs_value", lhs_value)
-        _set(self, "rhs_value", rhs_value)
-        _set(self, "expect_holds", expect_holds)
-        _set(self, "cite", cite)
+    _defaults = {"cite": ""}
 
     @property
     def as_expected(self) -> bool:
@@ -105,11 +96,7 @@ class AuditReport(Record):
     claim behaved as its ``expect`` marker demands."""
 
     __slots__ = ("verdicts", "findings")
-
-    def __init__(self, verdicts: tuple[Verdict, ...],
-                 findings: tuple[str, ...] = ()):
-        _set(self, "verdicts", verdicts)
-        _set(self, "findings", findings)
+    _defaults = {"findings": ()}
 
     @property
     def exit_status(self) -> int:
@@ -166,24 +153,22 @@ class _ExprParser:
         return expr
 
     def _sum(self) -> Expr:
-        expr = self._term()
-        while True:
+        terms = [("+", self._term())]
+        tok = self._peek()
+        while tok and tok[0] == "op" and tok[1] in "+-":
+            self._next()
+            terms.append((tok[1], self._term()))
             tok = self._peek()
-            if tok and tok[0] == "op" and tok[1] in "+-":
-                self._next()
-                expr = BinOp(tok[1], expr, self._term())
-            else:
-                return expr
+        return Sum(tuple(terms)) if len(terms) > 1 else terms[0][1]
 
     def _term(self) -> Expr:
-        expr = self._factor()
-        while True:
+        factors = [self._factor()]
+        tok = self._peek()
+        while tok and tok[0] == "op" and tok[1] == "*":
+            self._next()
+            factors.append(self._factor())
             tok = self._peek()
-            if tok and tok[0] == "op" and tok[1] == "*":
-                self._next()
-                expr = BinOp("*", expr, self._factor())
-            else:
-                return expr
+        return Product(tuple(factors)) if len(factors) > 1 else factors[0]
 
     def _factor(self) -> Expr:
         tok = self._next()
@@ -255,37 +240,26 @@ def parse_claims(text: str) -> list[Claim]:
     return claims
 
 
-def _needs_parens(op: str, parent_op: str, right_side: bool) -> bool:
-    # Parenthesize exactly where the left-associative grammar would
-    # otherwise regroup: any operator under a negation, sums under a
-    # product, and anything on the right of an equal-precedence operator.
-    if parent_op == "neg":
-        return True
-    if parent_op == "*":
-        return op in "+-" or right_side
-    if parent_op in "+-":
-        return right_side and op in "+-"
-    return False
-
-
-def _format_expr(expr: Expr, parent_op: str = "", right_side: bool = False) -> str:
-    # The left spine of sums and products is walked in a loop, as in
-    # _eval_expr; recursion follows right operands, '(' and unary '-'.
-    spine = []
-    while isinstance(expr, BinOp):
-        spine.append((expr, _needs_parens(expr.op, parent_op, right_side)))
-        parent_op, right_side = expr.op, False
-        expr = expr.left
-    parts = ["(" * sum(wrap for _, wrap in spine)]
+def _format_expr(expr: Expr) -> str:
     if isinstance(expr, IntLit):
-        parts.append(str(expr.value))
-    else:
-        parts.append(f"-{_format_expr(expr.operand, 'neg')}")
-    for node, wrap in reversed(spine):
-        parts.append(f" {node.op} {_format_expr(node.right, node.op, right_side=True)}")
-        if wrap:
-            parts.append(")")
-    return "".join(parts)
+        return str(expr.value)
+    if isinstance(expr, Neg):
+        return "-" + _format_nested(expr.operand)
+    if isinstance(expr, Product):
+        return " * ".join([_format_nested(f) for f in expr.factors])
+    parts = []
+    for op, term in expr.terms:
+        parts.append(op)
+        # a product binds tighter than the sum around it
+        parts.append(_format_expr(term) if isinstance(term, Product)
+                     else _format_nested(term))
+    return " ".join(parts[1:])
+
+
+def _format_nested(expr: Expr) -> str:
+    # The parser builds a nested sum or product only from '(...)'.
+    text = _format_expr(expr)
+    return f"({text})" if isinstance(expr, (Sum, Product)) else text
 
 
 def format_claims(claims: list[Claim]) -> str:
@@ -312,25 +286,19 @@ def _guarded(value: int) -> int:
 
 
 def _eval_expr(expr: Expr) -> int:
-    # Sums and products nest to the left, so their spine is walked in a
-    # loop; recursion follows only '(' and unary '-', which the parser
-    # bounds at MAX_NESTING.
-    spine = []
-    while isinstance(expr, BinOp):
-        spine.append(expr)
-        expr = expr.left
     if isinstance(expr, IntLit):
-        value = _guarded(expr.value)
-    else:
-        value = _guarded(-_eval_expr(expr.operand))
-    for node in reversed(spine):
-        right = _eval_expr(node.right)
-        if node.op == "+":
-            value = _guarded(value + right)
-        elif node.op == "-":
-            value = _guarded(value - right)
-        else:
-            value = _guarded(value * right)
+        return _guarded(expr.value)
+    if isinstance(expr, Neg):
+        return _guarded(-_eval_expr(expr.operand))
+    if isinstance(expr, Product):
+        value = 1
+        for factor in expr.factors:
+            value = _guarded(value * _eval_expr(factor))
+        return value
+    value = 0
+    for op, term in expr.terms:
+        right = _eval_expr(term)
+        value = _guarded(value + right if op == "+" else value - right)
     return value
 
 

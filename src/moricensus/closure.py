@@ -22,9 +22,9 @@ regardless of scheduling.
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable
+from typing import Callable
 
-from ._record import Record, _set
+from ._record import Record
 from .errors import BudgetExceededError
 from .graphs import LabeledGraph, canonical_graph
 from .triples import _ACTIONS, GroupElement, Triple, _plain_components
@@ -45,11 +45,6 @@ class MoveOperator(Record):
 
     __slots__ = ("name", "apply_all")
 
-    def __init__(self, name: str,
-                 apply_all: Callable[[Hashable], Iterable[Hashable]]):
-        _set(self, "name", name)
-        _set(self, "apply_all", apply_all)
-
 
 def _identity(x):
     return x
@@ -67,16 +62,7 @@ class MoveSet(Record):
     """
 
     __slots__ = ("moves", "to_state", "to_graph")
-
-    def __init__(
-        self,
-        moves: tuple[MoveOperator, ...] = (),
-        to_state: Callable[[LabeledGraph], Hashable] = _identity,
-        to_graph: Callable[[Hashable], LabeledGraph] = _identity,
-    ):
-        _set(self, "moves", moves)
-        _set(self, "to_state", to_state)
-        _set(self, "to_graph", to_graph)
+    _defaults = {"moves": (), "to_state": _identity, "to_graph": _identity}
 
 
 class ClosureResult(Record):
@@ -86,18 +72,11 @@ class ClosureResult(Record):
     applications, including rediscoveries of known classes.
     """
 
-    __slots__ = ("classes", "class_count", "expansion_steps")
+    __slots__ = ("classes", "expansion_steps")
 
-    def __init__(self, classes: frozenset[tuple[int, ...]], class_count: int,
-                 expansion_steps: int):
-        _set(self, "classes", classes)
-        _set(self, "class_count", class_count)
-        _set(self, "expansion_steps", expansion_steps)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if self.class_count != len(self.classes):
-            raise ValueError("class_count must equal len(classes)")
+    @property
+    def class_count(self) -> int:
+        return len(self.classes)
 
 
 def closure(
@@ -165,9 +144,7 @@ def closure(
         if pool is not None:
             pool.shutdown(cancel_futures=True)
 
-    return ClosureResult(
-        classes=frozenset(seen), class_count=len(seen), expansion_steps=steps
-    )
+    return ClosureResult(classes=frozenset(seen), expansion_steps=steps)
 
 
 # Triples embed as rigid 3-cycles: node k carries label k, so the only

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from enum import Enum
 
-from ._record import Record, _set
+from ._record import Record
 from .declared import DeclaredEntry
 from .errors import ConfigError
-from .families import FamilyId, RegularModel
-from .triples import Triple, _orbit_counts
+from .families import RegularModel
+from .triples import _orbit_counts
 
 __all__ = [
     "CensusReport",
@@ -36,15 +36,7 @@ class ModelRecord(Record):
     """A model census unit carrying its orbit length and symmetry order."""
 
     __slots__ = ("source", "family", "orbit_length", "symmetry_order", "triple")
-
-    def __init__(self, source: Source, family: FamilyId | str, orbit_length: int,
-                 symmetry_order: int, triple: Triple | None = None):
-        _set(self, "source", source)
-        _set(self, "family", family)
-        _set(self, "orbit_length", orbit_length)
-        _set(self, "symmetry_order", symmetry_order)
-        _set(self, "triple", triple)
-        self.__post_init__()
+    _defaults = {"triple": None}
 
     def __post_init__(self):
         if self.orbit_length * self.symmetry_order != 6:
@@ -65,26 +57,7 @@ class CensusReport(Record):
     __slots__ = ("p_models", "t_models", "p_symmetric", "p_cones", "t_cones",
                  "total_cones", "findings", "computed")
 
-    def __init__(
-        self,
-        p_models: int,
-        t_models: int,
-        p_symmetric: tuple[ModelRecord, ...],
-        p_cones: int,
-        t_cones: int,
-        total_cones: int,
-        findings: tuple[str, ...] = (),
-        computed: tuple[ModelRecord, ...] = (),
-    ):
-        _set(self, "p_models", p_models)
-        _set(self, "t_models", t_models)
-        _set(self, "p_symmetric", p_symmetric)
-        _set(self, "p_cones", p_cones)
-        _set(self, "t_cones", t_cones)
-        _set(self, "total_cones", total_cones)
-        _set(self, "findings", findings)
-        _set(self, "computed", computed)
-        self.__post_init__()
+    _defaults = {"findings": (), "computed": ()}
 
     def __post_init__(self):
         if self.total_cones != self.p_cones + self.t_cones:

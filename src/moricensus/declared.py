@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from importlib import resources
 
-from ._record import Record, _set
+from ._record import Record
 from .errors import ConfigError
 
 __all__ = ["DeclaredEntry", "default_declared_text", "load_declared"]
@@ -29,13 +29,7 @@ class DeclaredEntry(Record):
     """A count taken on trust, with its citation and optional addends."""
 
     __slots__ = ("label", "count", "provenance", "breakdown")
-
-    def __init__(self, label: str, count: int, provenance: str = "",
-                 breakdown: tuple[int, ...] | None = None):
-        _set(self, "label", label)
-        _set(self, "count", count)
-        _set(self, "provenance", provenance)
-        _set(self, "breakdown", breakdown)
+    _defaults = {"provenance": "", "breakdown": None}
 
 
 _LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from ._record import Record, _set
+from ._record import Record
 from .errors import DuplicateClassError
 from .triples import Triple, canonical
 
@@ -48,11 +48,6 @@ class RegularModel(Record):
     """One census unit: a triple, its family, and its dedup key."""
 
     __slots__ = ("triple", "family", "canonical_key")
-
-    def __init__(self, triple: Triple, family: FamilyId, canonical_key: Triple):
-        _set(self, "triple", triple)
-        _set(self, "family", family)
-        _set(self, "canonical_key", canonical_key)
 
 
 def _models(triples, family: FamilyId) -> list[RegularModel]:

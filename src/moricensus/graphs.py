@@ -23,7 +23,7 @@ import re
 from typing import Iterable
 
 from ._canon_py import canonical_sequence as _canonical_sequence
-from ._record import Record, _set
+from ._record import Record
 from .errors import ConfigError, SizeLimitError
 
 __all__ = [
@@ -68,12 +68,6 @@ class LabeledGraph(Record):
     """
 
     __slots__ = ("node_labels", "edges")
-
-    def __init__(self, node_labels: tuple[int, ...],
-                 edges: tuple[tuple[int, int, int, int], ...]):
-        _set(self, "node_labels", node_labels)
-        _set(self, "edges", edges)
-        self.__post_init__()
 
     def __post_init__(self):
         n = len(self.node_labels)

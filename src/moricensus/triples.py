@@ -18,9 +18,10 @@ image tuples (``_orbit_counts``) and builds no Triple, while
 from __future__ import annotations
 
 from enum import Enum
+from functools import total_ordering
 from typing import Iterator
 
-from ._record import Record, _set
+from ._record import Record
 
 __all__ = [
     "COMPONENT_BOUND",
@@ -48,6 +49,7 @@ def _plain_components(a, b, c) -> bool:
             and -COMPONENT_BOUND <= c <= COMPONENT_BOUND)
 
 
+@total_ordering
 class Triple(Record):
     """Ordered integer 3-tuple labelling a three-component model.
 
@@ -56,12 +58,6 @@ class Triple(Record):
     """
 
     __slots__ = ("a", "b", "c")
-
-    def __init__(self, a: int, b: int, c: int):
-        _set(self, "a", a)
-        _set(self, "b", b)
-        _set(self, "c", c)
-        self.__post_init__()
 
     def __post_init__(self):
         if _plain_components(self.a, self.b, self.c):
@@ -78,26 +74,11 @@ class Triple(Record):
                     f"[-{COMPONENT_BOUND}, {COMPONENT_BOUND}]"
                 )
 
-    # Record gives equality and hashing; the orderings are Triple's own
-    # (the families sort their triples).
+    # Record gives equality and hashing.  The families sort their
+    # triples, so __lt__ is written out; total_ordering derives the rest.
     def __lt__(self, other):
         if other.__class__ is self.__class__:
             return (self.a, self.b, self.c) < (other.a, other.b, other.c)
-        return NotImplemented
-
-    def __le__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.a, self.b, self.c) <= (other.a, other.b, other.c)
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.a, self.b, self.c) > (other.a, other.b, other.c)
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.a, self.b, self.c) >= (other.a, other.b, other.c)
         return NotImplemented
 
     def __iter__(self) -> Iterator[int]:
@@ -152,13 +133,6 @@ class OrbitRecord(Record):
     """
 
     __slots__ = ("representative", "members", "stabilizer_order")
-
-    def __init__(self, representative: Triple, members: frozenset[Triple],
-                 stabilizer_order: int):
-        _set(self, "representative", representative)
-        _set(self, "members", members)
-        _set(self, "stabilizer_order", stabilizer_order)
-        self.__post_init__()
 
     def __post_init__(self):
         if len(self.members) * self.stabilizer_order != 6:

@@ -5,10 +5,11 @@ from moricensus.audit import default_claims_text
 from moricensus.claims import (
     EVAL_GUARD,
     MAX_NESTING,
-    BinOp,
     Claim,
     IntLit,
     Neg,
+    Product,
+    Sum,
     evaluate,
     evaluate_claims,
     format_claims,
@@ -25,7 +26,7 @@ def parse_one(line):
 def test_parse_basic_claim():
     claim = parse_one("claim t_total: 83+1+45 == 129 expect=holds")
     assert claim.name == "t_total"
-    assert claim.lhs == BinOp("+", BinOp("+", IntLit(83), IntLit(1)), IntLit(45))
+    assert claim.lhs == Sum((("+", IntLit(83)), ("+", IntLit(1)), ("+", IntLit(45))))
     assert claim.rhs == IntLit(129)
     assert claim.expect_holds
     assert claim.cite == ""
@@ -153,11 +154,32 @@ def test_long_sums_and_products_evaluate():
 
 
 def test_long_sums_and_products_format():
-    # formatting walks the same left-nested chains without recursing
     terms = 3000
     text = (f"claim x: {' + '.join(['2 * 1 * 1'] * terms)} == {2 * terms} "
             "expect=holds\n")
-    assert format_claims(parse_claims(text)) == text
+    claims = parse_claims(text)
+    assert format_claims(claims) == text
+    assert parse_claims(format_claims(claims)) == claims
+
+
+@pytest.mark.parametrize("op", ["+", "*"])
+def test_long_sums_and_products_compare_and_hash(op):
+    # a chain is one flat node, so equality and hashing do not recurse
+    # along it
+    text = f"claim x: {f' {op} '.join(['1'] * 3000)} == 1 expect=holds"
+    first, second = parse_claims(text), parse_claims(text)
+    assert first == second
+    assert hash(first[0]) == hash(second[0])
+
+
+def test_parenthesized_chains_stay_nested():
+    claim = parse_one("claim x: (1 + 2) + 3 * (4 * 5) == 63 expect=holds")
+    assert claim.lhs == Sum((
+        ("+", Sum((("+", IntLit(1)), ("+", IntLit(2))))),
+        ("+", Product((IntLit(3), Product((IntLit(4), IntLit(5)))))),
+    ))
+    assert format_claims([claim]) == (
+        "claim x: (1 + 2) + 3 * (4 * 5) == 63 expect=holds\n")
 
 
 def test_format_parse_round_trip_on_shipped_file():
@@ -169,7 +191,13 @@ exprs = st.recursive(
     st.builds(IntLit, st.integers(0, 99)),
     lambda children: st.one_of(
         st.builds(Neg, children),
-        st.builds(BinOp, st.sampled_from("+-*"), children, children),
+        st.builds(
+            lambda first, rest: Sum((("+", first), *rest)),
+            children,
+            st.lists(st.tuples(st.sampled_from("+-"), children),
+                     min_size=1, max_size=3),
+        ),
+        st.builds(Product, st.lists(children, min_size=2, max_size=4).map(tuple)),
     ),
     max_leaves=12,
 )
