@@ -6,8 +6,10 @@ Three suites:
   rigid      the 3-node triple encodings of the 347 regular models, the
              graphs ``verify`` feeds the kernel; node labels 0, 1, 2 make
              refinement discrete, so there is no ordering search.
-  random     random labelled multigraphs; colour refinement splits the
-             nodes into fine cells, so the ordering search is shallow.
+  random     random labelled multigraphs; most are discrete at the first
+             colouring (label and incident edge labels and mults), so
+             neither refinement nor search runs, and refinement splits
+             nearly all the rest into singleton cells.
   symmetric  uniform-label circulant graphs; refinement cannot split a
              vertex-transitive graph and no two nodes are twins, so the
              ordering search dominates.

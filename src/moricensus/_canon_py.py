@@ -3,15 +3,21 @@
 The hot kernel behind ``moricensus.graphs.canonical_graph``.  The search
 minimizes a flat integer encoding over node orderings, restricted to
 orderings compatible with an iterated neighbourhood-colour refinement
-and pruned against the best encoding found so far.  When refinement
-leaves every node in a cell of its own, that ordering is forced: the
-encoding is written out directly, without a search.  Distinct node
-labels force the label order before any refinement, so such graphs
-skip refinement as well.  When the labels already increase with the
-node index, as on every rigid triple encoding, that order is the
-identity: each edge ``(u, v)`` with u < v is filed as a back-edge of v
-and the items are written out in one pass, with no order or position
-map to build.
+and pruned against the best encoding found so far.  Whenever a colouring
+puts every node in a cell of its own, that order is forced and written
+out without a search.  ``canonical_sequence`` tries its exits in order:
+
+1. Labels increasing with the node index, as on every rigid triple
+   encoding: the order is the identity, so each edge ``(u, v)`` with
+   u < v is a back-edge of v, and the items are written out in one
+   pass, with no order or position map.
+2. A discrete first colouring: no two nodes share their label and
+   sorted ``(edge label, mult)`` pairs (distinct labels always
+   qualify).  Those keys come straight from the edge list; no
+   adjacency list is built and refinement does not run.
+3. Refinement, started from those keys, makes the partition discrete.
+4. Otherwise the ordering search runs, expanding one node of each pair
+   of twins per depth.
 
 Encoding layout: ``(n, item_0, ..., item_{n-1})`` where the item for
 position k is ``(label, b, j_1, e_1, m_1, ..., j_b, e_b, m_b)`` listing
@@ -50,25 +56,23 @@ def _twins(adj, cells):
     return twins
 
 
-def _refine(n, labels, adj):
+def _refine(n, base, adj):
     """Colour nodes by iterated neighbourhood signatures.
 
-    Returns a list of colour ranks; ranks are assigned by sorting
-    signature values, so they are invariant under node relabelling.
+    ``base`` holds each node's first key: its label and the sorted
+    ``(edge label, mult)`` pairs of its edges.  Returns a list of colour
+    ranks; ranks are assigned by sorting signature values, so they are
+    invariant under node relabelling.
     """
-    base = []
-    for v in range(n):
-        incident = tuple(sorted((e, m) for (_, e, m) in adj[v]))
-        base.append((labels[v], incident))
     order = sorted(set(base))
     rank = {key: i for i, key in enumerate(order)}
     colors = [rank[key] for key in base]
     ncolors = len(order)
     while ncolors < n:
-        keys = []
-        for v in range(n):
-            sig = tuple(sorted((e, m, colors[u]) for (u, e, m) in adj[v]))
-            keys.append((colors[v], sig))
+        keys = [
+            (c, tuple(sorted([(e, m, colors[u]) for (u, e, m) in nbrs])))
+            for c, nbrs in zip(colors, adj)
+        ]
         order = sorted(set(keys))
         if len(order) == ncolors:
             break
@@ -127,18 +131,23 @@ def canonical_sequence(n, labels, edges):
             for entry in entries:
                 seq.extend(entry)
         return tuple(seq)
-    if len(set(labels)) == n:
-        # refinement's first colours sort distinct labels into singleton
-        # cells, so the label order is forced
-        return _forced_sequence(
-            n, sorted(range(n), key=labels.__getitem__), labels, edges
-        )
+    pairs = [[] for _ in range(n)]
+    for (u, v, e, m) in edges:
+        pairs[u].append((e, m))
+        pairs[v].append((e, m))
+    base = [(label, tuple(sorted(p))) for label, p in zip(labels, pairs)]
+    order = sorted(range(n), key=base.__getitem__)
+    first = [base[v] for v in order]
+    if all(map(lt, first, first[1:])):
+        # the first colouring is discrete (as distinct labels make it),
+        # so its order is forced before any refinement
+        return _forced_sequence(n, order, labels, edges)
     adj = [[] for _ in range(n)]
     for (u, v, e, m) in edges:
         adj[u].append((v, e, m))
         adj[v].append((u, e, m))
 
-    colors = _refine(n, labels, adj)
+    colors = _refine(n, base, adj)
     cells = {}
     for v in range(n):
         cells.setdefault(colors[v], []).append(v)

@@ -3,11 +3,12 @@
 Canonicalization is brute force (ordering search with colour-partition
 pruning and twin pruning inside each refinement cell) and bounded at
 MAX_NODES nodes; the models under study have two or three components,
-so desk scale needs nothing cleverer.  When all node labels are
-distinct, as on the rigid triple encodings, or refinement makes the
-partition discrete, the order is forced and no search runs.  The
-search itself lives in ``moricensus._canon_py``; its integer tuple is
-the canonical form.
+so desk scale needs nothing cleverer.  The order is forced, and no
+search runs, in three cases, tried in this order: the node labels
+increase with the node index (the rigid triple encodings); the first
+colouring, by label and incident (edge label, mult) pairs, is already
+discrete; or refinement makes it discrete.  The search itself lives in
+``moricensus._canon_py``; its integer tuple is the canonical form.
 
 Graph file format (UTF-8, line-oriented; ``#`` starts a comment):
 

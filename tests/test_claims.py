@@ -76,6 +76,22 @@ def test_parse_line_numbers_in_errors():
     assert exc_info.value.line == 3
 
 
+@pytest.mark.parametrize("text, message, line, column", [
+    ("claim x: 1 2 == 3 expect=holds\n", "trailing token '2'", 1, 12),
+    ("# ok\nclaim x: (1 + 2 3) == 3 expect=holds\n",
+     "expected ')', got '3'", 2, 17),
+    ("claim a: 1 == 1 expect=holds\n  entry x: count=1\n",
+     "expected 'claim', got 'entry'", 2, 3),
+    ("claim x 1 == 1 expect=holds\n", "malformed claim line", 1, 1),
+], ids=["trailing_token", "missing_paren", "not_a_claim", "malformed_line"])
+def test_parse_errors_name_their_line_and_column(text, message, line, column):
+    with pytest.raises(ParseError) as exc_info:
+        parse_claims(text)
+    err = exc_info.value
+    assert str(err) == f"{message} (line {line}, column {column})"
+    assert (err.line, err.column) == (line, column)
+
+
 def test_expected_failure_claim_parses_and_fails():
     claim = parse_one(
         'claim t_cones_proof: 118*6+11*3 == 747 expect=fails cite="proof display"'

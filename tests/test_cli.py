@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -137,6 +139,38 @@ def test_verify_bad_config_is_input_error(tmp_path, capsys):
     assert "breakdown" in err
 
 
+@pytest.mark.parametrize("config, message", [
+    (VD_104_READING.replace("entry t_symmetric: count=11\n", ""),
+     "missing required entry 't_symmetric' (field 't_symmetric')"),
+    (VD_104_READING.replace("count=1\n", "count=105\n"),
+     "p_very_degenerate_symmetric=105 exceeds p_very_degenerate=104 "
+     "(field 'p_very_degenerate_symmetric')"),
+], ids=["missing_entry", "more_symmetric_than_models"])
+def test_census_rejects_incomplete_reading(tmp_path, capsys, config, message):
+    path = tmp_path / "declared.cfg"
+    path.write_text(config, encoding="utf-8")
+    code, out, err = run(capsys, "census", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["audit", "verify"])
+def test_verdicts_as_csv(capsys, command):
+    code, out, _ = run(capsys, command, "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    _, out, _ = run(capsys, command, "--format", "json")
+    verdicts = json.loads(out)["verdicts"]
+    assert rows[0] == ["name", "holds", "lhs", "rhs", "expected", "as_expected",
+                       "cite"]
+    assert rows[1:] == [
+        [v["name"], str(v["holds"]), str(v["lhs"]), str(v["rhs"]),
+         v["expected"], str(v["as_expected"]), v["cite"]]
+        for v in verdicts
+    ]
+
+
 def test_orbits_table(capsys):
     code, out, _ = run(capsys, "orbits", "0", "--", "-1", "1")
     assert code == 0
@@ -215,6 +249,17 @@ def test_closure_rejects_graph_that_is_no_triple_encoding(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "not a rigid triple encoding" in err
+
+
+def test_closure_rejects_zero_multiplicity_graph(tmp_path, capsys):
+    path = tmp_path / "zero.graph"
+    path.write_text(GRAPH_TEXT.replace("label=-6", "label=-6 mult=0"),
+                    encoding="utf-8")
+    code, out, err = run(capsys, "closure", "--graph", str(path),
+                         "--moves", "triple_group")
+    assert code == 2
+    assert out == ""
+    assert err == "error: edge multiplicity must be >= 1: (0, 1, -6, 0)\n"
 
 
 @pytest.mark.parametrize("label, code", [(1_000_000, 0), (1_000_001, 2)])

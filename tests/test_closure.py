@@ -157,6 +157,38 @@ def test_graph_rejects_labels_and_mults_that_are_not_ints(make):
         make()
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: LabeledGraph((0, 1), ((1, 0, 5, 1),)),
+     r"bad edge endpoints \(1, 0, 5, 1\) for 2 nodes"),
+    (lambda: LabeledGraph((0, 1), ((0, 2, 5, 1),)),
+     r"bad edge endpoints \(0, 2, 5, 1\) for 2 nodes"),
+    (lambda: LabeledGraph((0, 1), ((0, 1, 5, 0),)),
+     r"edge multiplicity must be >= 1: \(0, 1, 5, 0\)"),
+    (lambda: LabeledGraph((0, 1, 2), ((0, 2, 5, 1), (0, 1, 5, 1))),
+     "edges must be sorted with unique"),
+    (lambda: LabeledGraph((0, 1), ((0, 1, 5, 1), (0, 1, 5, 2))),
+     "edges must be sorted with unique"),
+    (lambda: LabeledGraph.build((0, 1), [(0, 1)]),
+     r"edge must have 3 or 4 fields: \(0, 1\)"),
+    (lambda: LabeledGraph.build((0, 1), [(0, 1, 5, 1, 9)]),
+     "edge must have 3 or 4 fields"),
+    (lambda: LabeledGraph.build((0, 1), [(1, 1, 5)]),
+     "self-loop on node 1 not supported"),
+    (lambda: LabeledGraph.build((0, 1), [(0, 2, 5)]),
+     r"edge endpoint out of range: \(0, 2, 5\)"),
+    (lambda: LabeledGraph.build((0, 1), [(-1, 1, 5)]),
+     "edge endpoint out of range"),
+    (lambda: LabeledGraph.build((0, 1), [(0, 1, 5, 0)]),
+     r"edge multiplicity must be >= 1: \(0, 1, 5, 0\)"),
+], ids=["reversed_endpoints", "endpoint_past_n", "zero_mult", "unsorted",
+        "duplicate_key", "build_two_fields", "build_five_fields",
+        "build_self_loop", "build_endpoint_past_n", "build_negative_endpoint",
+        "build_zero_mult"])
+def test_graph_rejects_malformed_edges(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 # ---------------------------------------------------------------------------
 # triple encodings
 
@@ -427,3 +459,18 @@ def test_parse_graph_file_default_mult():
 def test_parse_graph_file_rejects(text):
     with pytest.raises(ConfigError):
         parse_graph_file(text)
+
+
+def test_parse_graph_file_reports_malformed_edge_line():
+    with pytest.raises(ConfigError) as exc_info:
+        parse_graph_file("node a label=1\nnode b label=1\nedge a b label=x\n")
+    assert str(exc_info.value) == "malformed edge line (line 3)"
+    assert exc_info.value.line == 3
+
+
+def test_parse_graph_file_turns_build_errors_into_config_errors():
+    # the line regex accepts mult=0; build rejects it
+    with pytest.raises(ConfigError) as exc_info:
+        parse_graph_file("node a label=1\nnode b label=1\nedge a b label=0 mult=0\n")
+    assert str(exc_info.value) == "edge multiplicity must be >= 1: (0, 1, 0, 0)"
+    assert isinstance(exc_info.value.__cause__, ValueError)

@@ -51,6 +51,28 @@ def test_duplicate_label_rejected():
         load_declared("entry x: count=1\nentry x: count=2\n")
 
 
+@pytest.mark.parametrize("line, message, field", [
+    ("entry x count=1", "missing ':' after entry label", None),
+    ("entry 9x: count=1", "bad entry label '9x'", "label"),
+    ("entry x: count=1 junk", "expected key=value, got 'junk'", None),
+    ("entry x: count=1 count=2", "duplicate key 'count'", "count"),
+    ('entry x: count=1 cite="open', "unterminated quoted value", "cite"),
+    ("entry x: count=", "missing value for 'count'", "count"),
+    ("entry x: count=ten", "count must be an integer, got 'ten'", "count"),
+    ("entry x: count=3 breakdown=1+two",
+     "breakdown addend 'two' is not an integer", "breakdown"),
+], ids=["missing_colon", "bad_label", "not_key_value", "duplicate_key",
+        "unterminated_quote", "missing_value", "count_not_int",
+        "addend_not_int"])
+def test_entry_errors_name_their_line_and_field(line, message, field):
+    with pytest.raises(ConfigError) as exc_info:
+        load_declared("# header\n" + line + "\n")
+    err = exc_info.value
+    where = "line 2" if field is None else f"line 2, field {field!r}"
+    assert str(err) == f"{message} ({where})"
+    assert (err.line, err.field) == (2, field)
+
+
 def test_non_entry_line_rejected():
     with pytest.raises(ConfigError) as exc_info:
         load_declared("claim x: 1 == 1\n")

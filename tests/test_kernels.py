@@ -4,7 +4,12 @@ Canonical-form equality must coincide with isomorphism as decided by a
 brute-force permutation search that shares no code with the kernel.
 """
 
+import importlib.util
+import inspect
 import itertools
+import sys
+import types
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -128,7 +133,9 @@ def test_discrete_random_multigraph_sequence():
     for (u, v, e, m) in edges:
         adj[u].append((v, e, m))
         adj[v].append((u, e, m))
-    assert len(set(_canon_py._refine(n, labels, adj))) == n
+    base = [(labels[v], tuple(sorted((e, m) for (_, e, m) in adj[v])))
+            for v in range(n)]
+    assert len(set(_canon_py._refine(n, base, adj))) == n
     assert _canon_py.canonical_sequence(n, labels, edges) == (
         7, 0, 0, 0, 1, 0, 0, 1, 0, 2, 0, 0, 1, 1, 1, 1, 1, 3, 0, 0, 1, 1, 0,
         1, 1, 1, 1, 1, 2, 1, 1, 1, 3, 0, 1, 1, 2, 1, 1, 1, 4, 0, 1, 1, 2, 0,
@@ -288,3 +295,126 @@ def test_rigid_encoding_takes_the_label_order_exit(monkeypatch):
     # distinct labels in another order still go through it
     with pytest.raises(AssertionError):
         _canon_py.canonical_sequence(2, [1, 0], [])
+
+
+# ---------------------------------------------------------------------------
+# the kernel's exits, in the order it tries them; sequences from the kernel
+# before the first colouring was tested for discreteness
+
+
+def _load_bench_canonical():
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_canonical.py"
+    spec = importlib.util.spec_from_file_location("_bench_canonical", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_canonical = _load_bench_canonical()
+
+# node labels 0, 1, 2 on a rigid triple encoding
+LABEL_ORDER = (3, [0, 1, 2], [(0, 1, -6, 1), (0, 2, 3, 1), (1, 2, 0, 1)])
+# the same encoding relabelled: distinct labels out of order
+RELABELLED_RIGID = (3, [2, 0, 1], [(0, 1, 3, 1), (0, 2, 0, 1), (1, 2, -6, 1)])
+RIGID_SEQUENCE = (3, 0, 0, 1, 1, 0, -6, 1, 2, 2, 0, 3, 1, 1, 0, 1)
+# repeated labels, but no two nodes share their (edge label, mult) pairs
+FIRST_COLOURING = (
+    5, [1, 0, 1, 0, 0],
+    [(0, 1, 0, 1), (0, 2, 1, 2), (1, 3, 0, 1), (2, 4, 1, 1), (3, 4, 0, 2)],
+)
+# the path 0-1-2-3: nodes 1 and 2 tie until their neighbours' colours
+# split them
+REFINED = (4, [0, 0, 0, 1], [(0, 1, 0, 1), (1, 2, 0, 1), (2, 3, 0, 1)])
+# the star K_1,3: the three leaves are twins in one cell
+TWIN_CELLS = (4, [0] * 4, [(0, 1, 0, 1), (0, 2, 0, 1), (0, 3, 0, 1)])
+# vertex-transitive with no twins: the search ranks whole orderings
+SEARCH = bench_canonical.circulant(8, (1, 2))
+
+EXIT_CASES = [
+    (LABEL_ORDER, RIGID_SEQUENCE),
+    (RELABELLED_RIGID, RIGID_SEQUENCE),
+    (FIRST_COLOURING,
+     (5, 0, 0, 0, 1, 0, 0, 1, 0, 1, 1, 0, 2, 1, 1, 0, 0, 1, 1, 2, 2, 1, 1,
+      3, 1, 2)),
+    (REFINED, (4, 0, 0, 0, 1, 0, 0, 1, 0, 1, 1, 0, 1, 1, 1, 2, 0, 1)),
+    (TWIN_CELLS, (4, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 1, 1, 0, 1, 2, 0, 1)),
+    (SEARCH,
+     (8, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 1, 1, 0, 1, 0, 3, 0, 0, 1, 1, 0, 1, 2,
+      0, 1, 0, 3, 0, 0, 1, 1, 0, 1, 3, 0, 1, 0, 4, 0, 0, 1, 2, 0, 1, 3, 0, 1,
+      5, 0, 1, 0, 4, 1, 0, 1, 2, 0, 1, 3, 0, 1, 4, 0, 1)),
+]
+
+
+@pytest.mark.parametrize("graph, seq", EXIT_CASES)
+def test_exit_sequences(graph, seq):
+    assert _canon_py.canonical_sequence(*graph) == seq
+
+
+def test_refinement_runs_only_when_the_first_colouring_ties(monkeypatch):
+    calls = []
+    refine = _canon_py._refine
+
+    def counted(*args):
+        calls.append(args)
+        return refine(*args)
+
+    monkeypatch.setattr(_canon_py, "_refine", counted)
+    _canon_py.canonical_sequence(*FIRST_COLOURING)
+    assert calls == []
+    _canon_py.canonical_sequence(*REFINED)
+    assert len(calls) == 1
+
+
+def relabelled(n, labels, edges, rng):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    moved = [0] * n
+    for old, new in enumerate(perm):
+        moved[new] = labels[old]
+    return n, moved, sorted(
+        (min(perm[u], perm[v]), max(perm[u], perm[v]), e, m)
+        for (u, v, e, m) in edges
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(6, 10), st.randoms(use_true_random=False))
+def test_random_multigraph_forms_survive_relabelling(n, rng):
+    graph = bench_canonical.random_multigraph(rng, n)
+    assert _canon_py.canonical_sequence(*graph) == \
+        _canon_py.canonical_sequence(*relabelled(*graph, rng))
+
+
+def _kernel_lines():
+    """Lines of the kernel's functions that hold an instruction."""
+    stack = [f.__code__ for f in vars(_canon_py).values()
+             if inspect.isfunction(f) and f.__module__ == _canon_py.__name__]
+    lines = set()
+    while stack:
+        code = stack.pop()
+        lines.update(line for _, _, line in code.co_lines() if line is not None)
+        stack.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
+    return lines
+
+
+def test_every_kernel_line_runs():
+    # one graph per exit reaches every line; a line none of them runs is
+    # an exit or branch no input takes
+    filename = _canon_py.__file__
+    ran = set()
+
+    def trace(frame, event, arg):
+        if frame.f_code.co_filename != filename:
+            return None
+        ran.add(frame.f_lineno)
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        for graph, _ in EXIT_CASES:
+            _canon_py.canonical_sequence(*graph)
+    finally:
+        sys.settrace(previous)
+    source = Path(filename).read_text().splitlines()
+    assert [source[line - 1] for line in sorted(_kernel_lines() - ran)] == []
