@@ -27,7 +27,6 @@ from .closure import (
 from .cones import (
     CensusReport,
     ModelRecord,
-    Source,
     build_census_report,
     p_cone_count,
     symmetric_p_models,

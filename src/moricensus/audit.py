@@ -1,9 +1,10 @@
 """Full verification pass: recompute every count and audit every claim.
 
-Synthesized verdicts (cite ``computed``) compare engine output against
-the totals recorded from the audited text; DSL verdicts re-check the
-text's arithmetic identities.  The combined report exits 0 only when
-every computed count matches and every claim behaves as marked.
+Synthesized ``census.*`` verdicts (cite ``computed``) compare engine
+output against the totals recorded from the audited text, all kept in
+the one table ``CLAIMED``; DSL verdicts re-check the text's arithmetic
+identities.  The combined report exits 0 only when every computed count
+matches and every claim behaves as marked.
 """
 
 from __future__ import annotations
@@ -13,9 +14,8 @@ from collections import Counter
 from .claims import AuditReport, Claim, Verdict, evaluate_claims, parse_claims
 from .closure import MOVE_SETS, closure, encode_triple
 from .cones import RECORDED_FINDINGS, build_census_report
-from .declared import DeclaredEntry, load_declared
+from .declared import DeclaredEntry, default_declared_text, load_declared
 from .families import (
-    FamilyId,
     family_nondegenerate,
     family_one_degenerate,
     family_two_degenerate,
@@ -24,37 +24,34 @@ from .families import (
 
 __all__ = ["CLAIMED", "default_claims_text", "run_full_verification"]
 
-# Totals as stated by the audited text; computed counts must reproduce
-# these exactly.
+# Totals as stated by the audited text, one per ``census.*`` verdict in
+# report order; computed counts must reproduce these exactly.  The
+# closure oracle must reproduce the orbit lengths of all 347 models.
 CLAIMED = {
-    "p_nondeg": 25,
-    "p_one_deg": 103,
-    "p_two_deg": 219,
-    "p_regular": 347,
-    "p_models": 450,
-    "t_models": 129,
-    "p_symmetric": 13,
-    "t_symmetric": 11,
-    "p_cones": 2657,
-    "t_cones": 741,
-    "total_cones": 3398,
+    "census.p_nondeg": 25,
+    "census.p_one_deg": 103,
+    "census.p_two_deg": 219,
+    "census.subfamily.K": 7,
+    "census.subfamily.M0": 10,
+    "census.subfamily.M-1": 15,
+    "census.subfamily.M-2": 12,
+    "census.subfamily.N-2": 57,
+    "census.subfamily.N-1": 45,
+    "census.subfamily.N0": 34,
+    "census.subfamily.N1": 24,
+    "census.subfamily.N2": 15,
+    "census.p_regular_classes": 347,
+    "census.p_models": 450,
+    "census.t_models": 129,
+    "census.p_symmetric": 13,
+    "census.p_symmetric_orbit_length_1": 1,
+    "census.p_symmetric_orbit_length_2": 2,
+    "census.p_symmetric_orbit_length_3": 10,
+    "census.p_cones": 2657,
+    "census.t_cones": 741,
+    "census.total_cones": 3398,
+    "census.closure_oracle": 347,
 }
-
-CLAIMED_SUBFAMILY_SIZES = {
-    FamilyId.K: 7,
-    FamilyId.M0: 10,
-    FamilyId.M_NEG1: 15,
-    FamilyId.M_NEG2: 12,
-    FamilyId.N_NEG2: 57,
-    FamilyId.N_NEG1: 45,
-    FamilyId.N0: 34,
-    FamilyId.N1: 24,
-    FamilyId.N2: 15,
-}
-
-# Orbit lengths over the 13 symmetric models: one fixed class, two of
-# length 2, ten of length 3.
-CLAIMED_SYMMETRIC_ORBITS = {1: 1, 2: 2, 3: 10}
 
 
 def default_claims_text() -> str:
@@ -79,12 +76,10 @@ def _computed(name: str, got: int, want: int) -> Verdict:
 def _closure_oracle_matches(records) -> int:
     """How many census records' orbit lengths the closure reproduces."""
     moves = MOVE_SETS["triple_group"]
-    matches = 0
-    for record in records:
-        result = closure(encode_triple(record.triple), moves)
-        if result.class_count == record.orbit_length:
-            matches += 1
-    return matches
+    return sum(
+        closure(encode_triple(r.triple), moves).class_count == r.orbit_length
+        for r in records
+    )
 
 
 def run_full_verification(
@@ -99,58 +94,34 @@ def run_full_verification(
     ``census.p_regular_classes``.
     """
     if declared is None:
-        from .declared import default_declared_text
-
         declared = load_declared(default_declared_text())
     if claims is None:
         claims = parse_claims(default_claims_text())
 
-    verdicts: list[Verdict] = []
-
     nondeg = family_nondegenerate()
     one_deg = family_one_degenerate()
     two_deg = family_two_degenerate()
-    verdicts.append(_computed("census.p_nondeg", len(nondeg), CLAIMED["p_nondeg"]))
-    verdicts.append(_computed("census.p_one_deg", len(one_deg), CLAIMED["p_one_deg"]))
-    verdicts.append(_computed("census.p_two_deg", len(two_deg), CLAIMED["p_two_deg"]))
-    sizes = subfamily_sizes(two_deg)
-    for family, want in CLAIMED_SUBFAMILY_SIZES.items():
-        verdicts.append(
-            _computed(f"census.subfamily.{family.value}", sizes[family], want)
-        )
-
     regular = nondeg + one_deg + two_deg
-    distinct = len({m.canonical_key for m in regular})
-    verdicts.append(_computed("census.p_regular_classes", distinct, CLAIMED["p_regular"]))
-
     report = build_census_report(regular, declared)
-    verdicts.append(_computed("census.p_models", report.p_models, CLAIMED["p_models"]))
-    verdicts.append(_computed("census.t_models", report.t_models, CLAIMED["t_models"]))
-    verdicts.append(
-        _computed("census.p_symmetric", len(report.p_symmetric), CLAIMED["p_symmetric"])
-    )
-    orbit_counts = Counter(r.orbit_length for r in report.p_symmetric)
-    for length, want in CLAIMED_SYMMETRIC_ORBITS.items():
-        verdicts.append(
-            _computed(
-                f"census.p_symmetric_orbit_length_{length}",
-                orbit_counts.get(length, 0),
-                want,
-            )
-        )
-    verdicts.append(_computed("census.p_cones", report.p_cones, CLAIMED["p_cones"]))
-    verdicts.append(_computed("census.t_cones", report.t_cones, CLAIMED["t_cones"]))
-    verdicts.append(
-        _computed("census.total_cones", report.total_cones, CLAIMED["total_cones"])
-    )
-
-    verdicts.append(
-        _computed(
-            "census.closure_oracle",
-            _closure_oracle_matches(report.computed),
-            CLAIMED["p_regular"],
-        )
-    )
+    sizes = subfamily_sizes(two_deg)
+    # a symmetric orbit has length 1, 2 or 3 under the order-6 group
+    lengths = Counter(r.orbit_length for r in report.p_symmetric)
+    got = {
+        "census.p_nondeg": len(nondeg),
+        "census.p_one_deg": len(one_deg),
+        "census.p_two_deg": len(two_deg),
+        **{f"census.subfamily.{f.value}": n for f, n in sizes.items()},
+        "census.p_regular_classes": len({m.canonical_key for m in regular}),
+        "census.p_models": report.p_models,
+        "census.t_models": report.t_models,
+        "census.p_symmetric": len(report.p_symmetric),
+        **{f"census.p_symmetric_orbit_length_{n}": lengths[n] for n in (1, 2, 3)},
+        "census.p_cones": report.p_cones,
+        "census.t_cones": report.t_cones,
+        "census.total_cones": report.total_cones,
+        "census.closure_oracle": _closure_oracle_matches(report.computed),
+    }
+    verdicts = [_computed(n, got[n], want) for n, want in CLAIMED.items()]
 
     audited = evaluate_claims(claims)
     return AuditReport(

@@ -63,7 +63,7 @@ def _census_payload(report: CensusReport) -> dict:
         "total_cones": report.total_cones,
         "p_symmetric": [
             {
-                "source": record.source.value,
+                "source": "computed" if record.triple else "declared",
                 "family": record.family.value
                 if hasattr(record.family, "value")
                 else record.family,
@@ -252,6 +252,19 @@ def _cmd_audit(args) -> int:
     return EXIT_OK if report.exit_status == 0 else EXIT_VERIFICATION
 
 
+def _int_at_least(low: int):
+    """An argparse type: an int of at least ``low``; below it, exit 2."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="moricensus",
@@ -290,9 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_closure.add_argument(
         "--moves", required=True, help="move set name (e.g. triple_group)"
     )
-    p_closure.add_argument("--max-classes", type=int, default=None)
-    p_closure.add_argument("--max-steps", type=int, default=None)
-    p_closure.add_argument("--workers", type=int, default=1)
+    p_closure.add_argument("--max-classes", type=_int_at_least(1), default=None)
+    p_closure.add_argument("--max-steps", type=_int_at_least(0), default=None)
+    p_closure.add_argument("--workers", type=_int_at_least(1), default=1)
     add_format(p_closure)
     p_closure.set_defaults(func=_cmd_closure)
 

@@ -1,14 +1,14 @@
 """Maximal-cone counts assembled from model censuses via orbit lengths.
 
 Each equivalence class of models contributes as many maximal cones as
-its orbit length under the order-6 group; that single aggregation rule
-reproduces the three-component count 2657, the two-component count 741,
-and the grand total 3398.
+its orbit length under the order-6 group.  Computed models sum their
+orbit lengths; a declared count gives 3 cones per symmetric model and
+6 per other one (:func:`t_cone_count`).  Together they reproduce the
+three-component count 2657 and the two-component count 741; the grand
+total 3398 is their sum.
 """
 
 from __future__ import annotations
-
-from enum import Enum
 
 from ._record import Record
 from .declared import DeclaredEntry
@@ -19,7 +19,6 @@ from .triples import _orbit_counts
 __all__ = [
     "CensusReport",
     "ModelRecord",
-    "Source",
     "build_census_report",
     "p_cone_count",
     "symmetric_p_models",
@@ -27,15 +26,10 @@ __all__ = [
 ]
 
 
-class Source(Enum):
-    COMPUTED_TRIPLE = "computed"
-    DECLARED = "declared"
-
-
 class ModelRecord(Record):
-    """A model census unit carrying its orbit length and symmetry order."""
+    """A census unit's orbit length and symmetry order, and its triple if computed."""
 
-    __slots__ = ("source", "family", "orbit_length", "symmetry_order", "triple")
+    __slots__ = ("family", "orbit_length", "symmetry_order", "triple")
     _defaults = {"triple": None}
 
     def __post_init__(self):
@@ -44,8 +38,6 @@ class ModelRecord(Record):
                 f"orbit-stabilizer violation: {self.orbit_length} x "
                 f"{self.symmetry_order} != 6"
             )
-        if self.source is Source.COMPUTED_TRIPLE and self.triple is None:
-            raise ValueError("computed record needs a triple")
 
 
 class CensusReport(Record):
@@ -55,15 +47,13 @@ class CensusReport(Record):
     """
 
     __slots__ = ("p_models", "t_models", "p_symmetric", "p_cones", "t_cones",
-                 "total_cones", "findings", "computed")
+                 "findings", "computed")
 
     _defaults = {"findings": (), "computed": ()}
 
-    def __post_init__(self):
-        if self.total_cones != self.p_cones + self.t_cones:
-            raise ValueError(
-                f"total {self.total_cones} != {self.p_cones} + {self.t_cones}"
-            )
+    @property
+    def total_cones(self) -> int:
+        return self.p_cones + self.t_cones
 
 
 def computed_record(model: RegularModel) -> ModelRecord:
@@ -75,7 +65,6 @@ def computed_record(model: RegularModel) -> ModelRecord:
     """
     images, fixing = _orbit_counts(model.triple)
     return ModelRecord(
-        source=Source.COMPUTED_TRIPLE,
         family=model.family,
         orbit_length=len(images),
         symmetry_order=fixing,
@@ -104,13 +93,17 @@ def p_cone_count(models: list[ModelRecord]) -> int:
     return sum(m.orbit_length for m in models)
 
 
-def t_cone_count(t_models: int, t_symmetric: int) -> int:
-    """Cones from two-component models: symmetric ones have orbit length 3."""
-    if not 0 <= t_symmetric <= t_models:
+def t_cone_count(models: int, symmetric: int) -> int:
+    """Cones from a declared count of models, ``symmetric`` of them symmetric.
+
+    The rule for every declared count, two-component or very degenerate:
+    a symmetric model has orbit length 3, any other orbit length 6.
+    """
+    if not 0 <= symmetric <= models:
         raise ValueError(
-            f"need 0 <= symmetric <= models, got ({t_models}, {t_symmetric})"
+            f"need 0 <= symmetric <= models, got ({models}, {symmetric})"
         )
-    return (t_models - t_symmetric) * 6 + t_symmetric * 3
+    return (models - symmetric) * 6 + symmetric * 3
 
 
 def _require(entries: dict[str, DeclaredEntry], label: str) -> DeclaredEntry:
@@ -137,9 +130,9 @@ def build_census_report(
     """Assemble the full census from computed models and declared entries.
 
     Requires entries ``t_models``, ``t_symmetric``, ``p_very_degenerate``
-    and ``p_very_degenerate_symmetric``.  Declared very-degenerate models
-    default to orbit length 6 apart from the declared symmetric ones
-    (orbit length 3).
+    and ``p_very_degenerate_symmetric``.  Both declared counts give cones
+    by :func:`t_cone_count`'s rule.  Only the declared symmetric models
+    get records, because ``p_symmetric`` lists them.
     """
     by_label = {e.label: e for e in declared}
     t_models = _require(by_label, "t_models").count
@@ -153,37 +146,17 @@ def build_census_report(
             field="p_very_degenerate_symmetric",
         )
 
-    declared_records = [
-        ModelRecord(
-            source=Source.DECLARED,
-            family="very_degenerate",
-            orbit_length=6,
-            symmetry_order=1,
-        )
-        for _ in range(p_vd - p_vd_sym)
-    ] + [
-        ModelRecord(
-            source=Source.DECLARED,
-            family="very_degenerate",
-            orbit_length=3,
-            symmetry_order=2,
-        )
+    declared_symmetric = [
+        ModelRecord(family="very_degenerate", orbit_length=3, symmetry_order=2)
         for _ in range(p_vd_sym)
     ]
-    declared_symmetric = [r for r in declared_records if r.symmetry_order > 1]
-
     computed = [computed_record(m) for m in regular]
-    symmetric = symmetric_p_models(computed, declared_symmetric)
-    records = computed + declared_records
-    p_cones = p_cone_count(records)
-    t_cones = t_cone_count(t_models, t_symmetric)
     return CensusReport(
-        p_models=len(records),
+        p_models=len(computed) + p_vd,
         t_models=t_models,
-        p_symmetric=tuple(symmetric),
-        p_cones=p_cones,
-        t_cones=t_cones,
-        total_cones=p_cones + t_cones,
+        p_symmetric=tuple(symmetric_p_models(computed, declared_symmetric)),
+        p_cones=p_cone_count(computed) + t_cone_count(p_vd, p_vd_sym),
+        t_cones=t_cone_count(t_models, t_symmetric),
         findings=RECORDED_FINDINGS,
         computed=tuple(computed),
     )

@@ -159,7 +159,8 @@ def parse_graph_file(text: str) -> LabeledGraph:
     """Parse the line-oriented graph format into a normalized graph.
 
     Raises ConfigError with a line number on malformed input, unknown
-    node references, or duplicate node ids.
+    node references, duplicate node ids, self-loops or a multiplicity
+    below 1.  What reaches ``LabeledGraph.build`` is then valid edges.
     """
     ids: dict[str, int] = {}
     labels: list[int] = []
@@ -194,12 +195,12 @@ def parse_graph_file(text: str) -> LabeledGraph:
                 raise ConfigError("self-loops are not supported", line=lineno,
                                   field="edge")
             mult = int(m.group(4)) if m.group(4) else 1
+            if mult < 1:
+                raise ConfigError(f"edge multiplicity must be >= 1, got {mult}",
+                                  line=lineno, field="mult")
             raw_edges.append((ids[a], ids[b], int(m.group(3)), mult))
         else:
             raise ConfigError(
                 f"expected 'node' or 'edge', got {line.split()[0]!r}", line=lineno
             )
-    try:
-        return LabeledGraph.build(labels, raw_edges)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return LabeledGraph.build(labels, raw_edges)

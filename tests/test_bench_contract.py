@@ -23,7 +23,7 @@ import pytest
 from moricensus.audit import default_claims_text, run_full_verification
 from moricensus.claims import evaluate_claims, parse_claims
 from moricensus.closure import MOVE_SETS, closure, encode_triple
-from moricensus import _canon_py, graphs
+from moricensus import _canon_py, audit, graphs
 from moricensus.triples import Triple
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -60,6 +60,16 @@ def test_claim_answers_match_evaluator():
         for v in evaluate_claims(parse_claims(text)).verdicts
     ]
     assert load("workloads").claim_answers(text) == rows
+
+
+def test_claimed_table_follows_verify_snapshot():
+    # one expected value per census verdict, in the order the report
+    # and the benchmark's snapshot list them
+    verdicts = json.loads((ROOT / "perfbench" / "snapshots" / "verify.json")
+                          .read_text())["verdicts"]
+    census = [(v["name"], v["rhs"]) for v in verdicts
+              if v["name"].startswith("census.")]
+    assert list(audit.CLAIMED.items()) == census
 
 
 def test_kernel_signature_serves_bench_graphs():

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -259,7 +260,8 @@ def test_closure_rejects_zero_multiplicity_graph(tmp_path, capsys):
                          "--moves", "triple_group")
     assert code == 2
     assert out == ""
-    assert err == "error: edge multiplicity must be >= 1: (0, 1, -6, 0)\n"
+    assert err == \
+        "error: edge multiplicity must be >= 1, got 0 (line 4, field 'mult')\n"
 
 
 @pytest.mark.parametrize("label, code", [(1_000_000, 0), (1_000_001, 2)])
@@ -282,6 +284,53 @@ def test_closure_budget_exhaustion_is_verification_failure(graph_file, capsys):
                        "--moves", "triple_group", "--max-classes", "2")
     assert code == 1
     assert "budget" in err
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--max-steps", "-5", "must be >= 0, got -5"),
+    ("--max-classes", "-1", "must be >= 1, got -1"),
+    ("--max-classes", "0", "must be >= 1, got 0"),
+    ("--workers", "0", "must be >= 1, got 0"),
+    ("--workers", "-3", "must be >= 1, got -3"),
+], ids=["steps_negative", "classes_negative", "classes_zero", "workers_zero",
+        "workers_negative"])
+def test_closure_rejects_budget_out_of_range(graph_file, capsys, option, value,
+                                             message):
+    # a bad budget is the user's input (2), not a failed closure (1)
+    with pytest.raises(SystemExit) as exc_info:
+        main(["closure", "--graph", graph_file, "--moves", "triple_group",
+              option, value])
+    assert exc_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: moricensus closure")
+    assert captured.err.endswith(f"error: argument {option}: {message}\n")
+
+
+def test_closure_zero_step_budget_closes_under_no_moves(graph_file, capsys):
+    code, out, _ = run(capsys, "closure", "--graph", graph_file,
+                       "--moves", "none", "--max-steps", "0", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["class_count"] == 1
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["audit"], 0),
+    (["audit", "--claims", "no-such-claims.txt"], 2),
+], ids=["audit", "missing_claims"])
+def test_module_entry_point_exits_with_main_status(monkeypatch, tmp_path, capsys,
+                                                  argv, code):
+    # a fresh import under __main__; with the module still loaded, runpy
+    # warns that it may run twice
+    monkeypatch.delitem(sys.modules, "moricensus.cli")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["moricensus", *argv])
+    with pytest.raises(SystemExit) as exc_info:
+        runpy.run_module("moricensus.cli", run_name="__main__")
+    assert exc_info.value.code == code
+    captured = capsys.readouterr()
+    assert ("exit status: 0" in captured.out) == (code == 0)
+    assert captured.err.startswith("error: ") == (code == 2)
 
 
 def test_audit_default_claims(capsys):

@@ -468,9 +468,10 @@ def test_parse_graph_file_reports_malformed_edge_line():
     assert exc_info.value.line == 3
 
 
-def test_parse_graph_file_turns_build_errors_into_config_errors():
-    # the line regex accepts mult=0; build rejects it
+def test_parse_graph_file_rejects_zero_multiplicity():
+    # the line regex accepts mult=0; the parser rejects it on its line
     with pytest.raises(ConfigError) as exc_info:
         parse_graph_file("node a label=1\nnode b label=1\nedge a b label=0 mult=0\n")
-    assert str(exc_info.value) == "edge multiplicity must be >= 1: (0, 1, 0, 0)"
-    assert isinstance(exc_info.value.__cause__, ValueError)
+    assert str(exc_info.value) == \
+        "edge multiplicity must be >= 1, got 0 (line 3, field 'mult')"
+    assert (exc_info.value.line, exc_info.value.field) == (3, "mult")

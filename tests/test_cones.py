@@ -1,9 +1,11 @@
 import pytest
 
+from moricensus import audit, cones, families
+from moricensus.audit import run_full_verification
+from moricensus.cli import main
 from moricensus.cones import (
     CensusReport,
     ModelRecord,
-    Source,
     build_census_report,
     computed_record,
     p_cone_count,
@@ -11,27 +13,29 @@ from moricensus.cones import (
     t_cone_count,
 )
 from moricensus.declared import default_declared_text, load_declared
-from moricensus.families import regular_models
-from moricensus.triples import Triple, orbit
+from moricensus.errors import ConfigError, DuplicateClassError
+from moricensus.families import FamilyId, RegularModel, regular_models
+from moricensus.triples import Triple, canonical, orbit
+
+from linetrace import unrun_lines
+
+
+def reading(p_vd, p_vd_sym, t_models=129, t_sym=11):
+    return load_declared(
+        f"entry t_models: count={t_models}\n"
+        f"entry t_symmetric: count={t_sym}\n"
+        f"entry p_very_degenerate: count={p_vd}\n"
+        f"entry p_very_degenerate_symmetric: count={p_vd_sym}\n"
+    )
 
 
 def declared_symmetric_record():
-    return ModelRecord(
-        source=Source.DECLARED,
-        family="very_degenerate",
-        orbit_length=3,
-        symmetry_order=2,
-    )
+    return ModelRecord(family="very_degenerate", orbit_length=3, symmetry_order=2)
 
 
 def declared_generic_records(count):
     return [
-        ModelRecord(
-            source=Source.DECLARED,
-            family="very_degenerate",
-            orbit_length=6,
-            symmetry_order=1,
-        )
+        ModelRecord(family="very_degenerate", orbit_length=6, symmetry_order=1)
         for _ in range(count)
     ]
 
@@ -42,17 +46,7 @@ def computed_records():
 
 def test_model_record_rejects_orbit_stabilizer_violation():
     with pytest.raises(ValueError):
-        ModelRecord(
-            source=Source.DECLARED, family="x", orbit_length=4, symmetry_order=2
-        )
-
-
-def test_computed_record_needs_triple():
-    with pytest.raises(ValueError):
-        ModelRecord(
-            source=Source.COMPUTED_TRIPLE, family="x", orbit_length=6,
-            symmetry_order=1,
-        )
+        ModelRecord(family="x", orbit_length=4, symmetry_order=2)
 
 
 def test_computed_record_validates_orbit_length():
@@ -95,7 +89,6 @@ def test_p_cone_count_computed_subtotal():
 
 def test_single_fully_symmetric_model_contributes_one_cone():
     record = ModelRecord(
-        source=Source.COMPUTED_TRIPLE,
         family="x",
         orbit_length=1,
         symmetry_order=6,
@@ -126,7 +119,12 @@ def test_t_cone_count_rejects_bad_split():
 
 
 def test_census_report_total_invariant():
-    with pytest.raises(ValueError):
+    # the total is derived, so no report can state another one
+    report = CensusReport(
+        p_models=450, t_models=129, p_symmetric=(), p_cones=2657, t_cones=741
+    )
+    assert report.total_cones == 3398
+    with pytest.raises(TypeError):
         CensusReport(
             p_models=450,
             t_models=129,
@@ -184,3 +182,88 @@ def test_expected_symmetric_set_matches_orbit_analysis():
         m.triple for m in regular_models() if orbit(m.triple).stabilizer_order > 1
     }
     assert found == expected
+
+
+def test_build_census_report_builds_only_declared_symmetric_records(monkeypatch):
+    # the 102 other very-degenerate models enter only through their count
+    expected = [declared_symmetric_record()]
+    built = []
+    check = ModelRecord.__post_init__
+
+    def counting(record):
+        built.append(record)
+        check(record)
+
+    monkeypatch.setattr(ModelRecord, "__post_init__", counting)
+    report = build_census_report(
+        regular_models(), load_declared(default_declared_text())
+    )
+    assert report.p_cones == 2657
+    assert len(built) == 347 + 1
+    assert [r for r in built if r.triple is None] == expected
+
+
+def test_build_census_report_applies_one_rule_to_declared_counts():
+    report = build_census_report(regular_models(), reading(98, 4))
+    assert report.p_models == 347 + 98
+    assert report.p_cones == 2042 + 94 * 6 + 4 * 3 == 2618
+    assert len(report.p_symmetric) == 16
+    assert report.p_symmetric[12:] == (declared_symmetric_record(),) * 4
+
+
+def test_build_census_report_without_declared_symmetric_models():
+    report = build_census_report(regular_models(), reading(103, 0))
+    assert report.p_cones == 2042 + 103 * 6
+    assert len(report.p_symmetric) == 12
+    assert all(r.triple is not None for r in report.p_symmetric)
+
+
+def plant_overlap(monkeypatch):
+    """Add to family K the image (1, -1, 0) of the nondegenerate (0, 1, -1)."""
+    two_degenerate = families.family_two_degenerate
+    image = Triple(1, -1, 0)
+    planted = RegularModel(image, FamilyId.K, canonical(image))
+    monkeypatch.setattr(families, "family_two_degenerate",
+                        lambda: two_degenerate() + [planted])
+
+
+def test_regular_models_rejects_planted_overlap(monkeypatch, capsys):
+    plant_overlap(monkeypatch)
+    with pytest.raises(DuplicateClassError) as exc_info:
+        regular_models()
+    err = exc_info.value
+    assert (err.first, err.second) == (Triple(0, 1, -1), Triple(1, -1, 0))
+    assert err.key == canonical(Triple(0, 1, -1)) == Triple(-1, 0, 1)
+    assert main(["census"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: triples (0, 1, -1) and (1, -1, 0) share canonical key (-1, 0, 1)\n"
+    )
+
+
+def test_every_census_line_runs(monkeypatch):
+    # shipped verify, the readings above, the rejected readings, a record
+    # that breaks orbit-stabilizer and the planted overlap reach every
+    # line of the census layer; a line none of them runs is a branch no
+    # input takes
+    def expect(error, call):
+        with pytest.raises(error):
+            call()
+
+    def run():
+        run_full_verification()
+        for declared in (reading(98, 4), reading(103, 0)):
+            build_census_report(regular_models(), declared)
+            run_full_verification(declared)
+        for declared in (
+            load_declared("entry t_models: count=129\n"),
+            reading(104, 105),
+        ):
+            expect(ConfigError, lambda: build_census_report([], declared))
+        expect(ValueError, lambda: build_census_report([], reading(0, 0, 10, 11)))
+        expect(ValueError, lambda: ModelRecord("x", 4, 2))
+        plant_overlap(monkeypatch)
+        expect(DuplicateClassError, regular_models)
+
+    assert unrun_lines([families, cones, audit], run) == []

@@ -5,10 +5,7 @@ brute-force permutation search that shares no code with the kernel.
 """
 
 import importlib.util
-import inspect
 import itertools
-import sys
-import types
 from pathlib import Path
 
 import pytest
@@ -17,6 +14,8 @@ from hypothesis import given, settings, strategies as st
 from moricensus import _canon_py
 from moricensus.closure import encode_triple
 from moricensus.triples import Triple
+
+from linetrace import unrun_lines
 
 
 graph_data = st.integers(1, 5).flatmap(
@@ -385,36 +384,11 @@ def test_random_multigraph_forms_survive_relabelling(n, rng):
         _canon_py.canonical_sequence(*relabelled(*graph, rng))
 
 
-def _kernel_lines():
-    """Lines of the kernel's functions that hold an instruction."""
-    stack = [f.__code__ for f in vars(_canon_py).values()
-             if inspect.isfunction(f) and f.__module__ == _canon_py.__name__]
-    lines = set()
-    while stack:
-        code = stack.pop()
-        lines.update(line for _, _, line in code.co_lines() if line is not None)
-        stack.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
-    return lines
-
-
 def test_every_kernel_line_runs():
     # one graph per exit reaches every line; a line none of them runs is
     # an exit or branch no input takes
-    filename = _canon_py.__file__
-    ran = set()
-
-    def trace(frame, event, arg):
-        if frame.f_code.co_filename != filename:
-            return None
-        ran.add(frame.f_lineno)
-        return trace
-
-    previous = sys.gettrace()
-    sys.settrace(trace)
-    try:
+    def run():
         for graph, _ in EXIT_CASES:
             _canon_py.canonical_sequence(*graph)
-    finally:
-        sys.settrace(previous)
-    source = Path(filename).read_text().splitlines()
-    assert [source[line - 1] for line in sorted(_kernel_lines() - ran)] == []
+
+    assert unrun_lines([_canon_py], run) == []

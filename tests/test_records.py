@@ -14,7 +14,7 @@ from moricensus._record import Record
 from moricensus.claims import (
     AuditReport, Claim, IntLit, Neg, Product, Sum, Verdict)
 from moricensus.closure import ClosureResult, MoveOperator, MoveSet
-from moricensus.cones import CensusReport, ModelRecord, Source
+from moricensus.cones import CensusReport, ModelRecord
 from moricensus.declared import DeclaredEntry
 from moricensus.families import FamilyId, RegularModel
 from moricensus.graphs import LabeledGraph
@@ -32,8 +32,8 @@ RECORDS = {
     MoveOperator: lambda: MoveOperator("copy", tuple),
     MoveSet: lambda: MoveSet((MoveOperator("copy", tuple),)),
     ClosureResult: lambda: ClosureResult(frozenset({(1, 2)}), 0),
-    ModelRecord: lambda: ModelRecord(Source.DECLARED, "very_degenerate", 6, 1),
-    CensusReport: lambda: CensusReport(450, 129, (), 2657, 741, 3398),
+    ModelRecord: lambda: ModelRecord("very_degenerate", 6, 1),
+    CensusReport: lambda: CensusReport(450, 129, (), 2657, 741),
     DeclaredEntry: lambda: DeclaredEntry("t_models", 129, "cite", (83, 1, 45)),
     RegularModel: lambda: RegularModel(Triple(0, 1, 2), FamilyId.NONDEG,
                                        Triple(0, 1, 2)),
@@ -129,8 +129,8 @@ def test_record_defaults():
     moves = MoveSet()
     assert moves.moves == () and moves.to_state(5) == moves.to_graph(5) == 5
     assert DeclaredEntry("x", 1) == DeclaredEntry("x", 1, "", None)
-    assert ModelRecord(Source.DECLARED, "f", 6, 1).triple is None
-    report = CensusReport(450, 129, (), 2657, 741, 3398)
+    assert ModelRecord("f", 6, 1).triple is None
+    report = CensusReport(450, 129, (), 2657, 741)
     assert report.findings == report.computed == ()
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from moricensus.triples import (
     COMPONENT_BOUND,
     GroupElement,
+    OrbitRecord,
     Triple,
     apply,
     canonical,
@@ -148,6 +149,12 @@ def test_orbit_of_generic_triple_has_six_distinct_images():
     images = {RAW[g.value](1, 2, -2) for g in GroupElement}
     assert len(images) == 6
     assert orbit(Triple(1, 2, -2)).members == {Triple(*x) for x in images}
+
+
+def test_orbit_record_rejects_orbit_stabilizer_violation():
+    with pytest.raises(ValueError) as exc_info:
+        OrbitRecord(Triple(1, 2, 3), frozenset({Triple(1, 2, 3)}), 2)
+    assert str(exc_info.value) == "orbit-stabilizer violation: |orbit|=1 stabilizer=2"
 
 
 @given(triples)
