@@ -2,18 +2,18 @@
 
 A move set (:class:`MoveSet`) acts on *states*: it checks the seed graph
 once, at the boundary, and turns it into a state; its moves map states
-to states; and it builds a state's labelled graph only for the
-canonical-form kernel.  The search keeps the set of known isomorphism
-classes (keyed by canonical form), repeatedly applies every move to
-every frontier state, and stops when no move produces a new class; the
-result is the smallest iso-closed set of classes containing the seed.
+to states; and it maps a state to its canonical form.  The search keeps
+the set of known isomorphism classes (keyed by canonical form),
+repeatedly applies every move to every frontier state, and stops when no
+move produces a new class; the result is the smallest iso-closed set of
+classes containing the seed.
 
 Graph-level move sets use the graph itself as the state.  The geometric
 flop rules live elsewhere, so the only shipped moves are the triple
 group action, which doubles as a test oracle (the closure of a rigidly
 encoded triple has exactly as many classes as the triple's orbit).  Its
 states are plain ``(a, b, c)`` tuples, so a move that rediscovers a
-known state costs one tuple lookup, and each new class builds one graph.
+known state costs one tuple lookup, and a new one builds no graph.
 
 Frontier expansion can run on worker threads; results are merged on the
 caller's thread in frontier order, so the final class set is identical
@@ -26,7 +26,7 @@ from typing import Callable
 
 from ._record import Record
 from .errors import BudgetExceededError
-from .graphs import LabeledGraph, canonical_graph
+from .graphs import LabeledGraph, canonical_form, canonical_graph
 from .triples import _ACTIONS, GroupElement, Triple, _plain_components
 
 __all__ = [
@@ -51,18 +51,17 @@ def _identity(x):
 
 
 class MoveSet(Record):
-    """Moves over states, with the maps between graphs and states.
+    """Moves over states, with the maps from graphs to states to forms.
 
     ``to_state`` turns the seed graph into a state once, at the closure
     boundary, and raises ValueError for a seed the moves cannot act on.
-    ``to_graph`` builds the labelled graph of a state for
-    ``canonical_graph``; it must map the seed's state to a graph
-    isomorphic to the seed.  Graph-level move sets keep the identity
-    for both, so their states are the graphs themselves.
+    ``to_form`` gives a state's canonical form; it must give the seed's
+    state the seed's ``canonical_graph``.  Graph-level move sets keep
+    the defaults, so their states are the graphs themselves.
     """
 
-    __slots__ = ("moves", "to_state", "to_graph")
-    _defaults = {"moves": (), "to_state": _identity, "to_graph": _identity}
+    __slots__ = ("moves", "to_state", "to_form")
+    _defaults = {"moves": (), "to_state": _identity, "to_form": canonical_graph}
 
 
 class ClosureResult(Record):
@@ -99,7 +98,7 @@ def closure(
     expansion steps.
     """
     applies = [move.apply_all for move in move_set.moves]
-    to_graph = move_set.to_graph
+    to_form = move_set.to_form
     start = move_set.to_state(seed)
     # Equal states have equal forms.  Two worker threads may both fill
     # one key; they write the same value.
@@ -114,7 +113,7 @@ def closure(
             for image in apply_all(state):
                 key = forms.get(image)
                 if key is None:
-                    key = forms[image] = canonical_graph(to_graph(image))
+                    key = forms[image] = to_form(image)
                 out.append((key, image))
         return out
 
@@ -157,12 +156,18 @@ def encode_triple(t: Triple) -> LabeledGraph:
     return _encode((t.a, t.b, t.c))
 
 
+def _triple_edges(a: int, b: int, c: int) -> tuple:
+    return ((0, 1, a, 1), (0, 2, c, 1), (1, 2, b, 1))
+
+
 def _encode(components: tuple[int, int, int]) -> LabeledGraph:
-    a, b, c = components
-    return LabeledGraph(
-        node_labels=(0, 1, 2),
-        edges=((0, 1, a, 1), (0, 2, c, 1), (1, 2, b, 1)),
-    )
+    return LabeledGraph(node_labels=(0, 1, 2), edges=_triple_edges(*components))
+
+
+def _triple_form(state: tuple[int, int, int]) -> tuple[int, ...]:
+    """``canonical_graph(_encode(state))`` without the graph: the edges of
+    int components are already normalized, and moves keep them ints."""
+    return canonical_form((0, 1, 2), _triple_edges(*state))
 
 
 def _rigid_components(g: LabeledGraph) -> tuple[int, int, int] | None:
@@ -171,8 +176,7 @@ def _rigid_components(g: LabeledGraph) -> tuple[int, int, int] | None:
     edges = g.edges
     if g.node_labels == (0, 1, 2) and len(edges) == 3:
         (_, _, a, _), (_, _, c, _), (_, _, b, _) = edges
-        if (edges == ((0, 1, a, 1), (0, 2, c, 1), (1, 2, b, 1))
-                and _plain_components(a, b, c)):
+        if edges == _triple_edges(a, b, c) and _plain_components(a, b, c):
             return a, b, c
     return None
 
@@ -217,6 +221,6 @@ MOVE_SETS: dict[str, MoveSet] = {
                          apply_all=_triple_move(_ACTIONS[GroupElement.I])),
         ),
         to_state=_triple_state,
-        to_graph=_encode,
+        to_form=_triple_form,
     ),
 }

@@ -130,21 +130,23 @@ def build_census_report(
     """Assemble the full census from computed models and declared entries.
 
     Requires entries ``t_models``, ``t_symmetric``, ``p_very_degenerate``
-    and ``p_very_degenerate_symmetric``.  Both declared counts give cones
-    by :func:`t_cone_count`'s rule.  Only the declared symmetric models
+    and ``p_very_degenerate_symmetric``, and no more symmetric models than
+    models in either pair.  Both declared counts give cones by
+    :func:`t_cone_count`'s rule.  Only the declared symmetric models
     get records, because ``p_symmetric`` lists them.
     """
     by_label = {e.label: e for e in declared}
-    t_models = _require(by_label, "t_models").count
-    t_symmetric = _require(by_label, "t_symmetric").count
-    p_vd = _require(by_label, "p_very_degenerate").count
-    p_vd_sym = _require(by_label, "p_very_degenerate_symmetric").count
-    if p_vd_sym > p_vd:
-        raise ConfigError(
-            f"p_very_degenerate_symmetric={p_vd_sym} exceeds "
-            f"p_very_degenerate={p_vd}",
-            field="p_very_degenerate_symmetric",
-        )
+    count = {label: _require(by_label, label).count for label in (
+        "t_models", "t_symmetric", "p_very_degenerate",
+        "p_very_degenerate_symmetric")}
+    for models, symmetric in (("p_very_degenerate", "p_very_degenerate_symmetric"),
+                              ("t_models", "t_symmetric")):
+        if count[symmetric] > count[models]:
+            raise ConfigError(
+                f"{symmetric}={count[symmetric]} exceeds {models}={count[models]}",
+                field=symmetric,
+            )
+    t_models, t_symmetric, p_vd, p_vd_sym = count.values()
 
     declared_symmetric = [
         ModelRecord(family="very_degenerate", orbit_length=3, symmetry_order=2)

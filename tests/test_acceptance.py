@@ -184,7 +184,7 @@ def test_criterion_9_property_suite():
     order = list(moves.moves)
     rng.shuffle(order)
     shuffled = MoveSet(moves=tuple(order), to_state=moves.to_state,
-                       to_graph=moves.to_graph)
+                       to_form=moves.to_form)
     for model in regular_models():
         expected = orbit(model.triple).length
         seed = encode_triple(model.triple)

@@ -156,6 +156,18 @@ def test_census_rejects_incomplete_reading(tmp_path, capsys, config, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["census", "verify"])
+def test_more_t_symmetric_than_t_models_is_input_error(tmp_path, capsys, command):
+    # checked beside the very-degenerate pair, so the error names the entry
+    path = tmp_path / "declared.cfg"
+    path.write_text(VD_104_READING.replace("count=129 breakdown=83+1+45", "count=10"),
+                    encoding="utf-8")
+    code, out, err = run(capsys, command, "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: t_symmetric=11 exceeds t_models=10 (field 't_symmetric')\n"
+
+
 @pytest.mark.parametrize("command", ["audit", "verify"])
 def test_verdicts_as_csv(capsys, command):
     code, out, _ = run(capsys, command, "--format", "csv")

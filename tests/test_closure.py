@@ -11,6 +11,8 @@ from moricensus.closure import (
     MOVE_SETS,
     MoveOperator,
     MoveSet,
+    _encode,
+    _triple_form,
     closure,
     decode_triple,
     encode_triple,
@@ -22,11 +24,15 @@ from moricensus.errors import (
 )
 from moricensus.graphs import (
     LabeledGraph,
+    canonical_backend,
+    canonical_form,
     canonical_graph,
     iso,
     parse_graph_file,
 )
-from moricensus.triples import Triple, orbit
+from moricensus.triples import COMPONENT_BOUND, Triple, orbit
+
+from linetrace import unrun_lines
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +141,7 @@ def test_canonical_form_injective_on_reconstruction(data):
     assert degree_total == len(g.edges)
 
 
-@pytest.mark.parametrize("make", [
+NOT_INT_GRAPHS = [
     lambda: LabeledGraph((0, 1, 2), ((0, 1, True, 1), (0, 2, 3, 1), (1, 2, 0, 1))),
     lambda: LabeledGraph((0, True, 2), ()),
     lambda: LabeledGraph((0, 2.0), ()),
@@ -148,16 +154,20 @@ def test_canonical_form_injective_on_reconstruction(data):
     lambda: LabeledGraph.build((0, 1), [(False, True, 5)]),
     lambda: LabeledGraph.build((0, 1), [(0, 1, 5), (False, True, 5)]),
     lambda: LabeledGraph.build((0, 1), [(0.0, 1, 5)]),
-], ids=["bool_edge_label", "bool_node_label", "float_node_label",
-        "float_edge_label", "bool_mult", "float_mult", "build_float_node_label",
-        "bool_endpoints", "float_endpoint", "build_bool_endpoints",
-        "build_bool_endpoints_after_int_twin", "build_float_endpoint"])
+]
+
+
+@pytest.mark.parametrize("make", NOT_INT_GRAPHS, ids=[
+    "bool_edge_label", "bool_node_label", "float_node_label",
+    "float_edge_label", "bool_mult", "float_mult", "build_float_node_label",
+    "bool_endpoints", "float_endpoint", "build_bool_endpoints",
+    "build_bool_endpoints_after_int_twin", "build_float_endpoint"])
 def test_graph_rejects_labels_and_mults_that_are_not_ints(make):
     with pytest.raises(ValueError, match="must be an int"):
         make()
 
 
-@pytest.mark.parametrize("make, message", [
+MALFORMED_EDGES = [
     (lambda: LabeledGraph((0, 1), ((1, 0, 5, 1),)),
      r"bad edge endpoints \(1, 0, 5, 1\) for 2 nodes"),
     (lambda: LabeledGraph((0, 1), ((0, 2, 5, 1),)),
@@ -180,10 +190,14 @@ def test_graph_rejects_labels_and_mults_that_are_not_ints(make):
      "edge endpoint out of range"),
     (lambda: LabeledGraph.build((0, 1), [(0, 1, 5, 0)]),
      r"edge multiplicity must be >= 1: \(0, 1, 5, 0\)"),
-], ids=["reversed_endpoints", "endpoint_past_n", "zero_mult", "unsorted",
-        "duplicate_key", "build_two_fields", "build_five_fields",
-        "build_self_loop", "build_endpoint_past_n", "build_negative_endpoint",
-        "build_zero_mult"])
+]
+
+
+@pytest.mark.parametrize("make, message", MALFORMED_EDGES, ids=[
+    "reversed_endpoints", "endpoint_past_n", "zero_mult", "unsorted",
+    "duplicate_key", "build_two_fields", "build_five_fields",
+    "build_self_loop", "build_endpoint_past_n", "build_negative_endpoint",
+    "build_zero_mult"])
 def test_graph_rejects_malformed_edges(make, message):
     with pytest.raises(ValueError, match=message):
         make()
@@ -202,6 +216,14 @@ def test_rigid_encoding_separates_distinct_triples():
     assert not iso(encode_triple(Triple(1, 2, 3)), encode_triple(Triple(3, 2, 1)))
 
 
+def test_triple_form_is_the_form_of_the_encoding():
+    # the closure's forms are those of the graphs it no longer builds
+    corners = itertools.product((-COMPONENT_BOUND, COMPONENT_BOUND), repeat=3)
+    box = itertools.product(range(-9, 10), repeat=3)
+    for state in itertools.chain(box, corners):
+        assert _triple_form(state) == canonical_graph(_encode(state)), state
+
+
 def test_decode_rejects_non_encodings():
     with pytest.raises(ValueError):
         decode_triple(LabeledGraph.build([0, 1], [(0, 1, 3)]))
@@ -218,13 +240,16 @@ def test_decode_rejects_non_encodings():
 # closure
 
 
-@pytest.mark.parametrize("seed", [
+OFF_ENCODING_SEEDS = [
     LabeledGraph.build([0, 1, 2], [(0, 1, 1_000_001), (1, 2, 0), (2, 0, 3)]),
     LabeledGraph.build([0, 1, 2], [(0, 1, 5, 2), (1, 2, 0), (2, 0, 3)]),
     LabeledGraph.build([0, 1, 2], [(0, 1, 5), (0, 1, 7), (1, 2, 0), (2, 0, 3)]),
     LabeledGraph.build([0, 1, 3], [(0, 1, 5), (1, 2, 0), (2, 0, 3)]),
-], ids=["label_out_of_bound", "mult_2", "two_edges_on_a_pair",
-        "node_labels_013"])
+]
+
+
+@pytest.mark.parametrize("seed", OFF_ENCODING_SEEDS, ids=[
+    "label_out_of_bound", "mult_2", "two_edges_on_a_pair", "node_labels_013"])
 def test_closure_rejects_seeds_off_the_encoding(seed):
     with pytest.raises(ValueError) as decoded:
         decode_triple(seed)
@@ -249,9 +274,9 @@ def test_closure_builds_no_triple(monkeypatch):
     assert built == []
 
 
-def test_closure_builds_one_graph_per_new_class(monkeypatch):
-    # the caller's seed is canonicalized as given; moves build no graph
-    # for a rediscovered state
+def test_closure_builds_no_graph_past_the_seed(monkeypatch):
+    # the caller's seed is canonicalized as given; the states moves reach
+    # go to the kernel as labels and edges, with no graph built
     seed = encode_triple(Triple(-6, 0, 3))
     built = []
     check = LabeledGraph.__post_init__
@@ -263,7 +288,7 @@ def test_closure_builds_one_graph_per_new_class(monkeypatch):
     monkeypatch.setattr(LabeledGraph, "__post_init__", counting)
     result = closure(seed, MOVE_SETS["triple_group"])
     assert result.class_count == 6
-    assert len(built) == result.class_count - 1 == 5
+    assert built == []
 
 
 def test_closure_with_no_moves_is_single_class():
@@ -288,18 +313,54 @@ def test_closure_of_fixed_point_is_single_class():
     (Triple(0, 0, 0), 1, 2),
 ])
 def test_closure_canonicalizes_each_distinct_graph_once(monkeypatch, t, calls, steps):
-    # the package exports the function ``closure`` under the module's name
+    # the seed goes through ``canonical_graph`` as the caller's graph, and
+    # each other distinct state once through ``canonical_form``; the
+    # package exports the function ``closure`` under the module's name
     closure_module = importlib.import_module("moricensus.closure")
-    seen = []
+    graphs_seen, forms_seen = [], []
 
-    def counting(g):
-        seen.append(g)
+    def counting_graph(g):
+        graphs_seen.append(g)
         return canonical_graph(g)
 
-    monkeypatch.setattr(closure_module, "canonical_graph", counting)
-    result = closure(encode_triple(t), MOVE_SETS["triple_group"])
-    assert len(seen) == len(set(seen)) == calls
+    def counting_form(labels, edges):
+        forms_seen.append((labels, edges))
+        return canonical_form(labels, edges)
+
+    monkeypatch.setattr(closure_module, "canonical_graph", counting_graph)
+    monkeypatch.setattr(closure_module, "canonical_form", counting_form)
+    seed = encode_triple(t)
+    result = closure(seed, MOVE_SETS["triple_group"])
+    assert graphs_seen == [seed]
+    assert len(forms_seen) == len(set(forms_seen)) == calls - 1
+    assert (seed.node_labels, seed.edges) not in forms_seen
     assert result.expansion_steps == steps
+
+
+def test_verification_canonicalizes_each_orbit_member_once(monkeypatch):
+    # the closure oracle canonicalizes its 347 seeds as graphs and the
+    # 1,695 other orbit members as forms: one kernel call per member
+    from moricensus.audit import run_full_verification
+    from moricensus.cones import computed_record
+    from moricensus.families import regular_models
+
+    closure_module = importlib.import_module("moricensus.closure")
+    calls = {"graph": 0, "form": 0}
+
+    def counting_graph(g):
+        calls["graph"] += 1
+        return canonical_graph(g)
+
+    def counting_form(labels, edges):
+        calls["form"] += 1
+        return canonical_form(labels, edges)
+
+    monkeypatch.setattr(closure_module, "canonical_graph", counting_graph)
+    monkeypatch.setattr(closure_module, "canonical_form", counting_form)
+    run_full_verification()
+    members = sum(computed_record(m).orbit_length for m in regular_models())
+    assert calls == {"graph": 347, "form": 1695}
+    assert calls["graph"] + calls["form"] == members == 2042
 
 
 def test_closure_steps_count_rediscoveries_on_census():
@@ -320,13 +381,27 @@ def test_closure_oracle_over_sample_of_census():
         assert result.class_count == orbit(model.triple).length
 
 
+def test_closure_matches_the_graph_path_on_census():
+    # the same classes and steps as when each state's graph is built
+    from moricensus.families import regular_models
+
+    moves = MOVE_SETS["triple_group"]
+    via_graphs = MoveSet(moves=moves.moves, to_state=moves.to_state,
+                         to_form=lambda state: canonical_graph(_encode(state)))
+    for model in regular_models():
+        seed = encode_triple(model.triple)
+        result, reference = closure(seed, moves), closure(seed, via_graphs)
+        assert result.classes == reference.classes, model.triple
+        assert result.expansion_steps == reference.expansion_steps
+
+
 def test_closure_order_independent():
     t = Triple(1, 2, -2)
     moves = MOVE_SETS["triple_group"]
     forward = closure(encode_triple(t), moves)
     backward = closure(encode_triple(t), MoveSet(
         moves=tuple(reversed(moves.moves)), to_state=moves.to_state,
-        to_graph=moves.to_graph))
+        to_form=moves.to_form))
     assert forward.classes == backward.classes
 
 
@@ -362,7 +437,7 @@ def test_closure_monotone_in_move_set():
     t = Triple(1, 1, 1)
     moves = MOVE_SETS["triple_group"]
     shift_only = closure(encode_triple(t), MoveSet(
-        moves=moves.moves[:1], to_state=moves.to_state, to_graph=moves.to_graph))
+        moves=moves.moves[:1], to_state=moves.to_state, to_form=moves.to_form))
     both = closure(encode_triple(t), moves)
     assert both.class_count >= shift_only.class_count
 
@@ -393,7 +468,7 @@ def count_up(k):
 COUNTING = MoveSet(
     moves=(MoveOperator(name="count", apply_all=count_up),),
     to_state=lambda g: g.node_labels[0],
-    to_graph=lambda k: LabeledGraph.build([k]),
+    to_form=lambda k: canonical_graph(LabeledGraph.build([k])),
 )
 
 
@@ -445,17 +520,17 @@ def test_parse_graph_file_default_mult():
     assert g2.edges == ((0, 1, 0, 3),)
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "node a\n",  # missing label
-        "node a label=1\nnode a label=2\n",  # duplicate id
-        "edge a b label=0\n",  # unknown nodes
-        "node a label=1\nedge a a label=0\n",  # self loop
-        "vertex a label=1\n",  # unknown directive
-        "node a label=1 extra=2\n",  # trailing junk
-    ],
-)
+BAD_GRAPH_FILES = [
+    "node a\n",  # missing label
+    "node a label=1\nnode a label=2\n",  # duplicate id
+    "edge a b label=0\n",  # unknown nodes
+    "node a label=1\nedge a a label=0\n",  # self loop
+    "vertex a label=1\n",  # unknown directive
+    "node a label=1 extra=2\n",  # trailing junk
+]
+
+
+@pytest.mark.parametrize("text", BAD_GRAPH_FILES)
 def test_parse_graph_file_rejects(text):
     with pytest.raises(ConfigError):
         parse_graph_file(text)
@@ -475,3 +550,50 @@ def test_parse_graph_file_rejects_zero_multiplicity():
     assert str(exc_info.value) == \
         "edge multiplicity must be >= 1, got 0 (line 3, field 'mult')"
     assert (exc_info.value.line, exc_info.value.field) == (3, "mult")
+
+
+# ---------------------------------------------------------------------------
+# line guard
+
+
+def test_every_closure_and_graph_line_runs():
+    # the triple group, no moves, the counting moves up to each budget on
+    # worker threads, the rejected graphs, seeds and graph files, and a
+    # form past the size limit reach every line of both modules; a line
+    # none of them runs is a branch no input takes.  Worker threads are
+    # not traced, so the triple group also runs on the caller's thread.
+    closure_module = importlib.import_module("moricensus.closure")
+    graphs_module = importlib.import_module("moricensus.graphs")
+
+    def expect(error, call):
+        with pytest.raises(error):
+            call()
+
+    def run():
+        canonical_backend()
+        for t in (Triple(-6, 0, 3), Triple(0, 0, 0)):
+            seed = encode_triple(t)
+            assert decode_triple(seed) == t and seed.n == 3
+            result = closure(seed, MOVE_SETS["triple_group"])
+            assert result.class_count == orbit(t).length
+        closure(three_cycle([1, 2, 3]), MOVE_SETS["none"])
+        # the moves are made at import, which the guard does not trace
+        rotate = closure_module._triple_move(lambda a, b, c: (c, a, b))
+        assert rotate((1, 2, 3)) == ((3, 1, 2),)
+        assert iso(three_cycle([1, 2, 3]), three_cycle([3, 1, 2]))
+        for budget in ({"max_classes": 5}, {"max_steps": 5}):
+            expect(BudgetExceededError, lambda: closure(
+                LabeledGraph.build([0]), COUNTING, workers=4, **budget))
+        for seed in OFF_ENCODING_SEEDS:
+            expect(ValueError, lambda: decode_triple(seed))
+        for make in NOT_INT_GRAPHS + [make for make, _ in MALFORMED_EDGES]:
+            expect(ValueError, make)
+        parse_graph_file(GRAPH_TEXT)
+        for text in BAD_GRAPH_FILES + [
+            "node a label=1\nnode b label=1\nedge a b label=x\n",
+            "node a label=1\nnode b label=1\nedge a b label=0 mult=0\n",
+        ]:
+            expect(ConfigError, lambda: parse_graph_file(text))
+        expect(SizeLimitError, lambda: canonical_form((0,) * 13, ()))
+
+    assert unrun_lines([closure_module, graphs_module], run) == []

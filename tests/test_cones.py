@@ -243,8 +243,9 @@ def test_regular_models_rejects_planted_overlap(monkeypatch, capsys):
 
 
 def test_every_census_line_runs(monkeypatch):
-    # shipped verify, the readings above, the rejected readings, a record
-    # that breaks orbit-stabilizer and the planted overlap reach every
+    # shipped verify, the readings above, the rejected readings, a direct
+    # call with more symmetric models than models, a record that breaks
+    # orbit-stabilizer and the planted overlap reach every
     # line of the census layer; a line none of them runs is a branch no
     # input takes
     def expect(error, call):
@@ -261,7 +262,8 @@ def test_every_census_line_runs(monkeypatch):
             reading(104, 105),
         ):
             expect(ConfigError, lambda: build_census_report([], declared))
-        expect(ValueError, lambda: build_census_report([], reading(0, 0, 10, 11)))
+        expect(ConfigError, lambda: build_census_report([], reading(0, 0, 10, 11)))
+        expect(ValueError, lambda: t_cone_count(10, 11))
         expect(ValueError, lambda: ModelRecord("x", 4, 2))
         plant_overlap(monkeypatch)
         expect(DuplicateClassError, regular_models)

@@ -17,7 +17,7 @@ from moricensus.closure import ClosureResult, MoveOperator, MoveSet
 from moricensus.cones import CensusReport, ModelRecord
 from moricensus.declared import DeclaredEntry
 from moricensus.families import FamilyId, RegularModel
-from moricensus.graphs import LabeledGraph
+from moricensus.graphs import LabeledGraph, canonical_graph
 from moricensus.triples import OrbitRecord, Triple, orbit
 
 # One builder per record class; each call builds a new, equal instance.
@@ -127,7 +127,8 @@ def test_record_defaults():
     assert Verdict("c", True, 1, 1, True).cite == ""
     assert AuditReport(()).findings == ()
     moves = MoveSet()
-    assert moves.moves == () and moves.to_state(5) == moves.to_graph(5) == 5
+    assert moves.moves == () and moves.to_state(5) == 5
+    assert moves.to_form is canonical_graph
     assert DeclaredEntry("x", 1) == DeclaredEntry("x", 1, "", None)
     assert ModelRecord("f", 6, 1).triple is None
     report = CensusReport(450, 129, (), 2657, 741)
