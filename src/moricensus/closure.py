@@ -15,9 +15,10 @@ encoded triple has exactly as many classes as the triple's orbit).  Its
 states are plain ``(a, b, c)`` tuples, so a move that rediscovers a
 known state costs one tuple lookup, and a new one builds no graph.
 
-Frontier expansion can run on worker threads; results are merged on the
-caller's thread in frontier order, so the final class set is identical
-regardless of scheduling.
+One loop on the caller's thread applies the moves, counts the steps,
+checks the budgets and records new classes, in frontier order.  Worker
+threads, if asked for, only canonicalize each level's new states ahead
+of that loop, so the result is identical regardless of scheduling.
 """
 
 from __future__ import annotations
@@ -90,9 +91,11 @@ def closure(
 
     Raises the move set's ValueError for a seed it cannot act on, and
     BudgetExceededError when a configured class-count or step budget is
-    hit (arbitrary move sets may have infinite closures).  ``workers >
-    1`` parallelizes frontier expansion without changing the result;
-    the worker threads are joined before the call returns or raises.
+    hit (arbitrary move sets may have infinite closures).  With
+    ``workers > 1``, a thread pool canonicalizes each level's distinct
+    new states before the level is walked.  The result is the same, but
+    a move that raises does so before that level's steps are counted.
+    The worker threads are joined before the call returns or raises.
     Each distinct state is canonicalized once per call, the seed from
     the caller's graph; rediscoveries are looked up, and still count as
     expansion steps.
@@ -100,22 +103,10 @@ def closure(
     applies = [move.apply_all for move in move_set.moves]
     to_form = move_set.to_form
     start = move_set.to_state(seed)
-    # Equal states have equal forms.  Two worker threads may both fill
-    # one key; they write the same value.
     forms = {start: canonical_graph(seed)}
     seen = {forms[start]}
     frontier = [start]
     steps = 0
-
-    def expand(state):
-        out = []
-        for apply_all in applies:
-            for image in apply_all(state):
-                key = forms.get(image)
-                if key is None:
-                    key = forms[image] = to_form(image)
-                out.append((key, image))
-        return out
 
     pool = None
     if workers > 1:
@@ -123,21 +114,31 @@ def closure(
         from concurrent.futures import ThreadPoolExecutor
 
         pool = ThreadPoolExecutor(max_workers=workers)
-    expand_all = map if pool is None else pool.map
     try:
         while frontier:
+            if pool is not None:
+                # the pool canonicalizes the level's distinct new states;
+                # only this thread writes ``forms``
+                fresh = dict.fromkeys(
+                    image for state in frontier for apply_all in applies
+                    for image in apply_all(state) if image not in forms)
+                forms.update(zip(fresh, pool.map(to_form, fresh)))
             next_frontier = []
-            for batch in expand_all(expand, frontier):
-                for key, state in batch:
-                    steps += 1
-                    if max_steps is not None and steps > max_steps:
-                        raise BudgetExceededError("step", max_steps)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    if max_classes is not None and len(seen) > max_classes:
-                        raise BudgetExceededError("class", max_classes)
-                    next_frontier.append(state)
+            for state in frontier:
+                for apply_all in applies:
+                    for image in apply_all(state):
+                        key = forms.get(image)
+                        if key is None:
+                            key = forms[image] = to_form(image)
+                        steps += 1
+                        if max_steps is not None and steps > max_steps:
+                            raise BudgetExceededError("step", max_steps)
+                        if key in seen:
+                            continue
+                        seen.add(key)
+                        if max_classes is not None and len(seen) > max_classes:
+                            raise BudgetExceededError("class", max_classes)
+                        next_frontier.append(image)
             frontier = next_frontier
     finally:
         if pool is not None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from ._record import Record
 from .declared import DeclaredEntry
-from .errors import ConfigError
+from .errors import ConfigError, InvariantError
 from .families import RegularModel
 from .triples import _orbit_counts
 
@@ -34,7 +34,7 @@ class ModelRecord(Record):
 
     def __post_init__(self):
         if self.orbit_length * self.symmetry_order != 6:
-            raise ValueError(
+            raise InvariantError(
                 f"orbit-stabilizer violation: {self.orbit_length} x "
                 f"{self.symmetry_order} != 6"
             )

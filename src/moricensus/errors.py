@@ -39,6 +39,10 @@ class ParseError(MoricensusError):
         super().__init__(f"{message} (line {line}, column {column})")
 
 
+class InvariantError(MoricensusError):
+    """A computed record breaks an invariant such as orbit-stabilizer."""
+
+
 class DuplicateClassError(MoricensusError):
     """Two generated triples share an equivalence class.
 

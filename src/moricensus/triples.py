@@ -22,6 +22,7 @@ from functools import total_ordering
 from typing import Iterator
 
 from ._record import Record
+from .errors import InvariantError
 
 __all__ = [
     "COMPONENT_BOUND",
@@ -136,7 +137,7 @@ class OrbitRecord(Record):
 
     def __post_init__(self):
         if len(self.members) * self.stabilizer_order != 6:
-            raise ValueError(
+            raise InvariantError(
                 f"orbit-stabilizer violation: |orbit|={len(self.members)} "
                 f"stabilizer={self.stabilizer_order}"
             )

@@ -209,6 +209,23 @@ def test_orbits_csv(capsys):
     assert len(lines) == 7
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify"], "4 x 1 != 6"),
+    (["census"], "4 x 1 != 6"),
+    (["orbits", "1", "2", "2"], "|orbit|=5 stabilizer=2"),
+], ids=["verify", "census", "orbits"])
+def test_broken_group_table_is_invariant_failure(monkeypatch, capsys, argv, message):
+    # an element that swaps without its signs breaks orbit-stabilizer: a
+    # program fault, not malformed input
+    from moricensus import triples
+
+    monkeypatch.setitem(triples._ACTIONS, triples.GroupElement.IS2,
+                        lambda a, b, c: (a, c, b))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: orbit-stabilizer violation: {message}\n"
+
+
 def test_orbits_out_of_range_is_input_error(capsys):
     code, _, err = run(capsys, "orbits", "2000000", "0", "0")
     assert code == 2

@@ -308,14 +308,18 @@ def test_closure_of_fixed_point_is_single_class():
     assert result.class_count == 1
 
 
-@pytest.mark.parametrize("t, calls, steps", [
-    (Triple(-6, 0, 3), 6, 12),
-    (Triple(0, 0, 0), 1, 2),
-])
-def test_closure_canonicalizes_each_distinct_graph_once(monkeypatch, t, calls, steps):
+@pytest.mark.parametrize("t, calls, steps, workers", [
+    (Triple(-6, 0, 3), 6, 12, 1),
+    (Triple(0, 0, 0), 1, 2, 1),
+    (Triple(-6, 0, 3), 6, 12, 4),
+    (Triple(0, 0, 0), 1, 2, 4),
+], ids=["t0-6-12", "t1-1-2", "t0-6-12-workers4", "t1-1-2-workers4"])
+def test_closure_canonicalizes_each_distinct_graph_once(monkeypatch, t, calls, steps,
+                                                        workers):
     # the seed goes through ``canonical_graph`` as the caller's graph, and
-    # each other distinct state once through ``canonical_form``; the
-    # package exports the function ``closure`` under the module's name
+    # each other distinct state once through ``canonical_form``, on the
+    # pool's threads too; the package exports the function ``closure``
+    # under the module's name
     closure_module = importlib.import_module("moricensus.closure")
     graphs_seen, forms_seen = [], []
 
@@ -330,11 +334,31 @@ def test_closure_canonicalizes_each_distinct_graph_once(monkeypatch, t, calls, s
     monkeypatch.setattr(closure_module, "canonical_graph", counting_graph)
     monkeypatch.setattr(closure_module, "canonical_form", counting_form)
     seed = encode_triple(t)
-    result = closure(seed, MOVE_SETS["triple_group"])
+    result = closure(seed, MOVE_SETS["triple_group"], workers=workers)
     assert graphs_seen == [seed]
     assert len(forms_seen) == len(set(forms_seen)) == calls - 1
     assert (seed.node_labels, seed.edges) not in forms_seen
     assert result.expansion_steps == steps
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_closure_canonicalizes_a_state_reached_twice_in_a_level_once(workers):
+    # from the frontier [1, 2], both states reach 3
+    formed = []
+
+    def to_form(k):
+        formed.append(k)
+        return canonical_graph(LabeledGraph.build([k]))
+
+    capped = MoveSet(
+        moves=(MoveOperator(name="count",
+                            apply_all=lambda k: [min(k + 1, 9), min(k + 2, 9)]),),
+        to_state=lambda g: g.node_labels[0],
+        to_form=to_form,
+    )
+    result = closure(LabeledGraph.build([0]), capped, workers=workers)
+    assert result.class_count == 10
+    assert sorted(formed) == list(range(1, 10))
 
 
 def test_verification_canonicalizes_each_orbit_member_once(monkeypatch):
@@ -406,17 +430,21 @@ def test_closure_order_independent():
 
 
 def test_closure_workers_match_reference():
-    t = Triple(-6, 0, 4)
+    from moricensus.families import regular_models
+
     moves = MOVE_SETS["triple_group"]
-    single = closure(encode_triple(t), moves, workers=1)
-    threaded = closure(encode_triple(t), moves, workers=4)
-    assert single.classes == threaded.classes
-    assert single.expansion_steps == threaded.expansion_steps
+    for model in regular_models():
+        seed = encode_triple(model.triple)
+        single = closure(seed, moves, workers=1)
+        for workers in (4, 8):
+            threaded = closure(seed, moves, workers=workers)
+            assert threaded.classes == single.classes, (model.triple, workers)
+            assert threaded.expansion_steps == single.expansion_steps
 
 
 def test_closure_forms_shared_by_threads():
-    # worker threads fill one dict of forms; switching threads often makes
-    # two of them race on one key, which must not change the result
+    # worker threads canonicalize while this thread waits to write their
+    # forms; switching threads often must not change the result
     from moricensus.families import regular_models
 
     moves = MOVE_SETS["triple_group"]

@@ -13,7 +13,7 @@ from moricensus.cones import (
     t_cone_count,
 )
 from moricensus.declared import default_declared_text, load_declared
-from moricensus.errors import ConfigError, DuplicateClassError
+from moricensus.errors import ConfigError, DuplicateClassError, InvariantError
 from moricensus.families import FamilyId, RegularModel, regular_models
 from moricensus.triples import Triple, canonical, orbit
 
@@ -45,7 +45,7 @@ def computed_records():
 
 
 def test_model_record_rejects_orbit_stabilizer_violation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvariantError):
         ModelRecord(family="x", orbit_length=4, symmetry_order=2)
 
 
@@ -264,7 +264,7 @@ def test_every_census_line_runs(monkeypatch):
             expect(ConfigError, lambda: build_census_report([], declared))
         expect(ConfigError, lambda: build_census_report([], reading(0, 0, 10, 11)))
         expect(ValueError, lambda: t_cone_count(10, 11))
-        expect(ValueError, lambda: ModelRecord("x", 4, 2))
+        expect(InvariantError, lambda: ModelRecord("x", 4, 2))
         plant_overlap(monkeypatch)
         expect(DuplicateClassError, regular_models)
 

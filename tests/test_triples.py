@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from moricensus.errors import InvariantError
 from moricensus.triples import (
     COMPONENT_BOUND,
     GroupElement,
@@ -152,7 +153,7 @@ def test_orbit_of_generic_triple_has_six_distinct_images():
 
 
 def test_orbit_record_rejects_orbit_stabilizer_violation():
-    with pytest.raises(ValueError) as exc_info:
+    with pytest.raises(InvariantError) as exc_info:
         OrbitRecord(Triple(1, 2, 3), frozenset({Triple(1, 2, 3)}), 2)
     assert str(exc_info.value) == "orbit-stabilizer violation: |orbit|=1 stabilizer=2"
 
