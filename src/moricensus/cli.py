@@ -305,7 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_closure.add_argument("--max-classes", type=_int_at_least(1), default=None)
     p_closure.add_argument("--max-steps", type=_int_at_least(0), default=None)
-    p_closure.add_argument("--workers", type=_int_at_least(1), default=1)
+    p_closure.add_argument("--workers", type=_int_at_least(1), default=1,
+                           help="has no effect (the closure runs on one thread)")
     add_format(p_closure)
     p_closure.set_defaults(func=_cmd_closure)
 

@@ -8,9 +8,8 @@ search runs, in three cases, tried in this order: the node labels
 increase with the node index (the rigid triple encodings); the first
 colouring, by label and incident (edge label, mult) pairs, is already
 discrete; or refinement makes it discrete.  The search itself lives in
-``moricensus._canon_py``; its integer tuple is the canonical form.
-:func:`canonical_form` takes labels and edges already known valid, so
-a caller that keeps them valid builds no :class:`LabeledGraph`.
+``moricensus._canon_py``; its integer tuple is the canonical form, and
+:func:`canonical_graph` is its only entry.
 
 Graph file format (UTF-8, line-oriented; ``#`` starts a comment):
 
@@ -33,7 +32,6 @@ __all__ = [
     "LabeledGraph",
     "MAX_NODES",
     "canonical_backend",
-    "canonical_form",
     "canonical_graph",
     "iso",
     "parse_graph_file",
@@ -134,22 +132,17 @@ class LabeledGraph(Record):
         return len(self.node_labels)
 
 
-def canonical_form(labels: tuple[int, ...], edges: tuple) -> tuple[int, ...]:
-    """:func:`canonical_graph` of labels and edges that already hold
-    :class:`LabeledGraph`'s invariants; only the size is checked."""
-    n = len(labels)
-    if n > MAX_NODES:
-        raise SizeLimitError(n, MAX_NODES)
-    return _canonical_sequence(n, labels, edges)
-
-
 def canonical_graph(g: LabeledGraph) -> tuple[int, ...]:
     """Canonical form: equal tuples iff isomorphic labelled multigraphs.
 
     The tuple is the kernel's flat encoding (see ``_canon_py``); forms
-    are meant to be compared and hashed, not read.
+    are meant to be compared and hashed, not read.  Raises
+    SizeLimitError above MAX_NODES nodes.
     """
-    return canonical_form(g.node_labels, g.edges)
+    n = len(g.node_labels)
+    if n > MAX_NODES:
+        raise SizeLimitError(n, MAX_NODES)
+    return _canonical_sequence(n, g.node_labels, g.edges)
 
 
 def iso(g1: LabeledGraph, g2: LabeledGraph) -> bool:

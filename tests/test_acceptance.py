@@ -183,8 +183,7 @@ def test_criterion_9_property_suite():
     moves = MOVE_SETS["triple_group"]
     order = list(moves.moves)
     rng.shuffle(order)
-    shuffled = MoveSet(moves=tuple(order), to_state=moves.to_state,
-                       to_form=moves.to_form)
+    shuffled = MoveSet(moves=tuple(order), to_state=moves.to_state)
     for model in regular_models():
         expected = orbit(model.triple).length
         seed = encode_triple(model.triple)

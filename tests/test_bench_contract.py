@@ -81,26 +81,28 @@ def test_kernel_signature_serves_bench_graphs():
 
 
 def test_trace_counts_each_canonicalization_once_per_class():
+    # the tracer wraps ``canonical_graph``, the kernel's only entry; the
+    # triple group keys its classes by state and never calls it, and a
+    # graph-level move set canonicalizes its seed alone
     tracing = load("tracing")
-    tracer = tracing.Tracer()
-    tracer.install()
-    try:
-        result = closure(encode_triple(Triple(-6, 0, 3)), MOVE_SETS["triple_group"])
-    finally:
-        tracer.uninstall()
-    # the tracer wraps ``canonical_graph``, which closure calls on the seed
-    # alone; the other five classes reach the kernel through
-    # ``canonical_form``
-    counts = tracing.exact_counts(tracer.spans, tracer.counts)
-    assert result.class_count == 6
-    assert counts["calls.graphs.canonical_graph"] == 1
+    seed = encode_triple(Triple(-6, 0, 3))
+    for moves, classes, kernel_calls in (("triple_group", 6, 0), ("none", 1, 1)):
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            result = closure(seed, MOVE_SETS[moves])
+        finally:
+            tracer.uninstall()
+        counts = tracing.exact_counts(tracer.spans, tracer.counts)
+        assert result.class_count == classes
+        assert counts.get("calls.graphs.canonical_graph", 0) == kernel_calls, moves
 
 
 def test_trace_counts_of_one_verification():
     # the census counts orbits off image tuples, the closure oracle reuses
     # the census's records and its moves build no Triple: the Triples are
-    # the families' 347 and their 347 canonical keys; ``canonical_graph``
-    # sees only the oracle's 347 seeds
+    # the families' 347 and their 347 canonical keys; the oracle keys its
+    # classes by state, so the kernel never runs
     tracing = load("tracing")
     tracer = tracing.Tracer()
     tracer.install()
@@ -111,7 +113,7 @@ def test_trace_counts_of_one_verification():
     counts = tracing.exact_counts(tracer.spans, tracer.counts)
     assert "calls.triples.orbit" not in counts
     assert counts["triples.triple_constructions"] == 694
-    assert counts["calls.graphs.canonical_graph"] == 347
+    assert "calls.graphs.canonical_graph" not in counts
     assert counts["calls.closure.closure"] == 347
     assert counts["closure.expansion_steps"] == 4084
 

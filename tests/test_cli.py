@@ -428,8 +428,8 @@ def test_shipped_closure_json_matches_snapshot(graph_file, capsys):
 
 @pytest.mark.parametrize(
     "module",
-    # the closure pool (only ``workers > 1``), the record machinery and
-    # what it pulls in, and the writer behind ``--format csv``
+    # a thread pool (the closure runs on one thread), the record machinery
+    # and what it pulls in, and the writer behind ``--format csv``
     ["concurrent.futures", "dataclasses", "inspect", "csv"],
 )
 def test_cli_import_leaves_out_unused_modules(module):

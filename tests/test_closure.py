@@ -1,8 +1,6 @@
 import importlib
 import itertools
 import random
-import sys
-import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,8 +9,6 @@ from moricensus.closure import (
     MOVE_SETS,
     MoveOperator,
     MoveSet,
-    _encode,
-    _triple_form,
     closure,
     decode_triple,
     encode_triple,
@@ -25,12 +21,11 @@ from moricensus.errors import (
 from moricensus.graphs import (
     LabeledGraph,
     canonical_backend,
-    canonical_form,
     canonical_graph,
     iso,
     parse_graph_file,
 )
-from moricensus.triples import COMPONENT_BOUND, Triple, orbit
+from moricensus.triples import COMPONENT_BOUND, Triple, involution, orbit, shift
 
 from linetrace import unrun_lines
 
@@ -216,12 +211,14 @@ def test_rigid_encoding_separates_distinct_triples():
     assert not iso(encode_triple(Triple(1, 2, 3)), encode_triple(Triple(3, 2, 1)))
 
 
-def test_triple_form_is_the_form_of_the_encoding():
-    # the closure's forms are those of the graphs it no longer builds
+def test_rigid_encoding_is_injective():
+    # the closure counts the triple group's states as classes, which is
+    # right only if distinct triples encode to non-isomorphic graphs
     corners = itertools.product((-COMPONENT_BOUND, COMPONENT_BOUND), repeat=3)
     box = itertools.product(range(-9, 10), repeat=3)
-    for state in itertools.chain(box, corners):
-        assert _triple_form(state) == canonical_graph(_encode(state)), state
+    states = list(itertools.chain(box, corners))
+    forms = {canonical_graph(encode_triple(Triple(*state))) for state in states}
+    assert len(forms) == len(states) == 19**3 + 8
 
 
 def test_decode_rejects_non_encodings():
@@ -275,8 +272,8 @@ def test_closure_builds_no_triple(monkeypatch):
 
 
 def test_closure_builds_no_graph_past_the_seed(monkeypatch):
-    # the caller's seed is canonicalized as given; the states moves reach
-    # go to the kernel as labels and edges, with no graph built
+    # the caller's seed is decoded as given; the states moves reach are
+    # plain tuples, with no graph built
     seed = encode_triple(Triple(-6, 0, 3))
     built = []
     check = LabeledGraph.__post_init__
@@ -308,85 +305,6 @@ def test_closure_of_fixed_point_is_single_class():
     assert result.class_count == 1
 
 
-@pytest.mark.parametrize("t, calls, steps, workers", [
-    (Triple(-6, 0, 3), 6, 12, 1),
-    (Triple(0, 0, 0), 1, 2, 1),
-    (Triple(-6, 0, 3), 6, 12, 4),
-    (Triple(0, 0, 0), 1, 2, 4),
-], ids=["t0-6-12", "t1-1-2", "t0-6-12-workers4", "t1-1-2-workers4"])
-def test_closure_canonicalizes_each_distinct_graph_once(monkeypatch, t, calls, steps,
-                                                        workers):
-    # the seed goes through ``canonical_graph`` as the caller's graph, and
-    # each other distinct state once through ``canonical_form``, on the
-    # pool's threads too; the package exports the function ``closure``
-    # under the module's name
-    closure_module = importlib.import_module("moricensus.closure")
-    graphs_seen, forms_seen = [], []
-
-    def counting_graph(g):
-        graphs_seen.append(g)
-        return canonical_graph(g)
-
-    def counting_form(labels, edges):
-        forms_seen.append((labels, edges))
-        return canonical_form(labels, edges)
-
-    monkeypatch.setattr(closure_module, "canonical_graph", counting_graph)
-    monkeypatch.setattr(closure_module, "canonical_form", counting_form)
-    seed = encode_triple(t)
-    result = closure(seed, MOVE_SETS["triple_group"], workers=workers)
-    assert graphs_seen == [seed]
-    assert len(forms_seen) == len(set(forms_seen)) == calls - 1
-    assert (seed.node_labels, seed.edges) not in forms_seen
-    assert result.expansion_steps == steps
-
-
-@pytest.mark.parametrize("workers", [1, 4])
-def test_closure_canonicalizes_a_state_reached_twice_in_a_level_once(workers):
-    # from the frontier [1, 2], both states reach 3
-    formed = []
-
-    def to_form(k):
-        formed.append(k)
-        return canonical_graph(LabeledGraph.build([k]))
-
-    capped = MoveSet(
-        moves=(MoveOperator(name="count",
-                            apply_all=lambda k: [min(k + 1, 9), min(k + 2, 9)]),),
-        to_state=lambda g: g.node_labels[0],
-        to_form=to_form,
-    )
-    result = closure(LabeledGraph.build([0]), capped, workers=workers)
-    assert result.class_count == 10
-    assert sorted(formed) == list(range(1, 10))
-
-
-def test_verification_canonicalizes_each_orbit_member_once(monkeypatch):
-    # the closure oracle canonicalizes its 347 seeds as graphs and the
-    # 1,695 other orbit members as forms: one kernel call per member
-    from moricensus.audit import run_full_verification
-    from moricensus.cones import computed_record
-    from moricensus.families import regular_models
-
-    closure_module = importlib.import_module("moricensus.closure")
-    calls = {"graph": 0, "form": 0}
-
-    def counting_graph(g):
-        calls["graph"] += 1
-        return canonical_graph(g)
-
-    def counting_form(labels, edges):
-        calls["form"] += 1
-        return canonical_form(labels, edges)
-
-    monkeypatch.setattr(closure_module, "canonical_graph", counting_graph)
-    monkeypatch.setattr(closure_module, "canonical_form", counting_form)
-    run_full_verification()
-    members = sum(computed_record(m).orbit_length for m in regular_models())
-    assert calls == {"graph": 347, "form": 1695}
-    assert calls["graph"] + calls["form"] == members == 2042
-
-
 def test_closure_steps_count_rediscoveries_on_census():
     from moricensus.families import regular_models
 
@@ -405,18 +323,33 @@ def test_closure_oracle_over_sample_of_census():
         assert result.class_count == orbit(model.triple).length
 
 
+def closure_via_graphs(t):
+    """Class count and steps of the triple group's closure of ``t`` when
+    each triple reached is keyed by its encoding's canonical form."""
+    seen = {canonical_graph(encode_triple(t))}
+    frontier = [t]
+    steps = 0
+    while frontier:
+        next_frontier = []
+        for member in frontier:
+            for image in (shift(member), involution(member)):
+                steps += 1
+                form = canonical_graph(encode_triple(image))
+                if form not in seen:
+                    seen.add(form)
+                    next_frontier.append(image)
+        frontier = next_frontier
+    return len(seen), steps
+
+
 def test_closure_matches_the_graph_path_on_census():
-    # the same classes and steps as when each state's graph is built
+    # keying classes by state gives the counts of keying them by form
     from moricensus.families import regular_models
 
-    moves = MOVE_SETS["triple_group"]
-    via_graphs = MoveSet(moves=moves.moves, to_state=moves.to_state,
-                         to_form=lambda state: canonical_graph(_encode(state)))
     for model in regular_models():
-        seed = encode_triple(model.triple)
-        result, reference = closure(seed, moves), closure(seed, via_graphs)
-        assert result.classes == reference.classes, model.triple
-        assert result.expansion_steps == reference.expansion_steps
+        result = closure(encode_triple(model.triple), MOVE_SETS["triple_group"])
+        assert (result.class_count, result.expansion_steps) == \
+            closure_via_graphs(model.triple), model.triple
 
 
 def test_closure_order_independent():
@@ -424,48 +357,15 @@ def test_closure_order_independent():
     moves = MOVE_SETS["triple_group"]
     forward = closure(encode_triple(t), moves)
     backward = closure(encode_triple(t), MoveSet(
-        moves=tuple(reversed(moves.moves)), to_state=moves.to_state,
-        to_form=moves.to_form))
+        moves=tuple(reversed(moves.moves)), to_state=moves.to_state))
     assert forward.classes == backward.classes
-
-
-def test_closure_workers_match_reference():
-    from moricensus.families import regular_models
-
-    moves = MOVE_SETS["triple_group"]
-    for model in regular_models():
-        seed = encode_triple(model.triple)
-        single = closure(seed, moves, workers=1)
-        for workers in (4, 8):
-            threaded = closure(seed, moves, workers=workers)
-            assert threaded.classes == single.classes, (model.triple, workers)
-            assert threaded.expansion_steps == single.expansion_steps
-
-
-def test_closure_forms_shared_by_threads():
-    # worker threads canonicalize while this thread waits to write their
-    # forms; switching threads often must not change the result
-    from moricensus.families import regular_models
-
-    moves = MOVE_SETS["triple_group"]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for model in random.Random(3).sample(regular_models(), 20):
-            seed = encode_triple(model.triple)
-            single = closure(seed, moves)
-            threaded = closure(seed, moves, workers=8)
-            assert threaded.classes == single.classes
-            assert threaded.expansion_steps == single.expansion_steps
-    finally:
-        sys.setswitchinterval(interval)
 
 
 def test_closure_monotone_in_move_set():
     t = Triple(1, 1, 1)
     moves = MOVE_SETS["triple_group"]
     shift_only = closure(encode_triple(t), MoveSet(
-        moves=moves.moves[:1], to_state=moves.to_state, to_form=moves.to_form))
+        moves=moves.moves[:1], to_state=moves.to_state))
     both = closure(encode_triple(t), moves)
     assert both.class_count >= shift_only.class_count
 
@@ -492,33 +392,20 @@ def count_up(k):
     return [k + 1, k + 2]
 
 
-# states are ints, each the label of a one-node graph
+# states are ints, each the label of a one-node graph, so distinct
+# states are distinct classes
 COUNTING = MoveSet(
     moves=(MoveOperator(name="count", apply_all=count_up),),
     to_state=lambda g: g.node_labels[0],
-    to_form=lambda k: canonical_graph(LabeledGraph.build([k])),
 )
 
 
-@pytest.mark.parametrize("workers", [1, 4])
-def test_closure_checks_each_step_before_the_next(workers):
+def test_closure_checks_each_step_before_the_next():
     # the first new class trips the class budget before the second step
     # can trip the step budget
     with pytest.raises(BudgetExceededError) as exc_info:
-        closure(LabeledGraph.build([0]), COUNTING, max_classes=1, max_steps=1,
-                workers=workers)
+        closure(LabeledGraph.build([0]), COUNTING, max_classes=1, max_steps=1)
     assert exc_info.value.kind == "class"
-
-
-@pytest.mark.parametrize("error, budget", [
-    (RuntimeError, {}),
-    (BudgetExceededError, {"max_classes": 5}),
-], ids=["move_raises", "class_budget"])
-def test_closure_joins_worker_threads_when_it_raises(error, budget):
-    before = threading.active_count()
-    with pytest.raises(error):
-        closure(LabeledGraph.build([0]), COUNTING, workers=4, **budget)
-    assert threading.active_count() == before
 
 
 # ---------------------------------------------------------------------------
@@ -585,11 +472,10 @@ def test_parse_graph_file_rejects_zero_multiplicity():
 
 
 def test_every_closure_and_graph_line_runs():
-    # the triple group, no moves, the counting moves up to each budget on
-    # worker threads, the rejected graphs, seeds and graph files, and a
-    # form past the size limit reach every line of both modules; a line
-    # none of them runs is a branch no input takes.  Worker threads are
-    # not traced, so the triple group also runs on the caller's thread.
+    # the triple group, no moves, the counting moves up to each budget,
+    # the rejected graphs, seeds and graph files, and a graph past the
+    # size limit reach every line of both modules; a line none of them
+    # runs is a branch no input takes
     closure_module = importlib.import_module("moricensus.closure")
     graphs_module = importlib.import_module("moricensus.graphs")
 
@@ -611,7 +497,7 @@ def test_every_closure_and_graph_line_runs():
         assert iso(three_cycle([1, 2, 3]), three_cycle([3, 1, 2]))
         for budget in ({"max_classes": 5}, {"max_steps": 5}):
             expect(BudgetExceededError, lambda: closure(
-                LabeledGraph.build([0]), COUNTING, workers=4, **budget))
+                LabeledGraph.build([0]), COUNTING, **budget))
         for seed in OFF_ENCODING_SEEDS:
             expect(ValueError, lambda: decode_triple(seed))
         for make in NOT_INT_GRAPHS + [make for make, _ in MALFORMED_EDGES]:
@@ -622,6 +508,7 @@ def test_every_closure_and_graph_line_runs():
             "node a label=1\nnode b label=1\nedge a b label=0 mult=0\n",
         ]:
             expect(ConfigError, lambda: parse_graph_file(text))
-        expect(SizeLimitError, lambda: canonical_form((0,) * 13, ()))
+        expect(SizeLimitError,
+               lambda: canonical_graph(LabeledGraph.build([0] * 13)))
 
     assert unrun_lines([closure_module, graphs_module], run) == []

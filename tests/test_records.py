@@ -127,8 +127,8 @@ def test_record_defaults():
     assert Verdict("c", True, 1, 1, True).cite == ""
     assert AuditReport(()).findings == ()
     moves = MoveSet()
-    assert moves.moves == () and moves.to_state(5) == 5
-    assert moves.to_form is canonical_graph
+    g = LabeledGraph.build([5])
+    assert moves.moves == () and moves.to_state(g) == canonical_graph(g)
     assert DeclaredEntry("x", 1) == DeclaredEntry("x", 1, "", None)
     assert ModelRecord("f", 6, 1).triple is None
     report = CensusReport(450, 129, (), 2657, 741)

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from moricensus import triples as triples_module
 from moricensus.errors import InvariantError
 from moricensus.triples import (
     COMPONENT_BOUND,
@@ -17,6 +18,8 @@ from moricensus.triples import (
     shift,
     stabilizer,
 )
+
+from linetrace import unrun_lines
 
 # Independent oracle: the six transformations written out directly as
 # signed permutations, bypassing the module's composition machinery.
@@ -242,3 +245,32 @@ def test_triple_checks_agree_with_per_field_checks():
 def test_triple_ordering_is_lexicographic():
     assert Triple(-6, 0, 3) < Triple(-3, 0, 6)
     assert min(Triple(0, 6, -3), Triple(0, 3, -6)) == Triple(0, 3, -6)
+
+
+def test_every_triples_line_runs(monkeypatch):
+    # the group action and its records on a generic and a fixed triple,
+    # the rejected components, an order against a non-Triple and an
+    # action planted to break orbit-stabilizer reach every line of the
+    # module; a line none of them runs is a branch no input takes
+    def expect(error, call):
+        with pytest.raises(error):
+            call()
+
+    def run():
+        for t in (Triple(1, 2, -2), Triple(0, 0, 0)):
+            record = orbit(t)
+            assert record.length * len(stabilizer(t)) == 6
+            assert canonical(t) == record.representative
+            assert involution(shift(t)) == apply(GroupElement.IS, t)
+            assert repr(t) == str(tuple(t))
+        assert Triple(0, 0, 0) < Triple(0, 0, 1)
+        expect(TypeError, lambda: Triple(0, 0, 0) < (0, 0, 1))
+        for components in ((True, 0, 0), (0, 2.0, 0), (0, 0, COMPONENT_BOUND + 1)):
+            expect(ValueError, lambda: Triple(*components))
+        # a shift that moves a fixed triple: two images, five fixing it
+        monkeypatch.setitem(triples_module._ACTIONS, GroupElement.S,
+                            lambda a, b, c: (a + 1, b, c))
+        expect(InvariantError, lambda: orbit(Triple(0, 0, 0)))
+
+    assert unrun_lines([triples_module], run) == []
+
