@@ -62,9 +62,7 @@ from .triples import (
     Triple,
     apply,
     canonical,
-    involution,
     orbit,
-    shift,
 )
 
 __version__ = "0.1.0"

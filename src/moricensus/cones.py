@@ -14,7 +14,6 @@ from ._record import Record
 from .declared import DeclaredEntry
 from .errors import ConfigError, InvariantError
 from .families import RegularModel
-from .triples import _orbit_counts
 
 __all__ = [
     "CensusReport",
@@ -59,17 +58,12 @@ class CensusReport(Record):
 def computed_record(model: RegularModel) -> ModelRecord:
     """The census record of a regular model.
 
-    Orbit length and symmetry order are counted from the six images of
-    the model's triple, as plain tuples: the census sums lengths, so it
+    Orbit length and symmetry order are the ones the family counted from
+    the six images of the model's triple: the census sums lengths, so it
     builds no orbit members.  ``ModelRecord`` checks their product.
     """
-    images, fixing = _orbit_counts(model.triple)
-    return ModelRecord(
-        family=model.family,
-        orbit_length=len(images),
-        symmetry_order=fixing,
-        triple=model.triple,
-    )
+    return ModelRecord(model.family, model.orbit_length,
+                       model.symmetry_order, model.triple)
 
 
 def symmetric_p_models(

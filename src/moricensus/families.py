@@ -8,7 +8,10 @@ only as the family label; no numeric degeneracy predicate exists at
 this level.
 
 Families are emitted in census order with triples in lexicographic
-order inside each family, so regeneration is deterministic.
+order inside each family, so regeneration is deterministic.  Each
+family is written as plain ``(a, b, c)`` tuples; :func:`_models` sorts
+them, builds one validated Triple per model and stores what the census
+needs of its orbit, read off one pass over its six group images.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from enum import Enum
 
 from ._record import Record
 from .errors import DuplicateClassError
-from .triples import Triple, canonical
+from .triples import Triple, _orbit_summary
 
 __all__ = [
     "FamilyId",
@@ -45,16 +48,23 @@ class FamilyId(Enum):
 
 
 class RegularModel(Record):
-    """One census unit: a triple, its family, and its dedup key."""
+    """One census unit: a triple, its family, and its orbit.
 
-    __slots__ = ("triple", "family", "canonical_key")
+    ``canonical_key`` is the smallest image of the triple, as a plain
+    tuple: the dedup key.  ``orbit_length`` and ``symmetry_order`` are
+    counted independently from the same images.
+    """
+
+    __slots__ = ("triple", "family", "canonical_key", "orbit_length",
+                 "symmetry_order")
 
 
-def _models(triples, family: FamilyId) -> list[RegularModel]:
-    return [
-        RegularModel(triple=t, family=family, canonical_key=canonical(t))
-        for t in sorted(triples)
-    ]
+def _models(components, family: FamilyId) -> list[RegularModel]:
+    models = []
+    for a, b, c in sorted(components):
+        key, length, fixing = _orbit_summary(a, b, c)
+        models.append(RegularModel(Triple(a, b, c), family, key, length, fixing))
+    return models
 
 
 # No closed-form membership rule exists for these 12; they are kept as an
@@ -68,12 +78,10 @@ _NONDEG_LISTED = [
 
 def family_nondegenerate() -> list[RegularModel]:
     """The 25 models with all three curve structures non-degenerate."""
-    triples = [Triple(*t) for t in _NONDEG_LISTED]
-    triples += [
-        Triple(x, y, y) for x in (1, 2) for y in (-2, -1, 0, 1, 2) if y != x
-    ]
-    triples += [Triple(0, 1, 1), Triple(0, 2, 2)]
-    triples += [Triple(x, x, x) for x in (0, 1, 2)]
+    triples = list(_NONDEG_LISTED)
+    triples += [(x, y, y) for x in (1, 2) for y in (-2, -1, 0, 1, 2) if y != x]
+    triples += [(0, 1, 1), (0, 2, 2)]
+    triples += [(x, x, x) for x in (0, 1, 2)]
     return _models(triples, FamilyId.NONDEG)
 
 
@@ -84,9 +92,9 @@ def family_one_degenerate() -> list[RegularModel]:
     [-2, 2] and z in {x-6, ..., -3}; the z-interval depends on x (its
     length is 4 - x), not on y.
     """
-    triples = [Triple(3, y, -3) for y in range(0, 3)]
+    triples = [(3, y, -3) for y in range(0, 3)]
     triples += [
-        Triple(x, y, z)
+        (x, y, z)
         for x in range(-2, 3)
         for y in range(-2, 3)
         for z in range(x - 6, -2)
@@ -102,11 +110,11 @@ def family_two_degenerate() -> list[RegularModel]:
     six triples equivalent to smaller M(0) members under the group.
     """
     out = _models(
-        [Triple(x, -3, 3) for x in range(3, 10)], FamilyId.K
+        [(x, -3, 3) for x in range(3, 10)], FamilyId.K
     )
     out += _models(
         [
-            Triple(x, 0, z)
+            (x, 0, z)
             for x in range(-6, -2)
             for z in range(3, 7)
             if abs(z) <= abs(x)
@@ -114,11 +122,11 @@ def family_two_degenerate() -> list[RegularModel]:
         FamilyId.M0,
     )
     out += _models(
-        [Triple(x, -1, z) for x in range(-7, -2) for z in range(3, 6)],
+        [(x, -1, z) for x in range(-7, -2) for z in range(3, 6)],
         FamilyId.M_NEG1,
     )
     out += _models(
-        [Triple(x, -2, z) for x in range(-8, -2) for z in range(3, 5)],
+        [(x, -2, z) for x in range(-8, -2) for z in range(3, 5)],
         FamilyId.M_NEG2,
     )
     for family, last, ylo in (
@@ -130,7 +138,7 @@ def family_two_degenerate() -> list[RegularModel]:
     ):
         out += _models(
             [
-                Triple(x, y, last)
+                (x, y, last)
                 for y in range(ylo, -2)
                 for x in range(y - 6, -2)
             ],
@@ -151,7 +159,7 @@ def regular_models() -> list[RegularModel]:
         + family_one_degenerate()
         + family_two_degenerate()
     )
-    seen: dict[Triple, Triple] = {}
+    seen: dict[tuple[int, int, int], Triple] = {}
     for model in models:
         other = seen.get(model.canonical_key)
         if other is not None:

@@ -6,12 +6,12 @@ transformations isomorphic to S3.  Orbits under this action are the
 equivalence classes of regular three-component models, and orbit
 lengths feed directly into the maximal-cone census.
 
-Each element is a signed permutation of the components, so the
-group-action functions act on plain ``(a, b, c)`` tuples and build a
-``Triple`` only for their results.  The component bound is symmetric,
-so every image of a valid triple is valid too.  The census needs only
-each orbit's length and stabilizer order; it reads both off the six
-image tuples (``_orbit_counts``) and builds no Triple, while
+Each element is a signed permutation of the components, and
+``_images`` is the one table of all six, acting on plain ``(a, b, c)``
+tuples.  The component bound is symmetric, so every image of a valid
+triple is valid too.  The census needs only each model's canonical key,
+orbit length and stabilizer order; ``_orbit_summary`` reads all
+three off one pass over the images and builds no Triple, while
 :func:`orbit` turns the same images into an :class:`OrbitRecord`.
 """
 
@@ -31,9 +31,7 @@ __all__ = [
     "Triple",
     "apply",
     "canonical",
-    "involution",
     "orbit",
-    "shift",
     "stabilizer",
 ]
 
@@ -75,8 +73,9 @@ class Triple(Record):
                     f"[-{COMPONENT_BOUND}, {COMPONENT_BOUND}]"
                 )
 
-    # Record gives equality and hashing.  The families sort their
-    # triples, so __lt__ is written out; total_ordering derives the rest.
+    # Record gives equality and hashing.  An orbit's representative is
+    # its least member and the symmetry census sorts by triple, so
+    # __lt__ is written out; total_ordering derives the rest.
     def __lt__(self, other):
         if other.__class__ is self.__class__:
             return (self.a, self.b, self.c) < (other.a, other.b, other.c)
@@ -100,31 +99,20 @@ class GroupElement(Enum):
     IS2 = "is2"
 
 
-# Each element as a map on plain components: the words in s and i
-# written out as signed permutations.
-_ACTIONS = {
-    GroupElement.E: lambda a, b, c: (a, b, c),
-    GroupElement.S: lambda a, b, c: (b, c, a),
-    GroupElement.S2: lambda a, b, c: (c, a, b),
-    GroupElement.I: lambda a, b, c: (-b, -a, -c),
-    GroupElement.IS: lambda a, b, c: (-c, -b, -a),
-    GroupElement.IS2: lambda a, b, c: (-a, -c, -b),
-}
+def _images(a, b, c):
+    """Images of ``(a, b, c)`` under the six elements, in enum order: the
+    words in s and i written out as signed permutations."""
+    return ((a, b, c), (b, c, a), (c, a, b),
+            (-b, -a, -c), (-c, -b, -a), (-a, -c, -b))
+
+
+# the index of each element's image in the tuple _images returns
+_POSITION = {g: k for k, g in enumerate(GroupElement)}
 
 
 def apply(g: GroupElement, t: Triple) -> Triple:
     """Image of ``t`` under the group element ``g``."""
-    return Triple(*_ACTIONS[g](t.a, t.b, t.c))
-
-
-def shift(t: Triple) -> Triple:
-    """Left cyclic rotation: (a, b, c) -> (b, c, a)."""
-    return apply(GroupElement.S, t)
-
-
-def involution(t: Triple) -> Triple:
-    """Swap the first two components and negate all three."""
-    return apply(GroupElement.I, t)
+    return Triple(*_images(t.a, t.b, t.c)[_POSITION[g]])
 
 
 class OrbitRecord(Record):
@@ -147,35 +135,33 @@ class OrbitRecord(Record):
         return len(self.members)
 
 
-def _images(t: Triple) -> list[tuple[int, int, int]]:
-    """Images of ``t`` under the six elements, in enum order."""
-    return [act(t.a, t.b, t.c) for act in _ACTIONS.values()]
-
-
 def stabilizer(t: Triple) -> tuple[GroupElement, ...]:
     """Group elements fixing ``t``, in enum order."""
     own = (t.a, t.b, t.c)
-    return tuple(g for g, image in zip(_ACTIONS, _images(t)) if image == own)
+    return tuple(g for g, image in zip(GroupElement, _images(*own))
+                 if image == own)
 
 
-def _orbit_counts(t: Triple) -> tuple[set[tuple[int, int, int]], int]:
-    """Distinct images of ``t`` and the number of elements fixing it.
+def _orbit_summary(a, b, c) -> tuple[tuple[int, int, int], int, int]:
+    """Smallest image of ``(a, b, c)``, its orbit length and the number
+    of elements fixing it, from one pass over the images.
 
-    The two are counted independently, so their product being 6 checks
-    orbit-stabilizer.  Builds no Triple.
+    Length and fixing count are counted independently, so their product
+    being 6 checks orbit-stabilizer.  Looks ``_images`` up at each call,
+    and builds no Triple.
     """
-    images = _images(t)
-    return set(images), images.count((t.a, t.b, t.c))
+    images = _images(a, b, c)
+    return min(images), len(set(images)), images.count((a, b, c))
 
 
 def orbit(t: Triple) -> OrbitRecord:
     """Orbit of ``t`` under all six group elements."""
-    images, fixing = _orbit_counts(t)
-    members = frozenset(Triple(*image) for image in images)
+    images = _images(t.a, t.b, t.c)
+    members = frozenset(Triple(*image) for image in set(images))
     return OrbitRecord(
         representative=min(members),
         members=members,
-        stabilizer_order=fixing,
+        stabilizer_order=images.count((t.a, t.b, t.c)),
     )
 
 
@@ -185,4 +171,4 @@ def canonical(t: Triple) -> Triple:
     Idempotent and constant on orbits: the deduplication key for
     equivalence classes.
     """
-    return Triple(*min(_images(t)))
+    return Triple(*min(_images(t.a, t.b, t.c)))

@@ -99,10 +99,11 @@ def test_trace_counts_each_canonicalization_once_per_class():
 
 
 def test_trace_counts_of_one_verification():
-    # the census counts orbits off image tuples, the closure oracle reuses
-    # the census's records and its moves build no Triple: the Triples are
-    # the families' 347 and their 347 canonical keys; the oracle keys its
-    # classes by state, so the kernel never runs
+    # the families build one Triple per model and keep its canonical key
+    # as a plain tuple, the census reads orbits off the families' records
+    # and the closure oracle's moves build no Triple: the Triples are the
+    # families' 347; the oracle keys its classes by state, so the kernel
+    # never runs
     tracing = load("tracing")
     tracer = tracing.Tracer()
     tracer.install()
@@ -112,7 +113,7 @@ def test_trace_counts_of_one_verification():
         tracer.uninstall()
     counts = tracing.exact_counts(tracer.spans, tracer.counts)
     assert "calls.triples.orbit" not in counts
-    assert counts["triples.triple_constructions"] == 694
+    assert counts["triples.triple_constructions"] == 347
     assert "calls.graphs.canonical_graph" not in counts
     assert counts["calls.closure.closure"] == 347
     assert counts["closure.expansion_steps"] == 4084

@@ -1,6 +1,6 @@
 import pytest
 
-from moricensus import audit, cones, families
+from moricensus import audit, cones, families, triples
 from moricensus.audit import run_full_verification
 from moricensus.cli import main
 from moricensus.cones import (
@@ -14,7 +14,7 @@ from moricensus.cones import (
 )
 from moricensus.declared import default_declared_text, load_declared
 from moricensus.errors import ConfigError, DuplicateClassError, InvariantError
-from moricensus.families import FamilyId, RegularModel, regular_models
+from moricensus.families import FamilyId, regular_models
 from moricensus.triples import Triple, canonical, orbit
 
 from linetrace import unrun_lines
@@ -221,10 +221,9 @@ def test_build_census_report_without_declared_symmetric_models():
 def plant_overlap(monkeypatch):
     """Add to family K the image (1, -1, 0) of the nondegenerate (0, 1, -1)."""
     two_degenerate = families.family_two_degenerate
-    image = Triple(1, -1, 0)
-    planted = RegularModel(image, FamilyId.K, canonical(image))
+    planted = families._models([(1, -1, 0)], FamilyId.K)
     monkeypatch.setattr(families, "family_two_degenerate",
-                        lambda: two_degenerate() + [planted])
+                        lambda: two_degenerate() + planted)
 
 
 def test_regular_models_rejects_planted_overlap(monkeypatch, capsys):
@@ -233,13 +232,24 @@ def test_regular_models_rejects_planted_overlap(monkeypatch, capsys):
         regular_models()
     err = exc_info.value
     assert (err.first, err.second) == (Triple(0, 1, -1), Triple(1, -1, 0))
-    assert err.key == canonical(Triple(0, 1, -1)) == Triple(-1, 0, 1)
+    assert err.key == tuple(canonical(Triple(0, 1, -1))) == (-1, 0, 1)
     assert main(["census"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
         "error: triples (0, 1, -1) and (1, -1, 0) share canonical key (-1, 0, 1)\n"
     )
+
+
+def test_closure_oracle_fails_a_consistent_unsigned_table(monkeypatch):
+    # S3 permuting the components without their signs is a consistent
+    # action, so every orbit passes orbit-stabilizer; the oracle's moves
+    # carry their own signs and read no census table, so it catches it
+    monkeypatch.setattr(triples, "_images", lambda a, b, c: (
+        (a, b, c), (b, c, a), (c, a, b), (b, a, c), (c, b, a), (a, c, b)))
+    verdicts = {v.name: v for v in run_full_verification().verdicts}
+    oracle = verdicts["census.closure_oracle"]
+    assert (oracle.holds, oracle.lhs_value, oracle.rhs_value) == (False, 285, 347)
 
 
 def test_every_census_line_runs(monkeypatch):

@@ -91,7 +91,11 @@ def test_regular_models_total_and_distinct_classes():
 
 def test_canonical_keys_match_triples():
     for model in regular_models():
-        assert model.canonical_key == canonical(model.triple)
+        record = orbit(model.triple)
+        assert model.canonical_key == tuple(canonical(model.triple))
+        assert type(model.canonical_key) is tuple
+        assert (model.orbit_length, model.symmetry_order) == (
+            record.length, record.stabilizer_order)
 
 
 def test_generation_is_deterministic():

@@ -13,13 +13,19 @@ from moricensus.triples import (
     Triple,
     apply,
     canonical,
-    involution,
     orbit,
-    shift,
     stabilizer,
 )
 
 from linetrace import unrun_lines
+
+
+def shift(t):
+    return apply(GroupElement.S, t)
+
+
+def involution(t):
+    return apply(GroupElement.I, t)
 
 # Independent oracle: the six transformations written out directly as
 # signed permutations, bypassing the module's composition machinery.
@@ -261,6 +267,8 @@ def test_every_triples_line_runs(monkeypatch):
             record = orbit(t)
             assert record.length * len(stabilizer(t)) == 6
             assert canonical(t) == record.representative
+            assert triples_module._orbit_summary(*t) == (
+                tuple(canonical(t)), record.length, len(stabilizer(t)))
             assert involution(shift(t)) == apply(GroupElement.IS, t)
             assert repr(t) == str(tuple(t))
         assert Triple(0, 0, 0) < Triple(0, 0, 1)
@@ -268,8 +276,9 @@ def test_every_triples_line_runs(monkeypatch):
         for components in ((True, 0, 0), (0, 2.0, 0), (0, 0, COMPONENT_BOUND + 1)):
             expect(ValueError, lambda: Triple(*components))
         # a shift that moves a fixed triple: two images, five fixing it
-        monkeypatch.setitem(triples_module._ACTIONS, GroupElement.S,
-                            lambda a, b, c: (a + 1, b, c))
+        images = triples_module._images
+        monkeypatch.setattr(triples_module, "_images", lambda a, b, c: (
+            images(a, b, c)[:1] + ((a + 1, b, c),) + images(a, b, c)[2:]))
         expect(InvariantError, lambda: orbit(Triple(0, 0, 0)))
 
     assert unrun_lines([triples_module], run) == []
