@@ -1,23 +1,26 @@
-"""Breadth-first closure of a seed graph under pluggable move sets.
+"""Breadth-first closure of a seed under pluggable move sets.
 
-A move set (:class:`MoveSet`) acts on *states*: it checks the seed graph
-once, at the boundary, and turns it into a state, and its moves map
-states to states.  The search keys classes by state: it repeatedly
-applies every move to every frontier state, and stops when no move
-produces a new state; the result is the set of states reached from the
-seed.  That set is the smallest iso-closed set of classes containing
-the seed as long as the move set keeps its contract: its distinct
-states are distinct classes.
+A move set (:class:`MoveSet`) acts on *states*: it checks the seed once,
+at the boundary, and turns it into a state, and its moves map states to
+states.  The search keys classes by state: it repeatedly applies every
+move to every frontier state, and stops when no move produces a new
+state; the result is the set of states reached from the seed.  That set
+is the smallest iso-closed set of classes containing the seed as long
+as the move set keeps its contract: its distinct states are distinct
+classes.
 
-Graph-level move sets keep the default state, the seed's canonical
-form.  The geometric flop rules live elsewhere, so the only shipped
-moves are the triple group action, which doubles as a test oracle (the
-closure of a rigidly encoded triple has exactly as many classes as the
-triple's orbit).  Its states are plain ``(a, b, c)`` tuples, which the
-rigid encoding maps one-to-one onto classes, so a move builds no graph
-and no move reaches the canonicalizer.  Its one move writes out the two
-generators itself and reads no group table of the census, so the
-oracle's class counts do not share the census's arithmetic.
+Graph-level move sets take a graph as the seed and keep the default
+state, its canonical form.  The geometric flop rules live elsewhere, so
+the only shipped moves are the triple group action, which doubles as a
+test oracle (the closure of a rigidly encoded triple has exactly as
+many classes as the triple's orbit).  Its states are plain ``(a, b, c)``
+tuples, which the rigid encoding maps one-to-one onto classes, so a move
+builds no graph and no move reaches the canonicalizer.  Its one move
+writes out the two generators itself and reads no group table of the
+census, so the oracle's class counts do not share the census's
+arithmetic.  Verify's oracle uses the same move with a ``to_state`` that
+takes a triple, so it seeds each closure with the triple itself and
+builds no graph.
 """
 
 from __future__ import annotations
@@ -51,9 +54,9 @@ def _graph_state(g: LabeledGraph) -> tuple[int, ...]:
 
 
 class MoveSet(Record):
-    """Moves over states, with the map from the seed graph to its state.
+    """Moves over states, with the map from the seed to its state.
 
-    ``to_state`` turns the seed graph into a state once, at the closure
+    ``to_state`` turns the seed into a state once, at the closure
     boundary, and raises ValueError for a seed the moves cannot act on.
     The closure counts states as classes, so a move set's distinct
     states must be distinct classes.  By default a state is the graph's
@@ -79,7 +82,7 @@ class ClosureResult(Record):
 
 
 def closure(
-    seed: LabeledGraph,
+    seed: object,
     move_set: MoveSet,
     *,
     max_classes: int | None = None,
@@ -88,6 +91,8 @@ def closure(
 ) -> ClosureResult:
     """Breadth-first fixed point of ``move_set`` starting from ``seed``.
 
+    The seed is whatever the move set's ``to_state`` accepts: graph-level
+    move sets, ``triple_group`` among them, take a :class:`LabeledGraph`.
     Raises the move set's ValueError for a seed it cannot act on, and
     BudgetExceededError when a configured class-count or step budget is
     hit (arbitrary move sets may have infinite closures).  Each step is

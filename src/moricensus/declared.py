@@ -11,7 +11,8 @@ Config grammar (UTF-8, one entry per line; ``#`` starts a comment):
 
 ``label`` is ``[A-Za-z_][A-Za-z0-9_]*``.  ``count`` is required and
 non-negative; ``breakdown`` and ``cite`` are optional.  Unknown keys are
-rejected.  A breakdown must sum to the count.
+rejected.  A breakdown must sum to the count.  An integer too long for
+the interpreter to convert is rejected like any other malformed value.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import re
 from importlib import resources
 
 from ._record import Record
-from .errors import ConfigError
+from .errors import ConfigError, config_int
 
 __all__ = ["DeclaredEntry", "default_declared_text", "load_declared"]
 
@@ -87,7 +88,7 @@ def _parse_entry_line(line: str, lineno: int) -> DeclaredEntry:
             line=lineno,
             field="count",
         )
-    count = int(fields["count"])
+    count = config_int(fields["count"], line=lineno, field="count")
     if count < 0:
         raise ConfigError(f"count must be non-negative, got {count}",
                           line=lineno, field="count")
@@ -102,10 +103,16 @@ def _parse_entry_line(line: str, lineno: int) -> DeclaredEntry:
                     line=lineno,
                     field="breakdown",
                 )
-        breakdown = tuple(int(p) for p in parts)
-        if sum(breakdown) != count:
+        breakdown = tuple(config_int(p, line=lineno, field="breakdown")
+                          for p in parts)
+        total = sum(breakdown)
+        if total != count:
+            try:
+                shown = f"={total}"
+            except ValueError:  # a sum past the int-conversion limit
+                shown = ""
             raise ConfigError(
-                f"breakdown {'+'.join(parts)}={sum(breakdown)} "
+                f"breakdown {'+'.join(parts)}{shown} "
                 f"does not sum to count={count}",
                 line=lineno,
                 field="breakdown",

@@ -1,7 +1,8 @@
 """Exception types raised by the census and audit machinery.
 
 Every error carries the offending data as attributes so reports can
-print actionable diffs instead of bare messages.
+print actionable diffs instead of bare messages.  :func:`config_int` is
+the config parsers' one way to read an integer field.
 """
 
 from __future__ import annotations
@@ -28,6 +29,22 @@ class ConfigError(MoricensusError):
             where.append(f"field {field!r}")
         suffix = f" ({', '.join(where)})" if where else ""
         super().__init__(message + suffix)
+
+
+def config_int(text: str, *, line: int, field: str) -> int:
+    """``int(text)`` for a config field that matched an integer pattern.
+
+    Raises ConfigError at ``line`` and ``field`` for a literal past the
+    interpreter's int-conversion limit, which ``int`` rejects with a
+    bare ValueError.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(
+            f"integer of {len(text.lstrip('-'))} digits is too long",
+            line=line, field=field,
+        ) from None
 
 
 class ParseError(MoricensusError):

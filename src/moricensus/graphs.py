@@ -26,7 +26,7 @@ from typing import Iterable
 
 from ._canon_py import canonical_sequence as _canonical_sequence
 from ._record import Record
-from .errors import ConfigError, SizeLimitError
+from .errors import ConfigError, SizeLimitError, config_int
 
 __all__ = [
     "LabeledGraph",
@@ -160,8 +160,9 @@ def parse_graph_file(text: str) -> LabeledGraph:
     """Parse the line-oriented graph format into a normalized graph.
 
     Raises ConfigError with a line number on malformed input, unknown
-    node references, duplicate node ids, self-loops or a multiplicity
-    below 1.  What reaches ``LabeledGraph.build`` is then valid edges.
+    node references, duplicate node ids, self-loops, a multiplicity
+    below 1 or an integer too long to convert.  What reaches
+    ``LabeledGraph.build`` is then valid edges.
     """
     ids: dict[str, int] = {}
     labels: list[int] = []
@@ -174,7 +175,8 @@ def parse_graph_file(text: str) -> LabeledGraph:
             m = _NODE_RE.match(line)
             if not m:
                 raise ConfigError("malformed node line", line=lineno)
-            name, label = m.group(1), int(m.group(2))
+            name = m.group(1)
+            label = config_int(m.group(2), line=lineno, field="label")
             if name in ids:
                 raise ConfigError(f"duplicate node id {name!r}", line=lineno,
                                   field="node")
@@ -195,11 +197,12 @@ def parse_graph_file(text: str) -> LabeledGraph:
             if a == b:
                 raise ConfigError("self-loops are not supported", line=lineno,
                                   field="edge")
-            mult = int(m.group(4)) if m.group(4) else 1
+            label = config_int(m.group(3), line=lineno, field="label")
+            mult = config_int(m.group(4) or "1", line=lineno, field="mult")
             if mult < 1:
                 raise ConfigError(f"edge multiplicity must be >= 1, got {mult}",
                                   line=lineno, field="mult")
-            raw_edges.append((ids[a], ids[b], int(m.group(3)), mult))
+            raw_edges.append((ids[a], ids[b], label, mult))
         else:
             raise ConfigError(
                 f"expected 'node' or 'edge', got {line.split()[0]!r}", line=lineno

@@ -156,6 +156,17 @@ def test_census_rejects_incomplete_reading(tmp_path, capsys, config, message):
     assert err == f"error: {message}\n"
 
 
+def test_census_names_a_count_past_the_conversion_limit(tmp_path, capsys):
+    path = tmp_path / "declared.cfg"
+    path.write_text(VD_104_READING.replace("count=11", "count=" + "9" * 4301),
+                    encoding="utf-8")
+    code, out, err = run(capsys, "census", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == ("error: integer of 4301 digits is too long "
+                   "(line 2, field 'count')\n")
+
+
 @pytest.mark.parametrize("command", ["census", "verify"])
 def test_more_t_symmetric_than_t_models_is_input_error(tmp_path, capsys, command):
     # checked beside the very-degenerate pair, so the error names the entry

@@ -353,6 +353,21 @@ def test_closure_matches_the_graph_path_on_census():
             closure_via_graphs(model.triple), model.triple
 
 
+def test_audit_seeds_match_the_rigid_encoding_on_census():
+    # verify's oracle seeds each closure with the model's triple; the
+    # closure it gets is the one the encoded triple gets
+    from moricensus.audit import _TRIPLE_STATES
+    from moricensus.families import regular_models
+
+    models = regular_models()
+    assert len(models) == 347
+    for model in models:
+        seeded = closure(model.triple, _TRIPLE_STATES)
+        encoded = closure(encode_triple(model.triple), MOVE_SETS["triple_group"])
+        assert (seeded.classes, seeded.expansion_steps) == \
+            (encoded.classes, encoded.expansion_steps), model.triple
+
+
 # the triple group's generators as separate moves on triple states
 SHIFT = MoveOperator("shift", lambda s: ((s[1], s[2], s[0]),))
 INVOLUTION = MoveOperator("involution", lambda s: ((-s[1], -s[0], -s[2]),))
@@ -478,15 +493,71 @@ def test_parse_graph_file_rejects_zero_multiplicity():
     assert (exc_info.value.line, exc_info.value.field) == (3, "mult")
 
 
+# one digit past the interpreter's int-conversion limit (4300 digits)
+OVER_LIMIT = "9" * 4301
+
+OVER_LIMIT_GRAPH_FILES = [
+    (f"node a label={OVER_LIMIT}\n", 1, "label"),
+    (f"node a label=1\nnode b label=1\nedge a b label=-{OVER_LIMIT}\n", 3, "label"),
+    (f"node a label=1\nnode b label=1\nedge a b label=0 mult={OVER_LIMIT}\n",
+     3, "mult"),
+]
+
+
+@pytest.mark.parametrize("text, line, field", OVER_LIMIT_GRAPH_FILES,
+                         ids=["node_label", "edge_label", "mult"])
+def test_parse_graph_file_names_integers_past_the_conversion_limit(text, line, field):
+    # int() would raise a bare ValueError; the parser names where it is
+    with pytest.raises(ConfigError) as exc_info:
+        parse_graph_file(text)
+    err = exc_info.value
+    assert str(err) == \
+        f"integer of 4301 digits is too long (line {line}, field {field!r})"
+    assert (err.line, err.field) == (line, field)
+
+
+# node lines, then edge lines, of well-formed shape with odd values
+# now and then, and at most one free join of the format's pieces
+GRAPH_INTS = st.sampled_from(
+    ["0", "1", "7", "-3", "12", "0", "-1", "x", OVER_LIMIT, "\u0663"])
+NODE_LINES = st.lists(
+    st.tuples(GRAPH_INTS, st.sampled_from(["", "", "", "", " # note", " extra=2"])),
+    min_size=2, max_size=3,
+).map(lambda specs: [f"node {name} label={label}{rest}"
+                     for name, (label, rest) in zip("abc", specs)])
+EDGE_LINES = st.lists(st.builds(
+    "edge {} {} label={}{}".format, st.sampled_from("abcd"),
+    st.sampled_from("abc"), GRAPH_INTS, st.sampled_from(
+        ["", "", " mult=3", " mult=0", " mult=-1", f" mult={OVER_LIMIT}"])),
+    max_size=3)
+GRAPH_PIECES = st.lists(st.lists(st.sampled_from([
+    "node", "edge", " ", "a", "b", "label=", "mult=", "=", "1", "-", "#",
+    "\t", "vertex", OVER_LIMIT,
+]), max_size=10).map("".join), max_size=1)
+GRAPH_TEXTS = st.builds(lambda *parts: "\n".join(sum(parts, [])),
+                        NODE_LINES, EDGE_LINES, GRAPH_PIECES)
+
+
+@settings(max_examples=150, deadline=None)
+@given(GRAPH_TEXTS)
+def test_parse_graph_file_raises_only_config_errors_inside_the_text(text):
+    try:
+        parse_graph_file(text)
+    except ConfigError as err:
+        if err.line is not None:
+            assert 1 <= err.line <= len(text.splitlines())
+
+
 # ---------------------------------------------------------------------------
 # line guard
 
 
 def test_every_closure_and_graph_line_runs():
     # the triple group, no moves, the counting moves up to each budget,
-    # the rejected graphs, seeds and graph files, and a graph past the
-    # size limit reach every line of both modules; a line none of them
-    # runs is a branch no input takes
+    # the rejected graphs, seeds and graph files (integers past the
+    # conversion limit among them), and a graph past the size limit
+    # reach every line of both modules; a line none of them runs is a
+    # branch no input takes
     closure_module = importlib.import_module("moricensus.closure")
     graphs_module = importlib.import_module("moricensus.graphs")
 
@@ -514,7 +585,7 @@ def test_every_closure_and_graph_line_runs():
         for text in BAD_GRAPH_FILES + [
             "node a label=1\nnode b label=1\nedge a b label=x\n",
             "node a label=1\nnode b label=1\nedge a b label=0 mult=0\n",
-        ]:
+        ] + [text for text, _, _ in OVER_LIMIT_GRAPH_FILES]:
             expect(ConfigError, lambda: parse_graph_file(text))
         expect(SizeLimitError,
                lambda: canonical_graph(LabeledGraph.build([0] * 13)))

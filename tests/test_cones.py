@@ -15,6 +15,7 @@ from moricensus.cones import (
 from moricensus.declared import default_declared_text, load_declared
 from moricensus.errors import ConfigError, DuplicateClassError, InvariantError
 from moricensus.families import FamilyId, regular_models
+from moricensus.graphs import LabeledGraph
 from moricensus.triples import Triple, canonical, orbit
 
 from linetrace import unrun_lines
@@ -250,6 +251,22 @@ def test_closure_oracle_fails_a_consistent_unsigned_table(monkeypatch):
     verdicts = {v.name: v for v in run_full_verification().verdicts}
     oracle = verdicts["census.closure_oracle"]
     assert (oracle.holds, oracle.lhs_value, oracle.rhs_value) == (False, 285, 347)
+
+
+def test_verification_builds_no_graph(monkeypatch):
+    # the closure oracle seeds each closure with the model's triple, so
+    # no census triple is encoded as a graph only to be decoded again
+    built = []
+    check = LabeledGraph.__post_init__
+
+    def counting(g):
+        built.append(g)
+        check(g)
+
+    monkeypatch.setattr(LabeledGraph, "__post_init__", counting)
+    verdicts = {v.name: v for v in run_full_verification().verdicts}
+    assert verdicts["census.closure_oracle"].lhs_value == 347
+    assert built == []
 
 
 def test_every_census_line_runs(monkeypatch):

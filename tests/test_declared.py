@@ -1,7 +1,16 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from moricensus import declared
 from moricensus.declared import DeclaredEntry, default_declared_text, load_declared
 from moricensus.errors import ConfigError
+
+from linetrace import unrun_lines
+
+# one digit past the interpreter's int-conversion limit (4300 digits),
+# and the longest integer it converts
+OVER_LIMIT = "9" * 4301
+ADDEND = "9" * 4300
 
 
 def test_accepts_t_model_entry():
@@ -51,7 +60,7 @@ def test_duplicate_label_rejected():
         load_declared("entry x: count=1\nentry x: count=2\n")
 
 
-@pytest.mark.parametrize("line, message, field", [
+ENTRY_ERRORS = [
     ("entry x count=1", "missing ':' after entry label", None),
     ("entry 9x: count=1", "bad entry label '9x'", "label"),
     ("entry x: count=1 junk", "expected key=value, got 'junk'", None),
@@ -61,9 +70,23 @@ def test_duplicate_label_rejected():
     ("entry x: count=ten", "count must be an integer, got 'ten'", "count"),
     ("entry x: count=3 breakdown=1+two",
      "breakdown addend 'two' is not an integer", "breakdown"),
-], ids=["missing_colon", "bad_label", "not_key_value", "duplicate_key",
+    # int() would raise a bare ValueError past the conversion limit
+    (f"entry x: count={OVER_LIMIT}", "integer of 4301 digits is too long", "count"),
+    (f"entry x: count=-{OVER_LIMIT}", "integer of 4301 digits is too long",
+     "count"),
+    (f"entry x: count=3 breakdown=1+{OVER_LIMIT}",
+     "integer of 4301 digits is too long", "breakdown"),
+    # each addend converts, but their sum has too many digits to print
+    (f"entry x: count=1 breakdown={ADDEND}+{ADDEND}",
+     f"breakdown {ADDEND}+{ADDEND} does not sum to count=1", "breakdown"),
+]
+
+
+@pytest.mark.parametrize("line, message, field", ENTRY_ERRORS, ids=[
+        "missing_colon", "bad_label", "not_key_value", "duplicate_key",
         "unterminated_quote", "missing_value", "count_not_int",
-        "addend_not_int"])
+        "addend_not_int", "count_too_long", "negative_count_too_long",
+        "addend_too_long", "sum_too_long"])
 def test_entry_errors_name_their_line_and_field(line, message, field):
     with pytest.raises(ConfigError) as exc_info:
         load_declared("# header\n" + line + "\n")
@@ -94,3 +117,60 @@ def test_default_config_loads_and_validates():
     assert entries["p_very_degenerate"].breakdown == (71, 7, 25)
     assert entries["p_very_degenerate_symmetric"].count == 1
 
+
+# entry lines of well-formed shape with odd keys and values, mixed
+# with free joins of the grammar's pieces
+INTS = st.sampled_from(["0", "7", "129", "-3", "two", "", OVER_LIMIT, "\u0663"])
+VALUES = st.one_of(
+    INTS,
+    st.lists(INTS, min_size=1, max_size=3).map("+".join),
+    st.sampled_from(['"Thm 2.1"', '"open', '""']),
+)
+ENTRY_LINES = st.builds(
+    lambda label, count, rest, comment: (
+        f"entry {label}: count={count}{rest}{comment}"),
+    st.sampled_from(["x", "t_models", "9x"]),
+    INTS,
+    st.lists(st.builds(" {}={}".format, st.sampled_from(
+        ["breakdown", "cite", "count", "flavour"]), VALUES),
+        max_size=2).map("".join),
+    st.sampled_from(["", " # note", " junk"]),
+)
+PIECES = st.lists(st.sampled_from([
+    "entry", " ", ":", "x", "count=", "breakdown=", "=", '"', "+", "7",
+    "#", "\t", "claim", OVER_LIMIT,
+]), max_size=12).map("".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(ENTRY_LINES, PIECES), max_size=4).map("\n".join))
+def test_load_declared_raises_only_config_errors_inside_the_text(text):
+    try:
+        load_declared(text)
+    except ConfigError as err:
+        if err.line is not None:
+            assert 1 <= err.line <= len(text.splitlines())
+
+
+def test_every_declared_line_runs():
+    # the shipped config, the accepted entries and every rejected line
+    # above, over-limit integers among them, reach every line of the
+    # module; a line none of them runs is a branch no input takes
+    rejected = [
+        "entry bad: count=10 breakdown=5+4",
+        "entry bad: count=-3",
+        'entry x: count=1 flavour="odd"',
+        'entry x: cite="nothing"',
+        "entry x: count=1\nentry x: count=2",
+        "claim x: 1 == 1",
+    ] + [line for line, _, _ in ENTRY_ERRORS]
+
+    def run():
+        load_declared(default_declared_text())
+        load_declared("# all comments\n\n   \nentry a: count=0\n")
+        load_declared('entry t: count=129 breakdown=83+1+45 cite="Thm 2.1"\n')
+        for text in rejected:
+            with pytest.raises(ConfigError):
+                load_declared(text)
+
+    assert unrun_lines([declared], run) == []

@@ -1,5 +1,7 @@
 """Messages and attributes of the package's error types."""
 
+import pytest
+
 from moricensus import errors
 from moricensus.errors import (
     BudgetExceededError,
@@ -7,6 +9,7 @@ from moricensus.errors import (
     DuplicateClassError,
     ParseError,
     SizeLimitError,
+    config_int,
 )
 from moricensus.triples import Triple
 
@@ -36,12 +39,23 @@ def test_errors_carry_their_data():
     assert str(err) == "closure exceeded step budget of 5"
 
 
+def test_config_int_names_where_a_too_long_integer_is():
+    assert config_int("-42", line=1, field="count") == -42
+    with pytest.raises(ConfigError) as exc_info:
+        config_int("-" + "9" * 4301, line=3, field="mult")
+    err = exc_info.value
+    assert (err.line, err.field) == (3, "mult")
+    assert str(err) == "integer of 4301 digits is too long (line 3, field 'mult')"
+
+
 def test_every_errors_line_runs():
-    # the two tests above build every error type, with and without a
-    # ConfigError's optional fields; a line none of them runs is a
-    # branch no error takes
+    # the tests above build every error type, with and without a
+    # ConfigError's optional fields, and read an integer that converts
+    # and one that does not; a line none of them runs is a branch no
+    # error takes
     def run():
         test_config_error_names_where_it_is_known()
         test_errors_carry_their_data()
+        test_config_int_names_where_a_too_long_integer_is()
 
     assert unrun_lines([errors], run) == []
