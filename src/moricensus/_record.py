@@ -5,7 +5,8 @@ trailing fields defaults in a class-level ``_defaults`` dict.
 :class:`Record` derives everything else from the slot names:
 
 - the constructor, written at class creation: one positional-or-keyword
-  parameter per slot, in slot order, defaults from ``_defaults``.  When
+  parameter per slot, in slot order, defaults from ``_defaults``, storing
+  each field through its slot's descriptor, past ``__setattr__``.  When
   the class defines ``__post_init__``, the constructor calls it last,
   looking it up on the instance at call time, so a patched
   ``__post_init__`` is seen by records built afterwards;
@@ -19,21 +20,20 @@ from __future__ import annotations
 
 __all__ = ["Record"]
 
-# Stores a field past Record.__setattr__; only the generated __init__s use it.
-_set = object.__setattr__
-
 
 def _make_init(cls):
+    # each field is stored through its slot's descriptor, bound once here
+    namespace = {"__name__": __name__, "_defaults": cls._defaults}
     params, body = [], []
     for name in cls.__slots__:
         params.append(f"{name}=_defaults[{name!r}]" if name in cls._defaults
                       else name)
-        body.append(f"    _set(self, {name!r}, {name})")
+        namespace[f"_set_{name}"] = getattr(cls, name).__set__
+        body.append(f"    _set_{name}(self, {name})")
     if hasattr(cls, "__post_init__"):
         body.append("    self.__post_init__()")
     source = f"def __init__(self, {', '.join(params)}):\n" + "\n".join(body)
     # __name__ makes this module the generated function's __module__
-    namespace = {"__name__": __name__, "_set": _set, "_defaults": cls._defaults}
     exec(source, namespace)
     init = namespace["__init__"]
     init.__qualname__ = f"{cls.__qualname__}.__init__"

@@ -15,6 +15,7 @@ rigid encoding's boundary.
 from __future__ import annotations
 
 from collections import Counter
+from operator import attrgetter
 
 from .claims import AuditReport, Claim, Verdict, evaluate_claims, parse_claims
 from .closure import MOVE_SETS, MoveSet, closure
@@ -78,9 +79,10 @@ def _computed(name: str, got: int, want: int) -> Verdict:
     )
 
 
-# the triple group's moves on a census triple itself: ``tuple`` turns
-# a Triple into its ``(a, b, c)`` state without building another
-_TRIPLE_STATES = MoveSet(moves=MOVE_SETS["triple_group"].moves, to_state=tuple)
+# the triple group's moves on a census triple itself: the state is the
+# Triple's ``(a, b, c)``, read off its fields without building another
+_TRIPLE_STATES = MoveSet(moves=MOVE_SETS["triple_group"].moves,
+                         to_state=attrgetter("a", "b", "c"))
 
 
 def _closure_oracle_matches(records) -> int:

@@ -4,8 +4,9 @@ One claim per line (``#`` starts a comment):
 
     claim <name>: <expr> == <expr> expect=(holds|fails) [cite="<text>"]
 
-Expressions are exact integer arithmetic over literals with ``+``,
-binary and unary ``-``, ``*`` and parentheses; no floats, no variables.
+Expressions are exact integer arithmetic over literals of ASCII digits
+with ``+``, binary and unary ``-``, ``*`` and parentheses; no floats, no
+variables.
 At most ``MAX_NESTING`` parentheses and unary minus signs may nest.
 Whitespace within a line is insignificant.  ``expect=fails`` marks an
 identity recorded from a source text that is arithmetically false; the
@@ -103,7 +104,7 @@ class AuditReport(Record):
         return 0 if all(v.as_expected for v in self.verdicts) else 1
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([()+\-*])|(\S))")
+_TOKEN_RE = re.compile(r"\s*(?:([0-9]+)|([()+\-*])|(\S))")
 
 
 class _ExprParser:

@@ -1,8 +1,9 @@
 """Maximal-cone counts assembled from model censuses via orbit lengths.
 
 Each equivalence class of models contributes as many maximal cones as
-its orbit length under the order-6 group.  Computed models sum their
-orbit lengths; a declared count gives 3 cones per symmetric model and
+its orbit length under the order-6 group.  The census keeps the
+families' :class:`RegularModel` records and sums their orbit lengths; a
+declared count gives 3 cones per symmetric model and
 6 per other one (:func:`t_cone_count`).  Together they reproduce the
 three-component count 2657 and the two-component count 741; the grand
 total 3398 is their sum.
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 from ._record import Record
 from .declared import DeclaredEntry
-from .errors import ConfigError, InvariantError
+from .errors import ConfigError
 from .families import RegularModel
 
 __all__ = [
@@ -26,23 +27,17 @@ __all__ = [
 
 
 class ModelRecord(Record):
-    """A census unit's orbit length and symmetry order, and its triple if computed."""
+    """A declared census unit: a :class:`RegularModel`'s orbit fields and check."""
 
     __slots__ = ("family", "orbit_length", "symmetry_order", "triple")
     _defaults = {"triple": None}
-
-    def __post_init__(self):
-        if self.orbit_length * self.symmetry_order != 6:
-            raise InvariantError(
-                f"orbit-stabilizer violation: {self.orbit_length} x "
-                f"{self.symmetry_order} != 6"
-            )
+    __post_init__ = RegularModel.__post_init__
 
 
 class CensusReport(Record):
     """Reconciliation of computed and declared counts.
 
-    ``computed`` holds one record per regular model, in input order.
+    ``computed`` holds the regular models themselves, in input order.
     """
 
     __slots__ = ("p_models", "t_models", "p_symmetric", "p_cones", "t_cones",
@@ -55,24 +50,13 @@ class CensusReport(Record):
         return self.p_cones + self.t_cones
 
 
-def computed_record(model: RegularModel) -> ModelRecord:
-    """The census record of a regular model.
-
-    Orbit length and symmetry order are the ones the family counted from
-    the six images of the model's triple: the census sums lengths, so it
-    builds no orbit members.  ``ModelRecord`` checks their product.
-    """
-    return ModelRecord(model.family, model.orbit_length,
-                       model.symmetry_order, model.triple)
-
-
 def symmetric_p_models(
-    records: list[ModelRecord],
+    records: list[RegularModel],
     declared_symmetric: list[ModelRecord],
-) -> list[ModelRecord]:
+) -> list[RegularModel | ModelRecord]:
     """All symmetric three-component models.
 
-    The computed ``records`` with a nontrivial stabilizer, ordered by
+    The regular ``records`` with a nontrivial stabilizer, ordered by
     orbit length and triple, followed by ``declared_symmetric``.
     """
     symmetric = sorted(
@@ -82,7 +66,7 @@ def symmetric_p_models(
     return symmetric + list(declared_symmetric)
 
 
-def p_cone_count(models: list[ModelRecord]) -> int:
+def p_cone_count(models: list[RegularModel | ModelRecord]) -> int:
     """Sum of orbit lengths over the three-component census."""
     return sum(m.orbit_length for m in models)
 
@@ -124,10 +108,10 @@ def build_census_report(
     """Assemble the full census from computed models and declared entries.
 
     Requires entries ``t_models``, ``t_symmetric``, ``p_very_degenerate``
-    and ``p_very_degenerate_symmetric``, and no more symmetric models than
-    models in either pair.  Both declared counts give cones by
-    :func:`t_cone_count`'s rule.  Only the declared symmetric models
-    get records, because ``p_symmetric`` lists them.
+    and ``p_very_degenerate_symmetric``, no more symmetric models than
+    models in either pair, and totals short enough to print.  Both
+    declared counts give cones by :func:`t_cone_count`'s rule.  Only the
+    declared symmetric models get new records, for ``p_symmetric``.
     """
     by_label = {e.label: e for e in declared}
     count = {label: _require(by_label, label).count for label in (
@@ -146,13 +130,21 @@ def build_census_report(
         ModelRecord(family="very_degenerate", orbit_length=3, symmetry_order=2)
         for _ in range(p_vd_sym)
     ]
-    computed = [computed_record(m) for m in regular]
-    return CensusReport(
-        p_models=len(computed) + p_vd,
+    report = CensusReport(
+        p_models=len(regular) + p_vd,
         t_models=t_models,
-        p_symmetric=tuple(symmetric_p_models(computed, declared_symmetric)),
-        p_cones=p_cone_count(computed) + t_cone_count(p_vd, p_vd_sym),
+        p_symmetric=tuple(symmetric_p_models(regular, declared_symmetric)),
+        p_cones=p_cone_count(regular) + t_cone_count(p_vd, p_vd_sym),
         t_cones=t_cone_count(t_models, t_symmetric),
         findings=RECORDED_FINDINGS,
-        computed=tuple(computed),
+        computed=tuple(regular),
     )
+    # counts that parse can give totals past the interpreter's int-to-text
+    # limit; total_cones is the largest number a report prints
+    try:
+        str(report.total_cones)
+    except ValueError:
+        label = "t_models" if report.t_cones > report.p_cones else "p_very_degenerate"
+        raise ConfigError(f"entry {label!r} gives total_cones too long to print",
+                          field="count") from None
+    return report

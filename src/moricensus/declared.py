@@ -9,7 +9,8 @@ Config grammar (UTF-8, one entry per line; ``#`` starts a comment):
 
     entry <label>: count=<int> breakdown=<int>[+<int>]* cite="<text>"
 
-``label`` is ``[A-Za-z_][A-Za-z0-9_]*``.  ``count`` is required and
+``label`` is ``[A-Za-z_][A-Za-z0-9_]*``.  An ``<int>`` is ASCII digits,
+``0-9``, with an optional leading ``-``.  ``count`` is required and
 non-negative; ``breakdown`` and ``cite`` are optional.  Unknown keys are
 rejected.  A breakdown must sum to the count.  An integer too long for
 the interpreter to convert is rejected like any other malformed value.
@@ -34,7 +35,7 @@ class DeclaredEntry(Record):
 
 
 _LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
-_INT_RE = re.compile(r"-?\d+$")
+_INT_RE = re.compile(r"-?[0-9]+$")
 _KEY_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)=")
 
 

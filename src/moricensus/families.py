@@ -11,7 +11,8 @@ Families are emitted in census order with triples in lexicographic
 order inside each family, so regeneration is deterministic.  Each
 family is written as plain ``(a, b, c)`` tuples; :func:`_models` sorts
 them, builds one validated Triple per model and stores what the census
-needs of its orbit, read off one pass over its six group images.
+needs of its orbit, read off one pass over its six group images; the
+census keeps these :class:`RegularModel` records.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from enum import Enum
 
 from ._record import Record
-from .errors import DuplicateClassError
+from .errors import DuplicateClassError, InvariantError
 from .triples import Triple, _orbit_summary
 
 __all__ = [
@@ -52,11 +53,18 @@ class RegularModel(Record):
 
     ``canonical_key`` is the smallest image of the triple, as a plain
     tuple: the dedup key.  ``orbit_length`` and ``symmetry_order`` are
-    counted independently from the same images.
+    counted independently from the same images; their product is 6.
     """
 
     __slots__ = ("triple", "family", "canonical_key", "orbit_length",
                  "symmetry_order")
+
+    def __post_init__(self):
+        if self.orbit_length * self.symmetry_order != 6:
+            raise InvariantError(
+                f"orbit-stabilizer violation: {self.orbit_length} x "
+                f"{self.symmetry_order} != 6"
+            )
 
 
 def _models(components, family: FamilyId) -> list[RegularModel]:

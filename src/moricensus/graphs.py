@@ -17,6 +17,8 @@ Graph file format (UTF-8, line-oriented; ``#`` starts a comment):
     edge <id> <id> label=<int> [mult=<int>]
 
 Node ids are arbitrary word tokens, unique per file; mult defaults to 1.
+An ``<int>`` is ASCII digits, ``0-9``, with an optional leading ``-`` for
+labels.
 """
 
 from __future__ import annotations
@@ -150,9 +152,9 @@ def iso(g1: LabeledGraph, g2: LabeledGraph) -> bool:
     return canonical_graph(g1) == canonical_graph(g2)
 
 
-_NODE_RE = re.compile(r"node\s+(\S+)\s+label=(-?\d+)\s*$")
+_NODE_RE = re.compile(r"node\s+(\S+)\s+label=(-?[0-9]+)\s*$")
 _EDGE_RE = re.compile(
-    r"edge\s+(\S+)\s+(\S+)\s+label=(-?\d+)(?:\s+mult=(\d+))?\s*$"
+    r"edge\s+(\S+)\s+(\S+)\s+label=(-?[0-9]+)(?:\s+mult=([0-9]+))?\s*$"
 )
 
 

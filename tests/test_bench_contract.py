@@ -3,8 +3,9 @@
 ``perfbench/tracing.py`` wraps program functions looked up by name,
 ``perfbench/workloads.py`` re-derives claim verdicts with its own
 parser, and its canon-search workload feeds the kernel graphs from
-``benchmarks/bench_canonical.py``.  These tests load those files by
-path, unchanged, so a change to the program that would break
+``benchmarks/bench_canonical.py``; ``benchmarks/bench_verify.py``
+prints verify's stage table.  These tests load those files by path,
+unchanged, so a change to the program that would break
 ``--trace 1`` or the benchmark's answers fails here first.
 """
 
@@ -151,3 +152,22 @@ def test_kernel_benchmark_runs():
     for header in ("rigid triple encodings", "random multigraphs",
                    "uniform circulants"):
         assert header in done.stdout
+
+
+def test_verify_stage_benchmark_runs():
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / "bench_verify.py"),
+         "--rounds", "1", "--number", "1"],
+        capture_output=True, text=True, env=src_env(), timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    rows = {line[:18].strip(): line[18:].split()
+            for line in done.stdout.splitlines() if line.startswith("  ")}
+    for stage in ("declared load", "claims parse", "claims evaluate", "families",
+                  "census report", "closure oracle", "full run"):
+        assert stage in rows, stage
+    # one record per census model in each of three classes, and the one
+    # declared symmetric model's record
+    assert rows["Triple"] == rows["RegularModel"] == rows["ClosureResult"] == ["347"]
+    assert rows["ModelRecord"] == ["1"]
+    assert rows["total"] == ["1242"]

@@ -1,6 +1,7 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from moricensus import claims as claims_module
 from moricensus.audit import default_claims_text
 from moricensus.claims import (
     EVAL_GUARD,
@@ -16,6 +17,8 @@ from moricensus.claims import (
     parse_claims,
 )
 from moricensus.errors import ParseError
+
+from linetrace import unrun_lines
 
 
 def parse_one(line):
@@ -83,7 +86,11 @@ def test_parse_line_numbers_in_errors():
     ("claim a: 1 == 1 expect=holds\n  entry x: count=1\n",
      "expected 'claim', got 'entry'", 2, 3),
     ("claim x 1 == 1 expect=holds\n", "malformed claim line", 1, 1),
-], ids=["trailing_token", "missing_paren", "not_a_claim", "malformed_line"])
+    # int() reads Arabic-Indic digits as 129; the grammar takes 0-9
+    ("claim x: \u0661\u0662\u0669 == 129 expect=holds\n",
+     "unexpected character '\u0661'", 1, 10),
+], ids=["trailing_token", "missing_paren", "not_a_claim", "malformed_line",
+        "not_ascii"])
 def test_parse_errors_name_their_line_and_column(text, message, line, column):
     with pytest.raises(ParseError) as exc_info:
         parse_claims(text)
@@ -225,6 +232,50 @@ def test_format_parse_round_trip_property(lhs, rhs):
     assert parse_claims(format_claims(claims)) == claims
 
 
+# one digit past the interpreter's int-conversion limit (4300 digits)
+OVER_LIMIT = "9" * 4301
+
+# well-formed claims, written out by format_claims, mixed with claim
+# lines of odd tokens and free joins of the grammar's pieces
+CLAIMS = st.builds(
+    Claim, st.sampled_from(["x", "y", "t_cones"]), exprs, exprs, st.booleans(),
+    st.sampled_from(["", "Thm 2.1", "proof display"]))
+TOKENS = st.sampled_from([
+    "1", "07", "-", "+", "*", "(", ")", " ", "==", "$", "n", "\u0663",
+    OVER_LIMIT, "#",
+])
+ODD_CLAIMS = st.builds(
+    "claim {}: {} == {} expect={}{}".format,
+    st.sampled_from(["x", "9x", "y"]),
+    st.lists(TOKENS, max_size=6).map("".join),
+    st.lists(TOKENS, max_size=6).map("".join),
+    st.sampled_from(["holds", "fails", "maybe"]),
+    st.sampled_from(["", ' cite="c"', ' cite="open', " junk"]),
+)
+CLAIM_PIECES = st.lists(st.sampled_from([
+    "claim", " ", "x", ":", "==", "expect=", "holds", "cite=", '"', "(", ")",
+    "-", "1", "#", "\t", "entry",
+]), max_size=12).map("".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(CLAIMS, ODD_CLAIMS, CLAIM_PIECES), max_size=4))
+def test_parse_claims_raises_only_parse_errors_inside_the_text(lines):
+    text = "\n".join(format_claims([line]).rstrip("\n")
+                     if isinstance(line, Claim) else line for line in lines)
+    try:
+        parsed = parse_claims(text)
+    except ParseError as err:
+        rows = text.splitlines()
+        assert 1 <= err.line <= len(rows)
+        assert 1 <= err.column <= len(rows[err.line - 1]) + 1
+        return
+    # format_claims is the oracle: well-formed claims parse back to
+    # themselves
+    if all(isinstance(line, Claim) for line in lines):
+        assert parsed == lines
+
+
 def test_empty_claims_file():
     report = evaluate_claims(parse_claims(""))
     assert report.verdicts == ()
@@ -266,3 +317,38 @@ def test_shipped_claims_all_as_expected():
     assert by_name["t_cones"].holds
     every_cited = all(v.cite for v in report.verdicts)
     assert every_cited
+
+
+def test_every_claims_line_runs():
+    # the shipped file, formatted and re-parsed, the malformed lines and
+    # literals above, an expression past the evaluation guard and a
+    # claim that fails as expected reach every line of the module; a
+    # line none of them runs is a branch no input takes
+    rejected = [
+        "claim x: 1 + $ == 2 expect=holds",
+        "claim x: 1 2 == 3 expect=holds",
+        "claim x: (1 + 2 3) == 3 expect=holds",
+        "  entry x: count=1",
+        "claim x 1 == 1 expect=holds",
+        "claim x: 1 == 1 expect=holds\nclaim x: 2 == 2 expect=holds",
+        "claim x: 1 + 1 expect=holds",
+        "claim x: == expect=holds",
+        "claim x: ) == 1 expect=holds",
+        f"claim x: {OVER_LIMIT} == 1 expect=holds",
+        f"claim x: 1 == {nested('parens', MAX_NESTING + 1)} expect=holds",
+    ]
+
+    def run():
+        report = evaluate_claims(parse_claims(default_claims_text()))
+        assert report.exit_status == 0
+        text = format_claims(parse_claims(
+            "# ok\nclaim x: -(1 + 2) * 3 - 4 * (5 - -6) == -53 expect=holds\n"
+            'claim y: 2 + 2 == 5 expect=fails cite="c"\n'))
+        assert evaluate_claims(parse_claims(text)).exit_status == 0
+        for text in rejected:
+            with pytest.raises(ParseError):
+                parse_claims(text)
+        with pytest.raises(OverflowError):
+            evaluate(parse_one(f"claim x: {EVAL_GUARD} * 2 == 0 expect=fails"))
+
+    assert unrun_lines([claims_module], run) == []

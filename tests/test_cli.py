@@ -167,6 +167,28 @@ def test_census_names_a_count_past_the_conversion_limit(tmp_path, capsys):
                    "(line 2, field 'count')\n")
 
 
+NINES = "9" * 4300  # the longest count the interpreter converts
+
+
+@pytest.mark.parametrize("command", ["census", "verify"])
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("entry, label", [
+    ("count=129 breakdown=83+1+45", "t_models"),
+    ("count=104 breakdown=72+7+25", "p_very_degenerate"),
+])
+def test_totals_too_long_to_print_are_input_errors(tmp_path, capsys, command, fmt,
+                                                   entry, label):
+    # the count parses, but the totals it gives have 4301 digits; the
+    # error names the entry before any of the table reaches stdout
+    path = tmp_path / "declared.cfg"
+    path.write_text(VD_104_READING.replace(entry, f"count={NINES}"),
+                    encoding="utf-8")
+    code, out, err = run(capsys, command, "--config", str(path), "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err == (f"error: entry {label!r} gives total_cones too long to print "
+                   "(field 'count')\n")
+
+
 @pytest.mark.parametrize("command", ["census", "verify"])
 def test_more_t_symmetric_than_t_models_is_input_error(tmp_path, capsys, command):
     # checked beside the very-degenerate pair, so the error names the entry

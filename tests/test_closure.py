@@ -493,6 +493,20 @@ def test_parse_graph_file_rejects_zero_multiplicity():
     assert (exc_info.value.line, exc_info.value.field) == (3, "mult")
 
 
+@pytest.mark.parametrize("text, line", [
+    ("node a label=\u0663\n", 1),
+    ("node a label=1\nnode b label=1\nedge a b label=-\u0663\n", 3),
+    ("node a label=1\nnode b label=1\nedge a b label=0 mult=\u0663\n", 3),
+], ids=["node_label", "edge_label", "mult"])
+def test_parse_graph_file_takes_ascii_digits_only(text, line):
+    # int() reads the Arabic-Indic digit three as 3; the format takes 0-9
+    with pytest.raises(ConfigError) as exc_info:
+        parse_graph_file(text)
+    kind = "node" if line == 1 else "edge"
+    assert str(exc_info.value) == f"malformed {kind} line (line {line})"
+    assert exc_info.value.line == line
+
+
 # one digit past the interpreter's int-conversion limit (4300 digits)
 OVER_LIMIT = "9" * 4301
 

@@ -7,14 +7,13 @@ from moricensus.cones import (
     CensusReport,
     ModelRecord,
     build_census_report,
-    computed_record,
     p_cone_count,
     symmetric_p_models,
     t_cone_count,
 )
 from moricensus.declared import default_declared_text, load_declared
 from moricensus.errors import ConfigError, DuplicateClassError, InvariantError
-from moricensus.families import FamilyId, regular_models
+from moricensus.families import FamilyId, RegularModel, regular_models
 from moricensus.graphs import LabeledGraph
 from moricensus.triples import Triple, canonical, orbit
 
@@ -41,41 +40,35 @@ def declared_generic_records(count):
     ]
 
 
-def computed_records():
-    return [computed_record(m) for m in regular_models()]
-
-
 def test_model_record_rejects_orbit_stabilizer_violation():
     with pytest.raises(InvariantError):
         ModelRecord(family="x", orbit_length=4, symmetry_order=2)
 
 
-def test_computed_record_validates_orbit_length():
+def test_regular_model_orbit_numbers_match_orbit():
     models = regular_models()
     assert len(models) == 347
     for model in models:
-        record = computed_record(model)
         expected = orbit(model.triple)
-        assert record.triple == model.triple
-        assert record.orbit_length == expected.length
-        assert record.symmetry_order == expected.stabilizer_order
+        assert model.orbit_length == expected.length
+        assert model.symmetry_order == expected.stabilizer_order
 
 
 def test_symmetric_models_total_thirteen():
-    records = symmetric_p_models(computed_records(), [declared_symmetric_record()])
+    records = symmetric_p_models(regular_models(), [declared_symmetric_record()])
     assert len(records) == 13
     lengths = sorted(r.orbit_length for r in records)
     assert lengths == [1, 2, 2] + [3] * 10
 
 
 def test_symmetric_models_orbit_length_two_are_the_cyclic_pair():
-    records = symmetric_p_models(computed_records(), [declared_symmetric_record()])
+    records = symmetric_p_models(regular_models(), [declared_symmetric_record()])
     length_two = {r.triple for r in records if r.orbit_length == 2}
     assert length_two == {Triple(1, 1, 1), Triple(2, 2, 2)}
 
 
 def test_p_cone_count_reproduces_claimed_total():
-    records = computed_records()
+    records = regular_models()
     records += declared_generic_records(102)
     records.append(declared_symmetric_record())
     assert p_cone_count(records) == 2657
@@ -178,7 +171,7 @@ def test_build_census_report_with_altered_symmetric_count():
 
 
 def test_expected_symmetric_set_matches_orbit_analysis():
-    found = {r.triple for r in symmetric_p_models(computed_records(), [])}
+    found = {r.triple for r in symmetric_p_models(regular_models(), [])}
     expected = {
         m.triple for m in regular_models() if orbit(m.triple).stabilizer_order > 1
     }
@@ -186,7 +179,8 @@ def test_expected_symmetric_set_matches_orbit_analysis():
 
 
 def test_build_census_report_builds_only_declared_symmetric_records(monkeypatch):
-    # the 102 other very-degenerate models enter only through their count
+    # the regular models enter as the families' own records, and the 102
+    # other very-degenerate models only through their count
     expected = [declared_symmetric_record()]
     built = []
     check = ModelRecord.__post_init__
@@ -200,8 +194,24 @@ def test_build_census_report_builds_only_declared_symmetric_records(monkeypatch)
         regular_models(), load_declared(default_declared_text())
     )
     assert report.p_cones == 2657
-    assert len(built) == 347 + 1
-    assert [r for r in built if r.triple is None] == expected
+    assert built == expected
+    assert all(type(r) is RegularModel for r in report.computed)
+
+
+def test_verification_builds_one_model_record(monkeypatch):
+    # the census keeps the families' RegularModels; the one ModelRecord
+    # is the shipped reading's declared symmetric model
+    expected = [declared_symmetric_record()]
+    built = []
+    check = ModelRecord.__post_init__
+
+    def counting(record):
+        built.append(record)
+        check(record)
+
+    monkeypatch.setattr(ModelRecord, "__post_init__", counting)
+    assert run_full_verification().exit_status == 0
+    assert built == expected
 
 
 def test_build_census_report_applies_one_rule_to_declared_counts():
@@ -217,6 +227,17 @@ def test_build_census_report_without_declared_symmetric_models():
     assert report.p_cones == 2042 + 103 * 6
     assert len(report.p_symmetric) == 12
     assert all(r.triple is not None for r in report.p_symmetric)
+
+
+def test_build_census_report_names_the_entry_of_a_total_too_long_to_print():
+    # each count and each of p_cones and t_cones prints; their sum has
+    # 4301 digits, and the entry with the larger share of it is named
+    big = 10 ** 4299
+    with pytest.raises(ConfigError) as exc_info:
+        build_census_report(regular_models(), reading(big, 0, 15 * big // 10, 0))
+    assert str(exc_info.value) == (
+        "entry 't_models' gives total_cones too long to print (field 'count')")
+    assert exc_info.value.field == "count"
 
 
 def plant_overlap(monkeypatch):
@@ -271,8 +292,8 @@ def test_verification_builds_no_graph(monkeypatch):
 
 def test_every_census_line_runs(monkeypatch):
     # shipped verify, the readings above, the rejected readings, a direct
-    # call with more symmetric models than models, a record that breaks
-    # orbit-stabilizer and the planted overlap reach every
+    # call with more symmetric models than models, a regular model that
+    # breaks orbit-stabilizer and the planted overlap reach every
     # line of the census layer; a line none of them runs is a branch no
     # input takes
     def expect(error, call):
@@ -290,8 +311,11 @@ def test_every_census_line_runs(monkeypatch):
         ):
             expect(ConfigError, lambda: build_census_report([], declared))
         expect(ConfigError, lambda: build_census_report([], reading(0, 0, 10, 11)))
+        expect(ConfigError, lambda: build_census_report(
+            [], reading(0, 0, 2 * 10 ** 4299, 0)))
         expect(ValueError, lambda: t_cone_count(10, 11))
-        expect(InvariantError, lambda: ModelRecord("x", 4, 2))
+        expect(InvariantError, lambda: RegularModel(
+            Triple(0, 0, 0), FamilyId.K, (0, 0, 0), 4, 2))
         plant_overlap(monkeypatch)
         expect(DuplicateClassError, regular_models)
 

@@ -70,6 +70,11 @@ ENTRY_ERRORS = [
     ("entry x: count=ten", "count must be an integer, got 'ten'", "count"),
     ("entry x: count=3 breakdown=1+two",
      "breakdown addend 'two' is not an integer", "breakdown"),
+    # int() reads Arabic-Indic digits as 129 and 83; the grammar takes 0-9
+    ("entry x: count=\u0661\u0662\u0669",
+     "count must be an integer, got '\u0661\u0662\u0669'", "count"),
+    ("entry x: count=129 breakdown=\u0668\u0663+1+45",
+     "breakdown addend '\u0668\u0663' is not an integer", "breakdown"),
     # int() would raise a bare ValueError past the conversion limit
     (f"entry x: count={OVER_LIMIT}", "integer of 4301 digits is too long", "count"),
     (f"entry x: count=-{OVER_LIMIT}", "integer of 4301 digits is too long",
@@ -85,7 +90,8 @@ ENTRY_ERRORS = [
 @pytest.mark.parametrize("line, message, field", ENTRY_ERRORS, ids=[
         "missing_colon", "bad_label", "not_key_value", "duplicate_key",
         "unterminated_quote", "missing_value", "count_not_int",
-        "addend_not_int", "count_too_long", "negative_count_too_long",
+        "addend_not_int", "count_not_ascii", "addend_not_ascii",
+        "count_too_long", "negative_count_too_long",
         "addend_too_long", "sum_too_long"])
 def test_entry_errors_name_their_line_and_field(line, message, field):
     with pytest.raises(ConfigError) as exc_info:

@@ -89,7 +89,7 @@ def test_record_constructor(cls):
 def test_records_declare_their_fields_once():
     # Fields are listed in __slots__ alone: Record writes every
     # package record's __init__, and only _record stores fields past
-    # the read-only __setattr__.
+    # the read-only __setattr__, through each slot's descriptor.
     modules = [importlib.import_module(f"moricensus.{info.name}")
                for info in pkgutil.iter_modules(moricensus.__path__)]
     classes, stack = [], [Record]
@@ -107,9 +107,20 @@ def test_records_declare_their_fields_once():
             continue
         tree = ast.parse(Path(module.__file__).read_text("utf-8"))
         for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                assert "_set" not in [alias.name for alias in node.names], (
-                    f"{module.__name__} imports _set")
+            if isinstance(node, ast.Attribute):
+                assert node.attr not in ("__set__", "__setattr__"), (
+                    f"{module.__name__}:{node.lineno} stores past __setattr__")
+
+
+def test_generated_init_stores_fields_through_slot_descriptors():
+    # each generated __init__ binds its slots' setters once, at class
+    # creation, and names no attribute at construction time
+    for cls in RECORDS:
+        init = cls.__dict__["__init__"]
+        for name in cls.__slots__:
+            setter = init.__globals__[f"_set_{name}"]
+            assert setter.__self__ is cls.__dict__[name], (cls, name)
+        assert "__setattr__" not in init.__code__.co_names
 
 
 def test_records_of_different_types_differ_on_equal_fields():
