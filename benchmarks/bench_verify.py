@@ -10,11 +10,23 @@ on inputs built before the timer starts, and so is the whole run:
   families         the three family generators, 347 models
   census report    ``build_census_report`` on those models
   closure oracle   one closure per census model, 347 in all
+  closure, no moves  the same 347 closures' seeds under no moves: the
+                   engine's fixed cost per call
   full run         ``run_full_verification()``, which reads both files
 
 A stage's time is the best of --rounds rounds of --number calls, per
-call.  The table then lists the records one full run constructs, per
-record class.  The end-to-end benchmark is ``perfbench/run.py``.
+call.  A second table divides stage times by the units one full run
+works through:
+
+  closure call     closure oracle / closures (347)
+  expansion step   (closure oracle - closure, no moves) / the steps
+                   summed from the oracle's results (4,084): the cost
+                   of a step beyond the fixed cost of its call
+  claim parsed     claims parse / claims (22)
+  census model     full run / census models (347)
+
+The last table lists the records one full run constructs, per record
+class.  The end-to-end benchmark is ``perfbench/run.py``.
 
 Usage:
     python benchmarks/bench_verify.py [--rounds 5] [--number 100]
@@ -27,6 +39,7 @@ from collections import Counter
 from moricensus import audit
 from moricensus._record import Record
 from moricensus.claims import evaluate_claims, parse_claims
+from moricensus.closure import MoveSet, closure
 from moricensus.cones import build_census_report
 from moricensus.declared import default_declared_text, load_declared
 from moricensus.families import (
@@ -48,6 +61,7 @@ def stages():
     claims = parse_claims(claims_text)
     regular = families()
     report = build_census_report(regular, declared)
+    no_moves = MoveSet(to_state=audit._TRIPLE_STATES.to_state)
     return [
         ("declared load", lambda: load_declared(declared_text)),
         ("claims parse", lambda: parse_claims(claims_text)),
@@ -55,7 +69,25 @@ def stages():
         ("families", families),
         ("census report", lambda: build_census_report(regular, declared)),
         ("closure oracle", lambda: audit._closure_oracle_matches(report.computed)),
+        ("closure, no moves",
+         lambda: [closure(r.triple, no_moves) for r in report.computed]),
         ("full run", audit.run_full_verification),
+    ]
+
+
+def unit_costs(times: dict) -> list:
+    """(unit, seconds per unit, units per full run) from stage times."""
+    claims = parse_claims(audit.default_claims_text())
+    models = build_census_report(
+        families(), load_declared(default_declared_text())).computed
+    steps = sum(closure(r.triple, audit._TRIPLE_STATES).expansion_steps
+                for r in models)
+    oracle = times["closure oracle"]
+    return [
+        ("closure call", oracle / len(models), len(models)),
+        ("expansion step", (oracle - times["closure, no moves"]) / steps, steps),
+        ("claim parsed", times["claims parse"] / len(claims), len(claims)),
+        ("census model", times["full run"] / len(models), len(models)),
     ]
 
 
@@ -96,18 +128,22 @@ def main():
     parser.add_argument("--number", type=int, default=100)
     args = parser.parse_args()
 
-    times = [(name, best_of(call, args.rounds, args.number))
-             for name, call in stages()]
-    full = times[-1][1]
+    times = {name: best_of(call, args.rounds, args.number)
+             for name, call in stages()}
+    full = times["full run"]
     print(f"verify stages, best of {args.rounds} x {args.number}")
-    print(f"  {'stage':<16} {'ms':>8} {'of full':>8}")
-    for name, seconds in times:
-        print(f"  {name:<16} {seconds * 1e3:>8.3f} {seconds / full:>8.1%}")
+    print(f"  {'stage':<18} {'ms':>8} {'of full':>8}")
+    for name, seconds in times.items():
+        print(f"  {name:<18} {seconds * 1e3:>8.3f} {seconds / full:>8.1%}")
+    print("cost per unit")
+    print(f"  {'unit':<18} {'us':>8} {'count':>8}")
+    for name, seconds, count in unit_costs(times):
+        print(f"  {name:<18} {seconds * 1e6:>8.3f} {count:>8}")
     counts = record_counts()
     print("records built by one full run")
     for name, count in counts.most_common():
-        print(f"  {name:<16} {count:>8}")
-    print(f"  {'total':<16} {sum(counts.values()):>8}")
+        print(f"  {name:<18} {count:>8}")
+    print(f"  {'total':<18} {sum(counts.values()):>8}")
 
 
 if __name__ == "__main__":

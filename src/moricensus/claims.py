@@ -104,11 +104,16 @@ class AuditReport(Record):
         return 0 if all(v.as_expected for v in self.verdicts) else 1
 
 
-_TOKEN_RE = re.compile(r"\s*(?:([0-9]+)|([()+\-*])|(\S))")
+_TOKEN_RE = re.compile(r"\s*(?:(?P<int>[0-9]+)|(?P<op>[()+\-*])|(?P<bad>\S))")
 
 
 class _ExprParser:
-    """Recursive-descent parser over one line's expression region."""
+    """Recursive-descent parser over one line's expression region.
+
+    The region is lexed in one pass into ``(kind, text, column)`` tokens,
+    closed by an ``("end", "", len(text))`` token, so the parser reads
+    the current token without a bounds check.
+    """
 
     def __init__(self, text: str, lineno: int, offset: int):
         self.text = text
@@ -120,55 +125,45 @@ class _ExprParser:
         self.depth = 0  # open '(' and unary '-' around the current token
 
     def _tokenize(self):
-        pos = 0
-        while pos < len(self.text):
-            m = _TOKEN_RE.match(self.text, pos)
-            if not m or m.end() == pos:
-                break
-            if m.group(1):
-                self.tokens.append(("int", m.group(1), m.start(1)))
-            elif m.group(2):
-                self.tokens.append(("op", m.group(2), m.start(2)))
-            else:
-                self._fail(f"unexpected character {m.group(3)!r}", m.start(3))
-            pos = m.end()
+        append = self.tokens.append
+        for m in _TOKEN_RE.finditer(self.text):
+            kind = m.lastgroup
+            if kind == "bad":
+                self._fail(f"unexpected character {m[kind]!r}", m.start(kind))
+            append((kind, m[kind], m.start(kind)))
+        append(("end", "", len(self.text)))
 
     def _fail(self, message: str, col_in_text: int):
         raise ParseError(message, line=self.lineno, column=self.offset + col_in_text + 1)
 
-    def _peek(self):
-        return self.tokens[self.index] if self.index < len(self.tokens) else None
-
     def _next(self):
-        tok = self._peek()
-        if tok is None:
-            self._fail("unexpected end of expression", len(self.text))
+        tok = self.tokens[self.index]
+        if tok[0] == "end":
+            self._fail("unexpected end of expression", tok[2])
         self.index += 1
         return tok
 
     def parse(self) -> Expr:
         expr = self._sum()
-        tok = self._peek()
-        if tok is not None:
+        tok = self.tokens[self.index]
+        if tok[0] != "end":
             self._fail(f"trailing token {tok[1]!r}", tok[2])
         return expr
 
     def _sum(self) -> Expr:
         terms = [("+", self._term())]
-        tok = self._peek()
-        while tok and tok[0] == "op" and tok[1] in "+-":
-            self._next()
-            terms.append((tok[1], self._term()))
-            tok = self._peek()
+        op = self.tokens[self.index][1]
+        while op == "+" or op == "-":
+            self.index += 1
+            terms.append((op, self._term()))
+            op = self.tokens[self.index][1]
         return Sum(tuple(terms)) if len(terms) > 1 else terms[0][1]
 
     def _term(self) -> Expr:
         factors = [self._factor()]
-        tok = self._peek()
-        while tok and tok[0] == "op" and tok[1] == "*":
-            self._next()
+        while self.tokens[self.index][1] == "*":
+            self.index += 1
             factors.append(self._factor())
-            tok = self._peek()
         return Product(tuple(factors)) if len(factors) > 1 else factors[0]
 
     def _factor(self) -> Expr:

@@ -12,13 +12,17 @@ Subcommands:
 
 Output is a plain table by default; ``--format json`` and
 ``--format csv`` emit machine-readable forms with stable keys.
-Exit codes: 0 success, 1 verification failure, 2 input or parse error.
+Exit codes: 0 success, 1 verification failure, 2 input or parse error,
+141 when stdout is closed before the output is written (the status a
+shell shows after a SIGPIPE death).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import sys
 
 from .audit import default_claims_text, run_full_verification
@@ -34,6 +38,7 @@ from .triples import GroupElement, Triple, apply, canonical, orbit, stabilizer
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_INPUT = 2
+EXIT_BROKEN_PIPE = 141
 
 
 def _read(path: str | None, default_text) -> str:
@@ -252,11 +257,28 @@ def _cmd_audit(args) -> int:
     return EXIT_OK if report.exit_status == 0 else EXIT_VERIFICATION
 
 
+_INT_RE = re.compile(r"-?[0-9]+")
+
+
+def _int(text: str) -> int:
+    """An argparse type: an integer of ASCII digits with an optional '-'.
+
+    ``int`` alone would also take other scripts' digits, underscores and
+    surrounding spaces.
+    """
+    if _INT_RE.fullmatch(text) is None:
+        raise ValueError(text)
+    return int(text)
+
+
+_int.__name__ = "int"  # argparse names it in "invalid int value"
+
+
 def _int_at_least(low: int):
     """An argparse type: an int of at least ``low``; below it, exit 2."""
 
     def parse(text: str) -> int:
-        value = int(text)
+        value = _int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
         return value
@@ -292,9 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=_cmd_verify)
 
     p_orbits = sub.add_parser("orbits", help="orbit analysis of one triple")
-    p_orbits.add_argument("a", type=int)
-    p_orbits.add_argument("b", type=int)
-    p_orbits.add_argument("c", type=int)
+    p_orbits.add_argument("a", type=_int)
+    p_orbits.add_argument("b", type=_int)
+    p_orbits.add_argument("c", type=_int)
     add_format(p_orbits)
     p_orbits.set_defaults(func=_cmd_orbits)
 
@@ -326,7 +348,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout: no fault of the input or the census.
+        # Python flushes stdout again at exit, so point it at devnull.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

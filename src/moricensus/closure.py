@@ -2,12 +2,12 @@
 
 A move set (:class:`MoveSet`) acts on *states*: it checks the seed once,
 at the boundary, and turns it into a state, and its moves map states to
-states.  The search keys classes by state: it repeatedly applies every
-move to every frontier state, and stops when no move produces a new
-state; the result is the set of states reached from the seed.  That set
-is the smallest iso-closed set of classes containing the seed as long
-as the move set keeps its contract: its distinct states are distinct
-classes.
+states.  The search keys classes by state: it walks one queue of states
+in the order they were first reached, applies every move to each, and
+appends each new state to the queue; the result is the set of states
+reached from the seed.  That set is the smallest iso-closed set of
+classes containing the seed as long as the move set keeps its
+contract: its distinct states are distinct classes.
 
 Graph-level move sets take a graph as the seed and keep the default
 state, its canonical form.  The geometric flop rules live elsewhere, so
@@ -91,6 +91,9 @@ def closure(
 ) -> ClosureResult:
     """Breadth-first fixed point of ``move_set`` starting from ``seed``.
 
+    States are expanded in the order they were first reached, the seed
+    first, each by every move in turn.
+
     The seed is whatever the move set's ``to_state`` accepts: graph-level
     move sets, ``triple_group`` among them, take a :class:`LabeledGraph`.
     Raises the move set's ValueError for a seed it cannot act on, and
@@ -99,27 +102,23 @@ def closure(
     checked against the budgets before the next is taken; rediscovered
     states still count as expansion steps.  ``workers`` has no effect.
     """
-    applies = [move.apply_all for move in move_set.moves]
     start = move_set.to_state(seed)
     seen = {start}
-    frontier = [start]
+    queue = [start]  # grows while it is walked, so states leave in BFS order
     steps = 0
-    while frontier:
-        next_frontier = []
-        for state in frontier:
-            for apply_all in applies:
-                for image in apply_all(state):
-                    steps += 1
-                    if max_steps is not None and steps > max_steps:
-                        raise BudgetExceededError("step", max_steps)
-                    if image in seen:
-                        continue
-                    seen.add(image)
-                    if max_classes is not None and len(seen) > max_classes:
-                        raise BudgetExceededError("class", max_classes)
-                    next_frontier.append(image)
-        frontier = next_frontier
-    return ClosureResult(classes=frozenset(seen), expansion_steps=steps)
+    for state in queue:
+        for move in move_set.moves:
+            for image in move.apply_all(state):
+                steps += 1
+                if max_steps is not None and steps > max_steps:
+                    raise BudgetExceededError("step", max_steps)
+                if image in seen:
+                    continue
+                seen.add(image)
+                if max_classes is not None and len(seen) > max_classes:
+                    raise BudgetExceededError("class", max_classes)
+                queue.append(image)
+    return ClosureResult(frozenset(seen), steps)
 
 
 # Triples embed as rigid 3-cycles: node k carries label k, so the only

@@ -161,11 +161,16 @@ def test_verify_stage_benchmark_runs():
         capture_output=True, text=True, env=src_env(), timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    rows = {line[:18].strip(): line[18:].split()
+    rows = {line[:20].strip(): line[20:].split()
             for line in done.stdout.splitlines() if line.startswith("  ")}
     for stage in ("declared load", "claims parse", "claims evaluate", "families",
-                  "census report", "closure oracle", "full run"):
+                  "census report", "closure oracle", "closure, no moves",
+                  "full run"):
         assert stage in rows, stage
+    # per-unit costs, each with the count of its units in one full run
+    for unit, count in (("closure call", "347"), ("expansion step", "4084"),
+                        ("claim parsed", "22"), ("census model", "347")):
+        assert rows[unit][1] == count, unit
     # one record per census model in each of three classes, and the one
     # declared symmetric model's record
     assert rows["Triple"] == rows["RegularModel"] == rows["ClosureResult"] == ["347"]

@@ -89,8 +89,11 @@ def test_parse_line_numbers_in_errors():
     # int() reads Arabic-Indic digits as 129; the grammar takes 0-9
     ("claim x: \u0661\u0662\u0669 == 129 expect=holds\n",
      "unexpected character '\u0661'", 1, 10),
+    # the end of a side sits just past its last character, space included
+    ("claim x: 1 + == 2 expect=holds\n", "unexpected end of expression", 1, 14),
+    ("claim x: (1 + 2 == 3 expect=holds\n", "unexpected end of expression", 1, 17),
 ], ids=["trailing_token", "missing_paren", "not_a_claim", "malformed_line",
-        "not_ascii"])
+        "not_ascii", "operand_missing", "paren_unclosed"])
 def test_parse_errors_name_their_line_and_column(text, message, line, column):
     with pytest.raises(ParseError) as exc_info:
         parse_claims(text)

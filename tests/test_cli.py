@@ -266,6 +266,20 @@ def test_orbits_out_of_range_is_input_error(capsys):
     assert "guarded range" in err
 
 
+@pytest.mark.parametrize("components, bad", [
+    (["\u0661", "\u0662", "\u0663"], "\u0661"),
+    ([" 1_0", "0", "0"], " 1_0"),
+], ids=["not_ascii", "underscore_and_space"])
+def test_orbits_rejects_integers_off_the_grammar(capsys, components, bad):
+    # int() reads these as (1, 2, 3) and (10, 0, 0); the CLI takes -?[0-9]+
+    with pytest.raises(SystemExit) as exc_info:
+        main(["orbits", "--", *components])
+    assert exc_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: argument a: invalid int value: {bad!r}\n")
+
+
 def test_closure_table(graph_file, capsys):
     code, out, _ = run(capsys, "closure", "--graph", graph_file,
                        "--moves", "triple_group")
@@ -355,8 +369,10 @@ def test_closure_budget_exhaustion_is_verification_failure(graph_file, capsys):
     ("--max-classes", "0", "must be >= 1, got 0"),
     ("--workers", "0", "must be >= 1, got 0"),
     ("--workers", "-3", "must be >= 1, got -3"),
+    ("--max-steps", "\u0663", "invalid int value: '\u0663'"),
+    ("--max-steps", "-3", "must be >= 0, got -3"),
 ], ids=["steps_negative", "classes_negative", "classes_zero", "workers_zero",
-        "workers_negative"])
+        "workers_negative", "steps_not_ascii", "steps_minus_three"])
 def test_closure_rejects_budget_out_of_range(graph_file, capsys, option, value,
                                              message):
     # a bad budget is the user's input (2), not a failed closure (1)
@@ -438,6 +454,14 @@ ROOT = Path(__file__).resolve().parents[1]
 SNAPSHOTS = ROOT / "perfbench" / "snapshots"
 
 
+def src_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    return env
+
+
 @pytest.mark.parametrize("snapshot, argv", [
     ("census.json", ("census", "--format", "json")),
     ("verify.json", ("verify", "--format", "json")),
@@ -467,14 +491,29 @@ def test_shipped_closure_json_matches_snapshot(graph_file, capsys):
     ["concurrent.futures", "dataclasses", "inspect", "csv"],
 )
 def test_cli_import_leaves_out_unused_modules(module):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-    )
     done = subprocess.run(
         [sys.executable, "-c",
          f"import sys, moricensus.cli; print({module!r} in sys.modules)"],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=src_env(), timeout=60,
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_closed_stdout_exits_141_quietly(unbuffered):
+    # unbuffered, the command's own print meets the closed pipe; buffered,
+    # the flush after the command does
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = src_env()
+    env["PYTHONUNBUFFERED"] = unbuffered
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "moricensus.cli", "orbits", "--", "1", "2", "3"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, "")

@@ -434,6 +434,24 @@ def test_closure_checks_each_step_before_the_next():
     assert exc_info.value.kind == "class"
 
 
+def test_closure_expands_states_in_breadth_first_order():
+    # a binary tree on 0..14: node k has children 2k + 1 and 2k + 2, so
+    # breadth-first order is 0, 1, ..., 14, and a stack walk would take
+    # 0, 2, 6, 14 first
+    received = []
+
+    def children(k):
+        received.append(k)
+        return (2 * k + 1, 2 * k + 2) if k < 7 else ()
+
+    tree = MoveSet(moves=(MoveOperator(name="children", apply_all=children),),
+                   to_state=int)
+    result = closure(0, tree)
+    assert received == list(range(15))
+    assert result.expansion_steps == 14
+    assert result.classes == frozenset(range(15))
+
+
 # ---------------------------------------------------------------------------
 # graph file format
 
