@@ -5,17 +5,13 @@ fan from first principles (an order-6 group action on integer triples
 plus declared inputs), assembles the maximal-cone counts 2657 + 741 =
 3398, and audits the arithmetic identities of the text that states
 them.
+
+The names of ``closure``, ``errors``, ``graphs`` and ``triples`` load
+with the package.  Those of the census modules (``claims``, ``cones``,
+``declared``, ``families``) load on first use, through ``__getattr__``,
+so ``import moricensus`` compiles none of them.
 """
 
-from .claims import (
-    AuditReport,
-    Claim,
-    Verdict,
-    evaluate,
-    evaluate_claims,
-    format_claims,
-    parse_claims,
-)
 from .closure import (
     MOVE_SETS,
     ClosureResult,
@@ -24,15 +20,6 @@ from .closure import (
     decode_triple,
     encode_triple,
 )
-from .cones import (
-    CensusReport,
-    ModelRecord,
-    build_census_report,
-    p_cone_count,
-    symmetric_p_models,
-    t_cone_count,
-)
-from .declared import DeclaredEntry, load_declared
 from .errors import (
     BudgetExceededError,
     ConfigError,
@@ -40,14 +27,6 @@ from .errors import (
     MoricensusError,
     ParseError,
     SizeLimitError,
-)
-from .families import (
-    FamilyId,
-    RegularModel,
-    family_nondegenerate,
-    family_one_degenerate,
-    family_two_degenerate,
-    regular_models,
 )
 from .graphs import (
     LabeledGraph,
@@ -66,3 +45,27 @@ from .triples import (
 )
 
 __version__ = "0.1.0"
+
+# the census modules' package-level names, each with its submodule
+_LAZY = {
+    **dict.fromkeys(("AuditReport", "Claim", "Verdict", "evaluate", "evaluate_claims",
+                     "format_claims", "parse_claims"), "claims"),
+    **dict.fromkeys(("CensusReport", "ModelRecord", "build_census_report",
+                     "p_cone_count", "symmetric_p_models", "t_cone_count"), "cones"),
+    **dict.fromkeys(("DeclaredEntry", "load_declared"), "declared"),
+    **dict.fromkeys(("FamilyId", "RegularModel", "family_nondegenerate",
+                     "family_one_degenerate", "family_two_degenerate",
+                     "regular_models"), "families"),
+}
+
+
+def __getattr__(name):
+    # read from the submodule at each access and never stored here, so a
+    # caller sees a name its submodule rebinds
+    try:
+        module = _LAZY[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    from importlib import import_module
+
+    return getattr(import_module(f"{__name__}.{module}"), name)

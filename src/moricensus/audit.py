@@ -10,23 +10,24 @@ The closure oracle seeds each closure with a census model's own
 ``(a, b, c)`` under the triple group's moves, so it builds no graph;
 ``closure --moves triple_group`` reads a graph and goes through the
 rigid encoding's boundary.
+
+Only ``closure`` loads with this module.  The census modules load in
+``run_full_verification``, so a CLI command that imports this module
+for ``default_claims_text`` and runs no verification compiles none of
+them.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from operator import attrgetter
+from typing import TYPE_CHECKING
 
-from .claims import AuditReport, Claim, Verdict, evaluate_claims, parse_claims
 from .closure import MOVE_SETS, MoveSet, closure
-from .cones import RECORDED_FINDINGS, build_census_report
-from .declared import DeclaredEntry, default_declared_text, load_declared
-from .families import (
-    family_nondegenerate,
-    family_one_degenerate,
-    family_two_degenerate,
-    subfamily_sizes,
-)
+
+if TYPE_CHECKING:
+    from .claims import AuditReport, Claim
+    from .declared import DeclaredEntry
 
 __all__ = ["CLAIMED", "default_claims_text", "run_full_verification"]
 
@@ -68,17 +69,6 @@ def default_claims_text() -> str:
     )
 
 
-def _computed(name: str, got: int, want: int) -> Verdict:
-    return Verdict(
-        name=name,
-        holds=(got == want),
-        lhs_value=got,
-        rhs_value=want,
-        expect_holds=True,
-        cite="computed",
-    )
-
-
 # the triple group's moves on a census triple itself: the state is the
 # Triple's ``(a, b, c)``, read off its fields without building another
 _TRIPLE_STATES = MoveSet(moves=MOVE_SETS["triple_group"].moves,
@@ -108,6 +98,16 @@ def run_full_verification(
     verdict; that includes overlapping families, which show as a failed
     ``census.p_regular_classes``.
     """
+    from .claims import AuditReport, Verdict, evaluate_claims, parse_claims
+    from .cones import RECORDED_FINDINGS, build_census_report
+    from .declared import default_declared_text, load_declared
+    from .families import (
+        family_nondegenerate,
+        family_one_degenerate,
+        family_two_degenerate,
+        subfamily_sizes,
+    )
+
     if declared is None:
         declared = load_declared(default_declared_text())
     if claims is None:
@@ -136,10 +136,14 @@ def run_full_verification(
         "census.total_cones": report.total_cones,
         "census.closure_oracle": _closure_oracle_matches(report.computed),
     }
-    verdicts = [_computed(n, got[n], want) for n, want in CLAIMED.items()]
+    verdicts = tuple(
+        Verdict(name=n, holds=(got[n] == want), lhs_value=got[n], rhs_value=want,
+                expect_holds=True, cite="computed")
+        for n, want in CLAIMED.items()
+    )
 
     audited = evaluate_claims(claims)
     return AuditReport(
-        verdicts=tuple(verdicts) + audited.verdicts,
+        verdicts=verdicts + audited.verdicts,
         findings=audited.findings + RECORDED_FINDINGS,
     )

@@ -24,16 +24,21 @@ import json
 import os
 import re
 import sys
+from typing import TYPE_CHECKING
 
+# ``audit`` and ``graphs`` stay at the top: ``perfbench`` reads both from
+# ``sys.modules`` after ``import moricensus.cli``.  The census modules
+# (``claims``, ``cones``, ``declared``, ``families``) load in the
+# subcommands that run them.
 from .audit import default_claims_text, run_full_verification
-from .claims import AuditReport, evaluate_claims, parse_claims
 from .closure import MOVE_SETS, closure
-from .cones import CensusReport, build_census_report
-from .declared import default_declared_text, load_declared
 from .errors import ConfigError, MoricensusError, ParseError, SizeLimitError
-from .families import regular_models
 from .graphs import canonical_backend, parse_graph_file
 from .triples import GroupElement, Triple, apply, canonical, orbit, stabilizer
+
+if TYPE_CHECKING:
+    from .claims import AuditReport
+    from .cones import CensusReport
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -46,6 +51,18 @@ def _read(path: str | None, default_text) -> str:
         return default_text()
     with open(path, encoding="utf-8") as handle:
         return handle.read()
+
+
+def _declared(args):
+    from .declared import default_declared_text, load_declared
+
+    return load_declared(_read(args.config, default_declared_text))
+
+
+def _claims(args):
+    from .claims import parse_claims
+
+    return parse_claims(_read(args.claims, default_claims_text))
 
 
 def _csv_writer():
@@ -161,16 +178,17 @@ def _print_audit(report: AuditReport, fmt: str) -> None:
 
 
 def _cmd_census(args) -> int:
-    declared = load_declared(_read(args.config, default_declared_text))
+    from .cones import build_census_report
+    from .families import regular_models
+
+    declared = _declared(args)
     report = build_census_report(regular_models(), declared)
     _print_census(report, args.format)
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    declared = load_declared(_read(args.config, default_declared_text))
-    claims = parse_claims(_read(args.claims, default_claims_text))
-    report = run_full_verification(declared, claims)
+    report = run_full_verification(_declared(args), _claims(args))
     _print_audit(report, args.format)
     return EXIT_OK if report.exit_status == 0 else EXIT_VERIFICATION
 
@@ -251,8 +269,9 @@ def _cmd_closure(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    claims = parse_claims(_read(args.claims, default_claims_text))
-    report = evaluate_claims(claims)
+    from .claims import evaluate_claims
+
+    report = evaluate_claims(_claims(args))
     _print_audit(report, args.format)
     return EXIT_OK if report.exit_status == 0 else EXIT_VERIFICATION
 
@@ -287,8 +306,18 @@ def _int_at_least(low: int):
     return parse
 
 
+class _Parser(argparse.ArgumentParser):
+    # argparse's own ``print_help`` drops write errors, or leaves them to
+    # the flush at interpreter exit; this one lets a closed stdout raise
+    # into ``main``, which exits 141.  Subparsers take the parent's class.
+    def print_help(self, file=None):
+        file = file or sys.stdout
+        file.write(self.format_help())
+        file.flush()
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="moricensus",
         description="Exact model and maximal-cone census with claims auditing.",
     )
@@ -345,9 +374,8 @@ _INPUT_ERRORS = (OSError, ConfigError, ParseError, SizeLimitError, ValueError,
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()
         return code

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from ._record import Record
 from .declared import DeclaredEntry
-from .errors import ConfigError
+from .errors import ConfigError, InvariantError
 from .families import RegularModel
 
 __all__ = [
@@ -76,9 +76,11 @@ def t_cone_count(models: int, symmetric: int) -> int:
 
     The rule for every declared count, two-component or very degenerate:
     a symmetric model has orbit length 3, any other orbit length 6.
+    Callers check the split first; a split outside ``0 <= symmetric <=
+    models`` is a program fault and raises InvariantError.
     """
     if not 0 <= symmetric <= models:
-        raise ValueError(
+        raise InvariantError(
             f"need 0 <= symmetric <= models, got ({models}, {symmetric})"
         )
     return (models - symmetric) * 6 + symmetric * 3

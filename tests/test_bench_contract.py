@@ -141,6 +141,80 @@ def test_verify_benchmark_runs(trace):
     assert json.loads(done.stdout.splitlines()[-1])["correct"] is True
 
 
+def in_fresh_interpreter(code):
+    """Run ``code`` where only what it imports is loaded, ``perfbench`` on the path.
+
+    ``perfbench/run.py`` spawns such interpreters for ``setup_s`` and imports
+    the program once before it measures, so a name that only a test run
+    leaves loaded would hide a break.
+    """
+    done = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys\nsys.path.insert(0, {str(ROOT / 'perfbench')!r})\n{code}"],
+        capture_output=True, text=True, env=src_env(), timeout=60,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+
+
+def test_cli_import_loads_what_the_workloads_read():
+    # VerifyWorkload and CanonSearchWorkload read these two from
+    # sys.modules after ``import moricensus.cli``, outside their ``try``
+    in_fresh_interpreter(
+        "import moricensus.cli\n"
+        "assert callable(sys.modules['moricensus.audit'].run_full_verification)\n"
+        "assert callable(sys.modules['moricensus.graphs'].iso)\n"
+    )
+
+
+def test_package_closure_is_the_function_workers_ratio_calls():
+    in_fresh_interpreter(
+        "from moricensus import closure\n"
+        "assert closure is sys.modules['moricensus.closure'].closure\n"
+        "import run\n"
+        "assert run.workers_ratio()[1]\n"
+    )
+
+
+def test_setup_code_runs():
+    # ``setup_s`` times this code, which reads census names off the package
+    in_fresh_interpreter("import run\nexec(run.SETUP_CODE)\n")
+
+
+def test_tracer_sees_the_names_subcommands_load():
+    # as under ``--trace 1``: the program is imported, then the tracer
+    # imports every spanned module and rebinds its names.  Call sites that
+    # import a name when they run see the rebound one, and the tracer can
+    # take back every wrapper, so two traced passes count alike.
+    in_fresh_interpreter(
+        "import contextlib, io\n"
+        "import moricensus, moricensus.cli as cli, tracing\n"
+        "passes = []\n"
+        "for _ in range(2):\n"
+        "    tracer = tracing.Tracer()\n"
+        "    tracer.install()\n"
+        "    try:\n"
+        "        with contextlib.redirect_stdout(io.StringIO()):\n"
+        "            for command in ('census', 'audit', 'verify'):\n"
+        "                assert cli.main([command, '--format', 'json']) == 0\n"
+        "        moricensus.load_declared('entry x: count=1\\n')\n"
+        "    finally:\n"
+        "        tracer.uninstall()\n"
+        "    passes.append(tracing.exact_counts(tracer.spans, tracer.counts))\n"
+        "counts = passes[0]\n"
+        "assert passes[1] == counts, passes\n"
+        "assert counts['calls.cli.main'] == 3, counts\n"
+        "assert counts['calls.declared.load_declared'] == 3, counts\n"
+        "assert counts['calls.cones.build_census_report'] == 2, counts\n"
+        "assert counts['calls.families.regular_models'] == 1, counts\n"
+        "assert counts['calls.claims.parse_claims'] == 2, counts\n"
+        "assert counts['calls.claims.evaluate_claims'] == 2, counts\n"
+        "assert counts['calls.audit.run_full_verification'] == 1, counts\n"
+        "declared = sys.modules['moricensus.declared']\n"
+        "assert moricensus.load_declared is declared.load_declared\n"
+        "assert declared.load_declared.__module__ == 'moricensus.declared'\n"
+    )
+
+
 def test_kernel_benchmark_runs():
     done = subprocess.run(
         [sys.executable, str(ROOT / "benchmarks" / "bench_canonical.py"),

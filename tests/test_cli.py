@@ -454,6 +454,10 @@ ROOT = Path(__file__).resolve().parents[1]
 SNAPSHOTS = ROOT / "perfbench" / "snapshots"
 
 
+# modules that only the subcommands computing a census or reading claims load
+CENSUS_MODULES = ["claims", "cones", "declared", "families"]
+
+
 def src_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -500,20 +504,43 @@ def test_cli_import_leaves_out_unused_modules(module):
     assert done.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize("argv, loaded, unused", [
+    (["census"], ["cones", "declared", "families"], ["claims"]),
+    (["audit"], ["claims"], ["cones", "declared", "families"]),
+    (["orbits", "--", "1", "2", "3"], ["triples"], CENSUS_MODULES),
+    (["closure", "--moves", "triple_group", "--graph"], ["closure"], CENSUS_MODULES),
+], ids=["census", "audit", "orbits", "closure"])
+def test_subcommand_spawn_leaves_out_unused_modules(graph_file, argv, loaded, unused):
+    # ``-X importtime`` names each module the spawn imports on stderr
+    if argv[-1] == "--graph":
+        argv = [*argv, graph_file]
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "moricensus.cli", *argv],
+        capture_output=True, text=True, env=src_env(), timeout=60,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    imported = {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert {f"moricensus.{m}" for m in loaded} <= imported
+    assert imported.isdisjoint(f"moricensus.{m}" for m in unused)
+
+
 @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
 def test_closed_stdout_exits_141_quietly(unbuffered):
     # unbuffered, the command's own print meets the closed pipe; buffered,
-    # the flush after the command does
-    read_end, write_end = os.pipe()
-    os.close(read_end)
+    # the flush after the command does; ``--help`` prints from inside the
+    # argument parser, which then exits
     env = src_env()
     env["PYTHONUNBUFFERED"] = unbuffered
-    try:
-        done = subprocess.run(
-            [sys.executable, "-m", "moricensus.cli", "orbits", "--", "1", "2", "3"],
-            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
-            timeout=60,
-        )
-    finally:
-        os.close(write_end)
-    assert (done.returncode, done.stderr) == (141, "")
+    for argv in (["orbits", "--", "1", "2", "3"], ["--help"], ["orbits", "--help"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "moricensus.cli", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (141, ""), argv

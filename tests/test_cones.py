@@ -106,9 +106,10 @@ def test_t_cone_count_sensitivity():
 
 
 def test_t_cone_count_rejects_bad_split():
-    with pytest.raises(ValueError):
+    # callers check the split first, so a bad one is a program fault
+    with pytest.raises(InvariantError):
         t_cone_count(10, 11)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvariantError):
         t_cone_count(10, -1)
 
 
@@ -313,7 +314,7 @@ def test_every_census_line_runs(monkeypatch):
         expect(ConfigError, lambda: build_census_report([], reading(0, 0, 10, 11)))
         expect(ConfigError, lambda: build_census_report(
             [], reading(0, 0, 2 * 10 ** 4299, 0)))
-        expect(ValueError, lambda: t_cone_count(10, 11))
+        expect(InvariantError, lambda: t_cone_count(10, 11))
         expect(InvariantError, lambda: RegularModel(
             Triple(0, 0, 0), FamilyId.K, (0, 0, 0), 4, 2))
         plant_overlap(monkeypatch)
