@@ -10,8 +10,10 @@ Subcommands:
     closure   run the closure engine on a graph file with a named move set
     audit     evaluate a claims file and print the verdict table
 
-Output is a plain table by default; ``--format json`` and
-``--format csv`` emit machine-readable forms with stable keys.
+Each subcommand builds one payload, the dict that ``--format json``
+prints, and an exit status; ``--format`` only picks how ``main`` prints
+it: as JSON, or through the subcommand's two views of the payload, the
+``table`` lines (the default) and the csv ``rows``.
 Exit codes: 0 success, 1 verification failure, 2 input or parse error,
 141 when stdout is closed before the output is written (the status a
 shell shows after a SIGPIPE death).
@@ -34,11 +36,10 @@ from .audit import default_claims_text, run_full_verification
 from .closure import MOVE_SETS, closure
 from .errors import ConfigError, MoricensusError, ParseError, SizeLimitError
 from .graphs import canonical_backend, parse_graph_file
-from .triples import GroupElement, Triple, apply, canonical, orbit, stabilizer
+from .triples import GroupElement, Triple, apply, orbit, stabilizer
 
 if TYPE_CHECKING:
     from .claims import AuditReport
-    from .cones import CensusReport
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -65,18 +66,24 @@ def _claims(args):
     return parse_claims(_read(args.claims, default_claims_text))
 
 
-def _csv_writer():
-    # imported here so that only ``--format csv`` loads the module
-    import csv
-
-    return csv.writer(sys.stdout)
-
-
-def _triple_json(t: Triple) -> list[int]:
-    return [t.a, t.b, t.c]
+def _findings(payload: dict):
+    if payload["findings"]:
+        yield "findings"
+        for finding in payload["findings"]:
+            yield f"  - {finding}"
 
 
-def _census_payload(report: CensusReport) -> dict:
+def _metric_rows(payload: dict):
+    """The csv view of ``census`` and ``closure``: their integer fields."""
+    return [["metric", "value"],
+            *([k, v] for k, v in payload.items() if isinstance(v, int))]
+
+
+def _cmd_census(args):
+    from .cones import build_census_report
+    from .families import regular_models
+
+    report = build_census_report(regular_models(), _declared(args))
     return {
         "p_models": report.p_models,
         "t_models": report.t_models,
@@ -89,48 +96,36 @@ def _census_payload(report: CensusReport) -> dict:
                 "family": record.family.value
                 if hasattr(record.family, "value")
                 else record.family,
-                "triple": _triple_json(record.triple) if record.triple else None,
+                "triple": list(record.triple) if record.triple else None,
                 "orbit_length": record.orbit_length,
                 "symmetry_order": record.symmetry_order,
             }
             for record in report.p_symmetric
         ],
         "findings": list(report.findings),
-    }
+    }, EXIT_OK
 
 
-def _print_census(report: CensusReport, fmt: str) -> None:
-    payload = _census_payload(report)
-    if fmt == "json":
-        print(json.dumps(payload, indent=2))
-        return
-    if fmt == "csv":
-        out = _csv_writer()
-        out.writerow(["metric", "value"])
-        for key in ("p_models", "t_models", "p_cones", "t_cones", "total_cones"):
-            out.writerow([key, payload[key]])
-        return
-    print("model census")
-    print(f"  three-component models : {report.p_models}")
-    print(f"  two-component models   : {report.t_models}")
-    print("maximal cones")
-    print(f"  three-component cones  : {report.p_cones}")
-    print(f"  two-component cones    : {report.t_cones}")
-    print(f"  total                  : {report.total_cones}")
-    print(f"symmetric three-component models ({len(report.p_symmetric)})")
-    for record in report.p_symmetric:
-        shown = record.triple if record.triple else record.family
-        print(
-            f"  {str(shown):<18} orbit length {record.orbit_length}, "
-            f"symmetry order {record.symmetry_order}"
+def _census_table(payload: dict):
+    yield "model census"
+    yield f"  three-component models : {payload['p_models']}"
+    yield f"  two-component models   : {payload['t_models']}"
+    yield "maximal cones"
+    yield f"  three-component cones  : {payload['p_cones']}"
+    yield f"  two-component cones    : {payload['t_cones']}"
+    yield f"  total                  : {payload['total_cones']}"
+    yield f"symmetric three-component models ({len(payload['p_symmetric'])})"
+    for record in payload["p_symmetric"]:
+        shown = str(tuple(record["triple"])) if record["triple"] else record["family"]
+        yield (
+            f"  {shown:<18} orbit length {record['orbit_length']}, "
+            f"symmetry order {record['symmetry_order']}"
         )
-    if report.findings:
-        print("findings")
-        for finding in report.findings:
-            print(f"  - {finding}")
+    yield from _findings(payload)
 
 
-def _audit_payload(report: AuditReport) -> dict:
+def _verdicts(report: AuditReport):
+    """The payload and exit status of ``verify`` and ``audit``."""
     return {
         "verdicts": [
             {
@@ -146,134 +141,92 @@ def _audit_payload(report: AuditReport) -> dict:
         ],
         "findings": list(report.findings),
         "exit_status": report.exit_status,
-    }
+    }, EXIT_OK if report.exit_status == 0 else EXIT_VERIFICATION
 
 
-def _print_audit(report: AuditReport, fmt: str) -> None:
-    payload = _audit_payload(report)
-    if fmt == "json":
-        print(json.dumps(payload, indent=2))
-        return
-    if fmt == "csv":
-        out = _csv_writer()
-        out.writerow(["name", "holds", "lhs", "rhs", "expected", "as_expected", "cite"])
-        for v in payload["verdicts"]:
-            out.writerow(
-                [v["name"], v["holds"], v["lhs"], v["rhs"], v["expected"],
-                 v["as_expected"], v["cite"]]
-            )
-        return
-    width = max((len(v.name) for v in report.verdicts), default=4)
-    for v in report.verdicts:
-        status = "ok" if v.as_expected else "UNEXPECTED"
-        detail = f"{v.lhs_value} == {v.rhs_value}" if v.holds else \
-            f"{v.lhs_value} != {v.rhs_value}"
-        expected = "holds" if v.expect_holds else "fails"
-        print(f"  {v.name:<{width}}  {detail:<24} expect={expected:<5} {status}")
-    if report.findings:
-        print("findings")
-        for finding in report.findings:
-            print(f"  - {finding}")
-    print(f"exit status: {report.exit_status}")
+def _verdicts_table(payload: dict):
+    verdicts = payload["verdicts"]
+    width = max((len(v["name"]) for v in verdicts), default=4)
+    for v in verdicts:
+        status = "ok" if v["as_expected"] else "UNEXPECTED"
+        detail = f"{v['lhs']} {'==' if v['holds'] else '!='} {v['rhs']}"
+        yield f"  {v['name']:<{width}}  {detail:<24} expect={v['expected']:<5} {status}"
+    yield from _findings(payload)
+    yield f"exit status: {payload['exit_status']}"
 
 
-def _cmd_census(args) -> int:
-    from .cones import build_census_report
-    from .families import regular_models
-
-    declared = _declared(args)
-    report = build_census_report(regular_models(), declared)
-    _print_census(report, args.format)
-    return EXIT_OK
+def _verdicts_rows(payload: dict):
+    return [["name", "holds", "lhs", "rhs", "expected", "as_expected", "cite"],
+            *(list(v.values()) for v in payload["verdicts"])]
 
 
-def _cmd_verify(args) -> int:
-    report = run_full_verification(_declared(args), _claims(args))
-    _print_audit(report, args.format)
-    return EXIT_OK if report.exit_status == 0 else EXIT_VERIFICATION
+def _cmd_verify(args):
+    return _verdicts(run_full_verification(_declared(args), _claims(args)))
 
 
-def _cmd_orbits(args) -> int:
+def _cmd_audit(args):
+    from .claims import evaluate_claims
+
+    return _verdicts(evaluate_claims(_claims(args)))
+
+
+def _cmd_orbits(args):
     t = Triple(args.a, args.b, args.c)
     record = orbit(t)
-    members = sorted(record.members)
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "triple": _triple_json(t),
-                    "orbit": [_triple_json(m) for m in members],
-                    "orbit_length": record.length,
-                    "stabilizer_order": record.stabilizer_order,
-                    "stabilizer": [g.value for g in stabilizer(t)],
-                    "canonical": _triple_json(canonical(t)),
-                },
-                indent=2,
-            )
-        )
-        return EXIT_OK
-    if args.format == "csv":
-        out = _csv_writer()
-        out.writerow(["element", "a", "b", "c"])
-        for g in GroupElement:
-            image = apply(g, t)
-            out.writerow([g.value, image.a, image.b, image.c])
-        return EXIT_OK
-    print(f"triple           : {t}")
-    print(f"orbit length     : {record.length}")
-    print(f"stabilizer order : {record.stabilizer_order}"
-          f"  ({', '.join(g.value for g in stabilizer(t))})")
-    print(f"canonical form   : {canonical(t)}")
-    print("orbit            : " + ", ".join(str(m) for m in members))
-    return EXIT_OK
+    return {
+        "triple": list(t),
+        "orbit": [list(m) for m in sorted(record.members)],
+        "orbit_length": record.length,
+        "stabilizer_order": record.stabilizer_order,
+        "stabilizer": [g.value for g in stabilizer(t)],
+        "canonical": list(record.representative),
+    }, EXIT_OK
 
 
-def _cmd_closure(args) -> int:
+def _orbits_table(payload: dict):
+    return [
+        f"triple           : {tuple(payload['triple'])}",
+        f"orbit length     : {payload['orbit_length']}",
+        f"stabilizer order : {payload['stabilizer_order']}"
+        f"  ({', '.join(payload['stabilizer'])})",
+        f"canonical form   : {tuple(payload['canonical'])}",
+        "orbit            : " + ", ".join(str(tuple(m)) for m in payload["orbit"]),
+    ]
+
+
+def _orbits_rows(payload: dict):
+    t = Triple(*payload["triple"])
+    return [["element", "a", "b", "c"],
+            *([g.value, *apply(g, t)] for g in GroupElement)]
+
+
+def _cmd_closure(args):
     with open(args.graph, encoding="utf-8") as handle:
         seed = parse_graph_file(handle.read())
     if args.moves not in MOVE_SETS:
         known = ", ".join(sorted(MOVE_SETS))
-        print(f"unknown move set {args.moves!r} (known: {known})", file=sys.stderr)
-        return EXIT_INPUT
+        raise ConfigError(f"unknown move set {args.moves!r} (known: {known})")
     result = closure(
         seed,
         MOVE_SETS[args.moves],
         max_classes=args.max_classes,
         max_steps=args.max_steps,
-        workers=args.workers,
     )
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "class_count": result.class_count,
-                    "expansion_steps": result.expansion_steps,
-                    "moves": args.moves,
-                    "backend": canonical_backend(),
-                },
-                indent=2,
-            )
-        )
-        return EXIT_OK
-    if args.format == "csv":
-        out = _csv_writer()
-        out.writerow(["metric", "value"])
-        out.writerow(["class_count", result.class_count])
-        out.writerow(["expansion_steps", result.expansion_steps])
-        return EXIT_OK
-    print(f"move set        : {args.moves}")
-    print(f"class count     : {result.class_count}")
-    print(f"expansion steps : {result.expansion_steps}")
-    print(f"backend         : {canonical_backend()}")
-    return EXIT_OK
+    return {
+        "class_count": result.class_count,
+        "expansion_steps": result.expansion_steps,
+        "moves": args.moves,
+        "backend": canonical_backend(),
+    }, EXIT_OK
 
 
-def _cmd_audit(args) -> int:
-    from .claims import evaluate_claims
-
-    report = evaluate_claims(_claims(args))
-    _print_audit(report, args.format)
-    return EXIT_OK if report.exit_status == 0 else EXIT_VERIFICATION
+def _closure_table(payload: dict):
+    return [
+        f"move set        : {payload['moves']}",
+        f"class count     : {payload['class_count']}",
+        f"expansion steps : {payload['expansion_steps']}",
+        f"backend         : {payload['backend']}",
+    ]
 
 
 _INT_RE = re.compile(r"-?[0-9]+")
@@ -334,20 +287,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_census = sub.add_parser("census", help="print the model/cone census")
     p_census.add_argument("--config", help="declared-census config file")
     add_format(p_census)
-    p_census.set_defaults(func=_cmd_census)
+    p_census.set_defaults(func=_cmd_census, table=_census_table, rows=_metric_rows)
 
     p_verify = sub.add_parser("verify", help="recompute all counts and audit claims")
     p_verify.add_argument("--claims", help="claims DSL file")
     p_verify.add_argument("--config", help="declared-census config file")
     add_format(p_verify)
-    p_verify.set_defaults(func=_cmd_verify)
+    p_verify.set_defaults(func=_cmd_verify, table=_verdicts_table, rows=_verdicts_rows)
 
     p_orbits = sub.add_parser("orbits", help="orbit analysis of one triple")
     p_orbits.add_argument("a", type=_int)
     p_orbits.add_argument("b", type=_int)
     p_orbits.add_argument("c", type=_int)
     add_format(p_orbits)
-    p_orbits.set_defaults(func=_cmd_orbits)
+    p_orbits.set_defaults(func=_cmd_orbits, table=_orbits_table, rows=_orbits_rows)
 
     p_closure = sub.add_parser("closure", help="close a graph under a move set")
     p_closure.add_argument("--graph", required=True, help="graph spec file")
@@ -356,15 +309,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_closure.add_argument("--max-classes", type=_int_at_least(1), default=None)
     p_closure.add_argument("--max-steps", type=_int_at_least(0), default=None)
-    p_closure.add_argument("--workers", type=_int_at_least(1), default=1,
-                           help="has no effect (the closure runs on one thread)")
     add_format(p_closure)
-    p_closure.set_defaults(func=_cmd_closure)
+    p_closure.set_defaults(func=_cmd_closure, table=_closure_table, rows=_metric_rows)
 
     p_audit = sub.add_parser("audit", help="evaluate a claims file")
     p_audit.add_argument("--claims", help="claims DSL file")
     add_format(p_audit)
-    p_audit.set_defaults(func=_cmd_audit)
+    p_audit.set_defaults(func=_cmd_audit, table=_verdicts_table, rows=_verdicts_rows)
 
     return parser
 
@@ -376,7 +327,15 @@ _INPUT_ERRORS = (OSError, ConfigError, ParseError, SizeLimitError, ValueError,
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        code = args.func(args)
+        payload, code = args.func(args)
+        if args.format == "json":
+            print(json.dumps(payload, indent=2))
+        elif args.format == "csv":
+            import csv  # only ``--format csv`` loads the module
+
+            csv.writer(sys.stdout).writerows(args.rows(payload))
+        else:
+            print("\n".join(args.table(payload)))
         sys.stdout.flush()
         return code
     except BrokenPipeError:

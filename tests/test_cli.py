@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from linetrace import unrun_lines
+from moricensus import cli
 from moricensus.cli import main
 
 GRAPH_TEXT = """\
@@ -19,6 +21,15 @@ edge p0 p1 label=-6
 edge p1 p2 label=0
 edge p2 p0 label=3
 """
+
+# an unexpected verdict each way, an expected failure (a finding) and a
+# cite that csv quotes
+UNEXPECTED_CLAIMS = (
+    'claim wrong_sum: 1 + 1 == 3 expect=holds cite="a, b"\n'
+    "claim fine: 10 - 4 == 6 expect=holds\n"
+    'claim typo_that_holds: 2 * 3 == 6 expect=fails cite="Eq. (1)"\n'
+    'claim typo: 36 == 45 expect=fails cite="Thm 2.1"\n'
+)
 
 VD_104_READING = (
     "entry t_models: count=129 breakdown=83+1+45\n"
@@ -32,6 +43,13 @@ VD_104_READING = (
 def graph_file(tmp_path):
     path = tmp_path / "seed.graph"
     path.write_text(GRAPH_TEXT, encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture
+def unexpected_claims(tmp_path):
+    path = tmp_path / "unexpected.claims"
+    path.write_text(UNEXPECTED_CLAIMS, encoding="utf-8")
     return str(path)
 
 
@@ -305,10 +323,10 @@ def test_closure_no_moves(graph_file, capsys):
 
 
 def test_closure_unknown_move_set(graph_file, capsys):
-    code, _, err = run(capsys, "closure", "--graph", graph_file,
-                       "--moves", "flops")
-    assert code == 2
-    assert "unknown move set" in err
+    code, out, err = run(capsys, "closure", "--graph", graph_file,
+                         "--moves", "flops")
+    assert (code, out) == (2, "")
+    assert err == "error: unknown move set 'flops' (known: none, triple_group)\n"
 
 
 def test_closure_missing_graph_file(capsys):
@@ -367,12 +385,10 @@ def test_closure_budget_exhaustion_is_verification_failure(graph_file, capsys):
     ("--max-steps", "-5", "must be >= 0, got -5"),
     ("--max-classes", "-1", "must be >= 1, got -1"),
     ("--max-classes", "0", "must be >= 1, got 0"),
-    ("--workers", "0", "must be >= 1, got 0"),
-    ("--workers", "-3", "must be >= 1, got -3"),
     ("--max-steps", "\u0663", "invalid int value: '\u0663'"),
     ("--max-steps", "-3", "must be >= 0, got -3"),
-], ids=["steps_negative", "classes_negative", "classes_zero", "workers_zero",
-        "workers_negative", "steps_not_ascii", "steps_minus_three"])
+], ids=["steps_negative", "classes_negative", "classes_zero", "steps_not_ascii",
+        "steps_minus_three"])
 def test_closure_rejects_budget_out_of_range(graph_file, capsys, option, value,
                                              message):
     # a bad budget is the user's input (2), not a failed closure (1)
@@ -384,6 +400,17 @@ def test_closure_rejects_budget_out_of_range(graph_file, capsys, option, value,
     assert captured.out == ""
     assert captured.err.startswith("usage: moricensus closure")
     assert captured.err.endswith(f"error: argument {option}: {message}\n")
+
+
+def test_closure_has_no_workers_option(graph_file, capsys):
+    # the closure runs on one thread; the option that did nothing is gone
+    with pytest.raises(SystemExit) as exc_info:
+        main(["closure", "--graph", graph_file, "--moves", "triple_group",
+              "--workers", "2"])
+    assert exc_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("error: unrecognized arguments: --workers 2\n")
 
 
 def test_closure_zero_step_budget_closes_under_no_moves(graph_file, capsys):
@@ -488,6 +515,35 @@ def test_shipped_closure_json_matches_snapshot(graph_file, capsys):
         assert payload[field] == value, field
 
 
+GOLDEN = ROOT / "tests" / "data" / "cli"
+
+# ``{name}.{format}.txt`` in GOLDEN holds each run's stdout; the JSON
+# format is pinned by the snapshots above
+GOLDEN_RUNS = {
+    "census": (["census"], 0),
+    "verify": (["verify"], 0),
+    "audit": (["audit"], 0),
+    "audit-unexpected": (["audit", "--claims", "{claims}"], 1),
+    "orbits": (["orbits", "--", "-6", "0", "3"], 0),
+    "closure": (["closure", "--graph", "{graph}", "--moves", "triple_group"], 0),
+}
+
+
+def golden_argv(name, fmt, graph, claims):
+    argv = GOLDEN_RUNS[name][0]
+    command, *rest = (a.format(graph=graph, claims=claims) for a in argv)
+    return [command, "--format", fmt, *rest]
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv"])
+@pytest.mark.parametrize("name", GOLDEN_RUNS)
+def test_table_and_csv_are_byte_identical_to_golden(graph_file, unexpected_claims,
+                                                    capsys, name, fmt):
+    got, out, _ = run(capsys, *golden_argv(name, fmt, graph_file, unexpected_claims))
+    assert got == GOLDEN_RUNS[name][1]
+    assert out.encode() == (GOLDEN / f"{name}.{fmt}.txt").read_bytes()
+
+
 @pytest.mark.parametrize(
     "module",
     # a thread pool (the closure runs on one thread), the record machinery
@@ -544,3 +600,33 @@ def test_closed_stdout_exits_141_quietly(unbuffered):
         finally:
             os.close(write_end)
         assert (done.returncode, done.stderr) == (141, ""), argv
+
+
+def test_every_cli_line_runs(monkeypatch, graph_file, unexpected_claims, capsys):
+    def into_closed_pipe(argv):
+        # the handler points the pipe's write end at devnull, so closing
+        # the stream flushes what is left there
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w") as stream, monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", stream)
+            assert main(argv) == 141
+
+    def run_all():
+        for name, (_, code) in GOLDEN_RUNS.items():
+            for fmt in ("table", "csv"):
+                argv = golden_argv(name, fmt, graph_file, unexpected_claims)
+                assert main(argv) == code
+        assert main(["orbits", "--format", "json", "1", "2", "3"]) == 0
+        assert main(["closure", "--graph", graph_file, "--moves", "flops"]) == 2
+        assert main(["closure", "--graph", graph_file, "--moves", "triple_group",
+                     "--max-classes", "2"]) == 1
+        for argv in (["orbits", "x", "0", "0"],
+                     ["closure", "--graph", graph_file, "--moves", "none",
+                      "--max-steps", "-1"]):
+            with pytest.raises(SystemExit):
+                main(argv)
+        into_closed_pipe(["orbits", "1", "2", "3"])
+        into_closed_pipe(["--help"])
+
+    assert unrun_lines([cli], run_all) == []
