@@ -3,9 +3,11 @@
 
 Three suites:
 
-  rigid      the 3-node triple encodings of the 347 regular models, the
-             graphs ``verify`` feeds the kernel; node labels 0, 1, 2 make
-             refinement discrete, so there is no ordering search.
+  rigid      the 3-node triple encodings of the 347 regular models.
+             ``verify`` and ``closure --moves triple_group`` make no
+             kernel call; ``closure --moves none`` canonicalizes such a
+             seed once.  Node labels 0, 1, 2 make the first colouring
+             discrete, so neither refinement nor search runs.
   random     random labelled multigraphs; most are discrete at the first
              colouring (label and incident edge labels and mults), so
              neither refinement nor search runs, and refinement splits

@@ -12,14 +12,7 @@ with the package.  Those of the census modules (``claims``, ``cones``,
 so ``import moricensus`` compiles none of them.
 """
 
-from .closure import (
-    MOVE_SETS,
-    ClosureResult,
-    MoveOperator,
-    closure,
-    decode_triple,
-    encode_triple,
-)
+from .closure import MOVE_SETS, ClosureResult, closure, encode_triple
 from .errors import (
     BudgetExceededError,
     ConfigError,
@@ -35,14 +28,7 @@ from .graphs import (
     iso,
     parse_graph_file,
 )
-from .triples import (
-    GroupElement,
-    OrbitRecord,
-    Triple,
-    apply,
-    canonical,
-    orbit,
-)
+from .triples import GroupElement, OrbitRecord, Triple, orbit
 
 __version__ = "0.1.0"
 

@@ -7,16 +7,13 @@ and pruned against the best encoding found so far.  Whenever a colouring
 puts every node in a cell of its own, that order is forced and written
 out without a search.  ``canonical_sequence`` tries its exits in order:
 
-1. Labels increasing with the node index, as on every rigid triple
-   encoding: the order is the identity, so each edge ``(u, v)`` with
-   u < v is a back-edge of v, and the items are written out in one
-   pass, with no order or position map.
-2. A discrete first colouring: no two nodes share their label and
+1. A discrete first colouring: no two nodes share their label and
    sorted ``(edge label, mult)`` pairs (distinct labels always
-   qualify).  Those keys come straight from the edge list; no
-   adjacency list is built and refinement does not run.
-3. Refinement, started from those keys, makes the partition discrete.
-4. Otherwise the ordering search runs, expanding one node of each pair
+   qualify, as on every rigid triple encoding).  Those keys come
+   straight from the edge list; no adjacency list is built and
+   refinement does not run.
+2. Refinement, started from those keys, makes the partition discrete.
+3. Otherwise the ordering search runs, expanding one node of each pair
    of twins per depth.
 
 Encoding layout: ``(n, item_0, ..., item_{n-1})`` where the item for
@@ -114,23 +111,6 @@ def canonical_sequence(n, labels, edges):
     ``labels`` is a sequence of n ints; ``edges`` a sequence of
     ``(u, v, elabel, mult)`` with u < v and unique (u, v, elabel).
     """
-    if all(map(lt, labels, labels[1:])):
-        # labels already in increasing order: the forced order is the
-        # identity, and each edge (u, v) with u < v is the back-edge
-        # (u, e, m) of node v
-        back = [[] for _ in range(n)]
-        for (u, v, e, m) in edges:
-            back[v].append((u, e, m))
-        seq = [n]
-        for v in range(n):
-            entries = back[v]
-            if len(entries) > 1:  # edges need not come sorted
-                entries.sort()
-            seq.append(labels[v])
-            seq.append(len(entries))
-            for entry in entries:
-                seq.extend(entry)
-        return tuple(seq)
     pairs = [[] for _ in range(n)]
     for (u, v, e, m) in edges:
         pairs[u].append((e, m))

@@ -26,7 +26,7 @@ import re
 from typing import Union
 
 from ._record import Record
-from .errors import ParseError
+from .errors import ConfigError, ParseError
 
 __all__ = [
     "AuditReport",
@@ -275,7 +275,7 @@ def format_claims(claims: list[Claim]) -> str:
 
 def _guarded(value: int) -> int:
     if abs(value) > EVAL_GUARD:
-        raise OverflowError(
+        raise ConfigError(
             f"claim value {value} outside guarded range +/-{EVAL_GUARD}"
         )
     return value
@@ -299,7 +299,8 @@ def _eval_expr(expr: Expr) -> int:
 
 
 def evaluate(claim: Claim) -> Verdict:
-    """Exact integer evaluation of both sides."""
+    """Exact integer evaluation of both sides; ConfigError for a value
+    past ``EVAL_GUARD``, a malformed input."""
     lhs = _eval_expr(claim.lhs)
     rhs = _eval_expr(claim.rhs)
     return Verdict(

@@ -36,7 +36,7 @@ from .audit import default_claims_text, run_full_verification
 from .closure import MOVE_SETS, closure
 from .errors import ConfigError, MoricensusError, ParseError, SizeLimitError
 from .graphs import canonical_backend, parse_graph_file
-from .triples import GroupElement, Triple, apply, orbit, stabilizer
+from .triples import GroupElement, Triple, _images, orbit
 
 if TYPE_CHECKING:
     from .claims import AuditReport
@@ -51,7 +51,10 @@ def _read(path: str | None, default_text) -> str:
     if path is None:
         return default_text()
     with open(path, encoding="utf-8") as handle:
-        return handle.read()
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 def _declared(args):
@@ -171,14 +174,17 @@ def _cmd_audit(args):
 
 
 def _cmd_orbits(args):
-    t = Triple(args.a, args.b, args.c)
+    try:
+        t = Triple(args.a, args.b, args.c)
+    except ValueError as exc:  # Triple's checks name the component at fault
+        raise ConfigError(str(exc)) from None
     record = orbit(t)
     return {
         "triple": list(t),
         "orbit": [list(m) for m in sorted(record.members)],
         "orbit_length": record.length,
         "stabilizer_order": record.stabilizer_order,
-        "stabilizer": [g.value for g in stabilizer(t)],
+        "stabilizer": [g.value for g in record.stabilizer],
         "canonical": list(record.representative),
     }, EXIT_OK
 
@@ -195,14 +201,13 @@ def _orbits_table(payload: dict):
 
 
 def _orbits_rows(payload: dict):
-    t = Triple(*payload["triple"])
+    images = _images(*payload["triple"])
     return [["element", "a", "b", "c"],
-            *([g.value, *apply(g, t)] for g in GroupElement)]
+            *([g.value, *image] for g, image in zip(GroupElement, images))]
 
 
 def _cmd_closure(args):
-    with open(args.graph, encoding="utf-8") as handle:
-        seed = parse_graph_file(handle.read())
+    seed = parse_graph_file(_read(args.graph, None))
     if args.moves not in MOVE_SETS:
         known = ", ".join(sorted(MOVE_SETS))
         raise ConfigError(f"unknown move set {args.moves!r} (known: {known})")
@@ -320,8 +325,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_INPUT_ERRORS = (OSError, ConfigError, ParseError, SizeLimitError, ValueError,
-                 OverflowError)
+# every input fault raises one of these, as does a stdout whose encoding
+# cannot write the input's text; any other exception is a program fault
+# and leaves ``main`` with its traceback
+_INPUT_ERRORS = (OSError, ConfigError, ParseError, SizeLimitError,
+                 UnicodeEncodeError)
 
 
 def main(argv: list[str] | None = None) -> int:

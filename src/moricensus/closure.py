@@ -1,13 +1,14 @@
 """Breadth-first closure of a seed under pluggable move sets.
 
 A move set (:class:`MoveSet`) acts on *states*: it checks the seed once,
-at the boundary, and turns it into a state, and its moves map states to
-states.  The search keys classes by state: it walks one queue of states
-in the order they were first reached, applies every move to each, and
-appends each new state to the queue; the result is the set of states
-reached from the seed.  That set is the smallest iso-closed set of
-classes containing the seed as long as the move set keeps its
-contract: its distinct states are distinct classes.
+at the boundary, and turns it into a state, and each of its moves is a
+plain function from a state to its images.  The search keys classes by
+state: it walks one queue of states in the order they were first
+reached, applies every move to each, and appends each new state to the
+queue; the result is the set of states reached from the seed.  That set
+is the smallest iso-closed set of classes containing the seed as long
+as the move set keeps its contract: its distinct states are distinct
+classes.
 
 Graph-level move sets take a graph as the seed and keep the default
 state, its canonical form.  The geometric flop rules live elsewhere, so
@@ -26,25 +27,17 @@ builds no graph.
 from __future__ import annotations
 
 from ._record import Record
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, ConfigError
 from .graphs import LabeledGraph, canonical_graph
 from .triples import Triple, _plain_components
 
 __all__ = [
     "ClosureResult",
     "MOVE_SETS",
-    "MoveOperator",
     "MoveSet",
     "closure",
-    "decode_triple",
     "encode_triple",
 ]
-
-
-class MoveOperator(Record):
-    """A named, deterministic one-step transition on move-set states."""
-
-    __slots__ = ("name", "apply_all")
 
 
 def _graph_state(g: LabeledGraph) -> tuple[int, ...]:
@@ -56,8 +49,9 @@ def _graph_state(g: LabeledGraph) -> tuple[int, ...]:
 class MoveSet(Record):
     """Moves over states, with the map from the seed to its state.
 
-    ``to_state`` turns the seed into a state once, at the closure
-    boundary, and raises ValueError for a seed the moves cannot act on.
+    Each move maps a state to an iterable of its images.  ``to_state``
+    turns the seed into a state once, at the closure boundary, and
+    raises ConfigError for a seed the moves cannot act on.
     The closure counts states as classes, so a move set's distinct
     states must be distinct classes.  By default a state is the graph's
     ``canonical_graph`` form, as suits graph-level move sets.
@@ -96,7 +90,7 @@ def closure(
 
     The seed is whatever the move set's ``to_state`` accepts: graph-level
     move sets, ``triple_group`` among them, take a :class:`LabeledGraph`.
-    Raises the move set's ValueError for a seed it cannot act on, and
+    Raises the move set's ConfigError for a seed it cannot act on, and
     BudgetExceededError when a configured class-count or step budget is
     hit (arbitrary move sets may have infinite closures).  Each step is
     checked against the budgets before the next is taken; rediscovered
@@ -108,7 +102,7 @@ def closure(
     steps = 0
     for state in queue:
         for move in move_set.moves:
-            for image in move.apply_all(state):
+            for image in move(state):
                 steps += 1
                 if max_steps is not None and steps > max_steps:
                     raise BudgetExceededError("step", max_steps)
@@ -128,35 +122,28 @@ def closure(
 
 def encode_triple(t: Triple) -> LabeledGraph:
     """Rigid encoding: tuple order is visible to the isomorphism test."""
-    return _encode((t.a, t.b, t.c))
-
-
-def _encode(components: tuple[int, int, int]) -> LabeledGraph:
-    a, b, c = components
     return LabeledGraph(node_labels=(0, 1, 2),
-                        edges=((0, 1, a, 1), (0, 2, c, 1), (1, 2, b, 1)))
+                        edges=((0, 1, t.a, 1), (0, 2, t.c, 1), (1, 2, t.b, 1)))
 
 
 def _triple_state(g: LabeledGraph) -> tuple[int, int, int]:
-    """``(a, b, c)`` if ``g`` is what :func:`_encode` writes for a valid
-    triple, else ValueError; builds a Triple only to reject a component."""
+    """``(a, b, c)`` if ``g`` is what :func:`encode_triple` writes for a
+    valid triple, else ConfigError; builds a Triple only to reject a
+    component."""
     if g.node_labels != (0, 1, 2):
-        raise ValueError(f"not a rigid triple encoding: nodes {g.node_labels}")
+        raise ConfigError(f"not a rigid triple encoding: nodes {g.node_labels}")
     edges = g.edges
     if [edge[:2] for edge in edges] != [(0, 1), (0, 2), (1, 2)]:
-        raise ValueError(f"not a rigid triple encoding: edges {edges}")
+        raise ConfigError(f"not a rigid triple encoding: edges {edges}")
     (_, _, a, ab), (_, _, c, ac), (_, _, b, bc) = edges
     if (ab, ac, bc) != (1, 1, 1):
-        raise ValueError("triple encoding edges must have multiplicity 1")
-    if _plain_components(a, b, c):
-        return a, b, c
-    # Triple's own checks name the component at fault
-    return tuple(Triple(a, b, c))
-
-
-def decode_triple(g: LabeledGraph) -> Triple:
-    """Inverse of :func:`encode_triple`; raises ValueError off the image."""
-    return Triple(*_triple_state(g))
+        raise ConfigError("triple encoding edges must have multiplicity 1")
+    if not _plain_components(a, b, c):
+        try:
+            Triple(a, b, c)  # its checks name the component at fault
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+    return a, b, c
 
 
 def _generator_images(state):
@@ -173,7 +160,7 @@ def _generator_images(state):
 MOVE_SETS: dict[str, MoveSet] = {
     "none": MoveSet(),
     "triple_group": MoveSet(
-        moves=(MoveOperator(name="generators", apply_all=_generator_images),),
+        moves=(_generator_images,),
         to_state=_triple_state,
     ),
 }

@@ -18,12 +18,18 @@ from .families import RegularModel
 
 __all__ = [
     "CensusReport",
+    "MAX_DECLARED_SYMMETRIC",
     "ModelRecord",
     "build_census_report",
     "p_cone_count",
     "symmetric_p_models",
     "t_cone_count",
 ]
+
+
+# ``p_very_degenerate_symmetric`` gets one record, and one printed object,
+# per model; the shipped reading declares 1
+MAX_DECLARED_SYMMETRIC = 10_000
 
 
 class ModelRecord(Record):
@@ -111,8 +117,9 @@ def build_census_report(
 
     Requires entries ``t_models``, ``t_symmetric``, ``p_very_degenerate``
     and ``p_very_degenerate_symmetric``, no more symmetric models than
-    models in either pair, and totals short enough to print.  Both
-    declared counts give cones by :func:`t_cone_count`'s rule.  Only the
+    models in either pair, at most ``MAX_DECLARED_SYMMETRIC`` declared
+    symmetric three-component models, and totals short enough to print.
+    Both declared counts give cones by :func:`t_cone_count`'s rule.  Only the
     declared symmetric models get new records, for ``p_symmetric``.
     """
     by_label = {e.label: e for e in declared}
@@ -127,6 +134,12 @@ def build_census_report(
                 field=symmetric,
             )
     t_models, t_symmetric, p_vd, p_vd_sym = count.values()
+    if p_vd_sym > MAX_DECLARED_SYMMETRIC:
+        raise ConfigError(
+            f"p_very_degenerate_symmetric={p_vd_sym} exceeds the bound "
+            f"{MAX_DECLARED_SYMMETRIC}",
+            field="p_very_degenerate_symmetric",
+        )
 
     declared_symmetric = [
         ModelRecord(family="very_degenerate", orbit_length=3, symmetry_order=2)

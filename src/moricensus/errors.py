@@ -13,7 +13,8 @@ class MoricensusError(Exception):
 
 
 class ConfigError(MoricensusError):
-    """Malformed declared-census config or graph file.
+    """Malformed input: a declared-census config, graph or claims file
+    that breaks its rules, or a triple past the component bound.
 
     ``line`` is the 1-based line number when known; ``field`` names the
     offending key or token.

@@ -4,10 +4,10 @@ Canonicalization is brute force (ordering search with colour-partition
 pruning and twin pruning inside each refinement cell) and bounded at
 MAX_NODES nodes; the models under study have two or three components,
 so desk scale needs nothing cleverer.  The order is forced, and no
-search runs, in three cases, tried in this order: the node labels
-increase with the node index (the rigid triple encodings); the first
-colouring, by label and incident (edge label, mult) pairs, is already
-discrete; or refinement makes it discrete.  The search itself lives in
+search runs, in two cases, tried in this order: the first colouring, by
+label and incident (edge label, mult) pairs, is already discrete (as on
+the rigid triple encodings, whose labels are distinct); or refinement
+makes it discrete.  The search itself lives in
 ``moricensus._canon_py``; its integer tuple is the canonical form, and
 :func:`canonical_graph` is its only entry.
 

@@ -29,10 +29,7 @@ __all__ = [
     "GroupElement",
     "OrbitRecord",
     "Triple",
-    "apply",
-    "canonical",
     "orbit",
-    "stabilizer",
 ]
 
 # All values occurring in the censuses lie in [-9, 9]; the guard surfaces
@@ -106,40 +103,29 @@ def _images(a, b, c):
             (-b, -a, -c), (-c, -b, -a), (-a, -c, -b))
 
 
-# the index of each element's image in the tuple _images returns
-_POSITION = {g: k for k, g in enumerate(GroupElement)}
-
-
-def apply(g: GroupElement, t: Triple) -> Triple:
-    """Image of ``t`` under the group element ``g``."""
-    return Triple(*_images(t.a, t.b, t.c)[_POSITION[g]])
-
-
 class OrbitRecord(Record):
-    """Full orbit of a triple with its canonical representative.
+    """Full orbit of a triple with its canonical representative and the
+    group elements fixing it, in enum order.
 
     Satisfies orbit-stabilizer: ``len(members) * stabilizer_order == 6``.
     """
 
-    __slots__ = ("representative", "members", "stabilizer_order")
+    __slots__ = ("representative", "members", "stabilizer")
 
     def __post_init__(self):
-        if len(self.members) * self.stabilizer_order != 6:
+        if len(self.members) * len(self.stabilizer) != 6:
             raise InvariantError(
                 f"orbit-stabilizer violation: |orbit|={len(self.members)} "
-                f"stabilizer={self.stabilizer_order}"
+                f"stabilizer={len(self.stabilizer)}"
             )
 
     @property
     def length(self) -> int:
         return len(self.members)
 
-
-def stabilizer(t: Triple) -> tuple[GroupElement, ...]:
-    """Group elements fixing ``t``, in enum order."""
-    own = (t.a, t.b, t.c)
-    return tuple(g for g, image in zip(GroupElement, _images(*own))
-                 if image == own)
+    @property
+    def stabilizer_order(self) -> int:
+        return len(self.stabilizer)
 
 
 def _orbit_summary(a, b, c) -> tuple[tuple[int, int, int], int, int]:
@@ -155,20 +141,17 @@ def _orbit_summary(a, b, c) -> tuple[tuple[int, int, int], int, int]:
 
 
 def orbit(t: Triple) -> OrbitRecord:
-    """Orbit of ``t`` under all six group elements."""
-    images = _images(t.a, t.b, t.c)
+    """Orbit of ``t`` under all six group elements, from one pass over
+    the images.
+
+    Its representative, the least member, is the canonical form:
+    constant on orbits, the deduplication key for equivalence classes.
+    """
+    own = (t.a, t.b, t.c)
+    images = _images(*own)
     members = frozenset(Triple(*image) for image in set(images))
     return OrbitRecord(
         representative=min(members),
         members=members,
-        stabilizer_order=images.count((t.a, t.b, t.c)),
+        stabilizer=tuple(g for g, image in zip(GroupElement, images) if image == own),
     )
-
-
-def canonical(t: Triple) -> Triple:
-    """Lexicographically smallest member of the orbit of ``t``.
-
-    Idempotent and constant on orbits: the deduplication key for
-    equivalence classes.
-    """
-    return Triple(*min(_images(t.a, t.b, t.c)))

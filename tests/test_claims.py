@@ -16,7 +16,7 @@ from moricensus.claims import (
     format_claims,
     parse_claims,
 )
-from moricensus.errors import ParseError
+from moricensus.errors import ConfigError, ParseError
 
 from linetrace import unrun_lines
 
@@ -136,8 +136,10 @@ def test_exact_evaluation(expr, value):
 def test_evaluation_overflow_guard():
     big = EVAL_GUARD
     claim = parse_one(f"claim x: {big} * 2 == 0 expect=fails")
-    with pytest.raises(OverflowError):
+    with pytest.raises(ConfigError) as exc_info:
         evaluate(claim)
+    assert str(exc_info.value) == \
+        f"claim value {2 * big} outside guarded range +/-{EVAL_GUARD}"
 
 
 def nested(shape, depth):
@@ -351,7 +353,7 @@ def test_every_claims_line_runs():
         for text in rejected:
             with pytest.raises(ParseError):
                 parse_claims(text)
-        with pytest.raises(OverflowError):
+        with pytest.raises(ConfigError):
             evaluate(parse_one(f"claim x: {EVAL_GUARD} * 2 == 0 expect=fails"))
 
     assert unrun_lines([claims_module], run) == []

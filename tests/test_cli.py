@@ -279,9 +279,61 @@ def test_broken_group_table_is_invariant_failure(monkeypatch, capsys, argv, mess
 
 
 def test_orbits_out_of_range_is_input_error(capsys):
-    code, _, err = run(capsys, "orbits", "2000000", "0", "0")
-    assert code == 2
-    assert "guarded range" in err
+    code, out, err = run(capsys, "orbits", "2000000", "0", "0")
+    assert (code, out) == (2, "")
+    assert err == \
+        "error: component a=2000000 outside guarded range [-1000000, 1000000]\n"
+
+
+@pytest.mark.parametrize("option, command", [
+    ("--config", "census"), ("--config", "verify"), ("--claims", "audit"),
+    ("--graph", "closure"),
+])
+def test_files_that_are_not_utf8_are_input_errors(tmp_path, capsys, option,
+                                                  command):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("entry caf\u00e9: count=1\n".encode("latin-1"))
+    extra = ["--moves", "none"] if command == "closure" else []
+    code, out, err = run(capsys, command, option, str(path), *extra)
+    assert (code, out) == (2, "")
+    assert err == ("error: 'utf-8' codec can't decode byte 0xe9 in position 9: "
+                   "invalid continuation byte\n")
+
+
+def test_claim_value_past_the_guard_is_input_error(tmp_path, capsys):
+    claims = tmp_path / "big.claims"
+    claims.write_text("claim big: 1000000000000 * 2 == 0 expect=fails\n",
+                      encoding="utf-8")
+    code, out, err = run(capsys, "audit", "--claims", str(claims))
+    assert (code, out) == (2, "")
+    assert err == ("error: claim value 2000000000000 outside guarded range "
+                   "+/-1000000000000\n")
+
+
+def test_stdout_that_cannot_encode_the_input_is_input_error(tmp_path, monkeypatch,
+                                                           capsys):
+    # a cite that the csv view prints and an ASCII-only stdout
+    claims = tmp_path / "accent.claims"
+    claims.write_text('claim cafe: 1 == 1 expect=holds cite="\u00e9t\u00e9"\n',
+                      encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(io.BytesIO(), "ascii"))
+    assert main(["audit", "--claims", str(claims), "--format", "csv"]) == 2
+    assert capsys.readouterr().err == (
+        "error: 'ascii' codec can't encode character '\\xe9' in position 25: "
+        "ordinal not in range(128)\n")
+
+
+def test_internal_value_error_is_no_input_error(monkeypatch):
+    # only the typed input errors exit 2; a ValueError from the program
+    # itself leaves main with its traceback
+    from moricensus import cones
+
+    def broken(models):
+        raise ValueError("planted")
+
+    monkeypatch.setattr(cones, "p_cone_count", broken)
+    with pytest.raises(ValueError, match="planted"):
+        main(["census"])
 
 
 @pytest.mark.parametrize("components, bad", [
@@ -628,5 +680,9 @@ def test_every_cli_line_runs(monkeypatch, graph_file, unexpected_claims, capsys)
                 main(argv)
         into_closed_pipe(["orbits", "1", "2", "3"])
         into_closed_pipe(["--help"])
+        not_utf8 = Path(graph_file).with_name("not_utf8.cfg")
+        not_utf8.write_bytes(b"\xff\n")
+        assert main(["census", "--config", str(not_utf8)]) == 2
+        assert main(["orbits", "2000000", "0", "0"]) == 2
 
     assert unrun_lines([cli], run_all) == []

@@ -7,10 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from moricensus.closure import (
     MOVE_SETS,
-    MoveOperator,
     MoveSet,
+    _triple_state,
     closure,
-    decode_triple,
     encode_triple,
 )
 from moricensus.errors import (
@@ -25,7 +24,7 @@ from moricensus.graphs import (
     iso,
     parse_graph_file,
 )
-from moricensus.triples import COMPONENT_BOUND, GroupElement, Triple, apply, orbit
+from moricensus.triples import COMPONENT_BOUND, Triple, _images, orbit
 
 from linetrace import unrun_lines
 
@@ -203,8 +202,9 @@ def test_graph_rejects_malformed_edges(make, message):
 
 
 def test_encode_decode_roundtrip():
+    # the move set's boundary decodes the encoding to the triple's state
     for t in (Triple(-6, 0, 3), Triple(0, 0, 0), Triple(9, -3, 3)):
-        assert decode_triple(encode_triple(t)) == t
+        assert _triple_state(encode_triple(t)) == (t.a, t.b, t.c)
 
 
 def test_rigid_encoding_separates_distinct_triples():
@@ -222,13 +222,13 @@ def test_rigid_encoding_is_injective():
 
 
 def test_decode_rejects_non_encodings():
-    with pytest.raises(ValueError):
-        decode_triple(LabeledGraph.build([0, 1], [(0, 1, 3)]))
-    with pytest.raises(ValueError):
-        decode_triple(LabeledGraph.build([0, 1, 2], [(0, 1, 3)]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
+        _triple_state(LabeledGraph.build([0, 1], [(0, 1, 3)]))
+    with pytest.raises(ConfigError):
+        _triple_state(LabeledGraph.build([0, 1, 2], [(0, 1, 3)]))
+    with pytest.raises(ConfigError):
         # a second edge on one node pair, beside one edge on each other pair
-        decode_triple(LabeledGraph.build(
+        _triple_state(LabeledGraph.build(
             [0, 1, 2], [(0, 1, 5), (0, 1, 7), (1, 2, 0), (2, 0, 3)]
         ))
 
@@ -248,9 +248,9 @@ OFF_ENCODING_SEEDS = [
 @pytest.mark.parametrize("seed", OFF_ENCODING_SEEDS, ids=[
     "label_out_of_bound", "mult_2", "two_edges_on_a_pair", "node_labels_013"])
 def test_closure_rejects_seeds_off_the_encoding(seed):
-    with pytest.raises(ValueError) as decoded:
-        decode_triple(seed)
-    with pytest.raises(ValueError) as closed:
+    with pytest.raises(ConfigError) as decoded:
+        _triple_state(seed)
+    with pytest.raises(ConfigError) as closed:
         closure(seed, MOVE_SETS["triple_group"])
     assert str(closed.value) == str(decoded.value)
 
@@ -332,8 +332,8 @@ def closure_via_graphs(t):
     while frontier:
         next_frontier = []
         for member in frontier:
-            for image in (apply(GroupElement.S, member),
-                          apply(GroupElement.I, member)):
+            images = _images(member.a, member.b, member.c)
+            for image in (Triple(*images[1]), Triple(*images[3])):  # s and i
                 steps += 1
                 form = canonical_graph(encode_triple(image))
                 if form not in seen:
@@ -369,17 +369,21 @@ def test_audit_seeds_match_the_rigid_encoding_on_census():
 
 
 # the triple group's generators as separate moves on triple states
-SHIFT = MoveOperator("shift", lambda s: ((s[1], s[2], s[0]),))
-INVOLUTION = MoveOperator("involution", lambda s: ((-s[1], -s[0], -s[2]),))
+def shift(s):
+    return ((s[1], s[2], s[0]),)
+
+
+def involution(s):
+    return ((-s[1], -s[0], -s[2]),)
 
 
 def test_closure_order_independent():
     t = Triple(1, 2, -2)
     moves = MOVE_SETS["triple_group"]
     forward = closure(encode_triple(t), MoveSet(
-        moves=(SHIFT, INVOLUTION), to_state=moves.to_state))
+        moves=(shift, involution), to_state=moves.to_state))
     backward = closure(encode_triple(t), MoveSet(
-        moves=(INVOLUTION, SHIFT), to_state=moves.to_state))
+        moves=(involution, shift), to_state=moves.to_state))
     assert forward.classes == backward.classes == \
         closure(encode_triple(t), moves).classes
 
@@ -390,7 +394,7 @@ def test_closure_monotone_in_move_set():
     t = Triple(1, 1, 1)
     moves = MOVE_SETS["triple_group"]
     shift_only = closure(encode_triple(t), MoveSet(
-        moves=(SHIFT,), to_state=moves.to_state))
+        moves=(shift,), to_state=moves.to_state))
     both = closure(encode_triple(t), moves)
     assert (shift_only.class_count, both.class_count) == (1, 2)
     assert shift_only.classes < both.classes
@@ -407,7 +411,7 @@ def test_closure_class_budget():
 
 
 def test_closure_step_budget():
-    spin = MoveSet(moves=(MoveOperator(name="spin", apply_all=lambda g: [g]),))
+    spin = MoveSet(moves=(lambda g: [g],))
     with pytest.raises(BudgetExceededError):
         closure(three_cycle([1, 2, 3]), spin, max_steps=0)
 
@@ -421,7 +425,7 @@ def count_up(k):
 # states are ints, each the label of a one-node graph, so distinct
 # states are distinct classes
 COUNTING = MoveSet(
-    moves=(MoveOperator(name="count", apply_all=count_up),),
+    moves=(count_up,),
     to_state=lambda g: g.node_labels[0],
 )
 
@@ -444,7 +448,7 @@ def test_closure_expands_states_in_breadth_first_order():
         received.append(k)
         return (2 * k + 1, 2 * k + 2) if k < 7 else ()
 
-    tree = MoveSet(moves=(MoveOperator(name="children", apply_all=children),),
+    tree = MoveSet(moves=(children,),
                    to_state=int)
     result = closure(0, tree)
     assert received == list(range(15))
@@ -469,7 +473,7 @@ edge p2 p0 label=3
 
 def test_parse_graph_file():
     g = parse_graph_file(GRAPH_TEXT)
-    assert decode_triple(g) == Triple(-6, 0, 3)
+    assert _triple_state(g) == (-6, 0, 3)
 
 
 def test_parse_graph_file_default_mult():
@@ -601,7 +605,7 @@ def test_every_closure_and_graph_line_runs():
         canonical_backend()
         for t in (Triple(-6, 0, 3), Triple(0, 0, 0)):
             seed = encode_triple(t)
-            assert decode_triple(seed) == t and seed.n == 3
+            assert _triple_state(seed) == tuple(t) and seed.n == 3
             result = closure(seed, MOVE_SETS["triple_group"])
             assert result.class_count == orbit(t).length
         closure(three_cycle([1, 2, 3]), MOVE_SETS["none"])
@@ -610,7 +614,7 @@ def test_every_closure_and_graph_line_runs():
             expect(BudgetExceededError, lambda: closure(
                 LabeledGraph.build([0]), COUNTING, **budget))
         for seed in OFF_ENCODING_SEEDS:
-            expect(ValueError, lambda: decode_triple(seed))
+            expect(ConfigError, lambda: _triple_state(seed))
         for make in NOT_INT_GRAPHS + [make for make, _ in MALFORMED_EDGES]:
             expect(ValueError, make)
         parse_graph_file(GRAPH_TEXT)

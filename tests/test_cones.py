@@ -1,9 +1,15 @@
+import contextlib
+import functools
+import io
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from moricensus import audit, cones, families, triples
 from moricensus.audit import run_full_verification
 from moricensus.cli import main
 from moricensus.cones import (
+    MAX_DECLARED_SYMMETRIC,
     CensusReport,
     ModelRecord,
     build_census_report,
@@ -15,7 +21,7 @@ from moricensus.declared import default_declared_text, load_declared
 from moricensus.errors import ConfigError, DuplicateClassError, InvariantError
 from moricensus.families import FamilyId, RegularModel, regular_models
 from moricensus.graphs import LabeledGraph
-from moricensus.triples import Triple, canonical, orbit
+from moricensus.triples import Triple, orbit
 
 from linetrace import unrun_lines
 
@@ -241,6 +247,77 @@ def test_build_census_report_names_the_entry_of_a_total_too_long_to_print():
     assert exc_info.value.field == "count"
 
 
+def test_declared_symmetric_count_is_bounded(tmp_path, capsys):
+    # each declared symmetric model is one record and one printed object,
+    # so a count that parses must not decide how much memory a run takes
+    bound = MAX_DECLARED_SYMMETRIC
+    assert bound == 10_000
+    report = build_census_report(regular_models(), reading(bound, bound))
+    assert len(report.p_symmetric) == 12 + bound
+    with pytest.raises(ConfigError) as exc_info:
+        build_census_report(regular_models(), reading(bound + 1, bound + 1))
+    assert str(exc_info.value) == (
+        "p_very_degenerate_symmetric=10001 exceeds the bound 10000 "
+        "(field 'p_very_degenerate_symmetric')")
+    path = tmp_path / "reading.cfg"
+    path.write_text(reading_text(129, 11, bound + 1, bound + 1), encoding="utf-8")
+    assert main(["census", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {exc_info.value}\n")
+
+
+LABELS = ("t_models", "t_symmetric", "p_very_degenerate", "p_very_degenerate_symmetric")
+
+
+def reading_text(*counts):
+    """A reading of the four entries, in ``LABELS`` order; a count of None
+    leaves its entry without a count."""
+    return "".join(
+        f"entry {label}: " + ('cite="none"' if count is None else f"count={count}")
+        + "\n" for label, count in zip(LABELS, counts))
+
+
+@functools.cache
+def shipped_regular_models():
+    return regular_models()
+
+
+# small counts, so that symmetric > models is common; large ones; the
+# symmetric bound's edge; and a missing count
+COUNTS = st.one_of(st.integers(-3, 40), st.integers(0, 10**9),
+                   st.sampled_from([MAX_DECLARED_SYMMETRIC, MAX_DECLARED_SYMMETRIC + 1]),
+                   st.none())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(COUNTS, COUNTS, COUNTS, COUNTS))
+@example((129, 11, 10**6, MAX_DECLARED_SYMMETRIC))
+@example((129, 11, 10**6, MAX_DECLARED_SYMMETRIC + 1))
+def test_declared_readings_follow_the_cone_rule(tmp_path_factory, counts):
+    # the law the benchmark's census checker uses: every accepted reading
+    # gives 6 cones per declared model and 3 per symmetric one, on top of
+    # the 347 regular models' 2042; any other reading is the user's fault
+    t, t_sym, v, v_sym = counts
+    accepted = (None not in counts and min(counts) >= 0 and t_sym <= t
+                and v_sym <= v and v_sym <= MAX_DECLARED_SYMMETRIC)
+    text = reading_text(*counts)
+    try:
+        report = build_census_report(shipped_regular_models(), load_declared(text))
+    except ConfigError as err:
+        assert not accepted, err
+        path = tmp_path_factory.mktemp("reading") / "reading.cfg"
+        path.write_text(text, encoding="utf-8")
+        out, errors = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(errors):
+            assert main(["census", "--config", str(path)]) == 2
+        assert (out.getvalue(), errors.getvalue()) == ("", f"error: {err}\n")
+        return
+    assert accepted
+    assert (report.p_models, report.t_models) == (347 + v, t)
+    assert report.p_cones == 2042 + 6 * (v - v_sym) + 3 * v_sym
+    assert report.t_cones == 6 * (t - t_sym) + 3 * t_sym
+
+
 def plant_overlap(monkeypatch):
     """Add to family K the image (1, -1, 0) of the nondegenerate (0, 1, -1)."""
     two_degenerate = families.family_two_degenerate
@@ -255,7 +332,7 @@ def test_regular_models_rejects_planted_overlap(monkeypatch, capsys):
         regular_models()
     err = exc_info.value
     assert (err.first, err.second) == (Triple(0, 1, -1), Triple(1, -1, 0))
-    assert err.key == tuple(canonical(Triple(0, 1, -1))) == (-1, 0, 1)
+    assert err.key == tuple(orbit(Triple(0, 1, -1)).representative) == (-1, 0, 1)
     assert main(["census"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -312,6 +389,8 @@ def test_every_census_line_runs(monkeypatch):
         ):
             expect(ConfigError, lambda: build_census_report([], declared))
         expect(ConfigError, lambda: build_census_report([], reading(0, 0, 10, 11)))
+        expect(ConfigError, lambda: build_census_report(
+            [], reading(10 ** 6, MAX_DECLARED_SYMMETRIC + 1)))
         expect(ConfigError, lambda: build_census_report(
             [], reading(0, 0, 2 * 10 ** 4299, 0)))
         expect(InvariantError, lambda: t_cone_count(10, 11))

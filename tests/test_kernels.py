@@ -250,7 +250,8 @@ def test_distinct_labels_skip_refinement(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# increasing labels: the identity order is written out without a remap
+# increasing labels: distinct, so the first colouring's order is forced,
+# and it is the identity
 
 
 increasing_label_data = st.integers(1, 6).flatmap(
@@ -283,19 +284,6 @@ def test_increasing_labels_give_the_identity_order(data, rng):
     assert _canon_py.canonical_sequence(n, labels, shuffled) == expected
 
 
-def test_rigid_encoding_takes_the_label_order_exit(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("the forced-order writer ran on increasing labels")
-
-    monkeypatch.setattr(_canon_py, "_forced_sequence", refuse)
-    g = encode_triple(Triple(-6, 0, 3))
-    assert _canon_py.canonical_sequence(g.n, g.node_labels, g.edges) == \
-        (3, 0, 0, 1, 1, 0, -6, 1, 2, 2, 0, 3, 1, 1, 0, 1)
-    # distinct labels in another order still go through it
-    with pytest.raises(AssertionError):
-        _canon_py.canonical_sequence(2, [1, 0], [])
-
-
 # ---------------------------------------------------------------------------
 # the kernel's exits, in the order it tries them; sequences from the kernel
 # before the first colouring was tested for discreteness
@@ -311,8 +299,9 @@ def _load_bench_canonical():
 
 bench_canonical = _load_bench_canonical()
 
-# node labels 0, 1, 2 on a rigid triple encoding
-LABEL_ORDER = (3, [0, 1, 2], [(0, 1, -6, 1), (0, 2, 3, 1), (1, 2, 0, 1)])
+# node labels 0, 1, 2 on a rigid triple encoding: discrete at the first
+# colouring, in the identity order
+RIGID = (3, [0, 1, 2], [(0, 1, -6, 1), (0, 2, 3, 1), (1, 2, 0, 1)])
 # the same encoding relabelled: distinct labels out of order
 RELABELLED_RIGID = (3, [2, 0, 1], [(0, 1, 3, 1), (0, 2, 0, 1), (1, 2, -6, 1)])
 RIGID_SEQUENCE = (3, 0, 0, 1, 1, 0, -6, 1, 2, 2, 0, 3, 1, 1, 0, 1)
@@ -330,7 +319,7 @@ TWIN_CELLS = (4, [0] * 4, [(0, 1, 0, 1), (0, 2, 0, 1), (0, 3, 0, 1)])
 SEARCH = bench_canonical.circulant(8, (1, 2))
 
 EXIT_CASES = [
-    (LABEL_ORDER, RIGID_SEQUENCE),
+    (RIGID, RIGID_SEQUENCE),
     (RELABELLED_RIGID, RIGID_SEQUENCE),
     (FIRST_COLOURING,
      (5, 0, 0, 0, 1, 0, 0, 1, 0, 1, 1, 0, 2, 1, 1, 0, 0, 1, 1, 2, 2, 1, 1,

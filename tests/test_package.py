@@ -17,8 +17,7 @@ from linetrace import unrun_lines
 EXPORTS = {
     "claims": ["AuditReport", "Claim", "Verdict", "evaluate", "evaluate_claims",
                "format_claims", "parse_claims"],
-    "closure": ["MOVE_SETS", "ClosureResult", "MoveOperator", "closure",
-                "decode_triple", "encode_triple"],
+    "closure": ["MOVE_SETS", "ClosureResult", "closure", "encode_triple"],
     "cones": ["CensusReport", "ModelRecord", "build_census_report", "p_cone_count",
               "symmetric_p_models", "t_cone_count"],
     "declared": ["DeclaredEntry", "load_declared"],
@@ -28,7 +27,7 @@ EXPORTS = {
                  "family_one_degenerate", "family_two_degenerate", "regular_models"],
     "graphs": ["LabeledGraph", "canonical_backend", "canonical_graph", "iso",
                "parse_graph_file"],
-    "triples": ["GroupElement", "OrbitRecord", "Triple", "apply", "canonical", "orbit"],
+    "triples": ["GroupElement", "OrbitRecord", "Triple", "orbit"],
 }
 
 

@@ -14,7 +14,7 @@ from moricensus import _record
 from moricensus._record import Record
 from moricensus.claims import (
     AuditReport, Claim, IntLit, Neg, Product, Sum, Verdict)
-from moricensus.closure import ClosureResult, MoveOperator, MoveSet
+from moricensus.closure import ClosureResult, MoveSet
 from moricensus.cones import CensusReport, ModelRecord
 from moricensus.declared import DeclaredEntry
 from moricensus.families import FamilyId, RegularModel
@@ -32,8 +32,7 @@ RECORDS = {
     Claim: lambda: Claim("c", IntLit(1), IntLit(1), True),
     Verdict: lambda: Verdict("c", True, 1, 1, True),
     AuditReport: lambda: AuditReport((Verdict("c", True, 1, 1, True),)),
-    MoveOperator: lambda: MoveOperator("copy", tuple),
-    MoveSet: lambda: MoveSet((MoveOperator("copy", tuple),)),
+    MoveSet: lambda: MoveSet((tuple,)),
     ClosureResult: lambda: ClosureResult(frozenset({(1, 2)}), 0),
     ModelRecord: lambda: ModelRecord("very_degenerate", 6, 1),
     CensusReport: lambda: CensusReport(450, 129, (), 2657, 741),

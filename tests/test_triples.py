@@ -1,23 +1,38 @@
+import contextlib
+import csv
+import io
 import itertools
+import json
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from moricensus import triples as triples_module
+from moricensus.cli import main
 from moricensus.errors import InvariantError
 from moricensus.triples import (
     COMPONENT_BOUND,
     GroupElement,
     OrbitRecord,
     Triple,
-    apply,
-    canonical,
+    _images,
     orbit,
-    stabilizer,
 )
 
 from linetrace import unrun_lines
+
+ELEMENTS = list(GroupElement)
+
+
+def apply(g, t):
+    """Image of ``t`` under ``g``: the module's one table lists the six
+    images in enum order."""
+    return Triple(*_images(t.a, t.b, t.c)[ELEMENTS.index(g)])
+
+
+def canonical(t):
+    return orbit(t).representative
 
 
 def shift(t):
@@ -163,7 +178,8 @@ def test_orbit_of_generic_triple_has_six_distinct_images():
 
 def test_orbit_record_rejects_orbit_stabilizer_violation():
     with pytest.raises(InvariantError) as exc_info:
-        OrbitRecord(Triple(1, 2, 3), frozenset({Triple(1, 2, 3)}), 2)
+        OrbitRecord(Triple(1, 2, 3), frozenset({Triple(1, 2, 3)}),
+                    (GroupElement.E, GroupElement.S))
     assert str(exc_info.value) == "orbit-stabilizer violation: |orbit|=1 stabilizer=2"
 
 
@@ -171,7 +187,7 @@ def test_orbit_record_rejects_orbit_stabilizer_violation():
 def test_orbit_stabilizer_product(t):
     record = orbit(t)
     assert record.length * record.stabilizer_order == 6
-    assert len(stabilizer(t)) == record.stabilizer_order
+    assert record.stabilizer == tuple(g for g in GroupElement if apply(g, t) == t)
 
 
 @given(triples)
@@ -200,7 +216,7 @@ def test_canonical_idempotent_and_orbit_constant(t):
     assert canonical(key) == key
     for g in GroupElement:
         assert canonical(apply(g, t)) == key
-    assert key == min(orbit(t).members)
+    assert as_tuple(key) == min(image(*as_tuple(t)) for image in RAW.values())
 
 
 def test_component_range_guard():
@@ -265,10 +281,10 @@ def test_every_triples_line_runs(monkeypatch):
     def run():
         for t in (Triple(1, 2, -2), Triple(0, 0, 0)):
             record = orbit(t)
-            assert record.length * len(stabilizer(t)) == 6
-            assert canonical(t) == record.representative
+            assert record.length * record.stabilizer_order == 6
             assert triples_module._orbit_summary(*t) == (
-                tuple(canonical(t)), record.length, len(stabilizer(t)))
+                tuple(record.representative), record.length,
+                record.stabilizer_order)
             assert involution(shift(t)) == apply(GroupElement.IS, t)
             assert repr(t) == str(tuple(t))
         assert Triple(0, 0, 0) < Triple(0, 0, 1)
@@ -283,3 +299,38 @@ def test_every_triples_line_runs(monkeypatch):
 
     assert unrun_lines([triples_module], run) == []
 
+
+
+def raw_orbits(t):
+    """``orbits``' JSON payload and csv rows for ``t``, from RAW alone."""
+    images = {name: image(*t) for name, image in RAW.items()}
+    distinct = set(images.values())
+    payload = {
+        "triple": list(t),
+        "orbit": sorted(map(list, distinct)),
+        "orbit_length": len(distinct),
+        "stabilizer_order": list(images.values()).count(t),
+        "stabilizer": [name for name, image in images.items() if image == t],
+        "canonical": list(min(distinct)),
+    }
+    rows = [["element", "a", "b", "c"],
+            *([name, *image] for name, image in images.items())]
+    return payload, rows
+
+
+def orbits_output(t, fmt):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["orbits", "--format", fmt, "--", *map(str, t)]) == 0
+    return out.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(*[st.integers(-20, 20)] * 3))
+def test_orbits_output_matches_the_raw_table(t):
+    # byte for byte: JSON as json.dumps writes it, csv as csv.writer does
+    payload, rows = raw_orbits(t)
+    assert orbits_output(t, "json") == json.dumps(payload, indent=2) + "\n"
+    expected = io.StringIO()
+    csv.writer(expected).writerows(rows)
+    assert orbits_output(t, "csv") == expected.getvalue()
