@@ -54,7 +54,7 @@ def _read(path: str | None, default_text) -> str:
         try:
             return handle.read()
         except UnicodeDecodeError as exc:
-            raise ConfigError(str(exc)) from None
+            raise ConfigError(f"{path!r} is not UTF-8: {exc}") from None
 
 
 def _declared(args):

@@ -36,7 +36,10 @@ class DeclaredEntry(Record):
 
 _LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 _INT_RE = re.compile(r"-?[0-9]+$")
-_KEY_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)=")
+# one ``key=value`` field and the whitespace after it: a quoted value
+# (group 2, with its closing quote in group 3 unless it runs to the end
+# of the line) or a bare one (group 4, empty when the value is missing)
+_FIELD_RE = re.compile(r'([A-Za-z_][A-Za-z0-9_]*)=(?:"([^"]*)(")?|(\S*))\s*')
 
 
 def _parse_entry_line(line: str, lineno: int) -> DeclaredEntry:
@@ -52,29 +55,23 @@ def _parse_entry_line(line: str, lineno: int) -> DeclaredEntry:
     pos = 0
     rest = rest.strip()
     while pos < len(rest):
-        m = _KEY_RE.match(rest, pos)
+        m = _FIELD_RE.match(rest, pos)
         if not m:
             raise ConfigError(
                 f"expected key=value, got {rest[pos:pos + 20]!r}", line=lineno
             )
-        key = m.group(1)
-        pos = m.end()
+        key, quoted, closed, bare = m.groups()
         if key in fields:
             raise ConfigError(f"duplicate key {key!r}", line=lineno, field=key)
-        if pos < len(rest) and rest[pos] == '"':
-            end = rest.find('"', pos + 1)
-            if end < 0:
+        if quoted is not None:
+            if closed is None:
                 raise ConfigError("unterminated quoted value", line=lineno, field=key)
-            fields[key] = rest[pos + 1:end]
-            pos = end + 1
+            fields[key] = quoted
+        elif bare:
+            fields[key] = bare
         else:
-            m2 = re.match(r"\S+", rest[pos:])
-            if not m2:
-                raise ConfigError(f"missing value for {key!r}", line=lineno, field=key)
-            fields[key] = m2.group(0)
-            pos += m2.end()
-        while pos < len(rest) and rest[pos].isspace():
-            pos += 1
+            raise ConfigError(f"missing value for {key!r}", line=lineno, field=key)
+        pos = m.end()
 
     unknown = set(fields) - {"count", "breakdown", "cite"}
     if unknown:

@@ -9,7 +9,11 @@ label and incident (edge label, mult) pairs, is already discrete (as on
 the rigid triple encodings, whose labels are distinct); or refinement
 makes it discrete.  The search itself lives in
 ``moricensus._canon_py``; its integer tuple is the canonical form, and
-:func:`canonical_graph` is its only entry.
+:func:`canonical_graph` is its only entry.  The kernel module loads with
+the first canonical form (of the CLI subcommands, only ``closure
+--moves none`` makes one), and the graph-file patterns compile with the
+first graph file parsed (only ``closure`` reads one), so a process that
+does neither compiles neither.
 
 Graph file format (UTF-8, line-oriented; ``#`` starts a comment):
 
@@ -26,7 +30,6 @@ from __future__ import annotations
 import re
 from typing import Iterable
 
-from ._canon_py import canonical_sequence as _canonical_sequence
 from ._record import Record
 from .errors import ConfigError, SizeLimitError, config_int
 
@@ -134,6 +137,19 @@ class LabeledGraph(Record):
         return len(self.node_labels)
 
 
+def _load_kernel(n, node_labels, edges):
+    """Import the kernel, put it in this stub's place, and call it."""
+    global _canonical_sequence
+    from ._canon_py import canonical_sequence as _canonical_sequence
+
+    return _canonical_sequence(n, node_labels, edges)
+
+
+# the kernel's entry; the first call rebinds it from the loader to
+# ``_canon_py.canonical_sequence``, so later calls go straight there
+_canonical_sequence = _load_kernel
+
+
 def canonical_graph(g: LabeledGraph) -> tuple[int, ...]:
     """Canonical form: equal tuples iff isomorphic labelled multigraphs.
 
@@ -152,10 +168,9 @@ def iso(g1: LabeledGraph, g2: LabeledGraph) -> bool:
     return canonical_graph(g1) == canonical_graph(g2)
 
 
-_NODE_RE = re.compile(r"node\s+(\S+)\s+label=(-?[0-9]+)\s*$")
-_EDGE_RE = re.compile(
-    r"edge\s+(\S+)\s+(\S+)\s+label=(-?[0-9]+)(?:\s+mult=([0-9]+))?\s*$"
-)
+# pattern strings, compiled by ``re``'s cache on the first graph file
+_NODE_RE = r"node\s+(\S+)\s+label=(-?[0-9]+)\s*$"
+_EDGE_RE = r"edge\s+(\S+)\s+(\S+)\s+label=(-?[0-9]+)(?:\s+mult=([0-9]+))?\s*$"
 
 
 def parse_graph_file(text: str) -> LabeledGraph:
@@ -174,7 +189,7 @@ def parse_graph_file(text: str) -> LabeledGraph:
         if not line:
             continue
         if line.startswith("node"):
-            m = _NODE_RE.match(line)
+            m = re.match(_NODE_RE, line)
             if not m:
                 raise ConfigError("malformed node line", line=lineno)
             name = m.group(1)
@@ -185,7 +200,7 @@ def parse_graph_file(text: str) -> LabeledGraph:
             ids[name] = len(labels)
             labels.append(label)
         elif line.startswith("edge"):
-            m = _EDGE_RE.match(line)
+            m = re.match(_EDGE_RE, line)
             if not m:
                 raise ConfigError("malformed edge line", line=lineno)
             a, b = m.group(1), m.group(2)

@@ -4,7 +4,8 @@
 ``perfbench/workloads.py`` re-derives claim verdicts with its own
 parser, and its canon-search workload feeds the kernel graphs from
 ``benchmarks/bench_canonical.py``; ``benchmarks/bench_verify.py``
-prints verify's stage table.  These tests load those files by path,
+prints verify's stage table and ``benchmarks/bench_startup.py`` the
+cost of each CLI spawn.  These tests load those files by path,
 unchanged, so a change to the program that would break
 ``--trace 1`` or the benchmark's answers fails here first.
 """
@@ -250,3 +251,30 @@ def test_verify_stage_benchmark_runs():
     assert rows["Triple"] == rows["RegularModel"] == rows["ClosureResult"] == ["347"]
     assert rows["ModelRecord"] == ["1"]
     assert rows["total"] == ["1242"]
+
+
+def test_startup_benchmark_runs():
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / "bench_startup.py"),
+         "--rounds", "1"],
+        capture_output=True, text=True, env=src_env(), timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    split = lines.index("package modules each spawn imports")
+    times = {line[:20].strip(): line[20:].split()
+             for line in lines[:split] if line.startswith("  ")}
+    modules = {line[:20].strip(): line[20:].split()
+               for line in lines[split:] if line.startswith("  ")}
+    for name in ("python -S -c pass", "python -c pass"):
+        assert float(times[name][0]) > 0 and times[name][1:] == ["-", "-"]
+    for name in ("census", "census --config", "verify", "audit", "orbits",
+                 "closure"):
+        spawn_ms, package_ms, count = times[name]
+        assert float(spawn_ms) > 0 and float(package_ms) > 0
+        assert int(count) == len(modules[name])
+        # no subcommand here makes a kernel call
+        assert {"__init__", "audit", "graphs"} <= set(modules[name])
+        assert "_canon_py" not in modules[name]
+    assert "declared" in modules["census --config"]
+    assert "claims" not in modules["orbits"]

@@ -296,8 +296,8 @@ def test_files_that_are_not_utf8_are_input_errors(tmp_path, capsys, option,
     extra = ["--moves", "none"] if command == "closure" else []
     code, out, err = run(capsys, command, option, str(path), *extra)
     assert (code, out) == (2, "")
-    assert err == ("error: 'utf-8' codec can't decode byte 0xe9 in position 9: "
-                   "invalid continuation byte\n")
+    assert err == (f"error: {str(path)!r} is not UTF-8: 'utf-8' codec can't decode "
+                   "byte 0xe9 in position 9: invalid continuation byte\n")
 
 
 def test_claim_value_past_the_guard_is_input_error(tmp_path, capsys):
@@ -613,13 +613,18 @@ def test_cli_import_leaves_out_unused_modules(module):
 
 
 @pytest.mark.parametrize("argv, loaded, unused", [
-    (["census"], ["cones", "declared", "families"], ["claims"]),
-    (["audit"], ["claims"], ["cones", "declared", "families"]),
-    (["orbits", "--", "1", "2", "3"], ["triples"], CENSUS_MODULES),
-    (["closure", "--moves", "triple_group", "--graph"], ["closure"], CENSUS_MODULES),
-], ids=["census", "audit", "orbits", "closure"])
+    (["census"], ["cones", "declared", "families"], ["claims", "_canon_py"]),
+    (["audit"], ["claims"], ["cones", "declared", "families", "_canon_py"]),
+    (["verify"], CENSUS_MODULES, ["_canon_py"]),
+    (["orbits", "--", "1", "2", "3"], ["triples"], [*CENSUS_MODULES, "_canon_py"]),
+    (["closure", "--moves", "triple_group", "--graph"], ["closure", "graphs"],
+     [*CENSUS_MODULES, "_canon_py"]),
+    (["closure", "--moves", "none", "--graph"], ["graphs", "_canon_py"],
+     CENSUS_MODULES),
+], ids=["census", "audit", "verify", "orbits", "closure", "closure_none"])
 def test_subcommand_spawn_leaves_out_unused_modules(graph_file, argv, loaded, unused):
-    # ``-X importtime`` names each module the spawn imports on stderr
+    # ``-X importtime`` names each module the spawn imports on stderr; only
+    # a graph-level move set makes a kernel call, and so loads ``_canon_py``
     if argv[-1] == "--graph":
         argv = [*argv, graph_file]
     done = subprocess.run(
@@ -631,6 +636,24 @@ def test_subcommand_spawn_leaves_out_unused_modules(graph_file, argv, loaded, un
                 if line.startswith("import time:")}
     assert {f"moricensus.{m}" for m in loaded} <= imported
     assert imported.isdisjoint(f"moricensus.{m}" for m in unused)
+
+
+def test_first_canonical_form_loads_the_kernel():
+    code = (
+        "import sys, moricensus\n"
+        "from moricensus import graphs\n"
+        "print('moricensus._canon_py' in sys.modules)\n"
+        "g = graphs.LabeledGraph.build([0, 0, 1], [(0, 1, 2), (1, 2, 3)])\n"
+        "form = moricensus.canonical_graph(g)\n"
+        "from moricensus import _canon_py\n"
+        "print(graphs._canonical_sequence is _canon_py.canonical_sequence)\n"
+        "print(form == _canon_py.canonical_sequence(3, g.node_labels, g.edges)\n"
+        "      == moricensus.canonical_graph(g))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=src_env(), timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "True", "True"]
 
 
 @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])

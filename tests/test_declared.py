@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -67,6 +69,9 @@ ENTRY_ERRORS = [
     ("entry x: count=1 count=2", "duplicate key 'count'", "count"),
     ('entry x: count=1 cite="open', "unterminated quoted value", "cite"),
     ("entry x: count=", "missing value for 'count'", "count"),
+    ("entry x: count= 5", "missing value for 'count'", "count"),
+    # a duplicate key is reported before anything about its value
+    ('entry x: count=1 count="open', "duplicate key 'count'", "count"),
     ("entry x: count=ten", "count must be an integer, got 'ten'", "count"),
     ("entry x: count=3 breakdown=1+two",
      "breakdown addend 'two' is not an integer", "breakdown"),
@@ -89,7 +94,8 @@ ENTRY_ERRORS = [
 
 @pytest.mark.parametrize("line, message, field", ENTRY_ERRORS, ids=[
         "missing_colon", "bad_label", "not_key_value", "duplicate_key",
-        "unterminated_quote", "missing_value", "count_not_int",
+        "unterminated_quote", "missing_value", "missing_value_before_space",
+        "duplicate_before_bad_value", "count_not_int",
         "addend_not_int", "count_not_ascii", "addend_not_ascii",
         "count_too_long", "negative_count_too_long",
         "addend_too_long", "sum_too_long"])
@@ -100,6 +106,20 @@ def test_entry_errors_name_their_line_and_field(line, message, field):
     where = "line 2" if field is None else f"line 2, field {field!r}"
     assert str(err) == f"{message} ({where})"
     assert (err.line, err.field) == (2, field)
+
+
+def test_quoted_value_may_touch_the_next_key():
+    assert load_declared('entry x: cite="a"count=1\n') == [
+        DeclaredEntry(label="x", count=1, provenance="a")
+    ]
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+def test_field_order_does_not_matter(order):
+    fields = ["count=129", "breakdown=83+1+45", 'cite="Thm 2.1"']
+    line = "entry t: " + " ".join(fields[k] for k in order)
+    assert load_declared(line) == [DeclaredEntry(
+        label="t", count=129, provenance="Thm 2.1", breakdown=(83, 1, 45))]
 
 
 def test_non_entry_line_rejected():
