@@ -8,6 +8,10 @@ them alike), and once more under ``-X importtime``:
   python -S -c pass  the bare interpreter
   python -c pass     the interpreter and ``site``, which runs before
                      any package code
+  python -c freeze   the same, freezing every live object before exit
+                     as the CLI's process entry does; the gap to
+                     ``python -c pass`` is what the interpreter's
+                     shutdown collections cost
   census             on the shipped declared config
   census --config    on the shipped config and 300 generated filler
                      entries, the size of the readings the cli-audit
@@ -69,6 +73,7 @@ def commands(workdir: Path):
     return [
         ("python -S -c pass", [sys.executable, "-S", "-c", "pass"]),
         ("python -c pass", [sys.executable, "-c", "pass"]),
+        ("python -c freeze", [sys.executable, "-c", "import gc; gc.freeze()"]),
         ("census", [*cli, "census"]),
         ("census --config", [*cli, "census", "--config", str(config)]),
         ("verify", [*cli, "verify"]),

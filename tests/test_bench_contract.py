@@ -266,7 +266,7 @@ def test_startup_benchmark_runs():
              for line in lines[:split] if line.startswith("  ")}
     modules = {line[:20].strip(): line[20:].split()
                for line in lines[split:] if line.startswith("  ")}
-    for name in ("python -S -c pass", "python -c pass"):
+    for name in ("python -S -c pass", "python -c pass", "python -c freeze"):
         assert float(times[name][0]) > 0 and times[name][1:] == ["-", "-"]
     for name in ("census", "census --config", "verify", "audit", "orbits",
                  "closure"):

@@ -1,4 +1,6 @@
 import csv
+import gc
+import importlib
 import io
 import json
 import os
@@ -483,8 +485,14 @@ def test_module_entry_point_exits_with_main_status(monkeypatch, tmp_path, capsys
     monkeypatch.delitem(sys.modules, "moricensus.cli")
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(sys, "argv", ["moricensus", *argv])
-    with pytest.raises(SystemExit) as exc_info:
-        runpy.run_module("moricensus.cli", run_name="__main__")
+    try:
+        with pytest.raises(SystemExit) as exc_info:
+            runpy.run_module("moricensus.cli", run_name="__main__")
+        # the process entry froze every live object; thawed, later tests
+        # run with the collector reaching pytest's objects again
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
     assert exc_info.value.code == code
     captured = capsys.readouterr()
     assert ("exit status: 0" in captured.out) == (code == 0)
@@ -594,6 +602,51 @@ def test_table_and_csv_are_byte_identical_to_golden(graph_file, unexpected_claim
     got, out, _ = run(capsys, *golden_argv(name, fmt, graph_file, unexpected_claims))
     assert got == GOLDEN_RUNS[name][1]
     assert out.encode() == (GOLDEN / f"{name}.{fmt}.txt").read_bytes()
+
+
+def test_console_script_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    with open(ROOT / "pyproject.toml", "rb") as handle:
+        target = tomllib.load(handle)["project"]["scripts"]["moricensus"]
+    module, _, name = target.partition(":")
+    assert getattr(importlib.import_module(module), name) is cli.run
+
+
+# (argv, exit status); each ``{placeholder}`` is a file the test writes,
+# and the reading changes the very-degenerate count
+SPAWN_RUNS = {
+    "census": (["census"], 0),
+    "census-config": (["census", "--config", "{reading}"], 0),
+    "verify": (["verify"], 0),
+    "verify-unexpected": (["verify", "--claims", "{claims}"], 1),
+    "audit": (["audit"], 0),
+    "orbits": (["orbits", "--", "-6", "0", "3"], 0),
+    "closure": (["closure", "--graph", "{graph}", "--moves", "triple_group"], 0),
+    "input-error": (["orbits", "--", "2000000", "0", "0"], 2),
+}
+
+
+@pytest.mark.parametrize("name", SPAWN_RUNS)
+def test_spawn_prints_what_main_prints(tmp_path, graph_file, unexpected_claims,
+                                       capsys, name):
+    # under ``-X dev`` a file left unclosed warns on stderr, which must
+    # then be the in-process run's: empty, or the input error's message
+    reading = tmp_path / "reading.cfg"
+    reading.write_text(VD_104_READING, encoding="utf-8")
+    template, status = SPAWN_RUNS[name]
+    command, *rest = (a.format(reading=reading, claims=unexpected_claims,
+                               graph=graph_file) for a in template)
+    argv = [command, "--format", "json", *rest]
+    frozen = gc.get_freeze_count()
+    code, out, err = run(capsys, *argv)
+    assert gc.get_freeze_count() == frozen  # only the process entry freezes
+    done = subprocess.run(
+        [sys.executable, "-X", "dev", "-m", "moricensus.cli", *argv],
+        capture_output=True, text=True, env=src_env(), timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
+    assert code == status
+    assert bool(err) == (status == 2)
 
 
 @pytest.mark.parametrize(
@@ -707,5 +760,11 @@ def test_every_cli_line_runs(monkeypatch, graph_file, unexpected_claims, capsys)
         not_utf8.write_bytes(b"\xff\n")
         assert main(["census", "--config", str(not_utf8)]) == 2
         assert main(["orbits", "2000000", "0", "0"]) == 2
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "argv", ["moricensus", "orbits", "1", "2", "3"])
+            try:
+                assert cli.run() == 0
+            finally:
+                gc.unfreeze()
 
     assert unrun_lines([cli], run_all) == []
