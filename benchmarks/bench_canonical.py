@@ -4,10 +4,9 @@
 Three suites:
 
   rigid      the 3-node triple encodings of the 347 regular models.
-             ``verify`` and ``closure --moves triple_group`` make no
-             kernel call; ``closure --moves none`` canonicalizes such a
-             seed once.  Node labels 0, 1, 2 make the first colouring
-             discrete, so neither refinement nor search runs.
+             No CLI subcommand makes a kernel call on them.  Node
+             labels 0, 1, 2 make the first colouring discrete, so
+             neither refinement nor search runs.
   random     random labelled multigraphs; most are discrete at the first
              colouring (label and incident edge labels and mults), so
              neither refinement nor search runs, and refinement splits

@@ -14,7 +14,6 @@ so ``import moricensus`` compiles none of them.
 
 from .closure import MOVE_SETS, ClosureResult, closure, encode_triple
 from .errors import (
-    BudgetExceededError,
     ConfigError,
     DuplicateClassError,
     MoricensusError,

@@ -2,12 +2,12 @@
 
 The hot kernel behind ``moricensus.graphs.canonical_graph``, which
 imports this module on its first call: a process that makes no kernel
-call, such as every CLI subcommand but ``closure --moves none``, never
-compiles it.  The search minimizes a flat integer encoding over node
-orderings, restricted to orderings compatible with an iterated
-neighbourhood-colour refinement and pruned against the best encoding
-found so far.  Whenever a colouring puts every node in a cell of its
-own, that order is forced and written out without a search.
+call, such as every CLI subcommand, never compiles it.  The search
+minimizes a flat integer encoding over node orderings, restricted to
+orderings compatible with an iterated neighbourhood-colour refinement
+and pruned against the best encoding found so far.  Whenever a
+colouring puts every node in a cell of its own, that order is forced
+and written out without a search.
 ``canonical_sequence`` tries its exits in order:
 
 1. A discrete first colouring: no two nodes share their label and

@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING
 # subcommands that run them.
 from .audit import default_claims_text, run_full_verification
 from .closure import MOVE_SETS, closure
-from .errors import ConfigError, MoricensusError, ParseError, SizeLimitError
+from .errors import ConfigError, MoricensusError, ParseError
 from .graphs import canonical_backend, parse_graph_file
 from .triples import GroupElement, Triple, _images, orbit
 
@@ -219,12 +219,7 @@ def _cmd_closure(args):
     if args.moves not in MOVE_SETS:
         known = ", ".join(sorted(MOVE_SETS))
         raise ConfigError(f"unknown move set {args.moves!r} (known: {known})")
-    result = closure(
-        seed,
-        MOVE_SETS[args.moves],
-        max_classes=args.max_classes,
-        max_steps=args.max_steps,
-    )
+    result = closure(seed, MOVE_SETS[args.moves])
     return {
         "class_count": result.class_count,
         "expansion_steps": result.expansion_steps,
@@ -243,7 +238,7 @@ def _closure_table(payload: dict):
 
 
 # a pattern string, compiled by ``re``'s cache on the first integer
-# argument: only ``orbits`` and ``closure`` take one
+# argument: only ``orbits`` takes one
 _INT_RE = r"-?[0-9]+"
 
 
@@ -259,19 +254,6 @@ def _int(text: str) -> int:
 
 
 _int.__name__ = "int"  # argparse names it in "invalid int value"
-
-
-def _int_at_least(low: int):
-    """An argparse type: an int of at least ``low``; below it, exit 2."""
-
-    def parse(text: str) -> int:
-        value = _int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-        return value
-
-    parse.__name__ = "int"  # argparse names it in "invalid int value"
-    return parse
 
 
 class _Parser(argparse.ArgumentParser):
@@ -322,8 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_closure.add_argument(
         "--moves", required=True, help="move set name (e.g. triple_group)"
     )
-    p_closure.add_argument("--max-classes", type=_int_at_least(1), default=None)
-    p_closure.add_argument("--max-steps", type=_int_at_least(0), default=None)
     add_format(p_closure)
     p_closure.set_defaults(func=_cmd_closure, table=_closure_table, rows=_metric_rows)
 
@@ -338,8 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
 # every input fault raises one of these, as does a stdout whose encoding
 # cannot write the input's text; any other exception is a program fault
 # and leaves ``main`` with its traceback
-_INPUT_ERRORS = (OSError, ConfigError, ParseError, SizeLimitError,
-                 UnicodeEncodeError)
+_INPUT_ERRORS = (OSError, ConfigError, ParseError, UnicodeEncodeError)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -367,7 +346,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except MoricensusError as exc:
-        # Census-level faults (duplicate classes, blown budgets) are
+        # Census-level faults (duplicate classes, broken invariants) are
         # verification failures.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION

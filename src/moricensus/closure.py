@@ -10,25 +10,26 @@ is the smallest iso-closed set of classes containing the seed as long
 as the move set keeps its contract: its distinct states are distinct
 classes.
 
-Graph-level move sets take a graph as the seed and keep the default
-state, its canonical form.  The geometric flop rules live elsewhere, so
-the only shipped moves are the triple group action, which doubles as a
-test oracle (the closure of a rigidly encoded triple has exactly as
-many classes as the triple's orbit).  Its states are plain ``(a, b, c)``
-tuples, which the rigid encoding maps one-to-one onto classes, so a move
-builds no graph and no move reaches the canonicalizer.  Its one move
-writes out the two generators itself and reads no group table of the
-census, so the oracle's class counts do not share the census's
-arithmetic.  Verify's oracle uses the same move with a ``to_state`` that
-takes a triple, so it seeds each closure with the triple itself and
-builds no graph.
+The shipped move sets have small, finite closures, so the search has
+no budget.  ``none`` has no moves and keeps the default state, the
+seed itself: its closure is one class in no steps, and no move set
+reaches the canonicalizer.  The geometric flop rules live elsewhere,
+so the only shipped moves are the triple group action, which doubles
+as a test oracle (the closure of a rigidly encoded triple has exactly
+as many classes as the triple's orbit).  Its states are plain
+``(a, b, c)`` tuples, which the rigid encoding maps one-to-one onto
+classes, so a move builds no graph.  Its one move writes out the two
+generators itself and reads no group table of the census, so the
+oracle's class counts do not share the census's arithmetic.  Verify's
+oracle uses the same move with a ``to_state`` that takes a triple, so
+it seeds each closure with the triple itself and builds no graph.
 """
 
 from __future__ import annotations
 
 from ._record import Record
-from .errors import BudgetExceededError, ConfigError
-from .graphs import LabeledGraph, canonical_graph
+from .errors import ConfigError
+from .graphs import LabeledGraph
 from .triples import Triple, _plain_components
 
 __all__ = [
@@ -40,10 +41,10 @@ __all__ = [
 ]
 
 
-def _graph_state(g: LabeledGraph) -> tuple[int, ...]:
-    # looks the kernel up at each call, so a wrapper bound over the
-    # module's name (as ``perfbench``'s tracer binds one) sees the call
-    return canonical_graph(g)
+def _seed_state(seed):
+    """The default ``to_state``: the seed is its own state.  A module
+    function, not a lambda, so that a MoveSet pickles."""
+    return seed
 
 
 class MoveSet(Record):
@@ -53,12 +54,12 @@ class MoveSet(Record):
     turns the seed into a state once, at the closure boundary, and
     raises ConfigError for a seed the moves cannot act on.
     The closure counts states as classes, so a move set's distinct
-    states must be distinct classes.  By default a state is the graph's
-    ``canonical_graph`` form, as suits graph-level move sets.
+    states must be distinct classes.  By default the seed is its own
+    state, which is all ``none``, with no moves, needs.
     """
 
     __slots__ = ("moves", "to_state")
-    _defaults = {"moves": (), "to_state": _graph_state}
+    _defaults = {"moves": (), "to_state": _seed_state}
 
 
 class ClosureResult(Record):
@@ -79,8 +80,6 @@ def closure(
     seed: object,
     move_set: MoveSet,
     *,
-    max_classes: int | None = None,
-    max_steps: int | None = None,
     workers: int = 1,
 ) -> ClosureResult:
     """Breadth-first fixed point of ``move_set`` starting from ``seed``.
@@ -88,13 +87,10 @@ def closure(
     States are expanded in the order they were first reached, the seed
     first, each by every move in turn.
 
-    The seed is whatever the move set's ``to_state`` accepts: graph-level
-    move sets, ``triple_group`` among them, take a :class:`LabeledGraph`.
-    Raises the move set's ConfigError for a seed it cannot act on, and
-    BudgetExceededError when a configured class-count or step budget is
-    hit (arbitrary move sets may have infinite closures).  Each step is
-    checked against the budgets before the next is taken; rediscovered
-    states still count as expansion steps.  ``workers`` has no effect.
+    The seed is whatever the move set's ``to_state`` accepts: both
+    shipped move sets take a :class:`LabeledGraph`.  Raises the move
+    set's ConfigError for a seed it cannot act on.  Rediscovered states
+    still count as expansion steps.  ``workers`` has no effect.
     """
     start = move_set.to_state(seed)
     seen = {start}
@@ -104,13 +100,9 @@ def closure(
         for move in move_set.moves:
             for image in move(state):
                 steps += 1
-                if max_steps is not None and steps > max_steps:
-                    raise BudgetExceededError("step", max_steps)
                 if image in seen:
                     continue
                 seen.add(image)
-                if max_classes is not None and len(seen) > max_classes:
-                    raise BudgetExceededError("class", max_classes)
                 queue.append(image)
     return ClosureResult(frozenset(seen), steps)
 

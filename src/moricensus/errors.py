@@ -86,11 +86,3 @@ class SizeLimitError(MoricensusError):
             f"graph has {nodes} nodes, above the canonicalizer bound {bound}"
         )
 
-
-class BudgetExceededError(MoricensusError):
-    """Closure search hit a configured class-count or step budget."""
-
-    def __init__(self, kind, budget):
-        self.kind = kind
-        self.budget = budget
-        super().__init__(f"closure exceeded {kind} budget of {budget}")

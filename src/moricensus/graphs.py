@@ -10,10 +10,10 @@ the rigid triple encodings, whose labels are distinct); or refinement
 makes it discrete.  The search itself lives in
 ``moricensus._canon_py``; its integer tuple is the canonical form, and
 :func:`canonical_graph` is its only entry.  The kernel module loads with
-the first canonical form (of the CLI subcommands, only ``closure
---moves none`` makes one), and the graph-file patterns compile with the
-first graph file parsed (only ``closure`` reads one), so a process that
-does neither compiles neither.
+the first canonical form (no CLI subcommand makes one), and the
+graph-file patterns compile with the first graph file parsed (only
+``closure`` reads one), so a process that does neither compiles
+neither.
 
 Graph file format (UTF-8, line-oriented; ``#`` starts a comment):
 

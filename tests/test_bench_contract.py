@@ -84,11 +84,11 @@ def test_kernel_signature_serves_bench_graphs():
 
 def test_trace_counts_each_canonicalization_once_per_class():
     # the tracer wraps ``canonical_graph``, the kernel's only entry; the
-    # triple group keys its classes by state and never calls it, and a
-    # graph-level move set canonicalizes its seed alone
+    # triple group keys its classes by state, and ``none`` keeps its seed
+    # as its state, so neither calls it
     tracing = load("tracing")
     seed = encode_triple(Triple(-6, 0, 3))
-    for moves, classes, kernel_calls in (("triple_group", 6, 0), ("none", 1, 1)):
+    for moves, classes, kernel_calls in (("triple_group", 6, 0), ("none", 1, 0)):
         tracer = tracing.Tracer()
         tracer.install()
         try:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from linetrace import unrun_lines
-from moricensus import cli
+from moricensus import cli, triples
 from moricensus.cli import main
 
 GRAPH_TEXT = """\
@@ -270,8 +270,6 @@ def test_orbits_csv(capsys):
 def test_broken_group_table_is_invariant_failure(monkeypatch, capsys, argv, message):
     # an element that swaps without its signs breaks orbit-stabilizer: a
     # program fault, not malformed input
-    from moricensus import triples
-
     images = triples._images
     monkeypatch.setattr(triples, "_images",
                         lambda a, b, c: images(a, b, c)[:5] + ((a, c, b),))
@@ -369,11 +367,22 @@ def test_closure_json(graph_file, capsys):
     assert payload["backend"] == "pure"
 
 
-def test_closure_no_moves(graph_file, capsys):
+def test_closure_no_moves(graph_file, tmp_path, capsys):
     code, out, _ = run(capsys, "closure", "--graph", graph_file,
                        "--moves", "none", "--format", "csv")
     assert code == 0
     assert "class_count,1" in out
+    # the seed is its own state: a graph past the kernel's 12 nodes closes
+    # to one class in no steps
+    ring = tmp_path / "ring.graph"
+    ring.write_text("".join(f"node n{k} label=0\n" for k in range(13))
+                    + "".join(f"edge n{k} n{(k + 1) % 13} label=0\n" for k in range(13)),
+                    encoding="utf-8")
+    code, out, err = run(capsys, "closure", "--graph", str(ring),
+                         "--moves", "none", "--format", "json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert (payload["class_count"], payload["expansion_steps"]) == (1, 0)
 
 
 def test_closure_unknown_move_set(graph_file, capsys):
@@ -428,50 +437,18 @@ def test_closure_component_bound(tmp_path, capsys, label, code):
         assert "guarded range" in err
 
 
-def test_closure_budget_exhaustion_is_verification_failure(graph_file, capsys):
-    code, _, err = run(capsys, "closure", "--graph", graph_file,
-                       "--moves", "triple_group", "--max-classes", "2")
-    assert code == 1
-    assert "budget" in err
-
-
-@pytest.mark.parametrize("option, value, message", [
-    ("--max-steps", "-5", "must be >= 0, got -5"),
-    ("--max-classes", "-1", "must be >= 1, got -1"),
-    ("--max-classes", "0", "must be >= 1, got 0"),
-    ("--max-steps", "\u0663", "invalid int value: '\u0663'"),
-    ("--max-steps", "-3", "must be >= 0, got -3"),
-], ids=["steps_negative", "classes_negative", "classes_zero", "steps_not_ascii",
-        "steps_minus_three"])
-def test_closure_rejects_budget_out_of_range(graph_file, capsys, option, value,
-                                             message):
-    # a bad budget is the user's input (2), not a failed closure (1)
-    with pytest.raises(SystemExit) as exc_info:
-        main(["closure", "--graph", graph_file, "--moves", "triple_group",
-              option, value])
-    assert exc_info.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("usage: moricensus closure")
-    assert captured.err.endswith(f"error: argument {option}: {message}\n")
-
-
 def test_closure_has_no_workers_option(graph_file, capsys):
-    # the closure runs on one thread; the option that did nothing is gone
-    with pytest.raises(SystemExit) as exc_info:
-        main(["closure", "--graph", graph_file, "--moves", "triple_group",
-              "--workers", "2"])
-    assert exc_info.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.endswith("error: unrecognized arguments: --workers 2\n")
-
-
-def test_closure_zero_step_budget_closes_under_no_moves(graph_file, capsys):
-    code, out, _ = run(capsys, "closure", "--graph", graph_file,
-                       "--moves", "none", "--max-steps", "0", "--format", "json")
-    assert code == 0
-    assert json.loads(out)["class_count"] == 1
+    # the closure runs on one thread, so the option that did nothing is
+    # gone; the shipped move sets close in at most 6 classes and 12
+    # steps, so the budgets against runaway move sets are gone too
+    for option in ("--workers", "--max-classes", "--max-steps"):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["closure", "--graph", graph_file, "--moves", "triple_group",
+                  option, "2"])
+        assert exc_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: unrecognized arguments: {option} 2\n")
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -562,6 +539,18 @@ def test_shipped_json_is_byte_identical_to_snapshot(capsys, snapshot, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out.encode() == (SNAPSHOTS / snapshot).read_bytes()
+
+
+def test_interpreter_check_passes_this_interpreter():
+    # the tool runs census and verify under each interpreter it is given
+    # and compares their JSON with the snapshots
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "check_interpreters.py"), sys.executable],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "".join(f"{sys.executable}  {command:<7} ok\n"
+                                  for command in ("census", "verify"))
 
 
 def test_shipped_closure_json_matches_snapshot(graph_file, capsys):
@@ -672,12 +661,12 @@ def test_cli_import_leaves_out_unused_modules(module):
     (["orbits", "--", "1", "2", "3"], ["triples"], [*CENSUS_MODULES, "_canon_py"]),
     (["closure", "--moves", "triple_group", "--graph"], ["closure", "graphs"],
      [*CENSUS_MODULES, "_canon_py"]),
-    (["closure", "--moves", "none", "--graph"], ["graphs", "_canon_py"],
-     CENSUS_MODULES),
+    (["closure", "--moves", "none", "--graph"], ["closure", "graphs"],
+     [*CENSUS_MODULES, "_canon_py"]),
 ], ids=["census", "audit", "verify", "orbits", "closure", "closure_none"])
 def test_subcommand_spawn_leaves_out_unused_modules(graph_file, argv, loaded, unused):
-    # ``-X importtime`` names each module the spawn imports on stderr; only
-    # a graph-level move set makes a kernel call, and so loads ``_canon_py``
+    # ``-X importtime`` names each module the spawn imports on stderr; no
+    # subcommand makes a kernel call, so none loads ``_canon_py``
     if argv[-1] == "--graph":
         argv = [*argv, graph_file]
     done = subprocess.run(
@@ -747,13 +736,13 @@ def test_every_cli_line_runs(monkeypatch, graph_file, unexpected_claims, capsys)
                 assert main(argv) == code
         assert main(["orbits", "--format", "json", "1", "2", "3"]) == 0
         assert main(["closure", "--graph", graph_file, "--moves", "flops"]) == 2
-        assert main(["closure", "--graph", graph_file, "--moves", "triple_group",
-                     "--max-classes", "2"]) == 1
-        for argv in (["orbits", "x", "0", "0"],
-                     ["closure", "--graph", graph_file, "--moves", "none",
-                      "--max-steps", "-1"]):
-            with pytest.raises(SystemExit):
-                main(argv)
+        with monkeypatch.context() as patch:
+            # a table whose orbit breaks orbit-stabilizer: a program fault
+            patch.setattr(triples, "_images",
+                          lambda a, b, c: ((a, b, c),) * 5 + ((b, c, a),))
+            assert main(["orbits", "1", "2", "3"]) == 1
+        with pytest.raises(SystemExit):
+            main(["orbits", "x", "0", "0"])
         into_closed_pipe(["orbits", "1", "2", "3"])
         into_closed_pipe(["--help"])
         not_utf8 = Path(graph_file).with_name("not_utf8.cfg")

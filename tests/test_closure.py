@@ -12,11 +12,7 @@ from moricensus.closure import (
     closure,
     encode_triple,
 )
-from moricensus.errors import (
-    BudgetExceededError,
-    ConfigError,
-    SizeLimitError,
-)
+from moricensus.errors import ConfigError, SizeLimitError
 from moricensus.graphs import (
     LabeledGraph,
     canonical_backend,
@@ -292,12 +288,24 @@ def test_closure_with_no_moves_is_single_class():
     result = closure(three_cycle([1, 2, 3]), MOVE_SETS["none"])
     assert result.class_count == 1
     assert result.expansion_steps == 0
+    # the seed is its own state, so no kernel bounds its size
+    ring = LabeledGraph.build([0] * 13, [(k, (k + 1) % 13, 0) for k in range(13)])
+    result = closure(ring, MOVE_SETS["none"])
+    assert (result.class_count, result.expansion_steps) == (1, 0)
+    assert result.classes == {ring}
 
 
 def test_closure_of_group_seed_matches_orbit():
     t = Triple(-6, 0, 3)
     result = closure(encode_triple(t), MOVE_SETS["triple_group"])
     assert result.class_count == orbit(t).length == 6
+    # the premise that lets the closure run without a budget: on every
+    # triple of the census's range its closure is the orbit, reached in
+    # two steps per class
+    for t in itertools.product(range(-9, 10), repeat=3):
+        result = closure(encode_triple(Triple(*t)), MOVE_SETS["triple_group"])
+        assert result.class_count == len(set(_images(*t))), t
+        assert result.expansion_steps == 2 * result.class_count, t
 
 
 def test_closure_of_fixed_point_is_single_class():
@@ -398,44 +406,6 @@ def test_closure_monotone_in_move_set():
     both = closure(encode_triple(t), moves)
     assert (shift_only.class_count, both.class_count) == (1, 2)
     assert shift_only.classes < both.classes
-
-
-def test_closure_class_budget():
-    with pytest.raises(BudgetExceededError) as exc_info:
-        closure(
-            encode_triple(Triple(1, 2, -2)),
-            MOVE_SETS["triple_group"],
-            max_classes=3,
-        )
-    assert exc_info.value.kind == "class"
-
-
-def test_closure_step_budget():
-    spin = MoveSet(moves=(lambda g: [g],))
-    with pytest.raises(BudgetExceededError):
-        closure(three_cycle([1, 2, 3]), spin, max_steps=0)
-
-
-def count_up(k):
-    if k >= 20:
-        raise RuntimeError("move failed")
-    return [k + 1, k + 2]
-
-
-# states are ints, each the label of a one-node graph, so distinct
-# states are distinct classes
-COUNTING = MoveSet(
-    moves=(count_up,),
-    to_state=lambda g: g.node_labels[0],
-)
-
-
-def test_closure_checks_each_step_before_the_next():
-    # the first new class trips the class budget before the second step
-    # can trip the step budget
-    with pytest.raises(BudgetExceededError) as exc_info:
-        closure(LabeledGraph.build([0]), COUNTING, max_classes=1, max_steps=1)
-    assert exc_info.value.kind == "class"
 
 
 def test_closure_expands_states_in_breadth_first_order():
@@ -589,11 +559,10 @@ def test_parse_graph_file_raises_only_config_errors_inside_the_text(text):
 
 
 def test_every_closure_and_graph_line_runs(monkeypatch):
-    # the triple group, no moves, the counting moves up to each budget,
-    # the rejected graphs, seeds and graph files (integers past the
-    # conversion limit among them), and a graph past the size limit
-    # reach every line of both modules; a line none of them runs is a
-    # branch no input takes.  The kernel's loader runs once per process,
+    # the triple group, no moves, the rejected graphs, seeds and graph
+    # files (integers past the conversion limit among them), and a graph
+    # past the size limit reach every line of both modules; a line none
+    # of them runs is a branch no input takes.  The kernel's loader runs once per process,
     # so it is put back first, as an earlier test may have run it
     closure_module = importlib.import_module("moricensus.closure")
     graphs_module = importlib.import_module("moricensus.graphs")
@@ -613,9 +582,6 @@ def test_every_closure_and_graph_line_runs(monkeypatch):
             assert result.class_count == orbit(t).length
         closure(three_cycle([1, 2, 3]), MOVE_SETS["none"])
         assert iso(three_cycle([1, 2, 3]), three_cycle([3, 1, 2]))
-        for budget in ({"max_classes": 5}, {"max_steps": 5}):
-            expect(BudgetExceededError, lambda: closure(
-                LabeledGraph.build([0]), COUNTING, **budget))
         for seed in OFF_ENCODING_SEEDS:
             expect(ConfigError, lambda: _triple_state(seed))
         for make in NOT_INT_GRAPHS + [make for make, _ in MALFORMED_EDGES]:

@@ -1,6 +1,7 @@
 import contextlib
 import functools
 import io
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -341,15 +342,108 @@ def test_regular_models_rejects_planted_overlap(monkeypatch, capsys):
     )
 
 
+def unsigned_images(a, b, c):
+    """S3 permuting the components without their signs: a consistent
+    action, so every orbit passes orbit-stabilizer, but not the census's."""
+    return (a, b, c), (b, c, a), (c, a, b), (b, a, c), (c, b, a), (a, c, b)
+
+
 def test_closure_oracle_fails_a_consistent_unsigned_table(monkeypatch):
-    # S3 permuting the components without their signs is a consistent
-    # action, so every orbit passes orbit-stabilizer; the oracle's moves
-    # carry their own signs and read no census table, so it catches it
-    monkeypatch.setattr(triples, "_images", lambda a, b, c: (
-        (a, b, c), (b, c, a), (c, a, b), (b, a, c), (c, b, a), (a, c, b)))
+    # the oracle's moves carry their own signs and read no census table,
+    # so it catches the unsigned table
+    monkeypatch.setattr(triples, "_images", unsigned_images)
     verdicts = {v.name: v for v in run_full_verification().verdicts}
     oracle = verdicts["census.closure_oracle"]
     assert (oracle.holds, oracle.lhs_value, oracle.rhs_value) == (False, 285, 347)
+
+
+# ---------------------------------------------------------------------------
+# metamorphic laws: the census verdicts when a family's triples change
+#
+# The group is written out here from its two generators, so the laws
+# share no table with the census.
+
+
+def shift(t):
+    a, b, c = t
+    return b, c, a
+
+
+def involution(t):
+    a, b, c = t
+    return -b, -a, -c
+
+
+def group_image(t, k):
+    """``t`` under the shift ``k % 3`` times, then the involution if
+    ``k >= 3``: k = 0..5 gives the six elements."""
+    t = tuple(t)
+    for _ in range(k % 3):
+        t = shift(t)
+    return involution(t) if k >= 3 else t
+
+
+FAMILY_FUNCTIONS = ("family_nondegenerate", "family_one_degenerate",
+                    "family_two_degenerate")
+
+
+def census_verdicts(replace):
+    """``census.*`` name -> (holds, lhs) of a verification in which each
+    family model's triple ``t`` is replaced by ``replace(t)``, in the
+    same family."""
+    with pytest.MonkeyPatch.context() as patch:
+        for name in FAMILY_FUNCTIONS:
+            patch.setattr(families, name, lambda family=getattr(families, name): [
+                families._models([replace(m.triple)], m.family)[0] for m in family()])
+        verdicts = run_full_verification().verdicts
+    return {v.name: (v.holds, v.lhs_value) for v in verdicts
+            if v.name.startswith("census.")}
+
+
+def images_keep_the_verdicts(rng):
+    """Whether replacing every family triple by a random group image
+    leaves every census verdict as the families' own triples give it."""
+    return census_verdicts(lambda t: group_image(t, rng.randrange(6))) == \
+        census_verdicts(tuple)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_group_images_leave_every_census_verdict(rng):
+    assert images_keep_the_verdicts(rng)
+
+
+def test_group_image_law_fails_an_unsigned_table(monkeypatch):
+    # the unsigned table passes orbit-stabilizer, and its census changes
+    # when the families' triples are swapped for signed images
+    monkeypatch.setattr(triples, "_images", unsigned_images)
+    assert not images_keep_the_verdicts(random.Random(0))
+
+
+def another_models_image_is_a_duplicate(i, j, k):
+    """Whether replacing model ``i``'s triple by image ``k`` of model
+    ``j``'s fails ``census.p_regular_classes``, one class short."""
+    models = shipped_regular_models()
+    old, new = models[i].triple, group_image(models[j].triple, k)
+    verdicts = census_verdicts(lambda t: new if t == old else tuple(t))
+    return verdicts["census.p_regular_classes"] == (False, len(models) - 1)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 346), st.integers(1, 346), st.integers(0, 5))
+def test_another_models_image_fails_the_class_count(i, offset, k):
+    assert another_models_image_is_a_duplicate(i, (i + offset) % 347, k)
+
+
+def test_duplicate_law_fails_a_dedup_on_raw_triples(monkeypatch):
+    # keys that are the triples themselves pass every verdict of the
+    # shipped families, which are distinct triples, but miss a duplicate
+    summary = families._orbit_summary
+    monkeypatch.setattr(families, "_orbit_summary",
+                        lambda a, b, c: ((a, b, c), *summary(a, b, c)[1:]))
+    assert all(v.holds for v in run_full_verification().verdicts
+               if v.name.startswith("census."))
+    assert not another_models_image_is_a_duplicate(0, 1, 3)
 
 
 def test_verification_builds_no_graph(monkeypatch):

@@ -4,7 +4,6 @@ import pytest
 
 from moricensus import errors
 from moricensus.errors import (
-    BudgetExceededError,
     ConfigError,
     DuplicateClassError,
     ParseError,
@@ -34,9 +33,6 @@ def test_errors_carry_their_data():
     err = SizeLimitError(13, 12)
     assert (err.nodes, err.bound) == (13, 12)
     assert str(err) == "graph has 13 nodes, above the canonicalizer bound 12"
-    err = BudgetExceededError("step", 5)
-    assert (err.kind, err.budget) == ("step", 5)
-    assert str(err) == "closure exceeded step budget of 5"
 
 
 def test_config_int_names_where_a_too_long_integer_is():

@@ -4,6 +4,7 @@ Canonical-form equality must coincide with isomorphism as decided by a
 brute-force permutation search that shares no code with the kernel.
 """
 
+import functools
 import importlib.util
 import itertools
 from pathlib import Path
@@ -11,8 +12,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from moricensus import _canon_py
+from moricensus import _canon_py, triples
 from moricensus.closure import encode_triple
+from moricensus.graphs import LabeledGraph, canonical_graph
 from moricensus.triples import Triple
 
 from linetrace import unrun_lines
@@ -371,6 +373,92 @@ def test_random_multigraph_forms_survive_relabelling(n, rng):
     graph = bench_canonical.random_multigraph(rng, n)
     assert _canon_py.canonical_sequence(*graph) == \
         _canon_py.canonical_sequence(*relabelled(*graph, rng))
+
+
+# ---------------------------------------------------------------------------
+# the group action, derived from graph isomorphism
+#
+# (a, b, c) sits on the oriented edges 0 -> 1, 1 -> 2 and 2 -> 0 of a
+# triangle.  The three corners share one label; the middle node 3 + k of
+# edge k is labelled 1 + |x| for the edge's value x, and its two
+# half-edges are labelled tail and head along the edge for x > 0, against
+# it for x < 0, and flat for x = 0.  An isomorphism then permutes the
+# corners and carries each middle node with its edge, so it is D3 acting
+# on values on the oriented edges: a rotation shifts the triple and a
+# reflection reverses, and so negates, the values it carries.  No group
+# table is written out, so the law shares no arithmetic with the census's.
+
+FLAT, TAIL, HEAD = 0, 1, 2
+TRIANGLE = ((0, 1), (1, 2), (2, 0))
+
+
+def triangle_graph(a, b, c):
+    labels, edges = [0, 0, 0], []
+    for k, ((u, v), x) in enumerate(zip(TRIANGLE, (a, b, c))):
+        labels.append(1 + abs(x))
+        if x < 0:
+            u, v = v, u
+        at_u, at_v = (TAIL, HEAD) if x else (FLAT, FLAT)
+        edges += [(u, 3 + k, at_u), (3 + k, v, at_v)]
+    return LabeledGraph.build(labels, edges)
+
+
+# each of the six corner permutations as a map of all six nodes, each
+# middle node going where its edge goes
+CORNER_RELABELLINGS = [
+    (*p, *(3 + next(k for k, edge in enumerate(TRIANGLE) if {p[u], p[v]} == set(edge))
+           for u, v in TRIANGLE))
+    for p in itertools.permutations(range(3))
+]
+
+
+def automorphisms(g):
+    """How many corner relabellings map ``g`` onto itself."""
+    labels, edges = g.node_labels, set(g.edges)
+    return sum(
+        all(labels[m[i]] == labels[i] for i in range(6))
+        and {(min(m[u], m[v]), max(m[u], m[v]), e, k)
+             for u, v, e, k in edges} == edges
+        for m in CORNER_RELABELLINGS)
+
+
+@functools.cache
+def triangle_forms():
+    """Each triple of [-9, 9]^3 with its graph's form and automorphism
+    count."""
+    out = []
+    for t in itertools.product(range(-9, 10), repeat=3):
+        g = triangle_graph(*t)
+        out.append((t, canonical_graph(g), automorphisms(g)))
+    return out
+
+
+def triangle_law_breaks():
+    """The triples of [-9, 9]^3 whose graph's form class is not their
+    orbit under ``triples._images``, or whose orbit length is not 6/|Aut|."""
+    classes = {}
+    for t, form, _ in triangle_forms():
+        classes.setdefault(form, set()).add(t)
+    breaks = []
+    for t, form, aut in triangle_forms():
+        orbit = set(triples._images(*t))
+        if classes[form] != orbit or aut * len(orbit) != 6:
+            breaks.append(t)
+    return breaks
+
+
+def test_triangle_forms_are_the_group_orbits():
+    assert triangle_law_breaks() == []
+    assert len({form for _, form, _ in triangle_forms()}) == 1159
+
+
+def test_triangle_law_fails_an_unsigned_table(monkeypatch):
+    # S3 permuting the components without their signs is a consistent
+    # action, so orbit-stabilizer cannot catch it; the graphs' reflections
+    # negate the values they reverse, so the law does
+    monkeypatch.setattr(triples, "_images", lambda a, b, c: (
+        (a, b, c), (b, c, a), (c, a, b), (b, a, c), (c, b, a), (a, c, b)))
+    assert (1, 2, 3) in triangle_law_breaks()
 
 
 def test_every_kernel_line_runs():
