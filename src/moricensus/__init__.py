@@ -4,7 +4,8 @@ Recomputes the model censuses of a genus-2 degeneration family's Mori
 fan from first principles (an order-6 group action on integer triples
 plus declared inputs), assembles the maximal-cone counts 2657 + 741 =
 3398, and audits the arithmetic identities of the text that states
-them.
+them.  Every fault in an input raises ``ConfigError``; the other
+``MoricensusError`` subclasses mean a failed verification.
 
 The names of ``closure``, ``errors``, ``graphs`` and ``triples`` load
 with the package.  Those of the census modules (``claims``, ``cones``,
@@ -13,13 +14,7 @@ so ``import moricensus`` compiles none of them.
 """
 
 from .closure import MOVE_SETS, ClosureResult, closure, encode_triple
-from .errors import (
-    ConfigError,
-    DuplicateClassError,
-    MoricensusError,
-    ParseError,
-    SizeLimitError,
-)
+from .errors import ConfigError, DuplicateClassError, MoricensusError
 from .graphs import (
     LabeledGraph,
     canonical_backend,

@@ -12,9 +12,12 @@ and written out without a search.
 
 1. A discrete first colouring: no two nodes share their label and
    sorted ``(edge label, mult)`` pairs (distinct labels always
-   qualify, as on every rigid triple encoding).  Those keys come
-   straight from the edge list; no adjacency list is built and
-   refinement does not run.
+   qualify).  Those keys come straight from the edge list; no
+   adjacency list is built and refinement does not run.  Most random
+   labelled multigraphs take this exit (739 of the 900 of
+   ``benchmarks/bench_canonical.py``'s random suite at seed 7, n = 6,
+   8 and 10), and without it their mean call took 46-47us instead of
+   33-34us (2 cores, CPython 3.11.7), so the exit stays.
 2. Refinement, started from those keys, makes the partition discrete.
 3. Otherwise the ordering search runs, expanding one node of each pair
    of twins per depth.

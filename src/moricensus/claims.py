@@ -26,7 +26,7 @@ import re
 from typing import Union
 
 from ._record import Record
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, config_int
 
 __all__ = [
     "AuditReport",
@@ -134,7 +134,7 @@ class _ExprParser:
         append(("end", "", len(self.text)))
 
     def _fail(self, message: str, col_in_text: int):
-        raise ParseError(message, line=self.lineno, column=self.offset + col_in_text + 1)
+        raise ConfigError(message, line=self.lineno, column=self.offset + col_in_text + 1)
 
     def _next(self):
         tok = self.tokens[self.index]
@@ -169,11 +169,8 @@ class _ExprParser:
     def _factor(self) -> Expr:
         tok = self._next()
         if tok[0] == "int":
-            try:
-                return IntLit(int(tok[1]))
-            except ValueError:  # past the interpreter's int-conversion limit
-                self._fail(f"integer literal of {len(tok[1])} digits is too long",
-                           tok[2])
+            return IntLit(config_int(tok[1], line=self.lineno,
+                                     column=self.offset + tok[2] + 1))
         if tok[1] not in "-(":
             self._fail(f"expected integer, '-' or '(', got {tok[1]!r}", tok[2])
         if self.depth == MAX_NESTING:
@@ -197,7 +194,8 @@ _CLAIM_RE = re.compile(
 
 
 def parse_claims(text: str) -> list[Claim]:
-    """Parse a claims file; ParseError carries line and column."""
+    """Parse a claims file; every fault is a ConfigError with line and
+    column."""
     claims: list[Claim] = []
     names: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -206,20 +204,20 @@ def parse_claims(text: str) -> list[Claim]:
             continue
         stripped = line.strip()
         if not stripped.startswith("claim"):
-            raise ParseError(
+            raise ConfigError(
                 f"expected 'claim', got {stripped.split()[0]!r}",
                 line=lineno,
                 column=line.index(stripped[0]) + 1,
             )
         m = _CLAIM_RE.match(stripped)
         if not m:
-            raise ParseError("malformed claim line", line=lineno, column=1)
+            raise ConfigError("malformed claim line", line=lineno, column=1)
         name, body, expect, cite = m.groups()
         if name in names:
-            raise ParseError(f"duplicate claim name {name!r}", line=lineno, column=1)
+            raise ConfigError(f"duplicate claim name {name!r}", line=lineno, column=1)
         names.add(name)
         if "==" not in body:
-            raise ParseError("claim needs '<expr> == <expr>'", line=lineno, column=1)
+            raise ConfigError("claim needs '<expr> == <expr>'", line=lineno, column=1)
         lhs_text, _, rhs_text = body.partition("==")
         base = line.index(stripped[0]) + stripped.index(body) if body else 0
         lhs = _ExprParser(lhs_text, lineno, base).parse()

@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING
 # subcommands that run them.
 from .audit import default_claims_text, run_full_verification
 from .closure import MOVE_SETS, closure
-from .errors import ConfigError, MoricensusError, ParseError
+from .errors import ConfigError, MoricensusError
 from .graphs import canonical_backend, parse_graph_file
 from .triples import GroupElement, Triple, _images, orbit
 
@@ -318,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
 # every input fault raises one of these, as does a stdout whose encoding
 # cannot write the input's text; any other exception is a program fault
 # and leaves ``main`` with its traceback
-_INPUT_ERRORS = (OSError, ConfigError, ParseError, UnicodeEncodeError)
+_INPUT_ERRORS = (OSError, ConfigError, UnicodeEncodeError)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,8 +1,12 @@
 """Exception types raised by the census and audit machinery.
 
-Every error carries the offending data as attributes so reports can
-print actionable diffs instead of bare messages.  :func:`config_int` is
-the config parsers' one way to read an integer field.
+:class:`ConfigError` is every malformed input (a config, claims or
+graph file, a CLI value, a graph past the canonicalizer bound) and
+names where it is by line, column and field; the other subclasses of
+:class:`MoricensusError` are verification failures.  Every error
+carries the offending data as attributes so reports can print
+actionable diffs instead of bare messages.  :func:`config_int` is the
+input parsers' one way to read an integer.
 """
 
 from __future__ import annotations
@@ -14,47 +18,39 @@ class MoricensusError(Exception):
 
 class ConfigError(MoricensusError):
     """Malformed input: a declared-census config, graph or claims file
-    that breaks its rules, or a triple past the component bound.
+    that breaks its rules, a triple past the component bound, or a graph
+    past the canonicalizer's node bound.
 
-    ``line`` is the 1-based line number when known; ``field`` names the
+    ``line`` and ``column`` are 1-based when known; ``field`` names the
     offending key or token.
     """
 
-    def __init__(self, message, *, line=None, field=None):
+    def __init__(self, message, *, line=None, column=None, field=None):
         self.line = line
+        self.column = column
         self.field = field
-        where = []
-        if line is not None:
-            where.append(f"line {line}")
-        if field is not None:
-            where.append(f"field {field!r}")
+        where = [f"{name} {value!r}" for name, value in
+                 (("line", line), ("column", column), ("field", field))
+                 if value is not None]
         suffix = f" ({', '.join(where)})" if where else ""
         super().__init__(message + suffix)
 
 
-def config_int(text: str, *, line: int, field: str) -> int:
-    """``int(text)`` for a config field that matched an integer pattern.
+def config_int(text: str, *, line: int, column: int | None = None,
+               field: str | None = None) -> int:
+    """``int(text)`` for an input token that matched an integer pattern.
 
-    Raises ConfigError at ``line`` and ``field`` for a literal past the
-    interpreter's int-conversion limit, which ``int`` rejects with a
-    bare ValueError.
+    Raises ConfigError at ``line``, ``column`` and ``field`` for a
+    literal past the interpreter's int-conversion limit, which ``int``
+    rejects with a bare ValueError.
     """
     try:
         return int(text)
     except ValueError:
         raise ConfigError(
             f"integer of {len(text.lstrip('-'))} digits is too long",
-            line=line, field=field,
+            line=line, column=column, field=field,
         ) from None
-
-
-class ParseError(MoricensusError):
-    """Malformed claims-DSL input, with 1-based line and column."""
-
-    def __init__(self, message, *, line, column):
-        self.line = line
-        self.column = column
-        super().__init__(f"{message} (line {line}, column {column})")
 
 
 class InvariantError(MoricensusError):
@@ -64,7 +60,8 @@ class InvariantError(MoricensusError):
 class DuplicateClassError(MoricensusError):
     """Two generated triples share an equivalence class.
 
-    Signals an enumeration or group-action fault; carries both triples.
+    Signals an enumeration or group-action fault; carries both triples
+    and their shared key, the duplicate's witness.
     """
 
     def __init__(self, first, second, key):
@@ -74,15 +71,3 @@ class DuplicateClassError(MoricensusError):
         super().__init__(
             f"triples {first} and {second} share canonical key {key}"
         )
-
-
-class SizeLimitError(MoricensusError):
-    """Graph exceeds the brute-force canonicalizer's node bound."""
-
-    def __init__(self, nodes, bound):
-        self.nodes = nodes
-        self.bound = bound
-        super().__init__(
-            f"graph has {nodes} nodes, above the canonicalizer bound {bound}"
-        )
-

@@ -31,7 +31,7 @@ import re
 from typing import Iterable
 
 from ._record import Record
-from .errors import ConfigError, SizeLimitError, config_int
+from .errors import ConfigError, config_int
 
 __all__ = [
     "LabeledGraph",
@@ -154,12 +154,13 @@ def canonical_graph(g: LabeledGraph) -> tuple[int, ...]:
     """Canonical form: equal tuples iff isomorphic labelled multigraphs.
 
     The tuple is the kernel's flat encoding (see ``_canon_py``); forms
-    are meant to be compared and hashed, not read.  Raises
-    SizeLimitError above MAX_NODES nodes.
+    are meant to be compared and hashed, not read.  Raises ConfigError
+    above MAX_NODES nodes.
     """
     n = len(g.node_labels)
     if n > MAX_NODES:
-        raise SizeLimitError(n, MAX_NODES)
+        raise ConfigError(
+            f"graph has {n} nodes, above the canonicalizer bound {MAX_NODES}")
     return _canonical_sequence(n, g.node_labels, g.edges)
 
 

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, find, given, settings, strategies as st
 
 from moricensus import claims as claims_module
 from moricensus.audit import default_claims_text
@@ -16,7 +16,7 @@ from moricensus.claims import (
     format_claims,
     parse_claims,
 )
-from moricensus.errors import ConfigError, ParseError
+from moricensus.errors import ConfigError
 
 from linetrace import unrun_lines
 
@@ -45,36 +45,36 @@ def test_parse_with_cite_and_spacing():
 
 
 def test_parse_rejects_empty_expressions():
-    with pytest.raises(ParseError):
+    with pytest.raises(ConfigError):
         parse_claims("claim empty: == expect=holds")
 
 
 def test_parse_rejects_missing_equality():
-    with pytest.raises(ParseError):
+    with pytest.raises(ConfigError):
         parse_claims("claim x: 1 + 1 expect=holds")
 
 
 def test_parse_rejects_garbage_token_with_position():
-    with pytest.raises(ParseError) as exc_info:
+    with pytest.raises(ConfigError) as exc_info:
         parse_claims("claim x: 1 + $ == 2 expect=holds")
     assert exc_info.value.line == 1
     assert exc_info.value.column > 1
 
 
 def test_parse_rejects_duplicate_names():
-    with pytest.raises(ParseError):
+    with pytest.raises(ConfigError):
         parse_claims(
             "claim x: 1 == 1 expect=holds\nclaim x: 2 == 2 expect=holds\n"
         )
 
 
 def test_parse_rejects_variables():
-    with pytest.raises(ParseError):
+    with pytest.raises(ConfigError):
         parse_claims("claim x: n + 1 == 2 expect=holds")
 
 
 def test_parse_line_numbers_in_errors():
-    with pytest.raises(ParseError) as exc_info:
+    with pytest.raises(ConfigError) as exc_info:
         parse_claims("# ok\nclaim a: 1 == 1 expect=holds\nclaim b: ) == 1 expect=holds")
     assert exc_info.value.line == 3
 
@@ -95,7 +95,7 @@ def test_parse_line_numbers_in_errors():
 ], ids=["trailing_token", "missing_paren", "not_a_claim", "malformed_line",
         "not_ascii", "operand_missing", "paren_unclosed"])
 def test_parse_errors_name_their_line_and_column(text, message, line, column):
-    with pytest.raises(ParseError) as exc_info:
+    with pytest.raises(ConfigError) as exc_info:
         parse_claims(text)
     err = exc_info.value
     assert str(err) == f"{message} (line {line}, column {column})"
@@ -151,7 +151,7 @@ def nested(shape, depth):
 
 @pytest.mark.parametrize("shape", ["parens", "unary_minus"])
 def test_parse_rejects_deep_nesting_with_position(shape):
-    with pytest.raises(ParseError) as exc_info:
+    with pytest.raises(ConfigError) as exc_info:
         parse_claims(f"# deep\nclaim x: 1 == {nested(shape, 3000)} expect=holds")
     assert exc_info.value.line == 2
     # the first opener past the bound
@@ -166,10 +166,10 @@ def test_nesting_at_the_bound_parses(shape):
 
 def test_parse_rejects_overlong_literal_with_position():
     digits = "9" * 5000
-    with pytest.raises(ParseError) as exc_info:
+    with pytest.raises(ConfigError) as exc_info:
         parse_claims(f"claim x: 1 + {digits} == 2 expect=holds")
-    assert exc_info.value.line == 1
-    assert exc_info.value.column == len("claim x: 1 + ") + 1
+    assert (exc_info.value.line, exc_info.value.column) == (1, len("claim x: 1 + ") + 1)
+    assert str(exc_info.value) == "integer of 5000 digits is too long (line 1, column 14)"
 
 
 def test_long_sums_and_products_evaluate():
@@ -270,7 +270,7 @@ def test_parse_claims_raises_only_parse_errors_inside_the_text(lines):
                      if isinstance(line, Claim) else line for line in lines)
     try:
         parsed = parse_claims(text)
-    except ParseError as err:
+    except ConfigError as err:
         rows = text.splitlines()
         assert 1 <= err.line <= len(rows)
         assert 1 <= err.column <= len(rows[err.line - 1]) + 1
@@ -324,6 +324,88 @@ def test_shipped_claims_all_as_expected():
     assert every_cited
 
 
+# ---------------------------------------------------------------------------
+# metamorphic law: claims whose sides come from evaluated expressions
+#
+# The generator writes each expression's text and computes its value
+# with Python ints, so the law reads nothing of the package's evaluator.
+# A node is ``(text, value, loose)``; ``loose`` marks a top-level sum,
+# which needs parentheses as a factor, an operand of unary minus or the
+# right operand of '-'.  Literals up to 12 and at most 8 leaves keep
+# every partial value under 12**8, far inside EVAL_GUARD.
+
+
+def operand(node, loose_ok=False):
+    text, _, loose = node
+    return f"({text})" if loose and not loose_ok else text
+
+
+def sum_node(first_and_rest):
+    first, rest = first_and_rest
+    text, value = first[0], first[1]
+    for op, term in rest:
+        text += f" {op} {operand(term, loose_ok=op == '+')}"
+        value = value + term[1] if op == "+" else value - term[1]
+    return text, value, True
+
+
+def product_node(factors):
+    value = 1
+    for factor in factors:
+        value *= factor[1]
+    return " * ".join(operand(f) for f in factors), value, False
+
+
+GENERATED = st.recursive(
+    st.integers(0, 12).map(lambda n: (str(n), n, False)),
+    lambda children: st.one_of(
+        children.map(lambda c: ("-" + operand(c), -c[1], False)),
+        children.map(lambda c: (f"({c[0]})", c[1], False)),
+        st.tuples(children, st.lists(st.tuples(st.sampled_from("+-"), children),
+                                     min_size=1, max_size=3)).map(sum_node),
+        st.lists(children, min_size=2, max_size=3).map(product_node),
+    ),
+    max_leaves=8,
+)
+# (text, value, offset of the right-hand side from the value)
+GENERATED_CLAIMS = st.lists(
+    st.tuples(GENERATED.map(lambda node: node[:2]),
+              st.sampled_from([0, 0, 1, -1, 7])),
+    min_size=1, max_size=4)
+
+
+def claims_match_the_generator(generated):
+    """Whether every claim ``text == value + k`` holds exactly when k is 0,
+    with its left side evaluated to the generator's value."""
+    text = "".join(f"claim c{i}: {expr} == {value + k} expect=holds\n"
+                   for i, ((expr, value), k) in enumerate(generated))
+    verdicts = evaluate_claims(parse_claims(text)).verdicts
+    return [(v.holds, v.lhs_value) for v in verdicts] == \
+        [(k == 0, value) for (_, value), k in generated]
+
+
+@settings(max_examples=60, deadline=None)
+@given(GENERATED_CLAIMS)
+def test_generated_claims_hold_exactly_where_the_generator_says(generated):
+    assert claims_match_the_generator(generated)
+
+
+def test_generated_claims_law_fails_an_evaluator_sign_error(monkeypatch):
+    # a planted evaluator in which every '-' term adds
+    evaluate_expr = claims_module._eval_expr
+
+    def sign_error(expr):
+        if isinstance(expr, Sum):
+            return sum(sign_error(term) for _, term in expr.terms)
+        return evaluate_expr(expr)
+
+    monkeypatch.setattr(claims_module, "_eval_expr", sign_error)
+    assert not claims_match_the_generator([(("7 - 2", 5), 0)])
+    # and the generator finds such a claim itself (find raises if not)
+    find(GENERATED_CLAIMS, lambda generated: not claims_match_the_generator(generated),
+         settings=settings(database=None, derandomize=True, phases=[Phase.generate]))
+
+
 def test_every_claims_line_runs():
     # the shipped file, formatted and re-parsed, the malformed lines and
     # literals above, an expression past the evaluation guard and a
@@ -351,7 +433,7 @@ def test_every_claims_line_runs():
             'claim y: 2 + 2 == 5 expect=fails cite="c"\n'))
         assert evaluate_claims(parse_claims(text)).exit_status == 0
         for text in rejected:
-            with pytest.raises(ParseError):
+            with pytest.raises(ConfigError):
                 parse_claims(text)
         with pytest.raises(ConfigError):
             evaluate(parse_one(f"claim x: {EVAL_GUARD} * 2 == 0 expect=fails"))

@@ -542,15 +542,15 @@ def test_shipped_json_is_byte_identical_to_snapshot(capsys, snapshot, argv):
 
 
 def test_interpreter_check_passes_this_interpreter():
-    # the tool runs census and verify under each interpreter it is given
-    # and compares their JSON with the snapshots
+    # the tool runs census, verify and orbits under each interpreter it
+    # is given and compares their JSON with the snapshots
     done = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "check_interpreters.py"), sys.executable],
         capture_output=True, text=True, timeout=120,
     )
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout == "".join(f"{sys.executable}  {command:<7} ok\n"
-                                  for command in ("census", "verify"))
+                                  for command in ("census", "verify", "orbits"))
 
 
 def test_shipped_closure_json_matches_snapshot(graph_file, capsys):

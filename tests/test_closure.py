@@ -12,7 +12,7 @@ from moricensus.closure import (
     closure,
     encode_triple,
 )
-from moricensus.errors import ConfigError, SizeLimitError
+from moricensus.errors import ConfigError
 from moricensus.graphs import (
     LabeledGraph,
     canonical_backend,
@@ -76,8 +76,10 @@ def test_parallel_edges_merge_multiplicity():
 
 def test_size_limit():
     canonical_graph(LabeledGraph.build([0] * 12))
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(ConfigError) as exc_info:
         canonical_graph(LabeledGraph.build([0] * 13))
+    assert str(exc_info.value) == \
+        "graph has 13 nodes, above the canonicalizer bound 12"
 
 
 graphs = st.integers(1, 6).flatmap(
@@ -592,7 +594,7 @@ def test_every_closure_and_graph_line_runs(monkeypatch):
             "node a label=1\nnode b label=1\nedge a b label=0 mult=0\n",
         ] + [text for text, _, _ in OVER_LIMIT_GRAPH_FILES]:
             expect(ConfigError, lambda: parse_graph_file(text))
-        expect(SizeLimitError,
+        expect(ConfigError,
                lambda: canonical_graph(LabeledGraph.build([0] * 13)))
 
     assert unrun_lines([closure_module, graphs_module], run) == []

@@ -21,8 +21,7 @@ EXPORTS = {
     "cones": ["CensusReport", "ModelRecord", "build_census_report", "p_cone_count",
               "symmetric_p_models", "t_cone_count"],
     "declared": ["DeclaredEntry", "load_declared"],
-    "errors": ["ConfigError", "DuplicateClassError", "MoricensusError",
-               "ParseError", "SizeLimitError"],
+    "errors": ["ConfigError", "DuplicateClassError", "MoricensusError"],
     "families": ["FamilyId", "RegularModel", "family_nondegenerate",
                  "family_one_degenerate", "family_two_degenerate", "regular_models"],
     "graphs": ["LabeledGraph", "canonical_backend", "canonical_graph", "iso",

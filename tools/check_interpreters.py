@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""Check that each given interpreter prints the shipped census and verify
-JSON byte for byte.
+"""Check that each given interpreter prints the shipped census, verify
+and orbits JSON byte for byte.
 
-For each interpreter it runs ``moricensus census --format json`` and
-``moricensus verify --format json`` from this checkout's ``src`` (with
-``PYTHONPATH=src``), and compares each stdout with its snapshot in
-``perfbench/snapshots/``.  It only reads the snapshots.  It prints one
+For each interpreter it runs ``moricensus census --format json``,
+``moricensus verify --format json`` and ``moricensus orbits --format
+json -- -6 0 3`` from this checkout's ``src`` (with ``PYTHONPATH=src``),
+and compares each stdout with its snapshot in ``perfbench/snapshots/``.  It only reads the snapshots.  It prints one
 line per run and exits 1 if any run exits non-zero or differs from its
 snapshot, else 0.
 
@@ -27,6 +27,7 @@ SNAPSHOTS = ROOT / "perfbench" / "snapshots"
 RUNS = {
     "census.json": ["census", "--format", "json"],
     "verify.json": ["verify", "--format", "json"],
+    "orbits.json": ["orbits", "--format", "json", "--", "-6", "0", "3"],
 }
 
 
