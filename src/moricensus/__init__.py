@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 # the census modules' package-level names, each with its submodule
 _LAZY = {
     **dict.fromkeys(("AuditReport", "Claim", "Verdict", "evaluate", "evaluate_claims",
-                     "format_claims", "parse_claims"), "claims"),
+                     "parse_claims"), "claims"),
     **dict.fromkeys(("CensusReport", "ModelRecord", "build_census_report",
                      "p_cone_count", "symmetric_p_models", "t_cone_count"), "cones"),
     **dict.fromkeys(("DeclaredEntry", "load_declared"), "declared"),

@@ -12,18 +12,16 @@ Whitespace within a line is insignificant.  ``expect=fails`` marks an
 identity recorded from a source text that is arithmetically false; the
 audit passes when it indeed fails.
 
-A parsed expression is an :class:`IntLit`, a :class:`Neg`, or an n-ary
-:class:`Sum` or :class:`Product`; a sum of one term or a product of one
-factor is that term or factor itself.  A chain such as ``1 + 2 - 3`` is
-one flat node, and only ``(`` and unary ``-`` nest, so the recursion of
-equality, hashing, evaluation and formatting is bounded by
-``MAX_NESTING``, however long the chains.
+The parser evaluates each side as it reads it, so a :class:`Claim`
+holds the two sides' integer values.  Each literal and each ``+``,
+``-`` or ``*`` result, from left to right, must lie within
+``EVAL_GUARD``; a value past it is a ConfigError at the line and column
+of the token that made it.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Union
 
 from ._record import Record
 from .errors import ConfigError, config_int
@@ -32,15 +30,10 @@ __all__ = [
     "AuditReport",
     "Claim",
     "EVAL_GUARD",
-    "IntLit",
     "MAX_NESTING",
-    "Neg",
-    "Product",
-    "Sum",
     "Verdict",
     "evaluate",
     "evaluate_claims",
-    "format_claims",
     "parse_claims",
 ]
 
@@ -49,33 +42,9 @@ __all__ = [
 EVAL_GUARD = 10**12
 
 # Nested '(' and unary '-' each cost stack frames in the recursive-descent
-# parser and in every walk of the tree (equality, hashing, evaluation,
-# formatting); a census claim needs a handful, and the bound keeps all of
-# them well inside Python's recursion limit.
+# parser; a census claim needs a handful, and the bound keeps the parser
+# well inside Python's recursion limit.
 MAX_NESTING = 100
-
-
-class IntLit(Record):
-    __slots__ = ("value",)
-
-
-class Neg(Record):
-    __slots__ = ("operand",)
-
-
-class Sum(Record):
-    """Two or more ``(op, expr)`` terms; op is '+' or '-', the first '+'."""
-
-    __slots__ = ("terms",)
-
-
-class Product(Record):
-    """Two or more factors."""
-
-    __slots__ = ("factors",)
-
-
-Expr = Union[IntLit, Neg, Sum, Product]
 
 
 class Claim(Record):
@@ -108,7 +77,8 @@ _TOKEN_RE = re.compile(r"\s*(?:(?P<int>[0-9]+)|(?P<op>[()+\-*])|(?P<bad>\S))")
 
 
 class _ExprParser:
-    """Recursive-descent parser over one line's expression region.
+    """Recursive-descent parser over one line's expression region; each
+    rule returns the guarded value of what it read.
 
     The region is lexed in one pass into ``(kind, text, column)`` tokens,
     closed by an ``("end", "", len(text))`` token, so the parser reads
@@ -143,48 +113,59 @@ class _ExprParser:
         self.index += 1
         return tok
 
-    def parse(self) -> Expr:
-        expr = self._sum()
+    def _checked(self, value: int, col_in_text: int) -> int:
+        if abs(value) > EVAL_GUARD:
+            self._fail(f"claim value {value} outside guarded range +/-{EVAL_GUARD}",
+                       col_in_text)
+        return value
+
+    def parse(self) -> int:
+        value = self._sum()
         tok = self.tokens[self.index]
         if tok[0] != "end":
             self._fail(f"trailing token {tok[1]!r}", tok[2])
-        return expr
+        return value
 
-    def _sum(self) -> Expr:
-        terms = [("+", self._term())]
-        op = self.tokens[self.index][1]
-        while op == "+" or op == "-":
+    def _sum(self) -> int:
+        value = self._term()
+        tok = self.tokens[self.index]
+        while tok[1] == "+" or tok[1] == "-":
             self.index += 1
-            terms.append((op, self._term()))
-            op = self.tokens[self.index][1]
-        return Sum(tuple(terms)) if len(terms) > 1 else terms[0][1]
+            right = self._term()
+            value = self._checked(value + right if tok[1] == "+" else value - right,
+                                  tok[2])
+            tok = self.tokens[self.index]
+        return value
 
-    def _term(self) -> Expr:
-        factors = [self._factor()]
-        while self.tokens[self.index][1] == "*":
+    def _term(self) -> int:
+        value = self._factor()
+        tok = self.tokens[self.index]
+        while tok[1] == "*":
             self.index += 1
-            factors.append(self._factor())
-        return Product(tuple(factors)) if len(factors) > 1 else factors[0]
+            value = self._checked(value * self._factor(), tok[2])
+            tok = self.tokens[self.index]
+        return value
 
-    def _factor(self) -> Expr:
+    def _factor(self) -> int:
         tok = self._next()
         if tok[0] == "int":
-            return IntLit(config_int(tok[1], line=self.lineno,
-                                     column=self.offset + tok[2] + 1))
+            return self._checked(config_int(tok[1], line=self.lineno,
+                                            column=self.offset + tok[2] + 1), tok[2])
         if tok[1] not in "-(":
             self._fail(f"expected integer, '-' or '(', got {tok[1]!r}", tok[2])
         if self.depth == MAX_NESTING:
             self._fail(f"more than {MAX_NESTING} nested '(' or '-'", tok[2])
         self.depth += 1
         if tok[1] == "-":
-            expr = Neg(self._factor())
+            # the guarded range is symmetric, so a negated value stays in it
+            value = -self._factor()
         else:
-            expr = self._sum()
+            value = self._sum()
             closing = self._next()
             if closing[1] != ")":
                 self._fail(f"expected ')', got {closing[1]!r}", closing[2])
         self.depth -= 1
-        return expr
+        return value
 
 
 _CLAIM_RE = re.compile(
@@ -234,78 +215,13 @@ def parse_claims(text: str) -> list[Claim]:
     return claims
 
 
-def _format_expr(expr: Expr) -> str:
-    if isinstance(expr, IntLit):
-        return str(expr.value)
-    if isinstance(expr, Neg):
-        return "-" + _format_nested(expr.operand)
-    if isinstance(expr, Product):
-        return " * ".join([_format_nested(f) for f in expr.factors])
-    parts = []
-    for op, term in expr.terms:
-        parts.append(op)
-        # a product binds tighter than the sum around it
-        parts.append(_format_expr(term) if isinstance(term, Product)
-                     else _format_nested(term))
-    return " ".join(parts[1:])
-
-
-def _format_nested(expr: Expr) -> str:
-    # The parser builds a nested sum or product only from '(...)'.
-    text = _format_expr(expr)
-    return f"({text})" if isinstance(expr, (Sum, Product)) else text
-
-
-def format_claims(claims: list[Claim]) -> str:
-    """Render claims back to DSL text; reparsing yields equal claims."""
-    lines = []
-    for c in claims:
-        expect = "holds" if c.expect_holds else "fails"
-        line = (
-            f"claim {c.name}: {_format_expr(c.lhs)} == {_format_expr(c.rhs)} "
-            f"expect={expect}"
-        )
-        if c.cite:
-            line += f' cite="{c.cite}"'
-        lines.append(line)
-    return "\n".join(lines) + "\n" if lines else ""
-
-
-def _guarded(value: int) -> int:
-    if abs(value) > EVAL_GUARD:
-        raise ConfigError(
-            f"claim value {value} outside guarded range +/-{EVAL_GUARD}"
-        )
-    return value
-
-
-def _eval_expr(expr: Expr) -> int:
-    if isinstance(expr, IntLit):
-        return _guarded(expr.value)
-    if isinstance(expr, Neg):
-        return _guarded(-_eval_expr(expr.operand))
-    if isinstance(expr, Product):
-        value = 1
-        for factor in expr.factors:
-            value = _guarded(value * _eval_expr(factor))
-        return value
-    value = 0
-    for op, term in expr.terms:
-        right = _eval_expr(term)
-        value = _guarded(value + right if op == "+" else value - right)
-    return value
-
-
 def evaluate(claim: Claim) -> Verdict:
-    """Exact integer evaluation of both sides; ConfigError for a value
-    past ``EVAL_GUARD``, a malformed input."""
-    lhs = _eval_expr(claim.lhs)
-    rhs = _eval_expr(claim.rhs)
+    """Compare a claim's two sides, evaluated when it was parsed."""
     return Verdict(
         name=claim.name,
-        holds=(lhs == rhs),
-        lhs_value=lhs,
-        rhs_value=rhs,
+        holds=(claim.lhs == claim.rhs),
+        lhs_value=claim.lhs,
+        rhs_value=claim.rhs,
         expect_holds=claim.expect_holds,
         cite=claim.cite,
     )

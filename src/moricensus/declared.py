@@ -136,10 +136,9 @@ def load_declared(config_text: str) -> list[DeclaredEntry]:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if not line.startswith("entry"):
-            raise ConfigError(
-                f"expected 'entry', got {line.split()[0]!r}", line=lineno
-            )
+        head = line.split(None, 1)[0]
+        if head != "entry":
+            raise ConfigError(f"expected 'entry', got {head!r}", line=lineno)
         entry = _parse_entry_line(line, lineno)
         if entry.label in labels:
             raise ConfigError(

@@ -250,7 +250,7 @@ def test_verify_stage_benchmark_runs():
     # declared symmetric model's record
     assert rows["Triple"] == rows["RegularModel"] == rows["ClosureResult"] == ["347"]
     assert rows["ModelRecord"] == ["1"]
-    assert rows["total"] == ["1242"]
+    assert rows["total"] == ["1117"]
 
 
 def test_startup_benchmark_runs():

@@ -7,13 +7,8 @@ from moricensus.claims import (
     EVAL_GUARD,
     MAX_NESTING,
     Claim,
-    IntLit,
-    Neg,
-    Product,
-    Sum,
     evaluate,
     evaluate_claims,
-    format_claims,
     parse_claims,
 )
 from moricensus.errors import ConfigError
@@ -29,8 +24,7 @@ def parse_one(line):
 def test_parse_basic_claim():
     claim = parse_one("claim t_total: 83+1+45 == 129 expect=holds")
     assert claim.name == "t_total"
-    assert claim.lhs == Sum((("+", IntLit(83)), ("+", IntLit(1)), ("+", IntLit(45))))
-    assert claim.rhs == IntLit(129)
+    assert (claim.lhs, claim.rhs) == (129, 129)
     assert claim.expect_holds
     assert claim.cite == ""
 
@@ -92,8 +86,25 @@ def test_parse_line_numbers_in_errors():
     # the end of a side sits just past its last character, space included
     ("claim x: 1 + == 2 expect=holds\n", "unexpected end of expression", 1, 14),
     ("claim x: (1 + 2 == 3 expect=holds\n", "unexpected end of expression", 1, 17),
+    # a value past the guard is placed at the token that made it: the
+    # literal, or the operator whose result it is, first from the left
+    ("claim x: 10000000000000 == 1 expect=holds\n",
+     "claim value 10000000000000 outside guarded range +/-1000000000000", 1, 10),
+    ("claim x: 1 + 1000000000000 == 2 expect=holds\n",
+     "claim value 1000000000001 outside guarded range +/-1000000000000", 1, 12),
+    ("claim x: 0 == -1000000000000 - 1 expect=holds\n",
+     "claim value -1000000000001 outside guarded range +/-1000000000000", 1, 30),
+    ("claim x: 1000000000000 * 2 * 0 == 0 expect=holds\n",
+     "claim value 2000000000000 outside guarded range +/-1000000000000", 1, 24),
+    ("claim x: 1000000000000 * (2 == 0 expect=holds\n",
+     "unexpected end of expression", 1, 29),
+    # a file's faults are reported in file order
+    ("claim a: 1000000000000 * 2 == 0 expect=fails\nclaim b: ) == 1 expect=holds\n",
+     "claim value 2000000000000 outside guarded range +/-1000000000000", 1, 24),
 ], ids=["trailing_token", "missing_paren", "not_a_claim", "malformed_line",
-        "not_ascii", "operand_missing", "paren_unclosed"])
+        "not_ascii", "operand_missing", "paren_unclosed", "guard_literal",
+        "guard_sum", "guard_difference", "guard_product", "operand_fault_first",
+        "guard_before_later_fault"])
 def test_parse_errors_name_their_line_and_column(text, message, line, column):
     with pytest.raises(ConfigError) as exc_info:
         parse_claims(text)
@@ -135,11 +146,11 @@ def test_exact_evaluation(expr, value):
 
 def test_evaluation_overflow_guard():
     big = EVAL_GUARD
-    claim = parse_one(f"claim x: {big} * 2 == 0 expect=fails")
+    assert parse_one(f"claim x: {big} == -{big} expect=fails").rhs == -big
     with pytest.raises(ConfigError) as exc_info:
-        evaluate(claim)
+        parse_claims(f"claim x: {big} * 2 == 0 expect=fails")
     assert str(exc_info.value) == \
-        f"claim value {2 * big} outside guarded range +/-{EVAL_GUARD}"
+        f"claim value {2 * big} outside guarded range +/-{EVAL_GUARD} (line 1, column 24)"
 
 
 def nested(shape, depth):
@@ -181,104 +192,19 @@ def test_long_sums_and_products_evaluate():
     assert evaluate(claim).holds
 
 
-def test_long_sums_and_products_format():
-    terms = 3000
-    text = (f"claim x: {' + '.join(['2 * 1 * 1'] * terms)} == {2 * terms} "
-            "expect=holds\n")
-    claims = parse_claims(text)
-    assert format_claims(claims) == text
-    assert parse_claims(format_claims(claims)) == claims
+@pytest.mark.parametrize("op, factor, value", [("+", "2", 6002), ("*", "-1", -1)],
+                         ids=["+", "*"])
+def test_long_chains_parse_to_their_value(op, factor, value):
+    # each step of a chain returns to the loop that reads the next one,
+    # so a chain does not deepen the parser's recursion
+    text = f"claim x: {f' {op} '.join([factor] * 3001)} == {value} expect=holds"
+    assert parse_one(text).lhs == value
 
 
-@pytest.mark.parametrize("op", ["+", "*"])
-def test_long_sums_and_products_compare_and_hash(op):
-    # a chain is one flat node, so equality and hashing do not recurse
-    # along it
-    text = f"claim x: {f' {op} '.join(['1'] * 3000)} == 1 expect=holds"
-    first, second = parse_claims(text), parse_claims(text)
-    assert first == second
-    assert hash(first[0]) == hash(second[0])
-
-
-def test_parenthesized_chains_stay_nested():
+def test_parenthesized_chains_evaluate():
     claim = parse_one("claim x: (1 + 2) + 3 * (4 * 5) == 63 expect=holds")
-    assert claim.lhs == Sum((
-        ("+", Sum((("+", IntLit(1)), ("+", IntLit(2))))),
-        ("+", Product((IntLit(3), Product((IntLit(4), IntLit(5)))))),
-    ))
-    assert format_claims([claim]) == (
-        "claim x: (1 + 2) + 3 * (4 * 5) == 63 expect=holds\n")
-
-
-def test_format_parse_round_trip_on_shipped_file():
-    claims = parse_claims(default_claims_text())
-    assert parse_claims(format_claims(claims)) == claims
-
-
-exprs = st.recursive(
-    st.builds(IntLit, st.integers(0, 99)),
-    lambda children: st.one_of(
-        st.builds(Neg, children),
-        st.builds(
-            lambda first, rest: Sum((("+", first), *rest)),
-            children,
-            st.lists(st.tuples(st.sampled_from("+-"), children),
-                     min_size=1, max_size=3),
-        ),
-        st.builds(Product, st.lists(children, min_size=2, max_size=4).map(tuple)),
-    ),
-    max_leaves=12,
-)
-
-
-@given(exprs, exprs)
-def test_format_parse_round_trip_property(lhs, rhs):
-    claims = [Claim(name="x", lhs=lhs, rhs=rhs, expect_holds=True, cite="q")]
-    assert parse_claims(format_claims(claims)) == claims
-
-
-# one digit past the interpreter's int-conversion limit (4300 digits)
-OVER_LIMIT = "9" * 4301
-
-# well-formed claims, written out by format_claims, mixed with claim
-# lines of odd tokens and free joins of the grammar's pieces
-CLAIMS = st.builds(
-    Claim, st.sampled_from(["x", "y", "t_cones"]), exprs, exprs, st.booleans(),
-    st.sampled_from(["", "Thm 2.1", "proof display"]))
-TOKENS = st.sampled_from([
-    "1", "07", "-", "+", "*", "(", ")", " ", "==", "$", "n", "\u0663",
-    OVER_LIMIT, "#",
-])
-ODD_CLAIMS = st.builds(
-    "claim {}: {} == {} expect={}{}".format,
-    st.sampled_from(["x", "9x", "y"]),
-    st.lists(TOKENS, max_size=6).map("".join),
-    st.lists(TOKENS, max_size=6).map("".join),
-    st.sampled_from(["holds", "fails", "maybe"]),
-    st.sampled_from(["", ' cite="c"', ' cite="open', " junk"]),
-)
-CLAIM_PIECES = st.lists(st.sampled_from([
-    "claim", " ", "x", ":", "==", "expect=", "holds", "cite=", '"', "(", ")",
-    "-", "1", "#", "\t", "entry",
-]), max_size=12).map("".join)
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.lists(st.one_of(CLAIMS, ODD_CLAIMS, CLAIM_PIECES), max_size=4))
-def test_parse_claims_raises_only_parse_errors_inside_the_text(lines):
-    text = "\n".join(format_claims([line]).rstrip("\n")
-                     if isinstance(line, Claim) else line for line in lines)
-    try:
-        parsed = parse_claims(text)
-    except ConfigError as err:
-        rows = text.splitlines()
-        assert 1 <= err.line <= len(rows)
-        assert 1 <= err.column <= len(rows[err.line - 1]) + 1
-        return
-    # format_claims is the oracle: well-formed claims parse back to
-    # themselves
-    if all(isinstance(line, Claim) for line in lines):
-        assert parsed == lines
+    assert (claim.lhs, claim.rhs) == (63, 63)
+    assert parse_one("claim x: 2 * (3 + 4) - (5 - 6) == 15 expect=holds").lhs == 15
 
 
 def test_empty_claims_file():
@@ -391,26 +317,72 @@ def test_generated_claims_hold_exactly_where_the_generator_says(generated):
 
 
 def test_generated_claims_law_fails_an_evaluator_sign_error(monkeypatch):
-    # a planted evaluator in which every '-' term adds
-    evaluate_expr = claims_module._eval_expr
+    # a planted parser in which every binary '-' adds
+    def sign_error(self):
+        value = self._term()
+        while self.tokens[self.index][1] in ("+", "-"):
+            self.index += 1
+            value += self._term()
+        return value
 
-    def sign_error(expr):
-        if isinstance(expr, Sum):
-            return sum(sign_error(term) for _, term in expr.terms)
-        return evaluate_expr(expr)
-
-    monkeypatch.setattr(claims_module, "_eval_expr", sign_error)
+    monkeypatch.setattr(claims_module._ExprParser, "_sum", sign_error)
     assert not claims_match_the_generator([(("7 - 2", 5), 0)])
     # and the generator finds such a claim itself (find raises if not)
     find(GENERATED_CLAIMS, lambda generated: not claims_match_the_generator(generated),
          settings=settings(database=None, derandomize=True, phases=[Phase.generate]))
 
 
+# one digit past the interpreter's int-conversion limit (4300 digits)
+OVER_LIMIT = "9" * 4301
+
+# well-formed claims, each a line with the Claim it must parse to, mixed
+# with claim lines of odd tokens and free joins of the grammar's pieces
+CLAIMS = st.builds(
+    lambda name, lhs, rhs, holds, cite: (
+        f"claim {name}: {lhs[0]} == {rhs[0]} expect={'holds' if holds else 'fails'}"
+        + (f' cite="{cite}"' if cite else ""),
+        Claim(name, lhs[1], rhs[1], holds, cite)),
+    st.sampled_from(["x", "y", "t_cones"]), GENERATED, GENERATED, st.booleans(),
+    st.sampled_from(["", "Thm 2.1", "proof display"]))
+TOKENS = st.sampled_from([
+    "1", "07", "-", "+", "*", "(", ")", " ", "==", "$", "n", "\u0663",
+    "1000000000000", OVER_LIMIT, "#",
+])
+ODD_CLAIMS = st.builds(
+    "claim {}: {} == {} expect={}{}".format,
+    st.sampled_from(["x", "9x", "y"]),
+    st.lists(TOKENS, max_size=6).map("".join),
+    st.lists(TOKENS, max_size=6).map("".join),
+    st.sampled_from(["holds", "fails", "maybe"]),
+    st.sampled_from(["", ' cite="c"', ' cite="open', " junk"]),
+)
+CLAIM_PIECES = st.lists(st.sampled_from([
+    "claim", " ", "x", ":", "==", "expect=", "holds", "cite=", '"', "(", ")",
+    "-", "1", "#", "\t", "entry",
+]), max_size=12).map("".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(CLAIMS, ODD_CLAIMS, CLAIM_PIECES), max_size=4))
+def test_parse_claims_raises_only_parse_errors_inside_the_text(lines):
+    text = "\n".join(line if isinstance(line, str) else line[0] for line in lines)
+    try:
+        parsed = parse_claims(text)
+    except ConfigError as err:
+        rows = text.splitlines()
+        assert 1 <= err.line <= len(rows)
+        assert 1 <= err.column <= len(rows[err.line - 1]) + 1
+        return
+    # the generator is the oracle: well-formed claims parse to its values
+    if not any(isinstance(line, str) for line in lines):
+        assert parsed == [line[1] for line in lines]
+
+
 def test_every_claims_line_runs():
-    # the shipped file, formatted and re-parsed, the malformed lines and
-    # literals above, an expression past the evaluation guard and a
-    # claim that fails as expected reach every line of the module; a
-    # line none of them runs is a branch no input takes
+    # the shipped file, the malformed lines and literals above, an
+    # expression past the evaluation guard and a claim that fails as
+    # expected reach every line of the module; a line none of them runs
+    # is a branch no input takes
     rejected = [
         "claim x: 1 + $ == 2 expect=holds",
         "claim x: 1 2 == 3 expect=holds",
@@ -423,19 +395,17 @@ def test_every_claims_line_runs():
         "claim x: ) == 1 expect=holds",
         f"claim x: {OVER_LIMIT} == 1 expect=holds",
         f"claim x: 1 == {nested('parens', MAX_NESTING + 1)} expect=holds",
+        f"claim x: {EVAL_GUARD} * 2 == 0 expect=fails",
     ]
 
     def run():
         report = evaluate_claims(parse_claims(default_claims_text()))
         assert report.exit_status == 0
-        text = format_claims(parse_claims(
-            "# ok\nclaim x: -(1 + 2) * 3 - 4 * (5 - -6) == -53 expect=holds\n"
-            'claim y: 2 + 2 == 5 expect=fails cite="c"\n'))
+        text = ("# ok\nclaim x: -(1 + 2) * 3 - 4 * (5 - -6) == -53 expect=holds\n"
+                'claim y: 2 + 2 == 5 expect=fails cite="c"\n')
         assert evaluate_claims(parse_claims(text)).exit_status == 0
         for text in rejected:
             with pytest.raises(ConfigError):
                 parse_claims(text)
-        with pytest.raises(ConfigError):
-            evaluate(parse_one(f"claim x: {EVAL_GUARD} * 2 == 0 expect=fails"))
 
     assert unrun_lines([claims_module], run) == []

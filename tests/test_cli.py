@@ -302,12 +302,13 @@ def test_files_that_are_not_utf8_are_input_errors(tmp_path, capsys, option,
 
 def test_claim_value_past_the_guard_is_input_error(tmp_path, capsys):
     claims = tmp_path / "big.claims"
-    claims.write_text("claim big: 1000000000000 * 2 == 0 expect=fails\n",
+    claims.write_text("claim ok: 1 == 1 expect=holds\n"
+                      "claim big: 1000000000000 * 2 == 0 expect=fails\n",
                       encoding="utf-8")
     code, out, err = run(capsys, "audit", "--claims", str(claims))
     assert (code, out) == (2, "")
     assert err == ("error: claim value 2000000000000 outside guarded range "
-                   "+/-1000000000000\n")
+                   "+/-1000000000000 (line 2, column 26)\n")
 
 
 def test_stdout_that_cannot_encode_the_input_is_input_error(tmp_path, monkeypatch,
@@ -543,14 +544,15 @@ def test_shipped_json_is_byte_identical_to_snapshot(capsys, snapshot, argv):
 
 def test_interpreter_check_passes_this_interpreter():
     # the tool runs census, verify and orbits under each interpreter it
-    # is given and compares their JSON with the snapshots
+    # is given and compares their JSON with the snapshots, and audit's
+    # csv with its golden file
     done = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "check_interpreters.py"), sys.executable],
         capture_output=True, text=True, timeout=120,
     )
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout == "".join(f"{sys.executable}  {command:<7} ok\n"
-                                  for command in ("census", "verify", "orbits"))
+                                  for command in ("census", "verify", "orbits", "audit"))
 
 
 def test_shipped_closure_json_matches_snapshot(graph_file, capsys):

@@ -89,6 +89,9 @@ ENTRY_ERRORS = [
     # each addend converts, but their sum has too many digits to print
     (f"entry x: count=1 breakdown={ADDEND}+{ADDEND}",
      f"breakdown {ADDEND}+{ADDEND} does not sum to count=1", "breakdown"),
+    # the keyword is a whole token, not a prefix of the label
+    ("entryt_models: count=129 breakdown=83+1+45",
+     "expected 'entry', got 'entryt_models:'", None),
 ]
 
 
@@ -98,7 +101,7 @@ ENTRY_ERRORS = [
         "duplicate_before_bad_value", "count_not_int",
         "addend_not_int", "count_not_ascii", "addend_not_ascii",
         "count_too_long", "negative_count_too_long",
-        "addend_too_long", "sum_too_long"])
+        "addend_too_long", "sum_too_long", "entry_glued_to_label"])
 def test_entry_errors_name_their_line_and_field(line, message, field):
     with pytest.raises(ConfigError) as exc_info:
         load_declared("# header\n" + line + "\n")
@@ -126,6 +129,10 @@ def test_non_entry_line_rejected():
     with pytest.raises(ConfigError) as exc_info:
         load_declared("claim x: 1 == 1\n")
     assert exc_info.value.line == 1
+
+
+def test_any_whitespace_may_follow_entry():
+    assert load_declared("entry\tx: count=1\n") == [DeclaredEntry(label="x", count=1)]
 
 
 def test_comments_and_blank_lines_ignored():

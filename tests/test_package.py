@@ -16,7 +16,7 @@ from linetrace import unrun_lines
 # every name the package exports, by the submodule that defines it
 EXPORTS = {
     "claims": ["AuditReport", "Claim", "Verdict", "evaluate", "evaluate_claims",
-               "format_claims", "parse_claims"],
+               "parse_claims"],
     "closure": ["MOVE_SETS", "ClosureResult", "closure", "encode_triple"],
     "cones": ["CensusReport", "ModelRecord", "build_census_report", "p_cone_count",
               "symmetric_p_models", "t_cone_count"],

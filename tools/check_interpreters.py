@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Check that each given interpreter prints the shipped census, verify
-and orbits JSON byte for byte.
+and orbits JSON and the audit csv byte for byte.
 
 For each interpreter it runs ``moricensus census --format json``,
-``moricensus verify --format json`` and ``moricensus orbits --format
-json -- -6 0 3`` from this checkout's ``src`` (with ``PYTHONPATH=src``),
-and compares each stdout with its snapshot in ``perfbench/snapshots/``.  It only reads the snapshots.  It prints one
-line per run and exits 1 if any run exits non-zero or differs from its
-snapshot, else 0.
+``moricensus verify --format json``, ``moricensus orbits --format
+json -- -6 0 3`` and ``moricensus audit --format csv`` from this
+checkout's ``src`` (with ``PYTHONPATH=src``), and compares each stdout
+with its expected file: the JSON snapshots in ``perfbench/snapshots/``
+and ``tests/data/cli/audit.csv.txt``.  It only reads those files.  It
+prints one line per run and exits 1 if any run exits non-zero or
+differs from its expected file, else 0.
 
 Usage:
     python tools/check_interpreters.py PYTHON [PYTHON ...]
@@ -23,15 +25,16 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-SNAPSHOTS = ROOT / "perfbench" / "snapshots"
+# each run's expected stdout, relative to ROOT, and its arguments
 RUNS = {
-    "census.json": ["census", "--format", "json"],
-    "verify.json": ["verify", "--format", "json"],
-    "orbits.json": ["orbits", "--format", "json", "--", "-6", "0", "3"],
+    "perfbench/snapshots/census.json": ["census", "--format", "json"],
+    "perfbench/snapshots/verify.json": ["verify", "--format", "json"],
+    "perfbench/snapshots/orbits.json": ["orbits", "--format", "json", "--", "-6", "0", "3"],
+    "tests/data/cli/audit.csv.txt": ["audit", "--format", "csv"],
 }
 
 
-def status(python: str, argv: list, snapshot: str, env: dict) -> str:
+def status(python: str, argv: list, expected: str, env: dict) -> str:
     """``ok``, or what is wrong with one run under ``python``."""
     try:
         done = subprocess.run([python, "-m", "moricensus.cli", *argv],
@@ -40,8 +43,8 @@ def status(python: str, argv: list, snapshot: str, env: dict) -> str:
         return f"cannot run: {exc.strerror}"
     if done.returncode != 0:
         return f"exit {done.returncode}"
-    if done.stdout != (SNAPSHOTS / snapshot).read_bytes():
-        return "differs from snapshot"
+    if done.stdout != (ROOT / expected).read_bytes():
+        return f"differs from {expected}"
     return "ok"
 
 
@@ -53,8 +56,8 @@ def main(argv=None) -> int:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     good = True
     for python in args.pythons:
-        for snapshot, command in RUNS.items():
-            result = status(python, command, snapshot, env)
+        for expected, command in RUNS.items():
+            result = status(python, command, expected, env)
             print(f"{python}  {command[0]:<7} {result}")
             good = good and result == "ok"
     return 0 if good else 1
