@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Micro-benchmark of the canonical-form kernel.
+"""Micro-benchmark of the canonical-form kernel and of ``iso``.
 
-Two suites, on the graphs the kernel meets today (no CLI subcommand
-makes a kernel call; ``iso`` and ``canonical_graph`` callers do):
+Two kernel suites, on the graphs the kernel meets today (no CLI
+subcommand makes a kernel call; ``iso`` and ``canonical_graph`` callers
+do), and one suite of ``iso`` pairs:
 
   random     random labelled multigraphs; most are discrete at the first
              colouring (label and incident edge labels and mults), so
@@ -15,9 +16,15 @@ makes a kernel call; ``iso`` and ``canonical_graph`` callers do):
   symmetric  uniform-label circulant graphs; refinement cannot split a
              vertex-transitive graph and no two nodes are twins, so the
              ordering search dominates.
+  iso pairs  ``graphs.iso`` on pairs of random multigraphs and of
+             relabelled C_8(1,2): a relabelled copy, which pays for the
+             multiset check and both canonical forms, and a mutant with
+             one edge multiplicity raised, which the multiset check
+             rejects before any canonical form.
 
-Each case reports the median over its graphs of the best of --repeats
-timed calls.  The end-to-end benchmark is ``perfbench/run.py``.
+Each case reports the median over its graphs (or pairs) of the best of
+--repeats timed calls.  The end-to-end benchmark is
+``perfbench/run.py``.
 
 Usage:
     python benchmarks/bench_canonical.py [--random-sizes 6,8,10]
@@ -29,7 +36,7 @@ import random
 import statistics
 import time
 
-from moricensus import _canon_py
+from moricensus import _canon_py, graphs
 
 
 def random_multigraph(rng, n):
@@ -56,6 +63,29 @@ def circulant(n, dists):
     return n, [0] * n, sorted((u, v, e, m) for (u, v, e), m in edges.items())
 
 
+def relabelled(rng, n, labels, edges):
+    perm = rng.sample(range(n), n)
+    moved = [0] * n
+    for v in range(n):
+        moved[perm[v]] = labels[v]
+    return n, moved, [(perm[u], perm[v], e, m) for u, v, e, m in edges]
+
+
+def mutant(rng, n, labels, edges):
+    k = rng.randrange(len(edges))
+    u, v, e, m = edges[k]
+    return n, labels, edges[:k] + [(u, v, e, m + 1)] + edges[k + 1:]
+
+
+def iso_pairs(rng, inputs, make_other):
+    """``(g, other)`` LabeledGraph pairs, ``other`` made from each graph."""
+    build = graphs.LabeledGraph.build
+    return [
+        (build(labels, edges), build(*make_other(rng, n, labels, edges)[1:]))
+        for n, labels, edges in inputs
+    ]
+
+
 def best_of(func, graph, repeats):
     best = None
     for _ in range(repeats):
@@ -66,14 +96,12 @@ def best_of(func, graph, repeats):
     return best
 
 
-def run_suite(title, cases, repeats):
+def run_suite(title, func, cases, repeats):
     print(title)
-    print(f"  {'case':<12} {'time':>12}")
-    for name, graphs in cases:
-        median = statistics.median(
-            best_of(_canon_py.canonical_sequence, g, repeats) for g in graphs
-        )
-        print(f"  {name:<12} {median * 1e6:>10.1f}us")
+    print(f"  {'case':<20} {'time':>12}")
+    for name, inputs in cases:
+        median = statistics.median(best_of(func, x, repeats) for x in inputs)
+        print(f"  {name:<20} {median * 1e6:>10.1f}us")
 
 
 def main():
@@ -86,19 +114,38 @@ def main():
     args = parser.parse_args()
 
     rng = random.Random(args.seed)
+    random_sizes = [int(s) for s in args.random_sizes.split(",")]
     run_suite(
         "random multigraphs",
+        _canon_py.canonical_sequence,
         [
             (f"n={n}", [random_multigraph(rng, n) for _ in range(args.graphs)])
-            for n in (int(s) for s in args.random_sizes.split(","))
+            for n in random_sizes
         ],
         args.repeats,
     )
     run_suite(
         "uniform circulants",
+        _canon_py.canonical_sequence,
         [
             (f"C_{n}(1,2)", [circulant(n, (1, 2))])
             for n in (int(s) for s in args.symmetric_sizes.split(","))
+        ],
+        max(args.repeats // 2, 1),
+    )
+    randoms = [random_multigraph(rng, n)
+               for n in random_sizes for _ in range(args.graphs)]
+    # a relabelled C_8(1,2) pair runs two ordering searches (about 15ms
+    # on 2 cores, CPython 3.11.7), so the suite takes fewer of them
+    circulants = [relabelled(rng, *circulant(8, (1, 2)))
+                  for _ in range(max(args.graphs // 6, 1))]
+    run_suite(
+        "iso pairs",
+        graphs.iso,
+        [
+            (f"{name} {kind.__name__}", iso_pairs(rng, inputs, kind))
+            for name, inputs in (("random", randoms), ("C_8(1,2)", circulants))
+            for kind in (relabelled, mutant)
         ],
         max(args.repeats // 2, 1),
     )

@@ -4,10 +4,14 @@ The hot kernel behind ``moricensus.graphs.canonical_graph``, which
 imports this module on its first call: a process that makes no kernel
 call, such as every CLI subcommand, never compiles it.  The search
 minimizes a flat integer encoding over node orderings, restricted to
-orderings compatible with an iterated neighbourhood-colour refinement
-and pruned against the best encoding found so far.  Whenever a
-colouring puts every node in a cell of its own, that order is forced
-and written out without a search.
+orderings compatible with an iterated neighbourhood-colour refinement.
+A branch is cut when its item exceeds the best encoding's at the same
+offset, but only while the prefix equals the best's prefix: ``dfs``
+fixes that (``tight``) when it enters a frame, so once a prefix beats
+the best, its whole subtree is searched without being compared with
+any best found inside it.  Whenever a colouring puts every node in a
+cell of its own, that order is forced and written out without a
+search.
 ``canonical_sequence`` tries its exits in order:
 
 1. A discrete first colouring: no two nodes share their label and

@@ -100,6 +100,36 @@ def test_trace_counts_each_canonicalization_once_per_class():
         assert counts.get("calls.graphs.canonical_graph", 0) == kernel_calls, moves
 
 
+def test_trace_counts_the_canonical_forms_iso_compares():
+    # iso decides a pair whose (edge label, mult) multisets differ, such
+    # as canon-search's mutants, before any canonical form; a relabelled
+    # copy, and C_6 against two triangles (equal multisets), need both
+    tracing = load("tracing")
+    bench = load("bench_canonical", "benchmarks")
+    n, labels, edges = bench.random_multigraph(random.Random(1), 8)
+    g = graphs.LabeledGraph.build(labels, edges)
+    u, v, e, m = edges[0]
+    mutant = graphs.LabeledGraph.build(labels, [(u, v, e, m + 1)] + edges[1:])
+    flip = graphs.LabeledGraph.build(
+        labels[::-1], [(n - 1 - a, n - 1 - b, *rest) for a, b, *rest in edges])
+    hexagon = graphs.LabeledGraph.build(
+        [0] * 6, [(k, (k + 1) % 6, 0) for k in range(6)])
+    triangles = graphs.LabeledGraph.build(
+        [0] * 6, [(0, 1, 0), (1, 2, 0), (2, 0, 0), (3, 4, 0), (4, 5, 0), (5, 3, 0)])
+    for pair, answer, kernel_calls in (((g, mutant), False, 0),
+                                       ((g, flip), True, 2),
+                                       ((hexagon, triangles), False, 2)):
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            result = graphs.iso(*pair)
+        finally:
+            tracer.uninstall()
+        counts = tracing.exact_counts(tracer.spans, tracer.counts)
+        assert result is answer
+        assert counts.get("calls.graphs.canonical_graph", 0) == kernel_calls
+
+
 def test_trace_counts_of_one_verification():
     # the families build one Triple per model and keep its canonical key
     # as a plain tuple, the census reads orbits off the families' records
@@ -224,7 +254,7 @@ def test_kernel_benchmark_runs():
         capture_output=True, text=True, env=src_env(), timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    for header in ("random multigraphs", "uniform circulants"):
+    for header in ("random multigraphs", "uniform circulants", "iso pairs"):
         assert header in done.stdout
     assert "rigid" not in done.stdout
 

@@ -82,6 +82,16 @@ def test_size_limit():
         "graph has 13 nodes, above the canonicalizer bound 12"
 
 
+def test_iso_size_limit_in_either_position():
+    # the pair with two nodes differs from the big graph in node count and
+    # both multisets, so the bound must hold before that check decides
+    big = LabeledGraph.build([0] * 13)
+    for other in (big, LabeledGraph.build([1, 1], [(0, 1, 5)])):
+        for pair in ((big, other), (other, big)):
+            with pytest.raises(ConfigError, match="graph has 13 nodes"):
+                iso(*pair)
+
+
 graphs = st.integers(1, 6).flatmap(
     lambda n: st.tuples(
         st.lists(st.integers(0, 2), min_size=n, max_size=n),
@@ -561,7 +571,8 @@ def test_parse_graph_file_raises_only_config_errors_inside_the_text(text):
 
 
 def test_every_closure_and_graph_line_runs(monkeypatch):
-    # the triple group, no moves, the rejected graphs, seeds and graph
+    # the triple group, no moves, an isomorphic pair and one that iso's
+    # multiset check rejects, the rejected graphs, seeds and graph
     # files (integers past the conversion limit among them), and a graph
     # past the size limit reach every line of both modules; a line none
     # of them runs is a branch no input takes.  The kernel's loader runs once per process,
@@ -584,6 +595,8 @@ def test_every_closure_and_graph_line_runs(monkeypatch):
             assert result.class_count == orbit(t).length
         closure(three_cycle([1, 2, 3]), MOVE_SETS["none"])
         assert iso(three_cycle([1, 2, 3]), three_cycle([3, 1, 2]))
+        assert not iso(three_cycle([1, 2, 3]),
+                       LabeledGraph.build([1, 2, 3], [(0, 1, 0), (1, 2, 0)]))
         for seed in OFF_ENCODING_SEEDS:
             expect(ConfigError, lambda: _triple_state(seed))
         for make in NOT_INT_GRAPHS + [make for make, _ in MALFORMED_EDGES]:

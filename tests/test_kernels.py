@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from moricensus import _canon_py, triples
 from moricensus.closure import encode_triple
-from moricensus.graphs import LabeledGraph, canonical_graph
+from moricensus.graphs import LabeledGraph, canonical_graph, iso
 from moricensus.triples import Triple
 
 from linetrace import unrun_lines
@@ -355,24 +355,43 @@ def test_refinement_runs_only_when_the_first_colouring_ties(monkeypatch):
     assert len(calls) == 1
 
 
-def relabelled(n, labels, edges, rng):
-    perm = list(range(n))
-    rng.shuffle(perm)
-    moved = [0] * n
-    for old, new in enumerate(perm):
-        moved[new] = labels[old]
-    return n, moved, sorted(
-        (min(perm[u], perm[v]), max(perm[u], perm[v]), e, m)
-        for (u, v, e, m) in edges
-    )
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.integers(6, 10), st.randoms(use_true_random=False))
 def test_random_multigraph_forms_survive_relabelling(n, rng):
     graph = bench_canonical.random_multigraph(rng, n)
+    copy = normalize(*bench_canonical.relabelled(rng, *graph))
     assert _canon_py.canonical_sequence(*graph) == \
-        _canon_py.canonical_sequence(*relabelled(*graph, rng))
+        _canon_py.canonical_sequence(*copy)
+
+
+# ---------------------------------------------------------------------------
+# iso: the multiset check, then canonical forms
+
+
+def rewired(n, labels, edges, rng):
+    """The node labels and ``(edge label, mult)`` pairs of the graph, each
+    edge label's edges moved to random node pairs: equal multisets, and
+    often not isomorphic."""
+    pairs = list(itertools.combinations(range(n), 2))
+    moved = []
+    for label in {e for (_, _, e, _) in edges}:
+        mults = [m for (_, _, e, m) in edges if e == label]
+        moved += [(u, v, label, m)
+                  for (u, v), m in zip(rng.sample(pairs, len(mults)), mults)]
+    return n, labels, sorted(moved)
+
+
+@settings(max_examples=150)
+@given(graph_data, graph_data, st.randoms(use_true_random=False))
+def test_iso_matches_brute_isomorphism(d1, d2, rng):
+    g1 = normalize(*d1)
+    others = [normalize(*bench_canonical.relabelled(rng, *g1)),
+              rewired(*g1, rng), normalize(*d2)]
+    if g1[2]:
+        others.append(bench_canonical.mutant(rng, *g1))
+    for g2 in others:
+        assert iso(LabeledGraph.build(*g1[1:]), LabeledGraph.build(*g2[1:])) \
+            == brute_isomorphic(g1, g2)
 
 
 # ---------------------------------------------------------------------------
