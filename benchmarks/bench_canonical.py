@@ -17,13 +17,18 @@ do), and one suite of ``iso`` pairs:
              vertex-transitive graph and no two nodes are twins, so the
              ordering search dominates.
   iso pairs  ``graphs.iso`` on pairs of random multigraphs and of
-             relabelled C_8(1,2): a relabelled copy, which pays for the
-             multiset check and both canonical forms, and a mutant with
-             one edge multiplicity raised, which the multiset check
-             rejects before any canonical form.
+             relabelled C_8(1,2): a mutant with one edge multiplicity
+             raised, which the multiset check rejects before any
+             canonical form, and a relabelled copy, which passes it and
+             then the node-key check.  Relabelled random pairs are
+             reported by route: when the node keys (label, degree and
+             sums over incident edges) are pairwise distinct, the one
+             map they force decides the pair with no canonical form;
+             when two keys tie, as on every circulant, both canonical
+             forms are computed.
 
-Each case reports the median over its graphs (or pairs) of the best of
---repeats timed calls.  The end-to-end benchmark is
+Each case reports how many graphs (or pairs) it has and the median over
+them of the best of --repeats timed calls.  The end-to-end benchmark is
 ``perfbench/run.py``.
 
 Usage:
@@ -96,12 +101,23 @@ def best_of(func, graph, repeats):
     return best
 
 
+def keys_tie(pair):
+    """Whether iso's node-key check leaves the pair to canonical forms."""
+    g, other = pair
+    return _canon_py.iso_by_keys(len(g.node_labels), g.node_labels, g.edges,
+                                 other.node_labels, other.edges) is None
+
+
 def run_suite(title, func, cases, repeats):
     print(title)
-    print(f"  {'case':<20} {'time':>12}")
+    print(f"  {'case':<24} {'count':>6} {'time':>12}")
     for name, inputs in cases:
-        median = statistics.median(best_of(func, x, repeats) for x in inputs)
-        print(f"  {name:<20} {median * 1e6:>10.1f}us")
+        if inputs:
+            median = statistics.median(best_of(func, x, repeats) for x in inputs)
+            time_text = f"{median * 1e6:>10.1f}us"
+        else:
+            time_text = f"{'-':>12}"
+        print(f"  {name:<24} {len(inputs):>6} {time_text}")
 
 
 def main():
@@ -139,13 +155,17 @@ def main():
     # on 2 cores, CPython 3.11.7), so the suite takes fewer of them
     circulants = [relabelled(rng, *circulant(8, (1, 2)))
                   for _ in range(max(args.graphs // 6, 1))]
+    random_copies = iso_pairs(rng, randoms, relabelled)
     run_suite(
         "iso pairs",
         graphs.iso,
         [
-            (f"{name} {kind.__name__}", iso_pairs(rng, inputs, kind))
-            for name, inputs in (("random", randoms), ("C_8(1,2)", circulants))
-            for kind in (relabelled, mutant)
+            ("random, keys distinct",
+             [p for p in random_copies if not keys_tie(p)]),
+            ("random, keys tie", [p for p in random_copies if keys_tie(p)]),
+            ("random mutant", iso_pairs(rng, randoms, mutant)),
+            ("C_8(1,2) relabelled", iso_pairs(rng, circulants, relabelled)),
+            ("C_8(1,2) mutant", iso_pairs(rng, circulants, mutant)),
         ],
         max(args.repeats // 2, 1),
     )

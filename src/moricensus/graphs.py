@@ -13,15 +13,18 @@ makes it discrete.  The search itself lives in
 
 :func:`iso` decides a pair in this order: both graphs are held to
 MAX_NODES; graphs whose node counts, sorted node labels or sorted
-``(edge label, mult)`` pairs differ are not isomorphic; otherwise their
-canonical forms are compared.  The multiset check decides the
-non-isomorphic half of ``perfbench``'s canon-search workload (mutants
-with one edge multiplicity raised) with no canonical form.  The kernel
-module loads with
-the first canonical form (no CLI subcommand makes one), and the
-graph-file patterns compile with the first graph file parsed (only
-``closure`` reads one), so a process that does neither compiles
-neither.
+``(edge label, mult)`` pairs differ are not isomorphic; graphs whose
+sorted node keys (label, degree and sums over incident edges) differ
+are not isomorphic; when those keys are pairwise distinct, the one map
+they force decides; otherwise their canonical forms are compared.  The
+multiset check decides the non-isomorphic half of ``perfbench``'s
+canon-search workload (mutants with one edge multiplicity raised), and
+the forced map most of its relabelled random multigraphs, with no
+canonical form.  The kernel module, which holds the node-key check
+too, loads with the first ``iso`` past the multiset check or the first
+canonical form (no CLI subcommand makes either), and the graph-file
+patterns compile with the first graph file parsed (only ``closure``
+reads one), so a process that does neither compiles neither.
 
 Graph file format (UTF-8, line-oriented; ``#`` starts a comment):
 
@@ -141,22 +144,27 @@ class LabeledGraph(Record):
         )
         return cls(node_labels=labels, edges=normalized)
 
-    @property
-    def n(self) -> int:
-        return len(self.node_labels)
 
-
-def _load_kernel(n, node_labels, edges):
-    """Import the kernel, put it in this stub's place, and call it."""
-    global _canonical_sequence
+def _load_kernel():
+    """Import the kernel and put its two entries in the stubs' place."""
+    global _canonical_sequence, _iso_by_keys
     from ._canon_py import canonical_sequence as _canonical_sequence
+    from ._canon_py import iso_by_keys as _iso_by_keys
 
-    return _canonical_sequence(n, node_labels, edges)
+
+def _stub(name):
+    """Stand-in for the kernel entry ``name``: loads the kernel, which
+    replaces both stand-ins, and calls through."""
+    def load(*args):
+        _load_kernel()
+        return globals()[name](*args)
+    return load
 
 
-# the kernel's entry; the first call rebinds it from the loader to
-# ``_canon_py.canonical_sequence``, so later calls go straight there
-_canonical_sequence = _load_kernel
+# the kernel's entries; the first call to either rebinds both to
+# ``_canon_py``'s functions, so later calls go straight there
+_canonical_sequence = _stub("_canonical_sequence")
+_iso_by_keys = _stub("_iso_by_keys")
 
 
 def _bounded(g: LabeledGraph) -> int:
@@ -183,18 +191,25 @@ _edge_key = itemgetter(2, 3)
 
 
 def iso(g1: LabeledGraph, g2: LabeledGraph) -> bool:
-    """Isomorphism test: multiset invariants first, then canonical forms.
+    """Isomorphism test: multiset invariants, node keys, canonical forms.
 
     Both graphs are held to MAX_NODES (ConfigError above it, in either
     position).  Graphs whose node counts, node-label multisets or
     ``(edge label, mult)`` multisets differ are not isomorphic, and no
-    canonical form is computed; otherwise the canonical forms decide.
+    canonical form is computed.  Next ``_canon_py.iso_by_keys`` decides
+    the pair when the sorted node keys differ or are pairwise distinct;
+    otherwise the canonical forms decide.
     """
-    if (_bounded(g1) != _bounded(g2)
+    n = _bounded(g1)
+    if (n != _bounded(g2)
             or sorted(g1.node_labels) != sorted(g2.node_labels)
             or sorted(map(_edge_key, g1.edges))
             != sorted(map(_edge_key, g2.edges))):
         return False
+    decided = _iso_by_keys(n, g1.node_labels, g1.edges,
+                           g2.node_labels, g2.edges)
+    if decided is not None:
+        return decided
     return canonical_graph(g1) == canonical_graph(g2)
 
 

@@ -102,8 +102,10 @@ def test_trace_counts_each_canonicalization_once_per_class():
 
 def test_trace_counts_the_canonical_forms_iso_compares():
     # iso decides a pair whose (edge label, mult) multisets differ, such
-    # as canon-search's mutants, before any canonical form; a relabelled
-    # copy, and C_6 against two triangles (equal multisets), need both
+    # as canon-search's mutants, before any canonical form, and a
+    # relabelled copy whose node keys are pairwise distinct by its one
+    # forced map; C_6, against two triangles or relabelled (equal
+    # multisets, tied keys), needs both forms
     tracing = load("tracing")
     bench = load("bench_canonical", "benchmarks")
     n, labels, edges = bench.random_multigraph(random.Random(1), 8)
@@ -114,11 +116,15 @@ def test_trace_counts_the_canonical_forms_iso_compares():
         labels[::-1], [(n - 1 - a, n - 1 - b, *rest) for a, b, *rest in edges])
     hexagon = graphs.LabeledGraph.build(
         [0] * 6, [(k, (k + 1) % 6, 0) for k in range(6)])
+    perm = (0, 2, 4, 1, 3, 5)
+    relabelled_hexagon = graphs.LabeledGraph.build(
+        [0] * 6, [(perm[k], perm[(k + 1) % 6], 0) for k in range(6)])
     triangles = graphs.LabeledGraph.build(
         [0] * 6, [(0, 1, 0), (1, 2, 0), (2, 0, 0), (3, 4, 0), (4, 5, 0), (5, 3, 0)])
     for pair, answer, kernel_calls in (((g, mutant), False, 0),
-                                       ((g, flip), True, 2),
-                                       ((hexagon, triangles), False, 2)):
+                                       ((g, flip), True, 0),
+                                       ((hexagon, triangles), False, 2),
+                                       ((hexagon, relabelled_hexagon), True, 2)):
         tracer = tracing.Tracer()
         tracer.install()
         try:

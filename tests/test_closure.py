@@ -36,7 +36,7 @@ def test_single_node_form_ignores_identity_of_index():
 
 
 def relabel(g, perm):
-    labels = [0] * g.n
+    labels = [0] * len(g.node_labels)
     for old, new in enumerate(perm):
         labels[new] = g.node_labels[old]
     edges = [
@@ -118,7 +118,7 @@ def build_graph(data):
 @given(graphs, st.randoms(use_true_random=False))
 def test_canonical_form_permutation_invariant(data, rng):
     g = build_graph(data)
-    perm = list(range(g.n))
+    perm = list(range(len(g.node_labels)))
     rng.shuffle(perm)
     assert canonical_graph(g) == canonical_graph(relabel(g, perm))
 
@@ -131,10 +131,10 @@ def test_canonical_form_injective_on_reconstruction(data):
     g = build_graph(data)
     seq = canonical_graph(g)
     assert all(type(x) is int for x in seq)
-    assert seq[0] == g.n
+    assert seq[0] == len(g.node_labels)
     idx = 1
     degree_total = 0
-    for _ in range(g.n):
+    for _ in range(len(g.node_labels)):
         idx += 1  # label
         entries = seq[idx]
         idx += 1 + 3 * entries
@@ -571,12 +571,14 @@ def test_parse_graph_file_raises_only_config_errors_inside_the_text(text):
 
 
 def test_every_closure_and_graph_line_runs(monkeypatch):
-    # the triple group, no moves, an isomorphic pair and one that iso's
+    # the triple group, no moves, a pair the node keys decide, one whose
+    # tied keys leave it to the canonical forms and one that iso's
     # multiset check rejects, the rejected graphs, seeds and graph
     # files (integers past the conversion limit among them), and a graph
     # past the size limit reach every line of both modules; a line none
-    # of them runs is a branch no input takes.  The kernel's loader runs once per process,
-    # so it is put back first, as an earlier test may have run it
+    # of them runs is a branch no input takes.  The kernel's stubs load
+    # it once per process, so they are put back first, as an earlier
+    # test may have replaced them
     closure_module = importlib.import_module("moricensus.closure")
     graphs_module = importlib.import_module("moricensus.graphs")
 
@@ -585,16 +587,17 @@ def test_every_closure_and_graph_line_runs(monkeypatch):
             call()
 
     def run():
-        monkeypatch.setattr(graphs_module, "_canonical_sequence",
-                            graphs_module._load_kernel)
+        for name in ("_canonical_sequence", "_iso_by_keys"):
+            monkeypatch.setattr(graphs_module, name, graphs_module._stub(name))
         canonical_backend()
         for t in (Triple(-6, 0, 3), Triple(0, 0, 0)):
             seed = encode_triple(t)
-            assert _triple_state(seed) == tuple(t) and seed.n == 3
+            assert _triple_state(seed) == tuple(t) and len(seed.node_labels) == 3
             result = closure(seed, MOVE_SETS["triple_group"])
             assert result.class_count == orbit(t).length
         closure(three_cycle([1, 2, 3]), MOVE_SETS["none"])
         assert iso(three_cycle([1, 2, 3]), three_cycle([3, 1, 2]))
+        assert iso(three_cycle([1, 1, 1]), three_cycle([1, 1, 1]))
         assert not iso(three_cycle([1, 2, 3]),
                        LabeledGraph.build([1, 2, 3], [(0, 1, 0), (1, 2, 0)]))
         for seed in OFF_ENCODING_SEEDS:

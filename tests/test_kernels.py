@@ -7,12 +7,13 @@ brute-force permutation search that shares no code with the kernel.
 import functools
 import importlib.util
 import itertools
+import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from moricensus import _canon_py, triples
+from moricensus import _canon_py, graphs, triples
 from moricensus.closure import encode_triple
 from moricensus.graphs import LabeledGraph, canonical_graph, iso
 from moricensus.triples import Triple
@@ -119,7 +120,8 @@ def test_rigid_triple_sequences(t, seq):
     # sequences the ordering search gave before discrete partitions
     # skipped it
     g = encode_triple(Triple(*t))
-    assert _canon_py.canonical_sequence(g.n, g.node_labels, g.edges) == seq
+    n = len(g.node_labels)
+    assert _canon_py.canonical_sequence(n, g.node_labels, g.edges) == seq
 
 
 def test_discrete_random_multigraph_sequence():
@@ -244,7 +246,7 @@ def test_distinct_labels_skip_refinement(monkeypatch):
     for n, labels, edges, seq in DISTINCT_LABEL_CASES:
         assert _canon_py.canonical_sequence(n, labels, edges) == seq
     g = encode_triple(Triple(-6, 0, 3))
-    assert _canon_py.canonical_sequence(g.n, g.node_labels, g.edges) == \
+    assert _canon_py.canonical_sequence(3, g.node_labels, g.edges) == \
         (3, 0, 0, 1, 1, 0, -6, 1, 2, 2, 0, 3, 1, 1, 0, 1)
     # equal labels still need refinement
     with pytest.raises(AssertionError):
@@ -365,7 +367,7 @@ def test_random_multigraph_forms_survive_relabelling(n, rng):
 
 
 # ---------------------------------------------------------------------------
-# iso: the multiset check, then canonical forms
+# iso: the multiset check, node keys, then canonical forms
 
 
 def rewired(n, labels, edges, rng):
@@ -381,17 +383,73 @@ def rewired(n, labels, edges, rng):
     return n, labels, sorted(moved)
 
 
-@settings(max_examples=150)
-@given(graph_data, graph_data, st.randoms(use_true_random=False))
-def test_iso_matches_brute_isomorphism(d1, d2, rng):
-    g1 = normalize(*d1)
-    others = [normalize(*bench_canonical.relabelled(rng, *g1)),
-              rewired(*g1, rng), normalize(*d2)]
-    if g1[2]:
-        others.append(bench_canonical.mutant(rng, *g1))
-    for g2 in others:
-        assert iso(LabeledGraph.build(*g1[1:]), LabeledGraph.build(*g2[1:])) \
-            == brute_isomorphic(g1, g2)
+def node_key(v, labels, edges):
+    """Node v's label, degree and sums of e, m and e * m over its edges."""
+    incident = [(e, m) for (a, b, e, m) in edges if v in (a, b)]
+    return (labels[v], len(incident), sum(e for e, _ in incident),
+            sum(m for _, m in incident), sum(e * m for e, m in incident))
+
+
+def iso_route(g1, g2):
+    """Which of iso's checks decides the pair, by their definitions."""
+    (n, l1, e1), (n2, l2, e2) = g1, g2
+    if (n != n2 or sorted(l1) != sorted(l2)
+            or sorted((e, m) for *_, e, m in e1)
+            != sorted((e, m) for *_, e, m in e2)):
+        return "multisets differ"
+    keys = sorted(node_key(v, l1, e1) for v in range(n))
+    if keys != sorted(node_key(v, l2, e2) for v in range(n)):
+        return "keys differ"
+    return "keys distinct" if len(set(keys)) == n else "keys tie"
+
+
+# equal multisets, node keys differ: the path P_4 and the star K_1,3
+PATH = (4, [0] * 4, [(0, 1, 0, 1), (1, 2, 0, 1), (2, 3, 0, 1)])
+STAR = (4, [0] * 4, [(0, 1, 0, 1), (0, 2, 0, 1), (0, 3, 0, 1)])
+# node keys tie: C_6 and two triangles
+HEXAGON = (6, [0] * 6, [(k, (k + 1) % 6, 0, 1) for k in range(6)])
+TRIANGLES = (6, [0] * 6, [(0, 1, 0, 1), (1, 2, 0, 1), (0, 2, 0, 1),
+                          (3, 4, 0, 1), (4, 5, 0, 1), (3, 5, 0, 1)])
+# distinct node keys force the identity map, which keeps every (u, v, e)
+# but not every mult, so the two are not isomorphic
+SQUARE = (4, [0, 1, 2, 3], [(0, 1, 0, 1), (1, 2, 0, 2), (2, 3, 0, 1),
+                            (0, 3, 0, 2)])
+SWAPPED_MULTS = (4, [0, 1, 2, 3], [(0, 1, 0, 2), (1, 2, 0, 1), (2, 3, 0, 2),
+                                   (0, 3, 0, 1)])
+ISO_EXAMPLES = [(PATH, STAR), (HEXAGON, TRIANGLES), (SQUARE, SWAPPED_MULTS)]
+
+
+def test_iso_matches_brute_isomorphism(monkeypatch):
+    # each pair with equal multisets takes one of three routes, and only
+    # tied node keys compute canonical forms; every route is taken
+    forms = []
+    monkeypatch.setattr(graphs, "canonical_graph",
+                        lambda g: forms.append(g) or canonical_graph(g))
+    routes = set()
+
+    @settings(max_examples=150)
+    @given(graph_data, graph_data, st.randoms(use_true_random=False))
+    @example(*ISO_EXAMPLES[0], random.Random(0))
+    @example(*ISO_EXAMPLES[1], random.Random(0))
+    @example(*ISO_EXAMPLES[2], random.Random(0))
+    def check(d1, d2, rng):
+        g1 = normalize(*d1)
+        others = [normalize(*bench_canonical.relabelled(rng, *g1)),
+                  rewired(*g1, rng), normalize(*d2)]
+        if g1[2]:
+            others.append(bench_canonical.mutant(rng, *g1))
+        for g2 in others:
+            forms.clear()
+            route = iso_route(g1, g2)
+            routes.add(route)
+            assert iso(LabeledGraph.build(*g1[1:]),
+                       LabeledGraph.build(*g2[1:])) \
+                == brute_isomorphic(g1, g2)
+            assert len(forms) == (2 if route == "keys tie" else 0), route
+
+    check()
+    assert routes == {"multisets differ", "keys differ", "keys distinct",
+                      "keys tie"}
 
 
 # ---------------------------------------------------------------------------
@@ -481,10 +539,13 @@ def test_triangle_law_fails_an_unsigned_table(monkeypatch):
 
 
 def test_every_kernel_line_runs():
-    # one graph per exit reaches every line; a line none of them runs is
-    # an exit or branch no input takes
+    # one graph per exit, and one pair per exit of the node-key check,
+    # reach every line; a line none of them runs is an exit or branch no
+    # input takes
     def run():
         for graph, _ in EXIT_CASES:
             _canon_py.canonical_sequence(*graph)
+        for g1, g2 in ISO_EXAMPLES + [(SQUARE, SQUARE)]:
+            _canon_py.iso_by_keys(*normalize(*g1), *normalize(*g2)[1:])
 
     assert unrun_lines([_canon_py], run) == []
