@@ -5,14 +5,9 @@ Two kernel suites, on the graphs the kernel meets today (no CLI
 subcommand makes a kernel call; ``iso`` and ``canonical_graph`` callers
 do), and one suite of ``iso`` pairs:
 
-  random     random labelled multigraphs; most are discrete at the first
-             colouring (label and incident edge labels and mults), so
-             neither refinement nor search runs, and refinement splits
-             nearly all the rest into singleton cells.  That is why the
-             kernel's first-colouring exit stays: with seed 7, of 300
-             graphs each at n = 6, 8 and 10, 739 took it, 154 took
-             refinement and 7 the search, and without it a call took
-             46-47us instead of 33-34us (2 cores, CPython 3.11.7).
+  random     random labelled multigraphs; refinement splits nearly all
+             of them into singleton cells, so the search takes one
+             branch per depth.
   symmetric  uniform-label circulant graphs; refinement cannot split a
              vertex-transitive graph and no two nodes are twins, so the
              ordering search dominates.
@@ -25,7 +20,8 @@ do), and one suite of ``iso`` pairs:
              sums over incident edges) are pairwise distinct, the one
              map they force decides the pair with no canonical form;
              when two keys tie, as on every circulant, both canonical
-             forms are computed.
+             forms are computed.  The route is read off ``graphs``
+             itself: whether ``iso`` calls ``canonical_graph``.
 
 Each case reports how many graphs (or pairs) it has and the median over
 them of the best of --repeats timed calls.  The end-to-end benchmark is
@@ -102,10 +98,15 @@ def best_of(func, graph, repeats):
 
 
 def keys_tie(pair):
-    """Whether iso's node-key check leaves the pair to canonical forms."""
-    g, other = pair
-    return _canon_py.iso_by_keys(len(g.node_labels), g.node_labels, g.edges,
-                                 other.node_labels, other.edges) is None
+    """Whether ``iso`` leaves the pair to canonical forms."""
+    form = graphs.canonical_graph
+    calls = []
+    graphs.canonical_graph = lambda g: calls.append(g) or form(g)
+    try:
+        graphs.iso(*pair)
+    finally:
+        graphs.canonical_graph = form
+    return bool(calls)
 
 
 def run_suite(title, func, cases, repeats):

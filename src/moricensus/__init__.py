@@ -15,13 +15,7 @@ so ``import moricensus`` compiles none of them.
 
 from .closure import MOVE_SETS, ClosureResult, closure, encode_triple
 from .errors import ConfigError, DuplicateClassError, MoricensusError
-from .graphs import (
-    LabeledGraph,
-    canonical_backend,
-    canonical_graph,
-    iso,
-    parse_graph_file,
-)
+from .graphs import LabeledGraph, parse_graph_file
 from .triples import GroupElement, OrbitRecord, Triple, orbit
 
 __version__ = "0.1.0"

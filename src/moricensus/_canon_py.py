@@ -1,45 +1,19 @@
 """Pure-Python canonical-form search for small labelled multigraphs.
 
-The hot kernel behind ``moricensus.graphs.canonical_graph`` and
-``moricensus.graphs.iso``, which import this module on the first call
-of either: a process that makes no kernel call, such as every CLI
-subcommand, never compiles it.  The search
+The kernel behind ``moricensus.graphs.canonical_graph``, which imports
+this module when it is called: a process that computes no canonical
+form, such as every CLI subcommand, never compiles it.  The search
 minimizes a flat integer encoding over node orderings, restricted to
-orderings compatible with an iterated neighbourhood-colour refinement.
-A branch is cut when its item exceeds the best encoding's at the same
-offset, but only while the prefix equals the best's prefix: ``dfs``
-fixes that (``tight``) when it enters a frame, so once a prefix beats
-the best, its whole subtree is searched without being compared with
-any best found inside it.  Whenever a colouring puts every node in a
-cell of its own, that order is forced and written out without a
-search.
-``canonical_sequence`` tries its exits in order:
-
-1. A discrete first colouring: no two nodes share their label and
-   sorted ``(edge label, mult)`` pairs (distinct labels always
-   qualify).  Those keys come straight from the edge list; no
-   adjacency list is built and refinement does not run.  Most random
-   labelled multigraphs take this exit (739 of the 900 of
-   ``benchmarks/bench_canonical.py``'s random suite at seed 7, n = 6,
-   8 and 10), and without it their mean call took 46-47us instead of
-   33-34us (2 cores, CPython 3.11.7), so the exit stays.
-2. Refinement, started from those keys, makes the partition discrete.
-3. Otherwise the ordering search runs, expanding one node of each pair
-   of twins per depth.
-
-``iso_by_keys`` decides a pair of graphs, when it can, with no
-canonical form.  One integer pass over each edge list gives every node
-the key ``(label, degree, sum of edge labels, sum of mults, sum of
-edge label * mult)`` over its incident edge entries; the key is
-isomorphism-invariant, so graphs whose sorted keys differ are not
-isomorphic.  When the keys are pairwise distinct, an isomorphism can
-only send each node of one graph to the node of the other with its
-key, and one check of that map decides the pair (McKay & Piperno,
-"Practical graph isomorphism, II", 2014).  Otherwise it returns None
-and the canonical forms decide.  On seeded random multigraphs of 6 to
-10 nodes the keys are distinct on most graphs (750 of 960 of
-canon-search's random graphs in a cycle at seed 30001) and on no
-circulant.
+orderings compatible with an iterated neighbourhood-colour refinement
+(McKay & Piperno, "Practical graph isomorphism, II", 2014), and expands
+one node of each pair of twins per depth.  When refinement puts every
+node in a cell of its own, the only admissible ordering is the cell
+order, and the search takes one branch per depth.  A branch is cut when
+its item exceeds the best encoding's at the same offset, but only while
+the prefix equals the best's prefix: ``dfs`` fixes that (``tight``)
+when it enters a frame, so once a prefix beats the best, its whole
+subtree is searched without being compared with any best found inside
+it.
 
 Encoding layout: ``(n, item_0, ..., item_{n-1})`` where the item for
 position k is ``(label, b, j_1, e_1, m_1, ..., j_b, e_b, m_b)`` listing
@@ -51,9 +25,7 @@ with itemwise comparison, which makes prefix pruning sound.
 
 from __future__ import annotations
 
-from operator import lt
-
-__all__ = ["canonical_sequence", "iso_by_keys"]
+__all__ = ["canonical_sequence"]
 
 
 def _twins(adj, cells):
@@ -104,54 +76,18 @@ def _refine(n, base, adj):
     return colors
 
 
-def _forced_sequence(n, order, labels, edges):
-    """Encoding of the nodes placed in ``order``, written in one pass.
-
-    Each edge becomes a back-edge ``(pos, e, m)`` of its later-placed
-    end, as the search's item for that node would list it.
-    """
-    pos = [0] * n
-    for k, v in enumerate(order):
-        pos[v] = k
-    back = [[] for _ in range(n)]
-    for (u, v, e, m) in edges:
-        if pos[u] < pos[v]:
-            back[v].append((pos[u], e, m))
-        else:
-            back[u].append((pos[v], e, m))
-    seq = [n]
-    for v in order:
-        entries = back[v]
-        entries.sort()
-        seq.append(labels[v])
-        seq.append(len(entries))
-        for entry in entries:
-            seq.extend(entry)
-    return tuple(seq)
-
-
 def canonical_sequence(n, labels, edges):
     """Minimal flat encoding of the graph over admissible node orderings.
 
     ``labels`` is a sequence of n ints; ``edges`` a sequence of
     ``(u, v, elabel, mult)`` with u < v and unique (u, v, elabel).
     """
-    pairs = [[] for _ in range(n)]
-    for (u, v, e, m) in edges:
-        pairs[u].append((e, m))
-        pairs[v].append((e, m))
-    base = [(label, tuple(sorted(p))) for label, p in zip(labels, pairs)]
-    order = sorted(range(n), key=base.__getitem__)
-    first = [base[v] for v in order]
-    if all(map(lt, first, first[1:])):
-        # the first colouring is discrete (as distinct labels make it),
-        # so its order is forced before any refinement
-        return _forced_sequence(n, order, labels, edges)
     adj = [[] for _ in range(n)]
     for (u, v, e, m) in edges:
         adj[u].append((v, e, m))
         adj[v].append((u, e, m))
-
+    base = [(label, tuple(sorted([(e, m) for (_, e, m) in nbrs])))
+            for label, nbrs in zip(labels, adj)]
     colors = _refine(n, base, adj)
     cells = {}
     for v in range(n):
@@ -167,11 +103,6 @@ def canonical_sequence(n, labels, edges):
         for entry in entries:
             flat.extend(entry)
         return flat
-
-    if len(cell_order) == n:
-        # discrete partition: the only admissible ordering is the cell
-        # order, so the search would take one branch per depth
-        return _forced_sequence(n, [v for (v,) in cell_order], labels, edges)
 
     cell_at = []
     for cell in cell_order:
@@ -216,51 +147,3 @@ def canonical_sequence(n, labels, edges):
 
     dfs(0, True)
     return tuple(best)
-
-
-def _node_keys(n, labels, edges):
-    """Each node's ``(label, degree, sum e, sum m, sum e * m)`` over its
-    incident ``(u, v, e, m)`` entries, in one pass over the edge list."""
-    degree = [0] * n
-    sum_e = [0] * n
-    sum_m = [0] * n
-    sum_em = [0] * n
-    for (u, v, e, m) in edges:
-        em = e * m
-        degree[u] += 1
-        degree[v] += 1
-        sum_e[u] += e
-        sum_e[v] += e
-        sum_m[u] += m
-        sum_m[v] += m
-        sum_em[u] += em
-        sum_em[v] += em
-    return list(zip(labels, degree, sum_e, sum_m, sum_em))
-
-
-def iso_by_keys(n, labels1, edges1, labels2, edges2):
-    """Whether two n-node graphs are isomorphic, or None if node keys tie.
-
-    False when the sorted node keys differ.  When they are pairwise
-    distinct, the only candidate map sends each node of graph 1 to the
-    node of graph 2 with its key, and the answer is whether it carries
-    graph 1's edges onto graph 2's.  Edge entries are normalized and
-    unique per ``(u, v, elabel)``, as ``LabeledGraph`` holds them.
-    """
-    keys1 = _node_keys(n, labels1, edges1)
-    keys2 = _node_keys(n, labels2, edges2)
-    if sorted(keys1) != sorted(keys2):
-        return False
-    node2 = dict(zip(keys2, range(n)))
-    if len(node2) < n:
-        return None
-    image = [node2[key] for key in keys1]
-    # equal degree sums give equal entry counts, and the map is a
-    # bijection, so every mapped entry found in edges2 means equal sets
-    target = set(edges2)
-    for (u, v, e, m) in edges1:
-        a = image[u]
-        b = image[v]
-        if ((a, b, e, m) if a < b else (b, a, e, m)) not in target:
-            return False
-    return True

@@ -3,28 +3,24 @@
 Canonicalization is brute force (ordering search with colour-partition
 pruning and twin pruning inside each refinement cell) and bounded at
 MAX_NODES nodes; the models under study have two or three components,
-so desk scale needs nothing cleverer.  The order is forced, and no
-search runs, in two cases, tried in this order: the first colouring, by
-label and incident (edge label, mult) pairs, is already discrete (as on
-the rigid triple encodings, whose labels are distinct); or refinement
-makes it discrete.  The search itself lives in
-``moricensus._canon_py``; its integer tuple is the canonical form, and
-:func:`canonical_graph` is its only entry.
+so desk scale needs nothing cleverer.  The search lives in
+``moricensus._canon_py``, which :func:`canonical_graph`, its only
+entry, imports when it is called; its integer tuple is the canonical
+form.
 
 :func:`iso` decides a pair in this order: both graphs are held to
-MAX_NODES; graphs whose node counts, sorted node labels or sorted
-``(edge label, mult)`` pairs differ are not isomorphic; graphs whose
-sorted node keys (label, degree and sums over incident edges) differ
-are not isomorphic; when those keys are pairwise distinct, the one map
-they force decides; otherwise their canonical forms are compared.  The
-multiset check decides the non-isomorphic half of ``perfbench``'s
-canon-search workload (mutants with one edge multiplicity raised), and
-the forced map most of its relabelled random multigraphs, with no
-canonical form.  The kernel module, which holds the node-key check
-too, loads with the first ``iso`` past the multiset check or the first
-canonical form (no CLI subcommand makes either), and the graph-file
-patterns compile with the first graph file parsed (only ``closure``
-reads one), so a process that does neither compiles neither.
+MAX_NODES; graphs whose node counts or sorted ``(edge label, mult)``
+pairs differ are not isomorphic; graphs whose sorted node keys (label,
+degree and sums over incident edges) differ are not isomorphic; when
+those keys are pairwise distinct, the one map they force decides;
+otherwise their canonical forms are compared.  The multiset check
+decides the non-isomorphic half of ``perfbench``'s canon-search
+workload (mutants with one edge multiplicity raised), and the forced
+map most of its relabelled random multigraphs, with no canonical form
+and without loading the kernel.  No CLI subcommand computes a canonical
+form, and the graph-file patterns compile with the first graph file
+parsed (only ``closure`` reads one), so a process that does neither
+compiles neither.
 
 Graph file format (UTF-8, line-oriented; ``#`` starts a comment):
 
@@ -145,28 +141,6 @@ class LabeledGraph(Record):
         return cls(node_labels=labels, edges=normalized)
 
 
-def _load_kernel():
-    """Import the kernel and put its two entries in the stubs' place."""
-    global _canonical_sequence, _iso_by_keys
-    from ._canon_py import canonical_sequence as _canonical_sequence
-    from ._canon_py import iso_by_keys as _iso_by_keys
-
-
-def _stub(name):
-    """Stand-in for the kernel entry ``name``: loads the kernel, which
-    replaces both stand-ins, and calls through."""
-    def load(*args):
-        _load_kernel()
-        return globals()[name](*args)
-    return load
-
-
-# the kernel's entries; the first call to either rebinds both to
-# ``_canon_py``'s functions, so later calls go straight there
-_canonical_sequence = _stub("_canonical_sequence")
-_iso_by_keys = _stub("_iso_by_keys")
-
-
 def _bounded(g: LabeledGraph) -> int:
     """Node count of ``g``; ConfigError above MAX_NODES."""
     n = len(g.node_labels)
@@ -183,7 +157,9 @@ def canonical_graph(g: LabeledGraph) -> tuple[int, ...]:
     are meant to be compared and hashed, not read.  Raises ConfigError
     above MAX_NODES nodes.
     """
-    return _canonical_sequence(_bounded(g), g.node_labels, g.edges)
+    from ._canon_py import canonical_sequence
+
+    return canonical_sequence(_bounded(g), g.node_labels, g.edges)
 
 
 # an edge's (edge label, mult) pair
@@ -194,23 +170,53 @@ def iso(g1: LabeledGraph, g2: LabeledGraph) -> bool:
     """Isomorphism test: multiset invariants, node keys, canonical forms.
 
     Both graphs are held to MAX_NODES (ConfigError above it, in either
-    position).  Graphs whose node counts, node-label multisets or
-    ``(edge label, mult)`` multisets differ are not isomorphic, and no
-    canonical form is computed.  Next ``_canon_py.iso_by_keys`` decides
-    the pair when the sorted node keys differ or are pairwise distinct;
-    otherwise the canonical forms decide.
+    position).  Graphs whose node counts or ``(edge label, mult)``
+    multisets differ are not isomorphic.  Next each node gets the key
+    ``(label, degree, sum of edge labels, sum of mults, sum of edge
+    label * mult)`` over its incident edges, which no isomorphism
+    changes, so graphs whose sorted keys differ are not isomorphic.
+    When the keys are pairwise distinct, an isomorphism can only send
+    each node of ``g1`` to the node of ``g2`` with its key, and one check
+    of that map decides the pair.  Only when two keys tie are the
+    canonical forms computed and compared.
     """
     n = _bounded(g1)
     if (n != _bounded(g2)
-            or sorted(g1.node_labels) != sorted(g2.node_labels)
             or sorted(map(_edge_key, g1.edges))
             != sorted(map(_edge_key, g2.edges))):
         return False
-    decided = _iso_by_keys(n, g1.node_labels, g1.edges,
-                           g2.node_labels, g2.edges)
-    if decided is not None:
-        return decided
-    return canonical_graph(g1) == canonical_graph(g2)
+    keys1, keys2 = [], []
+    for g, keys in ((g1, keys1), (g2, keys2)):
+        degree = [0] * n
+        sum_e = [0] * n
+        sum_m = [0] * n
+        sum_em = [0] * n
+        for (u, v, e, m) in g.edges:
+            em = e * m
+            degree[u] += 1
+            degree[v] += 1
+            sum_e[u] += e
+            sum_e[v] += e
+            sum_m[u] += m
+            sum_m[v] += m
+            sum_em[u] += em
+            sum_em[v] += em
+        keys.extend(zip(g.node_labels, degree, sum_e, sum_m, sum_em))
+    if sorted(keys1) != sorted(keys2):
+        return False
+    node2 = dict(zip(keys2, range(n)))
+    if len(node2) < n:
+        return canonical_graph(g1) == canonical_graph(g2)
+    image = [node2[key] for key in keys1]
+    # equal degree sums give equal entry counts, and the map is a
+    # bijection, so every mapped entry found in g2's edges means equal sets
+    target = set(g2.edges)
+    for (u, v, e, m) in g1.edges:
+        a = image[u]
+        b = image[v]
+        if ((a, b, e, m) if a < b else (b, a, e, m)) not in target:
+            return False
+    return True
 
 
 # pattern strings, compiled by ``re``'s cache on the first graph file

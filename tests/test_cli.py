@@ -15,14 +15,10 @@ from linetrace import unrun_lines
 from moricensus import cli, triples
 from moricensus.cli import main
 
-GRAPH_TEXT = """\
-node p0 label=0
-node p1 label=1
-node p2 label=2
-edge p0 p1 label=-6
-edge p1 p2 label=0
-edge p2 p0 label=3
-"""
+# the rigid encoding of (-6, 0, 3); tools/check_interpreters.py runs
+# closure on the same file
+GRAPH_TEXT = (Path(__file__).parent / "data" / "cli" / "seed.graph").read_text(
+    encoding="utf-8")
 
 # an unexpected verdict each way, an expected failure (a finding) and a
 # cite that csv quotes
@@ -543,16 +539,17 @@ def test_shipped_json_is_byte_identical_to_snapshot(capsys, snapshot, argv):
 
 
 def test_interpreter_check_passes_this_interpreter():
-    # the tool runs census, verify and orbits under each interpreter it
-    # is given and compares their JSON with the snapshots, and audit's
-    # csv with its golden file
+    # the tool runs census, verify, orbits and closure under each
+    # interpreter it is given and compares their JSON with the snapshots,
+    # and audit's csv with its golden file
     done = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "check_interpreters.py"), sys.executable],
         capture_output=True, text=True, timeout=120,
     )
     assert (done.returncode, done.stderr) == (0, "")
-    assert done.stdout == "".join(f"{sys.executable}  {command:<7} ok\n"
-                                  for command in ("census", "verify", "orbits", "audit"))
+    assert done.stdout == "".join(
+        f"{sys.executable}  {command:<7} ok\n"
+        for command in ("census", "verify", "orbits", "closure", "audit"))
 
 
 def test_shipped_closure_json_matches_snapshot(graph_file, capsys):
@@ -682,22 +679,26 @@ def test_subcommand_spawn_leaves_out_unused_modules(graph_file, argv, loaded, un
     assert imported.isdisjoint(f"moricensus.{m}" for m in unused)
 
 
-def test_first_canonical_form_loads_the_kernel():
+def test_only_a_canonical_form_loads_the_kernel():
+    # iso decides a mutant pair by its multisets and a pair with distinct
+    # node keys by their forced map, so neither loads ``_canon_py``; the
+    # first canonical form does
     code = (
-        "import sys, moricensus\n"
-        "from moricensus import graphs\n"
+        "import sys\n"
+        "from moricensus.graphs import LabeledGraph, canonical_graph, iso\n"
+        "g = LabeledGraph.build([0, 1, 2], [(0, 1, 5), (1, 2, 3)])\n"
+        "mutant = LabeledGraph.build([0, 1, 2], [(0, 1, 5, 2), (1, 2, 3)])\n"
+        "relabelled = LabeledGraph.build([2, 1, 0], [(1, 2, 5), (0, 1, 3)])\n"
+        "print(iso(g, mutant), iso(g, relabelled))\n"
         "print('moricensus._canon_py' in sys.modules)\n"
-        "g = graphs.LabeledGraph.build([0, 0, 1], [(0, 1, 2), (1, 2, 3)])\n"
-        "form = moricensus.canonical_graph(g)\n"
-        "from moricensus import _canon_py\n"
-        "print(graphs._canonical_sequence is _canon_py.canonical_sequence)\n"
-        "print(form == _canon_py.canonical_sequence(3, g.node_labels, g.edges)\n"
-        "      == moricensus.canonical_graph(g))\n"
+        "form = canonical_graph(g)\n"
+        "print('moricensus._canon_py' in sys.modules)\n"
+        "print(form == canonical_graph(relabelled))\n"
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=src_env(), timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["False", "True", "True"]
+    assert done.stdout.split() == ["False", "True", "False", "True", "True"]
 
 
 @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])

@@ -570,15 +570,13 @@ def test_parse_graph_file_raises_only_config_errors_inside_the_text(text):
 # line guard
 
 
-def test_every_closure_and_graph_line_runs(monkeypatch):
-    # the triple group, no moves, a pair the node keys decide, one whose
-    # tied keys leave it to the canonical forms and one that iso's
-    # multiset check rejects, the rejected graphs, seeds and graph
-    # files (integers past the conversion limit among them), and a graph
-    # past the size limit reach every line of both modules; a line none
-    # of them runs is a branch no input takes.  The kernel's stubs load
-    # it once per process, so they are put back first, as an earlier
-    # test may have replaced them
+def test_every_closure_and_graph_line_runs():
+    # the triple group, no moves, a pair for each way iso decides (the
+    # multiset check, node keys that differ, a forced map that holds or
+    # fails, and tied keys left to the canonical forms), the rejected
+    # graphs, seeds and graph files (integers past the conversion limit
+    # among them), and a graph past the size limit reach every line of
+    # both modules; a line none of them runs is a branch no input takes
     closure_module = importlib.import_module("moricensus.closure")
     graphs_module = importlib.import_module("moricensus.graphs")
 
@@ -587,8 +585,6 @@ def test_every_closure_and_graph_line_runs(monkeypatch):
             call()
 
     def run():
-        for name in ("_canonical_sequence", "_iso_by_keys"):
-            monkeypatch.setattr(graphs_module, name, graphs_module._stub(name))
         canonical_backend()
         for t in (Triple(-6, 0, 3), Triple(0, 0, 0)):
             seed = encode_triple(t)
@@ -600,6 +596,14 @@ def test_every_closure_and_graph_line_runs(monkeypatch):
         assert iso(three_cycle([1, 1, 1]), three_cycle([1, 1, 1]))
         assert not iso(three_cycle([1, 2, 3]),
                        LabeledGraph.build([1, 2, 3], [(0, 1, 0), (1, 2, 0)]))
+        # a path and a star; two squares whose mults sit on other edges
+        assert not iso(LabeledGraph.build([0] * 4, [(0, 1, 0), (1, 2, 0), (2, 3, 0)]),
+                       LabeledGraph.build([0] * 4, [(0, 1, 0), (0, 2, 0), (0, 3, 0)]))
+        assert not iso(
+            LabeledGraph.build([0, 1, 2, 3], [(0, 1, 0, 1), (1, 2, 0, 2),
+                                              (2, 3, 0, 1), (0, 3, 0, 2)]),
+            LabeledGraph.build([0, 1, 2, 3], [(0, 1, 0, 2), (1, 2, 0, 1),
+                                              (2, 3, 0, 2), (0, 3, 0, 1)]))
         for seed in OFF_ENCODING_SEEDS:
             expect(ConfigError, lambda: _triple_state(seed))
         for make in NOT_INT_GRAPHS + [make for make, _ in MALFORMED_EDGES]:

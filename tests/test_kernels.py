@@ -204,7 +204,7 @@ def test_discrete_forms_match_brute_isomorphism(d1, d2, rng):
 
 
 # ---------------------------------------------------------------------------
-# distinct labels: the kernel writes out the label order without refining
+# distinct labels: the first colouring is discrete, in label order
 
 
 DISTINCT_LABEL_CASES = [
@@ -238,24 +238,9 @@ def test_distinct_label_sequences(n, labels, edges, seq):
     assert _canon_py.canonical_sequence(n, tuple(labels), tuple(edges)) == seq
 
 
-def test_distinct_labels_skip_refinement(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("refinement ran on distinct labels")
-
-    monkeypatch.setattr(_canon_py, "_refine", refuse)
-    for n, labels, edges, seq in DISTINCT_LABEL_CASES:
-        assert _canon_py.canonical_sequence(n, labels, edges) == seq
-    g = encode_triple(Triple(-6, 0, 3))
-    assert _canon_py.canonical_sequence(3, g.node_labels, g.edges) == \
-        (3, 0, 0, 1, 1, 0, -6, 1, 2, 2, 0, 3, 1, 1, 0, 1)
-    # equal labels still need refinement
-    with pytest.raises(AssertionError):
-        _canon_py.canonical_sequence(2, [0, 0], [])
-
-
 # ---------------------------------------------------------------------------
-# increasing labels: distinct, so the first colouring's order is forced,
-# and it is the identity
+# increasing labels: distinct, so the order is forced, and it is the
+# identity
 
 
 increasing_label_data = st.integers(1, 6).flatmap(
@@ -280,7 +265,8 @@ increasing_label_data = st.integers(1, 6).flatmap(
 @given(increasing_label_data, st.randoms(use_true_random=False))
 def test_increasing_labels_give_the_identity_order(data, rng):
     n, labels, edges = normalize(*data)
-    expected = _canon_py._forced_sequence(n, list(range(n)), labels, edges)
+    # increasing labels: the label order is the identity
+    expected = label_order_sequence(n, labels, edges)
     assert _canon_py.canonical_sequence(n, labels, edges) == expected
     # the kernel's contract does not promise sorted edges
     shuffled = list(edges)
@@ -289,8 +275,10 @@ def test_increasing_labels_give_the_identity_order(data, rng):
 
 
 # ---------------------------------------------------------------------------
-# the kernel's exits, in the order it tries them; sequences from the kernel
-# before the first colouring was tested for discreteness
+# one graph for each way the partition ends: discrete at the first
+# colouring or after refinement, twin cells, or a search over whole
+# orderings; sequences from the kernel before the first colouring was
+# tested for discreteness
 
 
 def _load_bench_canonical():
@@ -340,21 +328,6 @@ EXIT_CASES = [
 @pytest.mark.parametrize("graph, seq", EXIT_CASES)
 def test_exit_sequences(graph, seq):
     assert _canon_py.canonical_sequence(*graph) == seq
-
-
-def test_refinement_runs_only_when_the_first_colouring_ties(monkeypatch):
-    calls = []
-    refine = _canon_py._refine
-
-    def counted(*args):
-        calls.append(args)
-        return refine(*args)
-
-    monkeypatch.setattr(_canon_py, "_refine", counted)
-    _canon_py.canonical_sequence(*FIRST_COLOURING)
-    assert calls == []
-    _canon_py.canonical_sequence(*REFINED)
-    assert len(calls) == 1
 
 
 @settings(max_examples=100, deadline=None)
@@ -539,13 +512,10 @@ def test_triangle_law_fails_an_unsigned_table(monkeypatch):
 
 
 def test_every_kernel_line_runs():
-    # one graph per exit, and one pair per exit of the node-key check,
-    # reach every line; a line none of them runs is an exit or branch no
-    # input takes
+    # one graph per way the partition ends reaches every line; a line
+    # none of them runs is a branch no input takes
     def run():
         for graph, _ in EXIT_CASES:
             _canon_py.canonical_sequence(*graph)
-        for g1, g2 in ISO_EXAMPLES + [(SQUARE, SQUARE)]:
-            _canon_py.iso_by_keys(*normalize(*g1), *normalize(*g2)[1:])
 
     assert unrun_lines([_canon_py], run) == []

@@ -24,8 +24,7 @@ EXPORTS = {
     "errors": ["ConfigError", "DuplicateClassError", "MoricensusError"],
     "families": ["FamilyId", "RegularModel", "family_nondegenerate",
                  "family_one_degenerate", "family_two_degenerate", "regular_models"],
-    "graphs": ["LabeledGraph", "canonical_backend", "canonical_graph", "iso",
-               "parse_graph_file"],
+    "graphs": ["LabeledGraph", "parse_graph_file"],
     "triples": ["GroupElement", "OrbitRecord", "Triple", "orbit"],
 }
 

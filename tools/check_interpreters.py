@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Check that each given interpreter prints the shipped census, verify
-and orbits JSON and the audit csv byte for byte.
+"""Check that each given interpreter prints the shipped census, verify,
+orbits and closure JSON and the audit csv byte for byte.
 
 For each interpreter it runs ``moricensus census --format json``,
 ``moricensus verify --format json``, ``moricensus orbits --format
-json -- -6 0 3`` and ``moricensus audit --format csv`` from this
+json -- -6 0 3``, ``moricensus closure --graph tests/data/cli/seed.graph
+--moves triple_group --format json`` (the one subcommand that reaches
+``graphs``' parser) and ``moricensus audit --format csv`` from this
 checkout's ``src`` (with ``PYTHONPATH=src``), and compares each stdout
 with its expected file: the JSON snapshots in ``perfbench/snapshots/``
 and ``tests/data/cli/audit.csv.txt``.  It only reads those files.  It
@@ -30,6 +32,9 @@ RUNS = {
     "perfbench/snapshots/census.json": ["census", "--format", "json"],
     "perfbench/snapshots/verify.json": ["verify", "--format", "json"],
     "perfbench/snapshots/orbits.json": ["orbits", "--format", "json", "--", "-6", "0", "3"],
+    "perfbench/snapshots/closure.json": [
+        "closure", "--graph", str(ROOT / "tests" / "data" / "cli" / "seed.graph"),
+        "--moves", "triple_group", "--format", "json"],
     "tests/data/cli/audit.csv.txt": ["audit", "--format", "csv"],
 }
 
