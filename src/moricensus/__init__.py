@@ -4,8 +4,10 @@ Recomputes the model censuses of a genus-2 degeneration family's Mori
 fan from first principles (an order-6 group action on integer triples
 plus declared inputs), assembles the maximal-cone counts 2657 + 741 =
 3398, and audits the arithmetic identities of the text that states
-them.  Every fault in an input raises ``ConfigError``; the other
-``MoricensusError`` subclasses mean a failed verification.
+them.  Every orbit, the census's and the ``orbits`` command's, comes
+from :func:`triples.orbit`, which checks orbit-stabilizer.  Every fault
+in an input raises ``ConfigError``; the other ``MoricensusError``
+subclasses mean a failed verification.
 
 The names of ``closure``, ``errors``, ``graphs`` and ``triples`` load
 with the package.  Those of the census modules (``claims``, ``cones``,
@@ -16,7 +18,7 @@ so ``import moricensus`` compiles none of them.
 from .closure import MOVE_SETS, ClosureResult, closure, encode_triple
 from .errors import ConfigError, DuplicateClassError, MoricensusError
 from .graphs import LabeledGraph, parse_graph_file
-from .triples import GroupElement, OrbitRecord, Triple, orbit
+from .triples import GroupElement, Triple, orbit
 
 __version__ = "0.1.0"
 
@@ -24,8 +26,8 @@ __version__ = "0.1.0"
 _LAZY = {
     **dict.fromkeys(("AuditReport", "Claim", "Verdict", "evaluate", "evaluate_claims",
                      "parse_claims"), "claims"),
-    **dict.fromkeys(("CensusReport", "ModelRecord", "build_census_report",
-                     "p_cone_count", "symmetric_p_models", "t_cone_count"), "cones"),
+    **dict.fromkeys(("CensusReport", "build_census_report", "p_cone_count",
+                     "symmetric_p_models", "t_cone_count"), "cones"),
     **dict.fromkeys(("DeclaredEntry", "load_declared"), "declared"),
     **dict.fromkeys(("FamilyId", "RegularModel", "family_nondegenerate",
                      "family_one_degenerate", "family_two_degenerate",

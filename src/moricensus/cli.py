@@ -40,11 +40,12 @@ from typing import TYPE_CHECKING
 # ``sys.modules`` after ``import moricensus.cli``.  The census modules
 # (``claims``, ``cones``, ``declared``, ``families``) load in the
 # subcommands that run them.
+from . import triples
 from .audit import default_claims_text, run_full_verification
 from .closure import MOVE_SETS, closure
 from .errors import ConfigError, MoricensusError
 from .graphs import canonical_backend, parse_graph_file
-from .triples import GroupElement, Triple, _images, orbit
+from .triples import GroupElement, Triple
 
 if TYPE_CHECKING:
     from .claims import AuditReport
@@ -91,7 +92,7 @@ def _metric_rows(payload: dict):
 
 
 def _cmd_census(args):
-    from .cones import build_census_report
+    from .cones import RECORDED_FINDINGS, build_census_report
     from .families import regular_models
 
     report = build_census_report(regular_models(), _declared(args))
@@ -104,16 +105,14 @@ def _cmd_census(args):
         "p_symmetric": [
             {
                 "source": "computed" if record.triple else "declared",
-                "family": record.family.value
-                if hasattr(record.family, "value")
-                else record.family,
+                "family": record.family.value,
                 "triple": list(record.triple) if record.triple else None,
                 "orbit_length": record.orbit_length,
                 "symmetry_order": record.symmetry_order,
             }
             for record in report.p_symmetric
         ],
-        "findings": list(report.findings),
+        "findings": list(RECORDED_FINDINGS),
     }, EXIT_OK
 
 
@@ -186,14 +185,17 @@ def _cmd_orbits(args):
         t = Triple(args.a, args.b, args.c)
     except ValueError as exc:  # Triple's checks name the component at fault
         raise ConfigError(str(exc)) from None
-    record = orbit(t)
+    # both looked up at each call, so every field reads the one table
+    canonical, length, order = triples.orbit(t)
+    images = triples._images(*t)
     return {
         "triple": list(t),
-        "orbit": [list(m) for m in sorted(record.members)],
-        "orbit_length": record.length,
-        "stabilizer_order": record.stabilizer_order,
-        "stabilizer": [g.value for g in record.stabilizer],
-        "canonical": list(record.representative),
+        "orbit": [list(m) for m in sorted(set(images))],
+        "orbit_length": length,
+        "stabilizer_order": order,
+        "stabilizer": [g.value for g, image in zip(GroupElement, images)
+                       if image == tuple(t)],
+        "canonical": list(canonical),
     }, EXIT_OK
 
 
@@ -209,7 +211,7 @@ def _orbits_table(payload: dict):
 
 
 def _orbits_rows(payload: dict):
-    images = _images(*payload["triple"])
+    images = triples._images(*payload["triple"])
     return [["element", "a", "b", "c"],
             *([g.value, *image] for g, image in zip(GroupElement, images))]
 

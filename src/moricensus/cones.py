@@ -6,7 +6,8 @@ families' :class:`RegularModel` records and sums their orbit lengths; a
 declared count gives 3 cones per symmetric model and
 6 per other one (:func:`t_cone_count`).  Together they reproduce the
 three-component count 2657 and the two-component count 741; the grand
-total 3398 is their sum.
+total 3398 is their sum.  Each declared symmetric three-component model
+is listed as one more ``RegularModel``, with no triple.
 """
 
 from __future__ import annotations
@@ -14,12 +15,11 @@ from __future__ import annotations
 from ._record import Record
 from .declared import DeclaredEntry
 from .errors import ConfigError, InvariantError
-from .families import RegularModel
+from .families import FamilyId, RegularModel
 
 __all__ = [
     "CensusReport",
     "MAX_DECLARED_SYMMETRIC",
-    "ModelRecord",
     "build_census_report",
     "p_cone_count",
     "symmetric_p_models",
@@ -27,17 +27,9 @@ __all__ = [
 ]
 
 
-# ``p_very_degenerate_symmetric`` gets one record, and one printed object,
-# per model; the shipped reading declares 1
+# ``p_very_degenerate_symmetric`` gets one ``p_symmetric`` entry, and one
+# printed object, per model; the shipped reading declares 1
 MAX_DECLARED_SYMMETRIC = 10_000
-
-
-class ModelRecord(Record):
-    """A declared census unit: a :class:`RegularModel`'s orbit fields and check."""
-
-    __slots__ = ("family", "orbit_length", "symmetry_order", "triple")
-    _defaults = {"triple": None}
-    __post_init__ = RegularModel.__post_init__
 
 
 class CensusReport(Record):
@@ -47,32 +39,25 @@ class CensusReport(Record):
     """
 
     __slots__ = ("p_models", "t_models", "p_symmetric", "p_cones", "t_cones",
-                 "findings", "computed")
+                 "computed")
 
-    _defaults = {"findings": (), "computed": ()}
+    _defaults = {"computed": ()}
 
     @property
     def total_cones(self) -> int:
         return self.p_cones + self.t_cones
 
 
-def symmetric_p_models(
-    records: list[RegularModel],
-    declared_symmetric: list[ModelRecord],
-) -> list[RegularModel | ModelRecord]:
-    """All symmetric three-component models.
-
-    The regular ``records`` with a nontrivial stabilizer, ordered by
-    orbit length and triple, followed by ``declared_symmetric``.
-    """
-    symmetric = sorted(
+def symmetric_p_models(records: list[RegularModel]) -> list[RegularModel]:
+    """The regular ``records`` with a nontrivial stabilizer, ordered by
+    orbit length and triple."""
+    return sorted(
         (r for r in records if r.symmetry_order > 1),
         key=lambda r: (r.orbit_length, r.triple),
     )
-    return symmetric + list(declared_symmetric)
 
 
-def p_cone_count(models: list[RegularModel | ModelRecord]) -> int:
+def p_cone_count(models: list[RegularModel]) -> int:
     """Sum of orbit lengths over the three-component census."""
     return sum(m.orbit_length for m in models)
 
@@ -99,6 +84,7 @@ def _require(entries: dict[str, DeclaredEntry], label: str) -> DeclaredEntry:
         raise ConfigError(f"missing required entry {label!r}", field=label) from None
 
 
+# printed by ``census`` and ``verify``
 RECORDED_FINDINGS = (
     "two-component cone proof display: 118*6 + 11*3 evaluates to 741, "
     "not the displayed 747; the theorem total 741 is correct",
@@ -119,8 +105,9 @@ def build_census_report(
     and ``p_very_degenerate_symmetric``, no more symmetric models than
     models in either pair, at most ``MAX_DECLARED_SYMMETRIC`` declared
     symmetric three-component models, and totals short enough to print.
-    Both declared counts give cones by :func:`t_cone_count`'s rule.  Only the
-    declared symmetric models get new records, for ``p_symmetric``.
+    Both declared counts give cones by :func:`t_cone_count`'s rule.
+    ``p_symmetric`` ends with one shared record, repeated, for the declared
+    symmetric models.
     """
     by_label = {e.label: e for e in declared}
     count = {label: _require(by_label, label).count for label in (
@@ -141,17 +128,13 @@ def build_census_report(
             field="p_very_degenerate_symmetric",
         )
 
-    declared_symmetric = [
-        ModelRecord(family="very_degenerate", orbit_length=3, symmetry_order=2)
-        for _ in range(p_vd_sym)
-    ]
+    declared_record = RegularModel(None, FamilyId.VERY_DEGENERATE, None, 3, 2)
     report = CensusReport(
         p_models=len(regular) + p_vd,
         t_models=t_models,
-        p_symmetric=tuple(symmetric_p_models(regular, declared_symmetric)),
+        p_symmetric=tuple(symmetric_p_models(regular)) + (declared_record,) * p_vd_sym,
         p_cones=p_cone_count(regular) + t_cone_count(p_vd, p_vd_sym),
         t_cones=t_cone_count(t_models, t_symmetric),
-        findings=RECORDED_FINDINGS,
         computed=tuple(regular),
     )
     # counts that parse can give totals past the interpreter's int-to-text

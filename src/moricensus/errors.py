@@ -54,7 +54,9 @@ def config_int(text: str, *, line: int, column: int | None = None,
 
 
 class InvariantError(MoricensusError):
-    """A computed record breaks an invariant such as orbit-stabilizer."""
+    """A computed value breaks an invariant: an orbit that breaks
+    orbit-stabilizer (raised by ``triples.orbit`` alone), or a cone count
+    asked of an impossible split."""
 
 
 class DuplicateClassError(MoricensusError):

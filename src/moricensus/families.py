@@ -10,18 +10,19 @@ this level.
 Families are emitted in census order with triples in lexicographic
 order inside each family, so regeneration is deterministic.  Each
 family is written as plain ``(a, b, c)`` tuples; :func:`_models` sorts
-them, builds one validated Triple per model and stores what the census
-needs of its orbit, read off one pass over its six group images; the
-census keeps these :class:`RegularModel` records.
+them, builds one validated Triple per model and stores its
+:func:`triples.orbit`; the census keeps these :class:`RegularModel`
+records.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 
+from . import triples
 from ._record import Record
-from .errors import DuplicateClassError, InvariantError
-from .triples import Triple, _orbit_summary
+from .errors import DuplicateClassError
+from .triples import Triple
 
 __all__ = [
     "FamilyId",
@@ -30,7 +31,6 @@ __all__ = [
     "family_one_degenerate",
     "family_two_degenerate",
     "regular_models",
-    "subfamily_sizes",
 ]
 
 
@@ -46,32 +46,29 @@ class FamilyId(Enum):
     N0 = "N0"
     N1 = "N1"
     N2 = "N2"
+    # the declared symmetric models, which no family generates
+    VERY_DEGENERATE = "very_degenerate"
 
 
 class RegularModel(Record):
     """One census unit: a triple, its family, and its orbit.
 
-    ``canonical_key`` is the smallest image of the triple, as a plain
-    tuple: the dedup key.  ``orbit_length`` and ``symmetry_order`` are
-    counted independently from the same images; their product is 6.
+    The last three fields are what :func:`triples.orbit` returns: the
+    canonical key, which is the dedup key, then the orbit length and the
+    stabilizer order, whose product it has checked.  A declared model
+    has no triple and no key.
     """
 
     __slots__ = ("triple", "family", "canonical_key", "orbit_length",
                  "symmetry_order")
 
-    def __post_init__(self):
-        if self.orbit_length * self.symmetry_order != 6:
-            raise InvariantError(
-                f"orbit-stabilizer violation: {self.orbit_length} x "
-                f"{self.symmetry_order} != 6"
-            )
-
 
 def _models(components, family: FamilyId) -> list[RegularModel]:
     models = []
     for a, b, c in sorted(components):
-        key, length, fixing = _orbit_summary(a, b, c)
-        models.append(RegularModel(Triple(a, b, c), family, key, length, fixing))
+        t = Triple(a, b, c)
+        # looked up at each call, so a rebound ``triples.orbit`` is seen
+        models.append(RegularModel(t, family, *triples.orbit(t)))
     return models
 
 
@@ -86,11 +83,11 @@ _NONDEG_LISTED = [
 
 def family_nondegenerate() -> list[RegularModel]:
     """The 25 models with all three curve structures non-degenerate."""
-    triples = list(_NONDEG_LISTED)
-    triples += [(x, y, y) for x in (1, 2) for y in (-2, -1, 0, 1, 2) if y != x]
-    triples += [(0, 1, 1), (0, 2, 2)]
-    triples += [(x, x, x) for x in (0, 1, 2)]
-    return _models(triples, FamilyId.NONDEG)
+    components = list(_NONDEG_LISTED)
+    components += [(x, y, y) for x in (1, 2) for y in (-2, -1, 0, 1, 2) if y != x]
+    components += [(0, 1, 1), (0, 2, 2)]
+    components += [(x, x, x) for x in (0, 1, 2)]
+    return _models(components, FamilyId.NONDEG)
 
 
 def family_one_degenerate() -> list[RegularModel]:
@@ -100,14 +97,14 @@ def family_one_degenerate() -> list[RegularModel]:
     [-2, 2] and z in {x-6, ..., -3}; the z-interval depends on x (its
     length is 4 - x), not on y.
     """
-    triples = [(3, y, -3) for y in range(0, 3)]
-    triples += [
+    components = [(3, y, -3) for y in range(0, 3)]
+    components += [
         (x, y, z)
         for x in range(-2, 3)
         for y in range(-2, 3)
         for z in range(x - 6, -2)
     ]
-    return _models(triples, FamilyId.ONE_DEG)
+    return _models(components, FamilyId.ONE_DEG)
 
 
 def family_two_degenerate() -> list[RegularModel]:
@@ -174,10 +171,3 @@ def regular_models() -> list[RegularModel]:
             raise DuplicateClassError(other, model.triple, model.canonical_key)
         seen[model.canonical_key] = model.triple
     return models
-
-
-def subfamily_sizes(models: list[RegularModel]) -> dict[FamilyId, int]:
-    sizes = {family: 0 for family in FamilyId}
-    for model in models:
-        sizes[model.family] += 1
-    return sizes

@@ -9,10 +9,10 @@ lengths feed directly into the maximal-cone census.
 Each element is a signed permutation of the components, and
 ``_images`` is the one table of all six, acting on plain ``(a, b, c)``
 tuples.  The component bound is symmetric, so every image of a valid
-triple is valid too.  The census needs only each model's canonical key,
-orbit length and stabilizer order; ``_orbit_summary`` reads all
-three off one pass over the images and builds no Triple, while
-:func:`orbit` turns the same images into an :class:`OrbitRecord`.
+triple is valid too.  :func:`orbit` reads a triple's canonical key,
+orbit length and stabilizer order off one pass over the images, and is
+the package's one orbit-stabilizer check; the census and the ``orbits``
+command both call it.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .errors import InvariantError
 __all__ = [
     "COMPONENT_BOUND",
     "GroupElement",
-    "OrbitRecord",
     "Triple",
     "orbit",
 ]
@@ -70,9 +69,8 @@ class Triple(Record):
                     f"[-{COMPONENT_BOUND}, {COMPONENT_BOUND}]"
                 )
 
-    # Record gives equality and hashing.  An orbit's representative is
-    # its least member and the symmetry census sorts by triple, so
-    # __lt__ is written out; total_ordering derives the rest.
+    # Record gives equality and hashing.  The symmetry census sorts by
+    # triple, so __lt__ is written out; total_ordering derives the rest.
     def __lt__(self, other):
         if other.__class__ is self.__class__:
             return (self.a, self.b, self.c) < (other.a, other.b, other.c)
@@ -103,55 +101,21 @@ def _images(a, b, c):
             (-b, -a, -c), (-c, -b, -a), (-a, -c, -b))
 
 
-class OrbitRecord(Record):
-    """Full orbit of a triple with its canonical representative and the
-    group elements fixing it, in enum order.
+def orbit(t: Triple) -> tuple[tuple[int, int, int], int, int]:
+    """Canonical key, orbit length and stabilizer order of ``t``, from
+    one pass over its six images.
 
-    Satisfies orbit-stabilizer: ``len(members) * stabilizer_order == 6``.
-    """
-
-    __slots__ = ("representative", "members", "stabilizer")
-
-    def __post_init__(self):
-        if len(self.members) * len(self.stabilizer) != 6:
-            raise InvariantError(
-                f"orbit-stabilizer violation: |orbit|={len(self.members)} "
-                f"stabilizer={len(self.stabilizer)}"
-            )
-
-    @property
-    def length(self) -> int:
-        return len(self.members)
-
-    @property
-    def stabilizer_order(self) -> int:
-        return len(self.stabilizer)
-
-
-def _orbit_summary(a, b, c) -> tuple[tuple[int, int, int], int, int]:
-    """Smallest image of ``(a, b, c)``, its orbit length and the number
-    of elements fixing it, from one pass over the images.
-
-    Length and fixing count are counted independently, so their product
-    being 6 checks orbit-stabilizer.  Looks ``_images`` up at each call,
-    and builds no Triple.
-    """
-    images = _images(a, b, c)
-    return min(images), len(set(images)), images.count((a, b, c))
-
-
-def orbit(t: Triple) -> OrbitRecord:
-    """Orbit of ``t`` under all six group elements, from one pass over
-    the images.
-
-    Its representative, the least member, is the canonical form:
-    constant on orbits, the deduplication key for equivalence classes.
+    The key, the least image as a plain tuple, is constant on orbits:
+    the deduplication key for equivalence classes.  Length and
+    stabilizer order are counted independently, so their product being
+    6 checks orbit-stabilizer; InvariantError if it is not.  Looks
+    ``_images`` up at each call, and builds no Triple.
     """
     own = (t.a, t.b, t.c)
     images = _images(*own)
-    members = frozenset(Triple(*image) for image in set(images))
-    return OrbitRecord(
-        representative=min(members),
-        members=members,
-        stabilizer=tuple(g for g, image in zip(GroupElement, images) if image == own),
-    )
+    length, order = len(set(images)), images.count(own)
+    if length * order != 6:
+        raise InvariantError(
+            f"orbit-stabilizer violation: |orbit|={length} stabilizer={order}"
+        )
+    return min(images), length, order

@@ -137,11 +137,11 @@ def test_trace_counts_the_canonical_forms_iso_compares():
 
 
 def test_trace_counts_of_one_verification():
-    # the families build one Triple per model and keep its canonical key
-    # as a plain tuple, the census reads orbits off the families' records
-    # and the closure oracle's moves build no Triple: the Triples are the
-    # families' 347; the oracle keys its classes by state, so the kernel
-    # never runs
+    # the families build one Triple per model and call ``orbit`` on it
+    # once, the census reads orbits off the families' records and the
+    # closure oracle's moves build no Triple: the Triples and the orbits
+    # are the families' 347; the oracle keys its classes by state, so the
+    # kernel never runs
     tracing = load("tracing")
     tracer = tracing.Tracer()
     tracer.install()
@@ -150,7 +150,7 @@ def test_trace_counts_of_one_verification():
     finally:
         tracer.uninstall()
     counts = tracing.exact_counts(tracer.spans, tracer.counts)
-    assert "calls.triples.orbit" not in counts
+    assert counts["calls.triples.orbit"] == 347
     assert counts["triples.triple_constructions"] == 347
     assert "calls.graphs.canonical_graph" not in counts
     assert counts["calls.closure.closure"] == 347
@@ -282,10 +282,11 @@ def test_verify_stage_benchmark_runs():
     for unit, count in (("closure call", "347"), ("expansion step", "4084"),
                         ("claim parsed", "22"), ("census model", "347")):
         assert rows[unit][1] == count, unit
-    # one record per census model in each of three classes, and the one
-    # declared symmetric model's record
-    assert rows["Triple"] == rows["RegularModel"] == rows["ClosureResult"] == ["347"]
-    assert rows["ModelRecord"] == ["1"]
+    # one record per census model in each of three classes, and one more
+    # RegularModel for the declared symmetric model
+    assert rows["Triple"] == rows["ClosureResult"] == ["347"]
+    assert rows["RegularModel"] == ["348"]
+    assert "ModelRecord" not in rows
     assert rows["total"] == ["1117"]
 
 

@@ -259,8 +259,8 @@ def test_orbits_csv(capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["verify"], "4 x 1 != 6"),
-    (["census"], "4 x 1 != 6"),
+    (["verify"], "|orbit|=4 stabilizer=1"),
+    (["census"], "|orbit|=4 stabilizer=1"),
     (["orbits", "1", "2", "2"], "|orbit|=5 stabilizer=2"),
 ], ids=["verify", "census", "orbits"])
 def test_broken_group_table_is_invariant_failure(monkeypatch, capsys, argv, message):
@@ -272,6 +272,19 @@ def test_broken_group_table_is_invariant_failure(monkeypatch, capsys, argv, mess
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert err == f"error: orbit-stabilizer violation: {message}\n"
+
+
+def test_orbits_reads_one_group_table(monkeypatch, capsys):
+    # S3 without the signs passes orbit-stabilizer; every field of every
+    # format comes off it, as ``orbit`` reads it
+    monkeypatch.setattr(triples, "_images", lambda a, b, c: (
+        (a, b, c), (b, c, a), (c, a, b), (b, a, c), (c, b, a), (a, c, b)))
+    payload = json.loads(run(capsys, "orbits", "--format", "json", "1", "2", "3")[1])
+    assert payload["orbit"] == [[1, 2, 3], [1, 3, 2], [2, 1, 3], [2, 3, 1],
+                                [3, 1, 2], [3, 2, 1]]
+    assert payload["canonical"] == [1, 2, 3]
+    rows = run(capsys, "orbits", "--format", "csv", "1", "2", "3")[1].splitlines()
+    assert rows[4] == "i,2,1,3"
 
 
 def test_orbits_out_of_range_is_input_error(capsys):
@@ -541,7 +554,8 @@ def test_shipped_json_is_byte_identical_to_snapshot(capsys, snapshot, argv):
 def test_interpreter_check_passes_this_interpreter():
     # the tool runs census, verify, orbits and closure under each
     # interpreter it is given and compares their JSON with the snapshots,
-    # and audit's csv with its golden file
+    # and a symmetric triple's orbits table and audit's csv with their
+    # golden files
     done = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "check_interpreters.py"), sys.executable],
         capture_output=True, text=True, timeout=120,
@@ -549,7 +563,7 @@ def test_interpreter_check_passes_this_interpreter():
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout == "".join(
         f"{sys.executable}  {command:<7} ok\n"
-        for command in ("census", "verify", "orbits", "closure", "audit"))
+        for command in ("census", "verify", "orbits", "orbits", "closure", "audit"))
 
 
 def test_shipped_closure_json_matches_snapshot(graph_file, capsys):
@@ -573,6 +587,7 @@ GOLDEN_RUNS = {
     "audit": (["audit"], 0),
     "audit-unexpected": (["audit", "--claims", "{claims}"], 1),
     "orbits": (["orbits", "--", "-6", "0", "3"], 0),
+    "orbits-symmetric": (["orbits", "--", "1", "1", "1"], 0),
     "closure": (["closure", "--graph", "{graph}", "--moves", "triple_group"], 0),
 }
 

@@ -12,7 +12,6 @@ from moricensus.cli import main
 from moricensus.cones import (
     MAX_DECLARED_SYMMETRIC,
     CensusReport,
-    ModelRecord,
     build_census_report,
     p_cone_count,
     symmetric_p_models,
@@ -25,6 +24,7 @@ from moricensus.graphs import LabeledGraph
 from moricensus.triples import Triple, orbit
 
 from linetrace import unrun_lines
+from test_triples import raw_orbit
 
 
 def reading(p_vd, p_vd_sym, t_models=129, t_sym=11):
@@ -37,39 +37,54 @@ def reading(p_vd, p_vd_sym, t_models=129, t_sym=11):
 
 
 def declared_symmetric_record():
-    return ModelRecord(family="very_degenerate", orbit_length=3, symmetry_order=2)
+    return RegularModel(None, FamilyId.VERY_DEGENERATE, None, 3, 2)
 
 
 def declared_generic_records(count):
-    return [
-        ModelRecord(family="very_degenerate", orbit_length=6, symmetry_order=1)
-        for _ in range(count)
-    ]
+    return [RegularModel(None, FamilyId.VERY_DEGENERATE, None, 6, 1)
+            for _ in range(count)]
 
 
-def test_model_record_rejects_orbit_stabilizer_violation():
-    with pytest.raises(InvariantError):
-        ModelRecord(family="x", orbit_length=4, symmetry_order=2)
+def counted_inits(monkeypatch, cls):
+    """The list that every ``cls`` built from now on is appended to."""
+    built = []
+    init = cls.__init__
+
+    def counting(record, *args, **kwargs):
+        init(record, *args, **kwargs)
+        built.append(record)
+
+    monkeypatch.setattr(cls, "__init__", counting)
+    return built
+
+
+def test_model_record_rejects_orbit_stabilizer_violation(monkeypatch):
+    # a model's orbit fields come from ``orbit``, which rejects a table in
+    # which five elements fix the triple and the sixth shifts it
+    monkeypatch.setattr(triples, "_images",
+                        lambda a, b, c: ((a, b, c),) * 5 + ((b, c, a),))
+    with pytest.raises(InvariantError) as exc_info:
+        families._models([(0, 1, 2)], FamilyId.NONDEG)
+    assert str(exc_info.value) == "orbit-stabilizer violation: |orbit|=2 stabilizer=5"
 
 
 def test_regular_model_orbit_numbers_match_orbit():
     models = regular_models()
     assert len(models) == 347
     for model in models:
-        expected = orbit(model.triple)
-        assert model.orbit_length == expected.length
-        assert model.symmetry_order == expected.stabilizer_order
+        fields = (model.canonical_key, model.orbit_length, model.symmetry_order)
+        assert fields == raw_orbit(model.triple)
 
 
 def test_symmetric_models_total_thirteen():
-    records = symmetric_p_models(regular_models(), [declared_symmetric_record()])
+    records = symmetric_p_models(regular_models()) + [declared_symmetric_record()]
     assert len(records) == 13
     lengths = sorted(r.orbit_length for r in records)
     assert lengths == [1, 2, 2] + [3] * 10
 
 
 def test_symmetric_models_orbit_length_two_are_the_cyclic_pair():
-    records = symmetric_p_models(regular_models(), [declared_symmetric_record()])
+    records = symmetric_p_models(regular_models()) + [declared_symmetric_record()]
     length_two = {r.triple for r in records if r.orbit_length == 2}
     assert length_two == {Triple(1, 1, 1), Triple(2, 2, 2)}
 
@@ -83,19 +98,14 @@ def test_p_cone_count_reproduces_claimed_total():
 
 def test_p_cone_count_computed_subtotal():
     # independent subtotal: sum of orbit sizes over the generated triples
-    subtotal = sum(orbit(m.triple).length for m in regular_models())
+    subtotal = sum(orbit(m.triple)[1] for m in regular_models())
     assert subtotal == 2042
     assert subtotal + 102 * 6 + 3 == 2657
 
 
 def test_single_fully_symmetric_model_contributes_one_cone():
-    record = ModelRecord(
-        family="x",
-        orbit_length=1,
-        symmetry_order=6,
-        triple=Triple(0, 0, 0),
-    )
-    assert record.orbit_length == 1
+    record = RegularModel(Triple(0, 0, 0), FamilyId.NONDEG, (0, 0, 0), 1, 6)
+    assert p_cone_count([record]) == 1
 
 
 @pytest.mark.parametrize(
@@ -146,7 +156,7 @@ def test_build_census_report_on_default_config():
     assert report.t_cones == 741
     assert report.total_cones == 3398
     assert len(report.p_symmetric) == 13
-    assert report.findings
+    assert report.p_symmetric[-1] == declared_symmetric_record()
 
 
 def test_build_census_report_builds_no_triple(monkeypatch):
@@ -179,10 +189,8 @@ def test_build_census_report_with_altered_symmetric_count():
 
 
 def test_expected_symmetric_set_matches_orbit_analysis():
-    found = {r.triple for r in symmetric_p_models(regular_models(), [])}
-    expected = {
-        m.triple for m in regular_models() if orbit(m.triple).stabilizer_order > 1
-    }
+    found = {r.triple for r in symmetric_p_models(regular_models())}
+    expected = {m.triple for m in regular_models() if raw_orbit(m.triple)[2] > 1}
     assert found == expected
 
 
@@ -190,36 +198,22 @@ def test_build_census_report_builds_only_declared_symmetric_records(monkeypatch)
     # the regular models enter as the families' own records, and the 102
     # other very-degenerate models only through their count
     expected = [declared_symmetric_record()]
-    built = []
-    check = ModelRecord.__post_init__
-
-    def counting(record):
-        built.append(record)
-        check(record)
-
-    monkeypatch.setattr(ModelRecord, "__post_init__", counting)
-    report = build_census_report(
-        regular_models(), load_declared(default_declared_text())
-    )
+    models = regular_models()
+    built = counted_inits(monkeypatch, RegularModel)
+    report = build_census_report(models, load_declared(default_declared_text()))
     assert report.p_cones == 2657
     assert built == expected
     assert all(type(r) is RegularModel for r in report.computed)
 
 
 def test_verification_builds_one_model_record(monkeypatch):
-    # the census keeps the families' RegularModels; the one ModelRecord
-    # is the shipped reading's declared symmetric model
+    # the census keeps the families' 347 RegularModels and builds one
+    # more, with no triple: the shipped reading's declared symmetric model
     expected = [declared_symmetric_record()]
-    built = []
-    check = ModelRecord.__post_init__
-
-    def counting(record):
-        built.append(record)
-        check(record)
-
-    monkeypatch.setattr(ModelRecord, "__post_init__", counting)
+    built = counted_inits(monkeypatch, RegularModel)
     assert run_full_verification().exit_status == 0
-    assert built == expected
+    assert len(built) == 348
+    assert [r for r in built if r.triple is None] == expected
 
 
 def test_build_census_report_applies_one_rule_to_declared_counts():
@@ -333,7 +327,7 @@ def test_regular_models_rejects_planted_overlap(monkeypatch, capsys):
         regular_models()
     err = exc_info.value
     assert (err.first, err.second) == (Triple(0, 1, -1), Triple(1, -1, 0))
-    assert err.key == tuple(orbit(Triple(0, 1, -1)).representative) == (-1, 0, 1)
+    assert err.key == orbit(Triple(0, 1, -1))[0] == (-1, 0, 1)
     assert main(["census"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -438,9 +432,8 @@ def test_another_models_image_fails_the_class_count(i, offset, k):
 def test_duplicate_law_fails_a_dedup_on_raw_triples(monkeypatch):
     # keys that are the triples themselves pass every verdict of the
     # shipped families, which are distinct triples, but miss a duplicate
-    summary = families._orbit_summary
-    monkeypatch.setattr(families, "_orbit_summary",
-                        lambda a, b, c: ((a, b, c), *summary(a, b, c)[1:]))
+    monkeypatch.setattr(triples, "orbit",
+                        lambda t: ((t.a, t.b, t.c), *orbit(t)[1:]))
     assert all(v.holds for v in run_full_verification().verdicts
                if v.name.startswith("census."))
     assert not another_models_image_is_a_duplicate(0, 1, 3)
@@ -464,7 +457,7 @@ def test_verification_builds_no_graph(monkeypatch):
 
 def test_every_census_line_runs(monkeypatch):
     # shipped verify, the readings above, the rejected readings, a direct
-    # call with more symmetric models than models, a regular model that
+    # call with more symmetric models than models, a group table that
     # breaks orbit-stabilizer and the planted overlap reach every
     # line of the census layer; a line none of them runs is a branch no
     # input takes
@@ -488,8 +481,10 @@ def test_every_census_line_runs(monkeypatch):
         expect(ConfigError, lambda: build_census_report(
             [], reading(0, 0, 2 * 10 ** 4299, 0)))
         expect(InvariantError, lambda: t_cone_count(10, 11))
-        expect(InvariantError, lambda: RegularModel(
-            Triple(0, 0, 0), FamilyId.K, (0, 0, 0), 4, 2))
+        with monkeypatch.context() as patch:
+            patch.setattr(triples, "_images",
+                          lambda a, b, c: ((a, b, c),) * 5 + ((b, c, a),))
+            expect(InvariantError, regular_models)
         plant_overlap(monkeypatch)
         expect(DuplicateClassError, regular_models)
 

@@ -18,14 +18,14 @@ EXPORTS = {
     "claims": ["AuditReport", "Claim", "Verdict", "evaluate", "evaluate_claims",
                "parse_claims"],
     "closure": ["MOVE_SETS", "ClosureResult", "closure", "encode_triple"],
-    "cones": ["CensusReport", "ModelRecord", "build_census_report", "p_cone_count",
+    "cones": ["CensusReport", "build_census_report", "p_cone_count",
               "symmetric_p_models", "t_cone_count"],
     "declared": ["DeclaredEntry", "load_declared"],
     "errors": ["ConfigError", "DuplicateClassError", "MoricensusError"],
     "families": ["FamilyId", "RegularModel", "family_nondegenerate",
                  "family_one_degenerate", "family_two_degenerate", "regular_models"],
     "graphs": ["LabeledGraph", "parse_graph_file"],
-    "triples": ["GroupElement", "OrbitRecord", "Triple", "orbit"],
+    "triples": ["GroupElement", "Triple", "orbit"],
 }
 
 

@@ -14,7 +14,6 @@ from moricensus.errors import InvariantError
 from moricensus.triples import (
     COMPONENT_BOUND,
     GroupElement,
-    OrbitRecord,
     Triple,
     _images,
     orbit,
@@ -32,7 +31,7 @@ def apply(g, t):
 
 
 def canonical(t):
-    return orbit(t).representative
+    return Triple(*orbit(t)[0])
 
 
 def shift(t):
@@ -52,6 +51,14 @@ RAW = {
     "is": lambda a, b, c: (-c, -b, -a),
     "is2": lambda a, b, c: (-a, -c, -b),
 }
+
+
+def raw_orbit(t):
+    """What ``orbit(t)`` returns, from RAW alone: the least image, the
+    number of distinct images and the number of elements fixing ``t``."""
+    images = [image(*t) for image in RAW.values()]
+    return min(images), len(set(images)), images.count(tuple(t))
+
 
 triples = st.builds(
     Triple,
@@ -159,35 +166,39 @@ def test_compose_agrees_with_apply(t):
     ],
 )
 def test_orbit_examples(given_triple, length, stab_order):
-    record = orbit(Triple(*given_triple))
-    assert record.length == length
-    assert record.stabilizer_order == stab_order
+    _, got_length, got_order = orbit(Triple(*given_triple))
+    assert got_length == length
+    assert got_order == stab_order
 
 
 def test_orbit_members_of_cyclic_triple():
-    record = orbit(Triple(1, 1, 1))
-    assert record.members == {Triple(1, 1, 1), Triple(-1, -1, -1)}
-    assert record.representative == Triple(-1, -1, -1)
+    assert set(_images(1, 1, 1)) == {(1, 1, 1), (-1, -1, -1)}
+    assert orbit(Triple(1, 1, 1)) == ((-1, -1, -1), 2, 3)
 
 
 def test_orbit_of_generic_triple_has_six_distinct_images():
     images = {RAW[g.value](1, 2, -2) for g in GroupElement}
     assert len(images) == 6
-    assert orbit(Triple(1, 2, -2)).members == {Triple(*x) for x in images}
+    assert set(_images(1, 2, -2)) == images
+    assert orbit(Triple(1, 2, -2)) == (min(images), 6, 1)
 
 
-def test_orbit_record_rejects_orbit_stabilizer_violation():
+def test_orbit_record_rejects_orbit_stabilizer_violation(monkeypatch):
+    # a table whose shift moves (0, 0, 0): two images, five fixing it
+    images = _images
+    monkeypatch.setattr(triples_module, "_images", lambda a, b, c: (
+        images(a, b, c)[:1] + ((a + 1, b, c),) + images(a, b, c)[2:]))
     with pytest.raises(InvariantError) as exc_info:
-        OrbitRecord(Triple(1, 2, 3), frozenset({Triple(1, 2, 3)}),
-                    (GroupElement.E, GroupElement.S))
-    assert str(exc_info.value) == "orbit-stabilizer violation: |orbit|=1 stabilizer=2"
+        orbit(Triple(0, 0, 0))
+    assert str(exc_info.value) == "orbit-stabilizer violation: |orbit|=2 stabilizer=5"
 
 
 @given(triples)
 def test_orbit_stabilizer_product(t):
-    record = orbit(t)
-    assert record.length * record.stabilizer_order == 6
-    assert record.stabilizer == tuple(g for g in GroupElement if apply(g, t) == t)
+    key, length, order = orbit(t)
+    assert length * order == 6
+    assert order == sum(apply(g, t) == t for g in GroupElement)
+    assert (key, length, order) == raw_orbit(t)
 
 
 @given(triples)
@@ -270,7 +281,7 @@ def test_triple_ordering_is_lexicographic():
 
 
 def test_every_triples_line_runs(monkeypatch):
-    # the group action and its records on a generic and a fixed triple,
+    # the group action and its orbits on a generic and a fixed triple,
     # the rejected components, an order against a non-Triple and an
     # action planted to break orbit-stabilizer reach every line of the
     # module; a line none of them runs is a branch no input takes
@@ -280,11 +291,7 @@ def test_every_triples_line_runs(monkeypatch):
 
     def run():
         for t in (Triple(1, 2, -2), Triple(0, 0, 0)):
-            record = orbit(t)
-            assert record.length * record.stabilizer_order == 6
-            assert triples_module._orbit_summary(*t) == (
-                tuple(record.representative), record.length,
-                record.stabilizer_order)
+            assert orbit(t) == raw_orbit(t)
             assert involution(shift(t)) == apply(GroupElement.IS, t)
             assert repr(t) == str(tuple(t))
         assert Triple(0, 0, 0) < Triple(0, 0, 1)

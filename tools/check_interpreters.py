@@ -1,17 +1,19 @@
 #!/usr/bin/env python3
 """Check that each given interpreter prints the shipped census, verify,
-orbits and closure JSON and the audit csv byte for byte.
+orbits and closure JSON, a symmetric triple's orbits table and the
+audit csv byte for byte.
 
 For each interpreter it runs ``moricensus census --format json``,
 ``moricensus verify --format json``, ``moricensus orbits --format
-json -- -6 0 3``, ``moricensus closure --graph tests/data/cli/seed.graph
---moves triple_group --format json`` (the one subcommand that reaches
-``graphs``' parser) and ``moricensus audit --format csv`` from this
-checkout's ``src`` (with ``PYTHONPATH=src``), and compares each stdout
-with its expected file: the JSON snapshots in ``perfbench/snapshots/``
-and ``tests/data/cli/audit.csv.txt``.  It only reads those files.  It
-prints one line per run and exits 1 if any run exits non-zero or
-differs from its expected file, else 0.
+json -- -6 0 3``, ``moricensus orbits -- 1 1 1`` (a triple with a
+non-trivial stabilizer), ``moricensus closure --graph
+tests/data/cli/seed.graph --moves triple_group --format json`` (the one
+subcommand that reaches ``graphs``' parser) and ``moricensus audit
+--format csv`` from this checkout's ``src`` (with ``PYTHONPATH=src``),
+and compares each stdout with its expected file: the JSON snapshots in
+``perfbench/snapshots/`` and the golden files in ``tests/data/cli/``.
+It only reads those files.  It prints one line per run and exits 1 if
+any run exits non-zero or differs from its expected file, else 0.
 
 Usage:
     python tools/check_interpreters.py PYTHON [PYTHON ...]
@@ -32,6 +34,8 @@ RUNS = {
     "perfbench/snapshots/census.json": ["census", "--format", "json"],
     "perfbench/snapshots/verify.json": ["verify", "--format", "json"],
     "perfbench/snapshots/orbits.json": ["orbits", "--format", "json", "--", "-6", "0", "3"],
+    "tests/data/cli/orbits-symmetric.table.txt": [
+        "orbits", "--", "1", "1", "1"],
     "perfbench/snapshots/closure.json": [
         "closure", "--graph", str(ROOT / "tests" / "data" / "cli" / "seed.graph"),
         "--moves", "triple_group", "--format", "json"],
