@@ -7,9 +7,9 @@ identities.  The combined report exits 0 only when every computed count
 matches and every claim behaves as marked.
 
 The closure oracle seeds each closure with a census model's own
-``(a, b, c)`` under the triple group's moves, so it builds no graph;
-``closure --moves triple_group`` reads a graph and goes through the
-rigid encoding's boundary.
+``(a, b, c)`` tuple, its own state, under the triple group's moves, so
+it builds no graph and no Triple; ``closure --moves triple_group``
+reads a graph and goes through the rigid encoding's boundary.
 
 Only ``closure`` loads with this module.  The census modules load in
 ``run_full_verification``, so a CLI command that imports this module
@@ -20,7 +20,6 @@ them.
 from __future__ import annotations
 
 from collections import Counter
-from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from .closure import MOVE_SETS, MoveSet, closure
@@ -69,10 +68,9 @@ def default_claims_text() -> str:
     )
 
 
-# the triple group's moves on a census triple itself: the state is the
-# Triple's ``(a, b, c)``, read off its fields without building another
-_TRIPLE_STATES = MoveSet(moves=MOVE_SETS["triple_group"].moves,
-                         to_state=attrgetter("a", "b", "c"))
+# the triple group's moves on a census triple itself, with the default
+# ``to_state``: the ``(a, b, c)`` tuple is its own state
+_TRIPLE_STATES = MoveSet(moves=MOVE_SETS["triple_group"].moves)
 
 
 def _closure_oracle_matches(records) -> int:

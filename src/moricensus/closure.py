@@ -21,8 +21,8 @@ as many classes as the triple's orbit).  Its states are plain
 classes, so a move builds no graph.  Its one move writes out the two
 generators itself and reads no group table of the census, so the
 oracle's class counts do not share the census's arithmetic.  Verify's
-oracle uses the same move with a ``to_state`` that takes a triple, so
-it seeds each closure with the triple itself and builds no graph.
+oracle uses the same move with the default ``to_state``, seeding each
+closure with a census ``(a, b, c)`` tuple, so it builds no graph.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 from ._record import Record
 from .errors import ConfigError
 from .graphs import LabeledGraph
-from .triples import Triple, _plain_components
+from .triples import Triple
 
 __all__ = [
     "ClosureResult",
@@ -42,8 +42,8 @@ __all__ = [
 
 
 def _seed_state(seed):
-    """The default ``to_state``: the seed is its own state.  A module
-    function, not a lambda, so that a MoveSet pickles."""
+    """The default ``to_state``, for ``none`` and verify's oracle: the
+    seed is its own state.  A module function, so that a MoveSet pickles."""
     return seed
 
 
@@ -112,29 +112,31 @@ def closure(
 # k-th component.  Distinct triples therefore encode to distinct classes.
 
 
-def encode_triple(t: Triple) -> LabeledGraph:
-    """Rigid encoding: tuple order is visible to the isomorphism test."""
+def encode_triple(t) -> LabeledGraph:
+    """Rigid encoding of any ``(a, b, c)``; the isomorphism test sees its order."""
+    a, b, c = t
     return LabeledGraph(node_labels=(0, 1, 2),
-                        edges=((0, 1, t.a, 1), (0, 2, t.c, 1), (1, 2, t.b, 1)))
+                        edges=((0, 1, a, 1), (0, 2, c, 1), (1, 2, b, 1)))
 
 
 def _triple_state(g: LabeledGraph) -> tuple[int, int, int]:
     """``(a, b, c)`` if ``g`` is what :func:`encode_triple` writes for a
-    valid triple, else ConfigError; builds a Triple only to reject a
-    component."""
-    if g.node_labels != (0, 1, 2):
-        raise ConfigError(f"not a rigid triple encoding: nodes {g.node_labels}")
-    edges = g.edges
+    valid triple, with its nodes in any order, else ConfigError; builds
+    one Triple to check the components."""
+    labels = g.node_labels
+    if sorted(labels) != [0, 1, 2]:
+        raise ConfigError(f"not a rigid triple encoding: nodes {labels}")
+    # node k of the encoding is the node labelled k
+    edges = sorted((*sorted((labels[u], labels[v])), x, m) for u, v, x, m in g.edges)
     if [edge[:2] for edge in edges] != [(0, 1), (0, 2), (1, 2)]:
-        raise ConfigError(f"not a rigid triple encoding: edges {edges}")
+        raise ConfigError(f"not a rigid triple encoding: edges {g.edges}")
     (_, _, a, ab), (_, _, c, ac), (_, _, b, bc) = edges
     if (ab, ac, bc) != (1, 1, 1):
         raise ConfigError("triple encoding edges must have multiplicity 1")
-    if not _plain_components(a, b, c):
-        try:
-            Triple(a, b, c)  # its checks name the component at fault
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+    try:
+        Triple(a, b, c)  # its checks name the component at fault
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return a, b, c
 
 

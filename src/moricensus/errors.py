@@ -62,8 +62,8 @@ class InvariantError(MoricensusError):
 class DuplicateClassError(MoricensusError):
     """Two generated triples share an equivalence class.
 
-    Signals an enumeration or group-action fault; carries both triples
-    and their shared key, the duplicate's witness.
+    Signals an enumeration or group-action fault; carries both triples,
+    plain tuples, and their shared key, the duplicate's witness.
     """
 
     def __init__(self, first, second, key):

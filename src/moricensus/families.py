@@ -10,9 +10,10 @@ this level.
 Families are emitted in census order with triples in lexicographic
 order inside each family, so regeneration is deterministic.  Each
 family is written as plain ``(a, b, c)`` tuples; :func:`_models` sorts
-them, builds one validated Triple per model and stores its
-:func:`triples.orbit`; the census keeps these :class:`RegularModel`
-records.
+them and stores each with its :func:`triples.orbit`; the census keeps
+these :class:`RegularModel` records.  Every generated component lies
+in [-9, 9], far inside the component bound, so the census builds no
+:class:`~moricensus.triples.Triple`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from enum import Enum
 from . import triples
 from ._record import Record
 from .errors import DuplicateClassError
-from .triples import Triple
 
 __all__ = [
     "FamilyId",
@@ -51,7 +51,7 @@ class FamilyId(Enum):
 
 
 class RegularModel(Record):
-    """One census unit: a triple, its family, and its orbit.
+    """One census unit: a triple ``(a, b, c)``, its family, and its orbit.
 
     The last three fields are what :func:`triples.orbit` returns: the
     canonical key, which is the dedup key, then the orbit length and the
@@ -64,12 +64,8 @@ class RegularModel(Record):
 
 
 def _models(components, family: FamilyId) -> list[RegularModel]:
-    models = []
-    for a, b, c in sorted(components):
-        t = Triple(a, b, c)
-        # looked up at each call, so a rebound ``triples.orbit`` is seen
-        models.append(RegularModel(t, family, *triples.orbit(t)))
-    return models
+    # looked up at each call, so a rebound ``triples.orbit`` is seen
+    return [RegularModel(t, family, *triples.orbit(t)) for t in sorted(components)]
 
 
 # No closed-form membership rule exists for these 12; they are kept as an
@@ -164,7 +160,7 @@ def regular_models() -> list[RegularModel]:
         + family_one_degenerate()
         + family_two_degenerate()
     )
-    seen: dict[tuple[int, int, int], Triple] = {}
+    seen: dict[tuple[int, int, int], tuple[int, int, int]] = {}
     for model in models:
         other = seen.get(model.canonical_key)
         if other is not None:

@@ -6,19 +6,20 @@ transformations isomorphic to S3.  Orbits under this action are the
 equivalence classes of regular three-component models, and orbit
 lengths feed directly into the maximal-cone census.
 
-Each element is a signed permutation of the components, and
-``_images`` is the one table of all six, acting on plain ``(a, b, c)``
-tuples.  The component bound is symmetric, so every image of a valid
-triple is valid too.  :func:`orbit` reads a triple's canonical key,
-orbit length and stabilizer order off one pass over the images, and is
-the package's one orbit-stabilizer check; the census and the ``orbits``
-command both call it.
+The census holds triples as plain ``(a, b, c)`` tuples.
+:class:`Triple` is the checked input type, built only where a triple
+enters from outside.  Each element is a signed permutation of the
+components, and ``_images`` is the one table of all six.  The component
+bound is symmetric, so every image of a valid triple is valid too.
+:func:`orbit` takes any ``(a, b, c)`` and reads its canonical key, orbit
+length and stabilizer order off one pass over the images; it is the
+package's one orbit-stabilizer check, called by the census and the
+``orbits`` command.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from functools import total_ordering
 from typing import Iterator
 
 from ._record import Record
@@ -36,29 +37,17 @@ __all__ = [
 COMPONENT_BOUND = 10**6
 
 
-def _plain_components(a, b, c) -> bool:
-    """Whether a, b and c are all exactly ``int`` and inside the bound."""
-    return (type(a) is int and type(b) is int and type(c) is int
-            and -COMPONENT_BOUND <= a <= COMPONENT_BOUND
-            and -COMPONENT_BOUND <= b <= COMPONENT_BOUND
-            and -COMPONENT_BOUND <= c <= COMPONENT_BOUND)
-
-
-@total_ordering
 class Triple(Record):
-    """Ordered integer 3-tuple labelling a three-component model.
-
-    Triples compare and order as the tuple ``(a, b, c)``, and only with
-    triples.
+    """Integer 3-tuple checked against the component bound: the type of
+    ``orbits`` arguments, closure graph seeds and library callers'
+    triples.  It iterates as ``(a, b, c)`` and equals only Triples.
     """
 
     __slots__ = ("a", "b", "c")
 
     def __post_init__(self):
-        if _plain_components(self.a, self.b, self.c):
-            return
-        # the per-field checks name the offending component; they also
-        # accept int subclasses other than bool
+        # the checks name the offending component; they accept int
+        # subclasses other than bool
         for name in ("a", "b", "c"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
@@ -69,18 +58,8 @@ class Triple(Record):
                     f"[-{COMPONENT_BOUND}, {COMPONENT_BOUND}]"
                 )
 
-    # Record gives equality and hashing.  The symmetry census sorts by
-    # triple, so __lt__ is written out; total_ordering derives the rest.
-    def __lt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.a, self.b, self.c) < (other.a, other.b, other.c)
-        return NotImplemented
-
     def __iter__(self) -> Iterator[int]:
         return iter((self.a, self.b, self.c))
-
-    def __repr__(self):
-        return f"({self.a}, {self.b}, {self.c})"
 
 
 class GroupElement(Enum):
@@ -101,9 +80,9 @@ def _images(a, b, c):
             (-b, -a, -c), (-c, -b, -a), (-a, -c, -b))
 
 
-def orbit(t: Triple) -> tuple[tuple[int, int, int], int, int]:
-    """Canonical key, orbit length and stabilizer order of ``t``, from
-    one pass over its six images.
+def orbit(t) -> tuple[tuple[int, int, int], int, int]:
+    """Canonical key, orbit length and stabilizer order of any triple
+    ``(a, b, c)``, from one pass over its six images.
 
     The key, the least image as a plain tuple, is constant on orbits:
     the deduplication key for equivalence classes.  Length and
@@ -111,7 +90,7 @@ def orbit(t: Triple) -> tuple[tuple[int, int, int], int, int]:
     6 checks orbit-stabilizer; InvariantError if it is not.  Looks
     ``_images`` up at each call, and builds no Triple.
     """
-    own = (t.a, t.b, t.c)
+    own = tuple(t)
     images = _images(*own)
     length, order = len(set(images)), images.count(own)
     if length * order != 6:

@@ -72,21 +72,18 @@ def test_criterion_3_symmetry_census():
     computed = [r for r in report.p_symmetric if r.triple is not None]
     declared_only = [r for r in report.p_symmetric if r.triple is None]
     assert {r.triple for r in computed} == {
-        Triple(*t)
-        for t in [
-            (0, 0, 0),
-            (1, 1, 1),
-            (2, 2, 2),
-            (0, 1, -1),
-            (0, -1, 1),
-            (0, 2, -2),
-            (0, -2, 2),
-            (3, 0, -3),
-            (-3, 0, 3),
-            (-4, 0, 4),
-            (-5, 0, 5),
-            (-6, 0, 6),
-        ]
+        (0, 0, 0),
+        (1, 1, 1),
+        (2, 2, 2),
+        (0, 1, -1),
+        (0, -1, 1),
+        (0, 2, -2),
+        (0, -2, 2),
+        (3, 0, -3),
+        (-3, 0, 3),
+        (-4, 0, 4),
+        (-5, 0, 5),
+        (-6, 0, 6),
     }
     assert len(computed) == 12
     assert sorted(r.orbit_length for r in computed) == [1, 2, 2] + [3] * 9

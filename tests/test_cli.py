@@ -552,10 +552,11 @@ def test_shipped_json_is_byte_identical_to_snapshot(capsys, snapshot, argv):
 
 
 def test_interpreter_check_passes_this_interpreter():
-    # the tool runs census, verify, orbits and closure under each
-    # interpreter it is given and compares their JSON with the snapshots,
-    # and a symmetric triple's orbits table and audit's csv with their
-    # golden files
+    # the tool runs census, verify, orbits and closure (on the seed graph
+    # and on the same graph with its nodes listed out of label order)
+    # under each interpreter it is given and compares their JSON with the
+    # snapshots, and a symmetric triple's orbits table and audit's csv
+    # with their golden files
     done = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "check_interpreters.py"), sys.executable],
         capture_output=True, text=True, timeout=120,
@@ -563,7 +564,8 @@ def test_interpreter_check_passes_this_interpreter():
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout == "".join(
         f"{sys.executable}  {command:<7} ok\n"
-        for command in ("census", "verify", "orbits", "orbits", "closure", "audit"))
+        for command in ("census", "verify", "orbits", "orbits", "closure", "closure",
+                        "audit"))
 
 
 def test_shipped_closure_json_matches_snapshot(graph_file, capsys):
@@ -578,6 +580,16 @@ def test_shipped_closure_json_matches_snapshot(graph_file, capsys):
 
 
 GOLDEN = ROOT / "tests" / "data" / "cli"
+
+
+def test_closure_reads_a_seed_listed_out_of_label_order(capsys):
+    # node ids are arbitrary, so the seed graph with the node labelled 2
+    # listed first is the same class and prints the same closure
+    code, out, err = run(capsys, "closure", "--graph",
+                         str(GOLDEN / "seed-permuted.graph"),
+                         "--moves", "triple_group", "--format", "json")
+    assert (code, err) == (0, "")
+    assert out.encode() == (SNAPSHOTS / "closure.json").read_bytes()
 
 # ``{name}.{format}.txt`` in GOLDEN holds each run's stdout; the JSON
 # format is pinned by the snapshots above

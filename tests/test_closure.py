@@ -215,6 +215,30 @@ def test_encode_decode_roundtrip():
         assert _triple_state(encode_triple(t)) == (t.a, t.b, t.c)
 
 
+def test_encoding_takes_any_triple():
+    # the census's plain tuples and checked Triples encode alike
+    for t in ((-6, 0, 3), (0, 0, 0), (9, -3, 3)):
+        assert encode_triple(t) == encode_triple(Triple(*t))
+
+
+def relisted(g, order):
+    """``g`` with node k listed at position ``order[k]``: the same class."""
+    labels = [None] * len(order)
+    for k, label in enumerate(g.node_labels):
+        labels[order[k]] = label
+    return LabeledGraph.build(
+        labels, [(order[u], order[v], x, m) for u, v, x, m in g.edges])
+
+
+@pytest.mark.parametrize("order", itertools.permutations(range(3)))
+def test_decode_reads_nodes_by_label_in_any_order(order):
+    # node ids in a graph file are arbitrary, so the encoding's nodes may
+    # be listed in any order; node k is the node labelled k
+    seed = relisted(encode_triple((-6, 0, 3)), order)
+    assert _triple_state(seed) == (-6, 0, 3)
+    assert closure(seed, MOVE_SETS["triple_group"]).class_count == 6
+
+
 def test_rigid_encoding_separates_distinct_triples():
     assert not iso(encode_triple(Triple(1, 2, 3)), encode_triple(Triple(3, 2, 1)))
 
@@ -250,11 +274,13 @@ OFF_ENCODING_SEEDS = [
     LabeledGraph.build([0, 1, 2], [(0, 1, 5, 2), (1, 2, 0), (2, 0, 3)]),
     LabeledGraph.build([0, 1, 2], [(0, 1, 5), (0, 1, 7), (1, 2, 0), (2, 0, 3)]),
     LabeledGraph.build([0, 1, 3], [(0, 1, 5), (1, 2, 0), (2, 0, 3)]),
+    LabeledGraph.build([0, 0, 1], [(0, 1, 5), (1, 2, 0), (2, 0, 3)]),
 ]
 
 
 @pytest.mark.parametrize("seed", OFF_ENCODING_SEEDS, ids=[
-    "label_out_of_bound", "mult_2", "two_edges_on_a_pair", "node_labels_013"])
+    "label_out_of_bound", "mult_2", "two_edges_on_a_pair", "node_labels_013",
+    "node_labels_001"])
 def test_closure_rejects_seeds_off_the_encoding(seed):
     with pytest.raises(ConfigError) as decoded:
         _triple_state(seed)
@@ -263,9 +289,10 @@ def test_closure_rejects_seeds_off_the_encoding(seed):
     assert str(closed.value) == str(decoded.value)
 
 
-def test_closure_builds_no_triple(monkeypatch):
-    # moves read components off the graphs they encoded themselves
-    seed = encode_triple(Triple(-6, 0, 3))
+def test_closure_builds_one_triple_at_the_seed(monkeypatch):
+    # the seed's check builds one Triple; the moves act on plain tuples
+    # and build none
+    seed, expected = encode_triple((-6, 0, 3)), Triple(-6, 0, 3)
     built = []
     check = Triple.__post_init__
 
@@ -276,7 +303,7 @@ def test_closure_builds_no_triple(monkeypatch):
     monkeypatch.setattr(Triple, "__post_init__", counting)
     result = closure(seed, MOVE_SETS["triple_group"])
     assert result.class_count == 6
-    assert built == []
+    assert built == [expected]
 
 
 def test_closure_builds_no_graph_past_the_seed(monkeypatch):
@@ -352,8 +379,8 @@ def closure_via_graphs(t):
     while frontier:
         next_frontier = []
         for member in frontier:
-            images = _images(member.a, member.b, member.c)
-            for image in (Triple(*images[1]), Triple(*images[3])):  # s and i
+            images = _images(*member)
+            for image in (images[1], images[3]):  # s and i
                 steps += 1
                 form = canonical_graph(encode_triple(image))
                 if form not in seen:

@@ -86,7 +86,7 @@ def test_symmetric_models_total_thirteen():
 def test_symmetric_models_orbit_length_two_are_the_cyclic_pair():
     records = symmetric_p_models(regular_models()) + [declared_symmetric_record()]
     length_two = {r.triple for r in records if r.orbit_length == 2}
-    assert length_two == {Triple(1, 1, 1), Triple(2, 2, 2)}
+    assert length_two == {(1, 1, 1), (2, 2, 2)}
 
 
 def test_p_cone_count_reproduces_claimed_total():
@@ -104,7 +104,7 @@ def test_p_cone_count_computed_subtotal():
 
 
 def test_single_fully_symmetric_model_contributes_one_cone():
-    record = RegularModel(Triple(0, 0, 0), FamilyId.NONDEG, (0, 0, 0), 1, 6)
+    record = RegularModel((0, 0, 0), FamilyId.NONDEG, (0, 0, 0), 1, 6)
     assert p_cone_count([record]) == 1
 
 
@@ -173,6 +173,23 @@ def test_build_census_report_builds_no_triple(monkeypatch):
     monkeypatch.setattr(Triple, "__post_init__", counting)
     report = build_census_report(models, declared)
     assert report.p_cones == 2657
+    assert built == []
+
+
+@pytest.mark.parametrize("command", ["verify", "census"])
+def test_verify_and_census_build_no_triple(monkeypatch, capsys, command):
+    # the families generate plain tuples, and every layer after them
+    # reads those; a Triple is built only where a triple is input
+    built = []
+    check = Triple.__post_init__
+
+    def counting(t):
+        built.append(t)
+        check(t)
+
+    monkeypatch.setattr(Triple, "__post_init__", counting)
+    assert main([command]) == 0
+    capsys.readouterr()
     assert built == []
 
 
@@ -326,8 +343,8 @@ def test_regular_models_rejects_planted_overlap(monkeypatch, capsys):
     with pytest.raises(DuplicateClassError) as exc_info:
         regular_models()
     err = exc_info.value
-    assert (err.first, err.second) == (Triple(0, 1, -1), Triple(1, -1, 0))
-    assert err.key == orbit(Triple(0, 1, -1))[0] == (-1, 0, 1)
+    assert (err.first, err.second) == ((0, 1, -1), (1, -1, 0))
+    assert err.key == orbit((0, 1, -1))[0] == (-1, 0, 1)
     assert main(["census"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -433,7 +450,7 @@ def test_duplicate_law_fails_a_dedup_on_raw_triples(monkeypatch):
     # keys that are the triples themselves pass every verdict of the
     # shipped families, which are distinct triples, but miss a duplicate
     monkeypatch.setattr(triples, "orbit",
-                        lambda t: ((t.a, t.b, t.c), *orbit(t)[1:]))
+                        lambda t: (tuple(t), *orbit(t)[1:]))
     assert all(v.holds for v in run_full_verification().verdicts
                if v.name.startswith("census."))
     assert not another_models_image_is_a_duplicate(0, 1, 3)

@@ -10,7 +10,6 @@ from moricensus.errors import (
     MoricensusError,
     config_int,
 )
-from moricensus.triples import Triple
 
 from linetrace import unrun_lines
 
@@ -20,7 +19,7 @@ CATALOGUE = {
     ConfigError: (2, lambda: ConfigError("bad", line=2, column=7)),
     InvariantError: (1, lambda: InvariantError("orbit-stabilizer fails")),
     DuplicateClassError: (1, lambda: DuplicateClassError(
-        Triple(0, 1, -1), Triple(1, -1, 0), (-1, 0, 1))),
+        (0, 1, -1), (1, -1, 0), (-1, 0, 1))),
 }
 
 
@@ -72,9 +71,10 @@ def test_config_error_names_where_it_is_known():
 
 
 def test_errors_carry_their_data():
-    err = DuplicateClassError(Triple(0, 1, -1), Triple(1, -1, 0), (-1, 0, 1))
+    # the census's triples are plain tuples, and the error carries them
+    err = DuplicateClassError((0, 1, -1), (1, -1, 0), (-1, 0, 1))
     assert (err.first, err.second, err.key) == (
-        Triple(0, 1, -1), Triple(1, -1, 0), (-1, 0, 1))
+        (0, 1, -1), (1, -1, 0), (-1, 0, 1))
     assert str(err) == (
         "triples (0, 1, -1) and (1, -1, 0) share canonical key (-1, 0, 1)")
 

@@ -10,7 +10,6 @@ from moricensus.families import (
     family_two_degenerate,
     regular_models,
 )
-from moricensus.triples import Triple
 
 from test_triples import raw_orbit
 
@@ -23,31 +22,31 @@ def test_nondegenerate_count_and_membership():
     models = family_nondegenerate()
     assert len(models) == 25
     ts = triples_of(models)
-    assert Triple(0, 1, -1) in ts
-    assert Triple(1, 1, 1) in ts
+    assert (0, 1, -1) in ts
+    assert (1, 1, 1) in ts
     # only one representative of each equivalent (x,x,x) pair is kept
-    assert Triple(-1, -1, -1) not in ts
-    assert Triple(-2, -2, -2) not in ts
+    assert (-1, -1, -1) not in ts
+    assert (-2, -2, -2) not in ts
 
 
 def test_one_degenerate_count_and_membership():
     models = family_one_degenerate()
     assert len(models) == 103
     ts = triples_of(models)
-    assert Triple(3, 0, -3) in ts
-    assert Triple(3, 2, -3) in ts
-    assert Triple(-2, 1, -8) in ts
+    assert (3, 0, -3) in ts
+    assert (3, 2, -3) in ts
+    assert (-2, 1, -8) in ts
     # z runs over {x-6,...,-3}: empty below x-6, and never above -3
-    assert Triple(-2, 1, -9) not in ts
-    assert Triple(2, 0, -2) not in ts
+    assert (-2, 1, -9) not in ts
+    assert (2, 0, -2) not in ts
 
 
 def test_one_degenerate_slice_length_depends_on_x():
     ts = triples_of(family_one_degenerate())
     for x in range(-2, 3):
-        slice_for_fixed_y = [t for t in ts if t.a == x and t.b == 0]
+        slice_for_fixed_y = [t for t in ts if t[:2] == (x, 0)]
         assert len(slice_for_fixed_y) == 4 - x
-    assert len([t for t in ts if t.a == -2 and t.b == 0]) == 6
+    assert len([t for t in ts if t[:2] == (-2, 0)]) == 6
 
 
 EXPECTED_SUBFAMILY_SIZES = {
@@ -73,16 +72,16 @@ def test_two_degenerate_subfamily_sizes():
 
 def test_m0_boundary_constraint():
     ts = triples_of(family_two_degenerate())
-    assert Triple(-3, 0, 3) in ts
-    assert Triple(-6, 0, 3) in ts
+    assert (-3, 0, 3) in ts
+    assert (-6, 0, 3) in ts
     # |z| <= |x| excludes the triples equivalent to kept ones
-    assert Triple(-3, 0, 6) not in ts
-    assert Triple(-4, 0, 5) not in ts
+    assert (-3, 0, 6) not in ts
+    assert (-4, 0, 5) not in ts
 
 
 def test_k_family_pattern():
     models = [m for m in family_two_degenerate() if m.family is FamilyId.K]
-    assert [m.triple for m in models] == [Triple(x, -3, 3) for x in range(3, 10)]
+    assert [m.triple for m in models] == [(x, -3, 3) for x in range(3, 10)]
 
 
 def test_regular_models_total_and_distinct_classes():
@@ -90,6 +89,11 @@ def test_regular_models_total_and_distinct_classes():
     assert len(models) == 347
     keys = {m.canonical_key for m in models}
     assert len(keys) == 347
+
+
+def test_every_model_triple_is_a_plain_tuple():
+    # the census holds its triples as the families generate them
+    assert all(type(m.triple) is tuple for m in regular_models())
 
 
 def test_canonical_keys_match_triples():
@@ -134,7 +138,7 @@ EXPECTED_SYMMETRIC = {
 
 def test_exactly_twelve_symmetric_models():
     symmetric = {
-        (m.triple.a, m.triple.b, m.triple.c)
+        m.triple
         for m in regular_models()
         if raw_orbit(m.triple)[2] > 1
     }
@@ -143,8 +147,8 @@ def test_exactly_twelve_symmetric_models():
 
 def test_duplicate_class_error_carries_both_triples():
     with pytest.raises(DuplicateClassError) as exc_info:
-        raise DuplicateClassError(Triple(1, 1, 1), Triple(-1, -1, -1),
-                                  Triple(-1, -1, -1))
+        raise DuplicateClassError((1, 1, 1), (-1, -1, -1),
+                                  (-1, -1, -1))
     err = exc_info.value
-    assert err.first == Triple(1, 1, 1)
-    assert err.second == Triple(-1, -1, -1)
+    assert err.first == (1, 1, 1)
+    assert err.second == (-1, -1, -1)

@@ -8,9 +8,11 @@ For each interpreter it runs ``moricensus census --format json``,
 json -- -6 0 3``, ``moricensus orbits -- 1 1 1`` (a triple with a
 non-trivial stabilizer), ``moricensus closure --graph
 tests/data/cli/seed.graph --moves triple_group --format json`` (the one
-subcommand that reaches ``graphs``' parser) and ``moricensus audit
---format csv`` from this checkout's ``src`` (with ``PYTHONPATH=src``),
-and compares each stdout with its expected file: the JSON snapshots in
+subcommand that reaches ``graphs``' parser), the same closure on
+``seed-permuted.graph``, which lists that graph's nodes out of label
+order, and ``moricensus audit --format csv`` from this checkout's
+``src`` (with ``PYTHONPATH=src``), and compares each stdout with its
+expected file: the JSON snapshots in
 ``perfbench/snapshots/`` and the golden files in ``tests/data/cli/``.
 It only reads those files.  It prints one line per run and exits 1 if
 any run exits non-zero or differs from its expected file, else 0.
@@ -29,18 +31,19 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+GRAPHS = ROOT / "tests" / "data" / "cli"
 # each run's expected stdout, relative to ROOT, and its arguments
-RUNS = {
-    "perfbench/snapshots/census.json": ["census", "--format", "json"],
-    "perfbench/snapshots/verify.json": ["verify", "--format", "json"],
-    "perfbench/snapshots/orbits.json": ["orbits", "--format", "json", "--", "-6", "0", "3"],
-    "tests/data/cli/orbits-symmetric.table.txt": [
-        "orbits", "--", "1", "1", "1"],
-    "perfbench/snapshots/closure.json": [
-        "closure", "--graph", str(ROOT / "tests" / "data" / "cli" / "seed.graph"),
-        "--moves", "triple_group", "--format", "json"],
-    "tests/data/cli/audit.csv.txt": ["audit", "--format", "csv"],
-}
+RUNS = [
+    ("perfbench/snapshots/census.json", ["census", "--format", "json"]),
+    ("perfbench/snapshots/verify.json", ["verify", "--format", "json"]),
+    ("perfbench/snapshots/orbits.json",
+     ["orbits", "--format", "json", "--", "-6", "0", "3"]),
+    ("tests/data/cli/orbits-symmetric.table.txt", ["orbits", "--", "1", "1", "1"]),
+    *(("perfbench/snapshots/closure.json",
+       ["closure", "--graph", str(GRAPHS / name), "--moves", "triple_group",
+        "--format", "json"]) for name in ("seed.graph", "seed-permuted.graph")),
+    ("tests/data/cli/audit.csv.txt", ["audit", "--format", "csv"]),
+]
 
 
 def status(python: str, argv: list, expected: str, env: dict) -> str:
@@ -65,7 +68,7 @@ def main(argv=None) -> int:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     good = True
     for python in args.pythons:
-        for expected, command in RUNS.items():
+        for expected, command in RUNS:
             result = status(python, command, expected, env)
             print(f"{python}  {command[0]:<7} {result}")
             good = good and result == "ok"
