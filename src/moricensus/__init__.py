@@ -18,7 +18,7 @@ so ``import moricensus`` compiles none of them.
 from .closure import MOVE_SETS, ClosureResult, closure, encode_triple
 from .errors import ConfigError, DuplicateClassError, MoricensusError
 from .graphs import LabeledGraph, parse_graph_file
-from .triples import GroupElement, Triple, orbit
+from .triples import Triple, orbit
 
 __version__ = "0.1.0"
 
@@ -29,7 +29,7 @@ _LAZY = {
     **dict.fromkeys(("CensusReport", "build_census_report", "p_cone_count",
                      "symmetric_p_models", "t_cone_count"), "cones"),
     **dict.fromkeys(("DeclaredEntry", "load_declared"), "declared"),
-    **dict.fromkeys(("FamilyId", "RegularModel", "family_nondegenerate",
+    **dict.fromkeys(("RegularModel", "family_nondegenerate",
                      "family_one_degenerate", "family_two_degenerate",
                      "regular_models"), "families"),
 }

@@ -99,12 +99,8 @@ def run_full_verification(
     from .claims import AuditReport, Verdict, evaluate_claims, parse_claims
     from .cones import RECORDED_FINDINGS, build_census_report
     from .declared import default_declared_text, load_declared
-    from .families import (
-        FamilyId,
-        family_nondegenerate,
-        family_one_degenerate,
-        family_two_degenerate,
-    )
+    from .families import (family_nondegenerate, family_one_degenerate,
+                           family_two_degenerate)
 
     if declared is None:
         declared = load_declared(default_declared_text())
@@ -116,15 +112,16 @@ def run_full_verification(
     two_deg = family_two_degenerate()
     regular = nondeg + one_deg + two_deg
     report = build_census_report(regular, declared)
-    # indexed per family, so an emptied subfamily reads 0
-    sizes = Counter(m.family for m in two_deg)
+    # indexed by the claimed subfamily names, so an emptied or relabelled
+    # subfamily reads 0
+    sizes = Counter(f"census.subfamily.{m.family}" for m in two_deg)
     # a symmetric orbit has length 1, 2 or 3 under the order-6 group
     lengths = Counter(r.orbit_length for r in report.p_symmetric)
     got = {
         "census.p_nondeg": len(nondeg),
         "census.p_one_deg": len(one_deg),
         "census.p_two_deg": len(two_deg),
-        **{f"census.subfamily.{f.value}": sizes[f] for f in FamilyId},
+        **{n: sizes[n] for n in CLAIMED if n.startswith("census.subfamily.")},
         "census.p_regular_classes": len({m.canonical_key for m in regular}),
         "census.p_models": report.p_models,
         "census.t_models": report.t_models,

@@ -45,7 +45,7 @@ from .audit import default_claims_text, run_full_verification
 from .closure import MOVE_SETS, closure
 from .errors import ConfigError, MoricensusError
 from .graphs import canonical_backend, parse_graph_file
-from .triples import GroupElement, Triple
+from .triples import ELEMENTS, Triple
 
 if TYPE_CHECKING:
     from .claims import AuditReport
@@ -59,7 +59,8 @@ EXIT_BROKEN_PIPE = 141
 def _read(path: str | None, default_text) -> str:
     if path is None:
         return default_text()
-    with open(path, encoding="utf-8") as handle:
+    # a byte-order mark, as some editors save, is not part of the text
+    with open(path, encoding="utf-8-sig") as handle:
         try:
             return handle.read()
         except UnicodeDecodeError as exc:
@@ -105,7 +106,7 @@ def _cmd_census(args):
         "p_symmetric": [
             {
                 "source": "computed" if record.triple else "declared",
-                "family": record.family.value,
+                "family": record.family,
                 "triple": list(record.triple) if record.triple else None,
                 "orbit_length": record.orbit_length,
                 "symmetry_order": record.symmetry_order,
@@ -193,8 +194,7 @@ def _cmd_orbits(args):
         "orbit": [list(m) for m in sorted(set(images))],
         "orbit_length": length,
         "stabilizer_order": order,
-        "stabilizer": [g.value for g, image in zip(GroupElement, images)
-                       if image == tuple(t)],
+        "stabilizer": [g for g, image in zip(ELEMENTS, images) if image == tuple(t)],
         "canonical": list(canonical),
     }, EXIT_OK
 
@@ -213,7 +213,7 @@ def _orbits_table(payload: dict):
 def _orbits_rows(payload: dict):
     images = triples._images(*payload["triple"])
     return [["element", "a", "b", "c"],
-            *([g.value, *image] for g, image in zip(GroupElement, images))]
+            *([g, *image] for g, image in zip(ELEMENTS, images))]
 
 
 def _cmd_closure(args):

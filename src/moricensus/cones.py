@@ -7,7 +7,8 @@ declared count gives 3 cones per symmetric model and
 6 per other one (:func:`t_cone_count`).  Together they reproduce the
 three-component count 2657 and the two-component count 741; the grand
 total 3398 is their sum.  Each declared symmetric three-component model
-is listed as one more ``RegularModel``, with no triple.
+is listed as one more ``RegularModel``, with no triple and the family
+label ``"very_degenerate"``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from ._record import Record
 from .declared import DeclaredEntry
 from .errors import ConfigError, InvariantError
-from .families import FamilyId, RegularModel
+from .families import RegularModel
 
 __all__ = [
     "CensusReport",
@@ -128,7 +129,7 @@ def build_census_report(
             field="p_very_degenerate_symmetric",
         )
 
-    declared_record = RegularModel(None, FamilyId.VERY_DEGENERATE, None, 3, 2)
+    declared_record = RegularModel(None, "very_degenerate", None, 3, 2)
     report = CensusReport(
         p_models=len(regular) + p_vd,
         t_models=t_models,

@@ -5,7 +5,10 @@ Three families: 25 models with all curve structures non-degenerate,
 latter split into nine parameter sets K, M(0), M(-1), M(-2), N(-2),
 N(-1), N(0), N(1), N(2)).  Which component is degenerate is carried
 only as the family label; no numeric degeneracy predicate exists at
-this level.
+this level.  The label is the string the outputs print: ``"nondeg"``,
+``"one_deg"``, or one of the nine set names ``"K"``, ``"M0"``,
+``"M-1"``, ``"M-2"``, ``"N-2"``, ``"N-1"``, ``"N0"``, ``"N1"``,
+``"N2"``.
 
 Families are emitted in census order with triples in lexicographic
 order inside each family, so regeneration is deterministic.  Each
@@ -18,14 +21,11 @@ in [-9, 9], far inside the component bound, so the census builds no
 
 from __future__ import annotations
 
-from enum import Enum
-
 from . import triples
 from ._record import Record
 from .errors import DuplicateClassError
 
 __all__ = [
-    "FamilyId",
     "RegularModel",
     "family_nondegenerate",
     "family_one_degenerate",
@@ -34,24 +34,9 @@ __all__ = [
 ]
 
 
-class FamilyId(Enum):
-    NONDEG = "nondeg"
-    ONE_DEG = "one_deg"
-    K = "K"
-    M0 = "M0"
-    M_NEG1 = "M-1"
-    M_NEG2 = "M-2"
-    N_NEG2 = "N-2"
-    N_NEG1 = "N-1"
-    N0 = "N0"
-    N1 = "N1"
-    N2 = "N2"
-    # the declared symmetric models, which no family generates
-    VERY_DEGENERATE = "very_degenerate"
-
-
 class RegularModel(Record):
-    """One census unit: a triple ``(a, b, c)``, its family, and its orbit.
+    """One census unit: a triple ``(a, b, c)``, its family label, and its
+    orbit.
 
     The last three fields are what :func:`triples.orbit` returns: the
     canonical key, which is the dedup key, then the orbit length and the
@@ -63,7 +48,7 @@ class RegularModel(Record):
                  "symmetry_order")
 
 
-def _models(components, family: FamilyId) -> list[RegularModel]:
+def _models(components, family: str) -> list[RegularModel]:
     # looked up at each call, so a rebound ``triples.orbit`` is seen
     return [RegularModel(t, family, *triples.orbit(t)) for t in sorted(components)]
 
@@ -83,7 +68,7 @@ def family_nondegenerate() -> list[RegularModel]:
     components += [(x, y, y) for x in (1, 2) for y in (-2, -1, 0, 1, 2) if y != x]
     components += [(0, 1, 1), (0, 2, 2)]
     components += [(x, x, x) for x in (0, 1, 2)]
-    return _models(components, FamilyId.NONDEG)
+    return _models(components, "nondeg")
 
 
 def family_one_degenerate() -> list[RegularModel]:
@@ -100,7 +85,7 @@ def family_one_degenerate() -> list[RegularModel]:
         for y in range(-2, 3)
         for z in range(x - 6, -2)
     ]
-    return _models(components, FamilyId.ONE_DEG)
+    return _models(components, "one_deg")
 
 
 def family_two_degenerate() -> list[RegularModel]:
@@ -110,41 +95,15 @@ def family_two_degenerate() -> list[RegularModel]:
     set M(0) carries the extra constraint |z| <= |x|, which removes the
     six triples equivalent to smaller M(0) members under the group.
     """
-    out = _models(
-        [(x, -3, 3) for x in range(3, 10)], FamilyId.K
-    )
-    out += _models(
-        [
-            (x, 0, z)
-            for x in range(-6, -2)
-            for z in range(3, 7)
-            if abs(z) <= abs(x)
-        ],
-        FamilyId.M0,
-    )
-    out += _models(
-        [(x, -1, z) for x in range(-7, -2) for z in range(3, 6)],
-        FamilyId.M_NEG1,
-    )
-    out += _models(
-        [(x, -2, z) for x in range(-8, -2) for z in range(3, 5)],
-        FamilyId.M_NEG2,
-    )
-    for family, last, ylo in (
-        (FamilyId.N_NEG2, -2, -8),
-        (FamilyId.N_NEG1, -1, -7),
-        (FamilyId.N0, 0, -6),
-        (FamilyId.N1, 1, -5),
-        (FamilyId.N2, 2, -4),
-    ):
-        out += _models(
-            [
-                (x, y, last)
-                for y in range(ylo, -2)
-                for x in range(y - 6, -2)
-            ],
-            family,
-        )
+    out = _models([(x, -3, 3) for x in range(3, 10)], "K")
+    out += _models([(x, 0, z) for x in range(-6, -2) for z in range(3, 7)
+                    if abs(z) <= abs(x)], "M0")
+    out += _models([(x, -1, z) for x in range(-7, -2) for z in range(3, 6)], "M-1")
+    out += _models([(x, -2, z) for x in range(-8, -2) for z in range(3, 5)], "M-2")
+    for family, last, ylo in (("N-2", -2, -8), ("N-1", -1, -7), ("N0", 0, -6),
+                              ("N1", 1, -5), ("N2", 2, -4)):
+        out += _models([(x, y, last) for y in range(ylo, -2)
+                        for x in range(y - 6, -2)], family)
     return out
 
 

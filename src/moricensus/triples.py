@@ -9,8 +9,10 @@ lengths feed directly into the maximal-cone census.
 The census holds triples as plain ``(a, b, c)`` tuples.
 :class:`Triple` is the checked input type, built only where a triple
 enters from outside.  Each element is a signed permutation of the
-components, and ``_images`` is the one table of all six.  The component
-bound is symmetric, so every image of a valid triple is valid too.
+components, named by its word in ``s`` and ``i`` as the outputs print
+it; ``_images`` is the one table of all six, in ``ELEMENTS`` order.
+The component bound is symmetric, so every image of a valid triple is
+valid too.
 :func:`orbit` takes any ``(a, b, c)`` and reads its canonical key, orbit
 length and stabilizer order off one pass over the images; it is the
 package's one orbit-stabilizer check, called by the census and the
@@ -19,7 +21,6 @@ package's one orbit-stabilizer check, called by the census and the
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import Iterator
 
 from ._record import Record
@@ -27,7 +28,7 @@ from .errors import InvariantError
 
 __all__ = [
     "COMPONENT_BOUND",
-    "GroupElement",
+    "ELEMENTS",
     "Triple",
     "orbit",
 ]
@@ -62,20 +63,14 @@ class Triple(Record):
         return iter((self.a, self.b, self.c))
 
 
-class GroupElement(Enum):
-    """The six symmetries: words in the shift ``s`` and involution ``i``."""
-
-    E = "e"
-    S = "s"
-    S2 = "s2"
-    I = "i"
-    IS = "is"
-    IS2 = "is2"
+# the six symmetries' words in the shift ``s`` and involution ``i``, in
+# the order of ``_images``
+ELEMENTS = ("e", "s", "s2", "i", "is", "is2")
 
 
 def _images(a, b, c):
-    """Images of ``(a, b, c)`` under the six elements, in enum order: the
-    words in s and i written out as signed permutations."""
+    """Images of ``(a, b, c)`` under the six elements, in ``ELEMENTS``
+    order: the words in s and i written out as signed permutations."""
     return ((a, b, c), (b, c, a), (c, a, b),
             (-b, -a, -c), (-c, -b, -a), (-a, -c, -b))
 

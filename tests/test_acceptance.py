@@ -15,21 +15,14 @@ from moricensus.closure import MOVE_SETS, MoveSet, closure, encode_triple
 from moricensus.cones import build_census_report, t_cone_count
 from moricensus.declared import default_declared_text, load_declared
 from moricensus.families import (
-    FamilyId,
     family_nondegenerate,
     family_one_degenerate,
     family_two_degenerate,
     regular_models,
 )
-from moricensus.triples import Triple, _images, orbit
+from moricensus.triples import ELEMENTS, Triple, _images, orbit
 
-
-def shift(t):
-    return Triple(*_images(*t)[1])
-
-
-def involution(t):
-    return Triple(*_images(*t)[3])
+from group_action import involution, shift
 
 
 def ok(number, text):
@@ -43,18 +36,7 @@ def test_criterion_1_family_cardinalities():
     assert len(two) == 219
     sizes = Counter(m.family for m in two)
     assert [
-        sizes[f]
-        for f in (
-            FamilyId.K,
-            FamilyId.M0,
-            FamilyId.M_NEG1,
-            FamilyId.M_NEG2,
-            FamilyId.N_NEG2,
-            FamilyId.N_NEG1,
-            FamilyId.N0,
-            FamilyId.N1,
-            FamilyId.N2,
-        )
+        sizes[f] for f in ("K", "M0", "M-1", "M-2", "N-2", "N-1", "N0", "N1", "N2")
     ] == [7, 10, 15, 12, 57, 45, 34, 24, 15]
     ok(1, "family sizes 25/103/219 with subfamilies 7,10,15,12,57,45,34,24,15")
 
@@ -94,12 +76,16 @@ def test_criterion_3_symmetry_census():
 
 
 def test_criterion_4_quoted_equivalences():
-    assert shift(Triple(-6, 0, 3)) == Triple(0, 3, -6)
-    assert involution(Triple(0, 3, -6)) == Triple(-3, 0, 6)
-    assert involution(Triple(1, 1, 1)) == Triple(-1, -1, -1)
-    assert involution(Triple(-1, -1, -1)) == Triple(1, 1, 1)
-    assert involution(Triple(2, 2, 2)) == Triple(-2, -2, -2)
-    assert involution(Triple(-2, -2, -2)) == Triple(2, 2, 2)
+    # each quoted move, and the census table's image under its element
+    for move, name, t, image in (
+        (shift, "s", (-6, 0, 3), (0, 3, -6)),
+        (involution, "i", (0, 3, -6), (-3, 0, 6)),
+        (involution, "i", (1, 1, 1), (-1, -1, -1)),
+        (involution, "i", (-1, -1, -1), (1, 1, 1)),
+        (involution, "i", (2, 2, 2), (-2, -2, -2)),
+        (involution, "i", (-2, -2, -2), (2, 2, 2)),
+    ):
+        assert move(t) == _images(*t)[ELEMENTS.index(name)] == image
     ok(4, "all quoted shift/involution equivalence instances hold")
 
 
@@ -167,9 +153,13 @@ def test_criterion_9_property_suite():
     rng = random.Random(34701)
     for _ in range(1000):
         t = Triple(*(rng.randint(-200, 200) for _ in range(3)))
-        assert shift(shift(shift(t))) == t
-        assert involution(involution(t)) == t
-        assert involution(shift(involution(t))) == shift(shift(t))
+        u = tuple(t)
+        assert shift(shift(shift(u))) == u
+        assert involution(involution(u)) == u
+        assert involution(shift(involution(u))) == shift(shift(u))
+        # the census table is the six words in the generators
+        assert _images(*t) == (u, shift(u), shift(shift(u)), involution(u),
+                               involution(shift(u)), involution(shift(shift(u))))
         key, length, order = orbit(t)
         assert length * order == 6
         assert orbit(Triple(*key))[0] == key

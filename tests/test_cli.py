@@ -13,7 +13,9 @@ import pytest
 
 from linetrace import unrun_lines
 from moricensus import cli, triples
+from moricensus.audit import default_claims_text
 from moricensus.cli import main
+from moricensus.declared import default_declared_text
 
 # the rigid encoding of (-6, 0, 3); tools/check_interpreters.py runs
 # closure on the same file
@@ -309,6 +311,26 @@ def test_files_that_are_not_utf8_are_input_errors(tmp_path, capsys, option,
                    "byte 0xe9 in position 9: invalid continuation byte\n")
 
 
+@pytest.mark.parametrize("option, command, text", [
+    ("--config", "census", default_declared_text()),
+    ("--claims", "audit", default_claims_text()),
+    ("--graph", "closure", GRAPH_TEXT),
+])
+def test_a_byte_order_mark_is_not_part_of_the_text(tmp_path, capsys, option, command,
+                                                   text):
+    # some editors save UTF-8 with a byte-order mark; the file reads as
+    # the same text without one
+    extra = ["--moves", "triple_group"] if command == "closure" else []
+    outputs = []
+    for name, encoding in (("plain.txt", "utf-8"), ("marked.txt", "utf-8-sig")):
+        path = tmp_path / name
+        path.write_text(text, encoding=encoding)
+        outputs.append(run(capsys, command, option, str(path), *extra))
+    assert (tmp_path / "marked.txt").read_bytes().startswith(b"\xef\xbb\xbf")
+    assert outputs[0][0] == 0
+    assert outputs[1] == outputs[0]
+
+
 def test_claim_value_past_the_guard_is_input_error(tmp_path, capsys):
     claims = tmp_path / "big.claims"
     claims.write_text("claim ok: 1 == 1 expect=holds\n"
@@ -555,8 +577,8 @@ def test_interpreter_check_passes_this_interpreter():
     # the tool runs census, verify, orbits and closure (on the seed graph
     # and on the same graph with its nodes listed out of label order)
     # under each interpreter it is given and compares their JSON with the
-    # snapshots, and a symmetric triple's orbits table and audit's csv
-    # with their golden files
+    # snapshots, and a symmetric triple's orbits table and csv and
+    # audit's csv with their golden files
     done = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "check_interpreters.py"), sys.executable],
         capture_output=True, text=True, timeout=120,
@@ -564,8 +586,8 @@ def test_interpreter_check_passes_this_interpreter():
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout == "".join(
         f"{sys.executable}  {command:<7} ok\n"
-        for command in ("census", "verify", "orbits", "orbits", "closure", "closure",
-                        "audit"))
+        for command in ("census", "verify", "orbits", "orbits", "orbits", "closure",
+                        "closure", "audit"))
 
 
 def test_shipped_closure_json_matches_snapshot(graph_file, capsys):

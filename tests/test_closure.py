@@ -22,6 +22,7 @@ from moricensus.graphs import (
 )
 from moricensus.triples import COMPONENT_BOUND, Triple, _images, orbit
 
+from group_action import involution, shift
 from linetrace import unrun_lines
 
 
@@ -415,22 +416,18 @@ def test_audit_seeds_match_the_rigid_encoding_on_census():
             (encoded.classes, encoded.expansion_steps), model.triple
 
 
-# the triple group's generators as separate moves on triple states
-def shift(s):
-    return ((s[1], s[2], s[0]),)
-
-
-def involution(s):
-    return ((-s[1], -s[0], -s[2]),)
+def move(generator):
+    """One of the triple group's generators as a move on triple states."""
+    return lambda s: (generator(s),)
 
 
 def test_closure_order_independent():
     t = Triple(1, 2, -2)
     moves = MOVE_SETS["triple_group"]
     forward = closure(encode_triple(t), MoveSet(
-        moves=(shift, involution), to_state=moves.to_state))
+        moves=(move(shift), move(involution)), to_state=moves.to_state))
     backward = closure(encode_triple(t), MoveSet(
-        moves=(involution, shift), to_state=moves.to_state))
+        moves=(move(involution), move(shift)), to_state=moves.to_state))
     assert forward.classes == backward.classes == \
         closure(encode_triple(t), moves).classes
 
@@ -441,7 +438,7 @@ def test_closure_monotone_in_move_set():
     t = Triple(1, 1, 1)
     moves = MOVE_SETS["triple_group"]
     shift_only = closure(encode_triple(t), MoveSet(
-        moves=(shift,), to_state=moves.to_state))
+        moves=(move(shift),), to_state=moves.to_state))
     both = closure(encode_triple(t), moves)
     assert (shift_only.class_count, both.class_count) == (1, 2)
     assert shift_only.classes < both.classes

@@ -19,12 +19,12 @@ from moricensus.cones import (
 )
 from moricensus.declared import default_declared_text, load_declared
 from moricensus.errors import ConfigError, DuplicateClassError, InvariantError
-from moricensus.families import FamilyId, RegularModel, regular_models
+from moricensus.families import RegularModel, regular_models
 from moricensus.graphs import LabeledGraph
 from moricensus.triples import Triple, orbit
 
+from group_action import involution, raw_orbit, shift
 from linetrace import unrun_lines
-from test_triples import raw_orbit
 
 
 def reading(p_vd, p_vd_sym, t_models=129, t_sym=11):
@@ -37,11 +37,11 @@ def reading(p_vd, p_vd_sym, t_models=129, t_sym=11):
 
 
 def declared_symmetric_record():
-    return RegularModel(None, FamilyId.VERY_DEGENERATE, None, 3, 2)
+    return RegularModel(None, "very_degenerate", None, 3, 2)
 
 
 def declared_generic_records(count):
-    return [RegularModel(None, FamilyId.VERY_DEGENERATE, None, 6, 1)
+    return [RegularModel(None, "very_degenerate", None, 6, 1)
             for _ in range(count)]
 
 
@@ -64,7 +64,7 @@ def test_model_record_rejects_orbit_stabilizer_violation(monkeypatch):
     monkeypatch.setattr(triples, "_images",
                         lambda a, b, c: ((a, b, c),) * 5 + ((b, c, a),))
     with pytest.raises(InvariantError) as exc_info:
-        families._models([(0, 1, 2)], FamilyId.NONDEG)
+        families._models([(0, 1, 2)], "nondeg")
     assert str(exc_info.value) == "orbit-stabilizer violation: |orbit|=2 stabilizer=5"
 
 
@@ -104,7 +104,7 @@ def test_p_cone_count_computed_subtotal():
 
 
 def test_single_fully_symmetric_model_contributes_one_cone():
-    record = RegularModel((0, 0, 0), FamilyId.NONDEG, (0, 0, 0), 1, 6)
+    record = RegularModel((0, 0, 0), "nondeg", (0, 0, 0), 1, 6)
     assert p_cone_count([record]) == 1
 
 
@@ -333,7 +333,7 @@ def test_declared_readings_follow_the_cone_rule(tmp_path_factory, counts):
 def plant_overlap(monkeypatch):
     """Add to family K the image (1, -1, 0) of the nondegenerate (0, 1, -1)."""
     two_degenerate = families.family_two_degenerate
-    planted = families._models([(1, -1, 0)], FamilyId.K)
+    planted = families._models([(1, -1, 0)], "K")
     monkeypatch.setattr(families, "family_two_degenerate",
                         lambda: two_degenerate() + planted)
 
@@ -351,6 +351,31 @@ def test_regular_models_rejects_planted_overlap(monkeypatch, capsys):
     assert captured.err == (
         "error: triples (0, 1, -1) and (1, -1, 0) share canonical key (-1, 0, 1)\n"
     )
+
+
+def relabel(models, old, new):
+    return [families._models([m.triple], new)[0] if m.family == old else m
+            for m in models]
+
+
+@pytest.mark.parametrize("change, failed", [
+    (lambda models: [m for m in models if m.family != "M0"], "census.subfamily.M0"),
+    (lambda models: relabel(models, "M-1", "M_1"), "census.subfamily.M-1"),
+])
+def test_verify_counts_the_claimed_subfamilies_by_name(monkeypatch, capsys, change,
+                                                      failed):
+    # an emptied subfamily, or one under a label no claim names, reads 0;
+    # the report keeps one verdict per claimed total, in CLAIMED's order
+    two_degenerate = families.family_two_degenerate
+    monkeypatch.setattr(families, "family_two_degenerate",
+                        lambda: change(two_degenerate()))
+    verdicts = [v for v in run_full_verification().verdicts
+                if v.name.startswith("census.")]
+    assert [v.name for v in verdicts] == list(audit.CLAIMED)
+    assert [(v.name, v.lhs_value) for v in verdicts
+            if v.name.startswith("census.subfamily.") and not v.holds] == [(failed, 0)]
+    assert main(["verify"]) == 1
+    capsys.readouterr()
 
 
 def unsigned_images(a, b, c):
@@ -371,18 +396,8 @@ def test_closure_oracle_fails_a_consistent_unsigned_table(monkeypatch):
 # ---------------------------------------------------------------------------
 # metamorphic laws: the census verdicts when a family's triples change
 #
-# The group is written out here from its two generators, so the laws
+# The group is built from the tests' own two generators, so the laws
 # share no table with the census.
-
-
-def shift(t):
-    a, b, c = t
-    return b, c, a
-
-
-def involution(t):
-    a, b, c = t
-    return -b, -a, -c
 
 
 def group_image(t, k):

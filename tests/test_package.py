@@ -22,10 +22,10 @@ EXPORTS = {
               "symmetric_p_models", "t_cone_count"],
     "declared": ["DeclaredEntry", "load_declared"],
     "errors": ["ConfigError", "DuplicateClassError", "MoricensusError"],
-    "families": ["FamilyId", "RegularModel", "family_nondegenerate",
+    "families": ["RegularModel", "family_nondegenerate",
                  "family_one_degenerate", "family_two_degenerate", "regular_models"],
     "graphs": ["LabeledGraph", "parse_graph_file"],
-    "triples": ["GroupElement", "Triple", "orbit"],
+    "triples": ["Triple", "orbit"],
 }
 
 

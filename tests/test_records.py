@@ -16,7 +16,7 @@ from moricensus.claims import AuditReport, Claim, Verdict
 from moricensus.closure import ClosureResult, MoveSet
 from moricensus.cones import CensusReport
 from moricensus.declared import DeclaredEntry
-from moricensus.families import FamilyId, RegularModel
+from moricensus.families import RegularModel
 from moricensus.graphs import LabeledGraph
 from moricensus.triples import Triple
 
@@ -31,8 +31,7 @@ RECORDS = {
     ClosureResult: lambda: ClosureResult(frozenset({(1, 2)}), 0),
     CensusReport: lambda: CensusReport(450, 129, (), 2657, 741),
     DeclaredEntry: lambda: DeclaredEntry("t_models", 129, "cite", (83, 1, 45)),
-    RegularModel: lambda: RegularModel((0, 1, 2), FamilyId.NONDEG,
-                                       (0, 1, 2), 6, 1),
+    RegularModel: lambda: RegularModel((0, 1, 2), "nondeg", (0, 1, 2), 6, 1),
     LabeledGraph: lambda: LabeledGraph((0, 1), ((0, 1, 5, 1),)),
     Triple: lambda: Triple(1, 2, 3),
 }

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import functools
 import io
 import itertools
 import json
@@ -13,51 +14,24 @@ from moricensus.cli import main
 from moricensus.errors import InvariantError
 from moricensus.triples import (
     COMPONENT_BOUND,
-    GroupElement,
+    ELEMENTS,
     Triple,
     _images,
     orbit,
 )
 
+from group_action import RAW, involution, raw_orbit, shift
 from linetrace import unrun_lines
-
-ELEMENTS = list(GroupElement)
 
 
 def apply(g, t):
-    """Image of ``t`` under ``g``: the module's one table lists the six
-    images in enum order."""
+    """Image of ``t`` under the element named ``g``: the module's one
+    table lists the six images in ``ELEMENTS`` order."""
     return Triple(*_images(t.a, t.b, t.c)[ELEMENTS.index(g)])
 
 
 def canonical(t):
     return Triple(*orbit(t)[0])
-
-
-def shift(t):
-    return apply(GroupElement.S, t)
-
-
-def involution(t):
-    return apply(GroupElement.I, t)
-
-# Independent oracle: the six transformations written out directly as
-# signed permutations, bypassing the module's composition machinery.
-RAW = {
-    "e": lambda a, b, c: (a, b, c),
-    "s": lambda a, b, c: (b, c, a),
-    "s2": lambda a, b, c: (c, a, b),
-    "i": lambda a, b, c: (-b, -a, -c),
-    "is": lambda a, b, c: (-c, -b, -a),
-    "is2": lambda a, b, c: (-a, -c, -b),
-}
-
-
-def raw_orbit(t):
-    """What ``orbit(t)`` returns, from RAW alone: the least image, the
-    number of distinct images and the number of elements fixing ``t``."""
-    images = [image(*t) for image in RAW.values()]
-    return min(images), len(set(images)), images.count(tuple(t))
 
 
 triples = st.builds(
@@ -81,7 +55,8 @@ def as_tuple(t):
     ],
 )
 def test_shift_examples(given_triple, expected):
-    assert shift(Triple(*given_triple)) == Triple(*expected)
+    assert apply("s", Triple(*given_triple)) == Triple(*expected)
+    assert shift(given_triple) == expected
 
 
 @pytest.mark.parametrize(
@@ -93,39 +68,42 @@ def test_shift_examples(given_triple, expected):
     ],
 )
 def test_involution_examples(given_triple, expected):
-    assert involution(Triple(*given_triple)) == Triple(*expected)
+    assert apply("i", Triple(*given_triple)) == Triple(*expected)
+    assert involution(given_triple) == expected
 
 
 def test_apply_examples():
-    assert apply(GroupElement.E, Triple(1, 2, 3)) == Triple(1, 2, 3)
-    assert apply(GroupElement.S2, Triple(-6, 0, 3)) == Triple(3, -6, 0)
+    assert ELEMENTS == tuple(RAW)
+    assert apply("e", Triple(1, 2, 3)) == Triple(1, 2, 3)
+    assert apply("s2", Triple(-6, 0, 3)) == Triple(3, -6, 0)
     # the two-step equivalence chain: shift then involution
-    assert apply(GroupElement.IS, Triple(-6, 0, 3)) == involution(
-        shift(Triple(-6, 0, 3))
-    )
-    assert apply(GroupElement.IS, Triple(-6, 0, 3)) == Triple(-3, 0, 6)
+    assert apply("is", Triple(-6, 0, 3)) == Triple(*involution(shift((-6, 0, 3))))
+    assert apply("is", Triple(-6, 0, 3)) == Triple(-3, 0, 6)
 
 
 @given(triples)
 def test_apply_matches_raw_oracle(t):
-    for g in GroupElement:
-        assert as_tuple(apply(g, t)) == RAW[g.value](*as_tuple(t))
+    for g in ELEMENTS:
+        assert as_tuple(apply(g, t)) == RAW[g](*as_tuple(t))
+
+
+def assert_group_axioms(t):
+    # on the module's table, through its generators' names
+    s, i = functools.partial(apply, "s"), functools.partial(apply, "i")
+    assert s(s(s(t))) == t
+    assert i(i(t)) == t
+    assert i(s(i(t))) == s(s(t))
 
 
 def test_group_axioms_on_random_sample():
     rng = random.Random(20260810)
     for _ in range(1000):
-        t = Triple(*(rng.randint(-9, 9) for _ in range(3)))
-        assert shift(shift(shift(t))) == t
-        assert involution(involution(t)) == t
-        assert involution(shift(involution(t))) == shift(shift(t))
+        assert_group_axioms(Triple(*(rng.randint(-9, 9) for _ in range(3))))
 
 
 @given(triples)
 def test_group_axioms_property(t):
-    assert shift(shift(shift(t))) == t
-    assert involution(involution(t)) == t
-    assert involution(shift(involution(t))) == shift(shift(t))
+    assert_group_axioms(t)
 
 
 PROBE = Triple(1, 2, 4)
@@ -135,24 +113,24 @@ def product(g, h):
     # The six elements move the probe to six distinct images, so the
     # product g h is the one element that agrees with it there.
     target = apply(g, apply(h, PROBE))
-    matches = [k for k in GroupElement if apply(k, PROBE) == target]
+    matches = [k for k in ELEMENTS if apply(k, PROBE) == target]
     assert len(matches) == 1
     return matches[0]
 
 
 def test_composition_table_closed_and_associative():
-    assert len({apply(g, PROBE) for g in GroupElement}) == 6
-    for g in GroupElement:
-        for h in GroupElement:
-            assert product(g, h) in GroupElement
-            for k in GroupElement:
+    assert len({apply(g, PROBE) for g in ELEMENTS}) == 6
+    for g in ELEMENTS:
+        for h in ELEMENTS:
+            assert product(g, h) in ELEMENTS
+            for k in ELEMENTS:
                 assert product(product(g, h), k) == product(g, product(h, k))
 
 
 @given(triples)
 def test_compose_agrees_with_apply(t):
-    for g in GroupElement:
-        for h in GroupElement:
+    for g in ELEMENTS:
+        for h in ELEMENTS:
             assert apply(product(g, h), t) == apply(g, apply(h, t))
 
 
@@ -177,7 +155,7 @@ def test_orbit_members_of_cyclic_triple():
 
 
 def test_orbit_of_generic_triple_has_six_distinct_images():
-    images = {RAW[g.value](1, 2, -2) for g in GroupElement}
+    images = {RAW[g](1, 2, -2) for g in ELEMENTS}
     assert len(images) == 6
     assert set(_images(1, 2, -2)) == images
     assert orbit(Triple(1, 2, -2)) == (min(images), 6, 1)
@@ -197,13 +175,13 @@ def test_orbit_record_rejects_orbit_stabilizer_violation(monkeypatch):
 def test_orbit_stabilizer_product(t):
     key, length, order = orbit(t)
     assert length * order == 6
-    assert order == sum(apply(g, t) == t for g in GroupElement)
+    assert order == sum(apply(g, t) == t for g in ELEMENTS)
     assert (key, length, order) == raw_orbit(t)
 
 
 @given(triples)
 def test_abs_multiset_invariant(t):
-    for g in GroupElement:
+    for g in ELEMENTS:
         assert sorted(map(abs, apply(g, t))) == sorted(map(abs, t))
 
 
@@ -225,7 +203,7 @@ def test_canonical_examples(given_triple, expected):
 def test_canonical_idempotent_and_orbit_constant(t):
     key = canonical(t)
     assert canonical(key) == key
-    for g in GroupElement:
+    for g in ELEMENTS:
         assert canonical(apply(g, t)) == key
     assert as_tuple(key) == min(image(*as_tuple(t)) for image in RAW.values())
 
@@ -293,7 +271,7 @@ def test_every_triples_line_runs(monkeypatch):
     def run():
         for t in (Triple(1, 2, -2), Triple(0, 0, 0)):
             assert orbit(t) == raw_orbit(t)
-            assert involution(shift(t)) == apply(GroupElement.IS, t)
+            assert Triple(*involution(shift(t))) == apply("is", t)
         for components in ((True, 0, 0), (0, 2.0, 0), (0, 0, COMPONENT_BOUND + 1)):
             expect(ValueError, lambda: Triple(*components))
         # a shift that moves a fixed triple: two images, five fixing it

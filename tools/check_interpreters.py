@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Check that each given interpreter prints the shipped census, verify,
-orbits and closure JSON, a symmetric triple's orbits table and the
-audit csv byte for byte.
+orbits and closure JSON, a symmetric triple's orbits table and csv and
+the audit csv byte for byte.
 
 For each interpreter it runs ``moricensus census --format json``,
 ``moricensus verify --format json``, ``moricensus orbits --format
 json -- -6 0 3``, ``moricensus orbits -- 1 1 1`` (a triple with a
-non-trivial stabilizer), ``moricensus closure --graph
+non-trivial stabilizer) and the same with ``--format csv`` (whose first
+column names the six group elements), ``moricensus closure --graph
 tests/data/cli/seed.graph --moves triple_group --format json`` (the one
 subcommand that reaches ``graphs``' parser), the same closure on
 ``seed-permuted.graph``, which lists that graph's nodes out of label
@@ -39,6 +40,8 @@ RUNS = [
     ("perfbench/snapshots/orbits.json",
      ["orbits", "--format", "json", "--", "-6", "0", "3"]),
     ("tests/data/cli/orbits-symmetric.table.txt", ["orbits", "--", "1", "1", "1"]),
+    ("tests/data/cli/orbits-symmetric.csv.txt",
+     ["orbits", "--format", "csv", "--", "1", "1", "1"]),
     *(("perfbench/snapshots/closure.json",
        ["closure", "--graph", str(GRAPHS / name), "--moves", "triple_group",
         "--format", "json"]) for name in ("seed.graph", "seed-permuted.graph")),
