@@ -5,9 +5,9 @@ fan from first principles (an order-6 group action on integer triples
 plus declared inputs), assembles the maximal-cone counts 2657 + 741 =
 3398, and audits the arithmetic identities of the text that states
 them.  Every orbit, the census's and the ``orbits`` command's, comes
-from :func:`triples.orbit`, which checks orbit-stabilizer.  Every fault
-in an input raises ``ConfigError``; the other ``MoricensusError``
-subclasses mean a failed verification.
+from :func:`triples.orbit`, which checks orbit-stabilizer.  An input
+fault, CLI or library, is a ``ConfigError``, a failed verification any
+other ``MoricensusError``, and a ``ValueError`` a program fault.
 
 The names of ``closure``, ``errors``, ``graphs`` and ``triples`` load
 with the package.  Those of the census modules (``claims``, ``cones``,

@@ -200,7 +200,7 @@ def parse_claims(text: str) -> list[Claim]:
         if "==" not in body:
             raise ConfigError("claim needs '<expr> == <expr>'", line=lineno, column=1)
         lhs_text, _, rhs_text = body.partition("==")
-        base = line.index(stripped[0]) + stripped.index(body) if body else 0
+        base = line.index(stripped[0]) + m.start(2)
         lhs = _ExprParser(lhs_text, lineno, base).parse()
         rhs = _ExprParser(rhs_text, lineno, base + len(lhs_text) + 2).parse()
         claims.append(

@@ -182,10 +182,7 @@ def _cmd_audit(args):
 
 
 def _cmd_orbits(args):
-    try:
-        t = Triple(args.a, args.b, args.c)
-    except ValueError as exc:  # Triple's checks name the component at fault
-        raise ConfigError(str(exc)) from None
+    t = Triple(args.a, args.b, args.c)
     # both looked up at each call, so every field reads the one table
     canonical, length, order = triples.orbit(t)
     images = triples._images(*t)

@@ -122,7 +122,7 @@ def encode_triple(t) -> LabeledGraph:
 def _triple_state(g: LabeledGraph) -> tuple[int, int, int]:
     """``(a, b, c)`` if ``g`` is what :func:`encode_triple` writes for a
     valid triple, with its nodes in any order, else ConfigError; builds
-    one Triple to check the components."""
+    one Triple, whose ConfigError names a component at fault."""
     labels = g.node_labels
     if sorted(labels) != [0, 1, 2]:
         raise ConfigError(f"not a rigid triple encoding: nodes {labels}")
@@ -133,10 +133,7 @@ def _triple_state(g: LabeledGraph) -> tuple[int, int, int]:
     (_, _, a, ab), (_, _, c, ac), (_, _, b, bc) = edges
     if (ab, ac, bc) != (1, 1, 1):
         raise ConfigError("triple encoding edges must have multiplicity 1")
-    try:
-        Triple(a, b, c)  # its checks name the component at fault
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    Triple(a, b, c)
     return a, b, c
 
 

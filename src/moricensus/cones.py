@@ -103,9 +103,9 @@ def build_census_report(
     """Assemble the full census from computed models and declared entries.
 
     Requires entries ``t_models``, ``t_symmetric``, ``p_very_degenerate``
-    and ``p_very_degenerate_symmetric``, no more symmetric models than
-    models in either pair, at most ``MAX_DECLARED_SYMMETRIC`` declared
-    symmetric three-component models, and totals short enough to print.
+    and ``p_very_degenerate_symmetric``, none negative, each symmetric
+    count at most its pair's models and the last at most
+    ``MAX_DECLARED_SYMMETRIC``, and totals short enough to print.
     Both declared counts give cones by :func:`t_cone_count`'s rule.
     ``p_symmetric`` ends with one shared record, repeated, for the declared
     symmetric models.
@@ -114,6 +114,9 @@ def build_census_report(
     count = {label: _require(by_label, label).count for label in (
         "t_models", "t_symmetric", "p_very_degenerate",
         "p_very_degenerate_symmetric")}
+    for label, value in count.items():
+        if value < 0:
+            raise ConfigError(f"{label}={value} is negative", field=label)
     for models, symmetric in (("p_very_degenerate", "p_very_degenerate_symmetric"),
                               ("t_models", "t_symmetric")):
         if count[symmetric] > count[models]:

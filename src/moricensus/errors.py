@@ -1,12 +1,14 @@
 """Exception types raised by the census and audit machinery.
 
-:class:`ConfigError` is every malformed input (a config, claims or
-graph file, a CLI value, a graph past the canonicalizer bound) and
-names where it is by line, column and field; the other subclasses of
-:class:`MoricensusError` are verification failures.  Every error
-carries the offending data as attributes so reports can print
-actionable diffs instead of bare messages.  :func:`config_int` is the
-input parsers' one way to read an integer.
+:class:`ConfigError` is every malformed input, CLI or library (a
+config, claims or graph file, a CLI value, a ``Triple`` or
+``LabeledGraph`` that breaks its checks, a graph past the canonicalizer
+bound), and names where it is by line, column and field; the other
+:class:`MoricensusError` subclasses are verification failures, and a
+``ValueError`` is a program fault.  Every error carries the offending
+data as attributes so reports can print actionable diffs instead of
+bare messages.  :func:`config_int` is the input parsers' one way to
+read an integer, :func:`check_int` the records' one int rule.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ class MoricensusError(Exception):
 
 class ConfigError(MoricensusError):
     """Malformed input: a declared-census config, graph or claims file
-    that breaks its rules, a triple past the component bound, or a graph
-    past the canonicalizer's node bound.
+    that breaks its rules, a triple or graph record that breaks its
+    checks, or a graph past the canonicalizer's node bound.
 
     ``line`` and ``column`` are 1-based when known; ``field`` names the
     offending key or token.
@@ -51,6 +53,12 @@ def config_int(text: str, *, line: int, column: int | None = None,
             f"integer of {len(text.lstrip('-'))} digits is too long",
             line=line, column=column, field=field,
         ) from None
+
+
+def check_int(what: str, value) -> None:
+    """The records' int rule: an int, not a bool; else ConfigError."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{what} must be an int, got {value!r}")
 
 
 class InvariantError(MoricensusError):

@@ -39,7 +39,7 @@ from operator import itemgetter
 from typing import Iterable
 
 from ._record import Record
-from .errors import ConfigError, config_int
+from .errors import ConfigError, check_int, config_int
 
 __all__ = [
     "LabeledGraph",
@@ -58,18 +58,12 @@ def canonical_backend() -> str:
     return "pure"
 
 
-def _check_int(what: str, value) -> None:
-    """Triple's rule for components: an int, and not a bool."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{what} must be an int, got {value!r}")
-
-
 def _check_edge_ints(u, v, label, mult) -> None:
-    """Endpoints, label and multiplicity of an edge follow the same rule."""
-    _check_int("edge endpoint", u)
-    _check_int("edge endpoint", v)
-    _check_int("edge label", label)
-    _check_int("edge multiplicity", mult)
+    """Endpoints, label and multiplicity of an edge follow Triple's int rule."""
+    check_int("edge endpoint", u)
+    check_int("edge endpoint", v)
+    check_int("edge label", label)
+    check_int("edge multiplicity", mult)
 
 
 class LabeledGraph(Record):
@@ -79,7 +73,8 @@ class LabeledGraph(Record):
     normalized entries ``(u, v, label, mult)`` with u < v, unique
     (u, v, label), mult >= 1, sorted; parallel same-label edges are
     represented by mult.  Endpoints, labels and multiplicities are ints,
-    never bools.  Use :meth:`build` to normalize raw edge data.
+    never bools; data that breaks a rule is a ConfigError.  Use
+    :meth:`build` to normalize raw edge data.
     """
 
     __slots__ = ("node_labels", "edges")
@@ -88,7 +83,7 @@ class LabeledGraph(Record):
         n = len(self.node_labels)
         for label in self.node_labels:
             if type(label) is not int:
-                _check_int("node label", label)
+                check_int("node label", label)
         prev = None
         for entry in self.edges:
             u, v, label, mult = entry
@@ -96,12 +91,12 @@ class LabeledGraph(Record):
                     and type(label) is int and type(mult) is int):
                 _check_edge_ints(u, v, label, mult)
             if not 0 <= u < v < n:
-                raise ValueError(f"bad edge endpoints {entry} for {n} nodes")
+                raise ConfigError(f"bad edge endpoints {entry} for {n} nodes")
             if mult < 1:
-                raise ValueError(f"edge multiplicity must be >= 1: {entry}")
+                raise ConfigError(f"edge multiplicity must be >= 1: {entry}")
             key = (u, v, label)
             if prev is not None and key <= prev:
-                raise ValueError("edges must be sorted with unique (u, v, label)")
+                raise ConfigError("edges must be sorted with unique (u, v, label)")
             prev = key
 
     @classmethod
@@ -113,6 +108,7 @@ class LabeledGraph(Record):
         """Normalize raw edges: orient pairs, merge multiplicities, sort.
 
         Edge tuples are ``(u, v, label)`` or ``(u, v, label, mult)``.
+        A malformed edge is a ConfigError.
         """
         labels = tuple(node_labels)
         n = len(labels)
@@ -124,15 +120,15 @@ class LabeledGraph(Record):
             elif len(raw) == 4:
                 u, v, label, mult = raw
             else:
-                raise ValueError(f"edge must have 3 or 4 fields: {raw!r}")
+                raise ConfigError(f"edge must have 3 or 4 fields: {raw!r}")
             # before merging: False and 0 would share a key
             _check_edge_ints(u, v, label, mult)
             if u == v:
-                raise ValueError(f"self-loop on node {u} not supported")
+                raise ConfigError(f"self-loop on node {u} not supported")
             if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge endpoint out of range: {raw!r}")
+                raise ConfigError(f"edge endpoint out of range: {raw!r}")
             if mult < 1:
-                raise ValueError(f"edge multiplicity must be >= 1: {raw!r}")
+                raise ConfigError(f"edge multiplicity must be >= 1: {raw!r}")
             key = (min(u, v), max(u, v), label)
             merged[key] = merged.get(key, 0) + mult
         normalized = tuple(

@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from ._record import Record
-from .errors import InvariantError
+from .errors import ConfigError, InvariantError, check_int
 
 __all__ = [
     "COMPONENT_BOUND",
@@ -41,20 +41,18 @@ COMPONENT_BOUND = 10**6
 class Triple(Record):
     """Integer 3-tuple checked against the component bound: the type of
     ``orbits`` arguments, closure graph seeds and library callers'
-    triples.  It iterates as ``(a, b, c)`` and equals only Triples.
+    triples; a bad component is a ConfigError that names it.  It
+    iterates as ``(a, b, c)`` and equals only Triples.
     """
 
     __slots__ = ("a", "b", "c")
 
     def __post_init__(self):
-        # the checks name the offending component; they accept int
-        # subclasses other than bool
         for name in ("a", "b", "c"):
             value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"component {name} must be an int, got {value!r}")
+            check_int(f"component {name}", value)
             if abs(value) > COMPONENT_BOUND:
-                raise ValueError(
+                raise ConfigError(
                     f"component {name}={value} outside guarded range "
                     f"[-{COMPONENT_BOUND}, {COMPONENT_BOUND}]"
                 )

@@ -166,7 +166,7 @@ NOT_INT_GRAPHS = [
     "bool_endpoints", "float_endpoint", "build_bool_endpoints",
     "build_bool_endpoints_after_int_twin", "build_float_endpoint"])
 def test_graph_rejects_labels_and_mults_that_are_not_ints(make):
-    with pytest.raises(ValueError, match="must be an int"):
+    with pytest.raises(ConfigError, match="must be an int"):
         make()
 
 
@@ -202,7 +202,7 @@ MALFORMED_EDGES = [
     "build_self_loop", "build_endpoint_past_n", "build_negative_endpoint",
     "build_zero_mult"])
 def test_graph_rejects_malformed_edges(make, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ConfigError, match=message):
         make()
 
 
@@ -631,7 +631,7 @@ def test_every_closure_and_graph_line_runs():
         for seed in OFF_ENCODING_SEEDS:
             expect(ConfigError, lambda: _triple_state(seed))
         for make in NOT_INT_GRAPHS + [make for make, _ in MALFORMED_EDGES]:
-            expect(ValueError, make)
+            expect(ConfigError, make)
         parse_graph_file(GRAPH_TEXT)
         for text in BAD_GRAPH_FILES + [
             "node a label=1\nnode b label=1\nedge a b label=x\n",

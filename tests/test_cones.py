@@ -17,7 +17,7 @@ from moricensus.cones import (
     symmetric_p_models,
     t_cone_count,
 )
-from moricensus.declared import default_declared_text, load_declared
+from moricensus.declared import DeclaredEntry, default_declared_text, load_declared
 from moricensus.errors import ConfigError, DuplicateClassError, InvariantError
 from moricensus.families import RegularModel, regular_models
 from moricensus.graphs import LabeledGraph
@@ -259,6 +259,30 @@ def test_build_census_report_names_the_entry_of_a_total_too_long_to_print():
     assert exc_info.value.field == "count"
 
 
+def library_reading(**counts):
+    """The shipped four counts with ``counts`` in their place, as entries a
+    library caller builds, with no config file's checks."""
+    shipped = {"t_models": 129, "t_symmetric": 11, "p_very_degenerate": 104,
+               "p_very_degenerate_symmetric": 1}
+    return [DeclaredEntry(label, count)
+            for label, count in {**shipped, **counts}.items()]
+
+
+@pytest.mark.parametrize("counts, label, value", [
+    ({"t_models": 5, "t_symmetric": -1}, "t_symmetric", -1),
+    ({"p_very_degenerate": -3, "p_very_degenerate_symmetric": -5},
+     "p_very_degenerate", -3),
+], ids=["t_symmetric", "p_very_degenerate"])
+def test_build_census_report_rejects_a_negative_declared_count(counts, label, value):
+    # neither pair has more symmetric models than models, so no split
+    # check sees it; the input fault is a ConfigError naming its entry,
+    # never t_cone_count's InvariantError
+    with pytest.raises(ConfigError) as exc_info:
+        build_census_report(regular_models(), library_reading(**counts))
+    assert exc_info.value.field == label
+    assert str(exc_info.value) == f"{label}={value} is negative (field {label!r})"
+
+
 def test_declared_symmetric_count_is_bounded(tmp_path, capsys):
     # each declared symmetric model is one record and one printed object,
     # so a count that parses must not decide how much memory a run takes
@@ -488,11 +512,11 @@ def test_verification_builds_no_graph(monkeypatch):
 
 
 def test_every_census_line_runs(monkeypatch):
-    # shipped verify, the readings above, the rejected readings, a direct
-    # call with more symmetric models than models, a group table that
-    # breaks orbit-stabilizer and the planted overlap reach every
-    # line of the census layer; a line none of them runs is a branch no
-    # input takes
+    # shipped verify, the readings above, the rejected readings (a
+    # negative count among them), a direct call with more symmetric
+    # models than models, a group table that breaks orbit-stabilizer and
+    # the planted overlap reach every line of the census layer; a line
+    # none of them runs is a branch no input takes
     def expect(error, call):
         with pytest.raises(error):
             call()
@@ -508,6 +532,8 @@ def test_every_census_line_runs(monkeypatch):
         ):
             expect(ConfigError, lambda: build_census_report([], declared))
         expect(ConfigError, lambda: build_census_report([], reading(0, 0, 10, 11)))
+        expect(ConfigError, lambda: build_census_report(
+            [], library_reading(t_models=5, t_symmetric=-1)))
         expect(ConfigError, lambda: build_census_report(
             [], reading(10 ** 6, MAX_DECLARED_SYMMETRIC + 1)))
         expect(ConfigError, lambda: build_census_report(

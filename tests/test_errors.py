@@ -1,5 +1,8 @@
 """Messages, attributes and exit codes of the package's error types."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from moricensus import cli, errors
@@ -8,6 +11,7 @@ from moricensus.errors import (
     DuplicateClassError,
     InvariantError,
     MoricensusError,
+    check_int,
     config_int,
 )
 
@@ -47,6 +51,56 @@ def test_each_error_type_exits_with_its_code(monkeypatch, capsys, error_type):
     assert cli.main(["orbits", "--", "0", "0", "0"]) == code
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {err}\n")
+
+
+class ValueErrorSites(ast.NodeVisitor):
+    """``(module, function, "raise" | "except")`` for each ``raise
+    ValueError`` and ``except ValueError`` in a module, by the innermost
+    function holding it (None at module level)."""
+
+    def __init__(self, module):
+        self.module, self.function, self.found = module, None, []
+
+    def visit_FunctionDef(self, node):
+        outer, self.function = self.function, node.name
+        self.generic_visit(node)
+        self.function = outer
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def note(self, expr, kind):
+        for node in ast.walk(expr) if expr is not None else ():
+            if (isinstance(node, ast.Name) and node.id == "ValueError"
+                    or isinstance(node, ast.Attribute) and node.attr == "ValueError"):
+                self.found.append((self.module, self.function, kind))
+
+    def visit_Raise(self, node):
+        self.note(node.exc, "raise")
+        self.generic_visit(node)
+
+    def visit_ExceptHandler(self, node):
+        self.note(node.type, "except")
+        self.generic_visit(node)
+
+
+def test_value_error_is_raised_only_where_argparse_needs_it():
+    # malformed input is a ConfigError where it is checked, so a
+    # ValueError out of the package is a program fault; argparse's type
+    # contract needs one from ``cli._int``, and each handler turns the
+    # interpreter's int/str conversion limit into a ConfigError where it
+    # is found
+    found = []
+    for path in sorted(Path(errors.__file__).parent.glob("*.py")):
+        sites = ValueErrorSites(path.stem)
+        sites.visit(ast.parse(path.read_text(encoding="utf-8")))
+        found += sites.found
+    assert sorted(found) == [
+        ("cli", "_int", "raise"),
+        ("cones", "build_census_report", "except"),
+        ("declared", "_parse_entry_line", "except"),
+        ("errors", "config_int", "except"),
+    ]
+    assert not issubclass(ConfigError, ValueError)
 
 
 # each combination of a ConfigError's location fields, and its suffix
@@ -91,16 +145,35 @@ def test_config_int_names_where_a_too_long_integer_is():
     assert str(exc_info.value) == "integer of 4301 digits is too long (line 2, column 5)"
 
 
+class Small(int):
+    pass
+
+
+def test_check_int_takes_ints_and_rejects_bools_and_others():
+    # the int rule of Triple and LabeledGraph: an int subclass is an
+    # int, a bool is not; the message names the value, with no location
+    for value in (0, -7, 10**30, Small(3)):
+        check_int("edge label", value)
+    for value, shown in ((True, "True"), (False, "False"), (1.0, "1.0"),
+                         ("3", "'3'"), (None, "None")):
+        with pytest.raises(ConfigError) as exc_info:
+            check_int("component a", value)
+        err = exc_info.value
+        assert str(err) == f"component a must be an int, got {shown}"
+        assert (err.line, err.column, err.field) == (None, None, None)
+
+
 def test_every_errors_line_runs():
     # the tests above build every error type, with and without each of
-    # a ConfigError's optional fields, and read an integer that converts
-    # and one that does not; a line none of them runs is a branch no
-    # error takes
+    # a ConfigError's optional fields, read an integer that converts and
+    # one that does not, and hold ints and other values to the int rule;
+    # a line none of them runs is a branch no error takes
     def run():
         for _, make in CATALOGUE.values():
             make()
         test_config_error_names_where_it_is_known()
         test_errors_carry_their_data()
         test_config_int_names_where_a_too_long_integer_is()
+        test_check_int_takes_ints_and_rejects_bools_and_others()
 
     assert unrun_lines([errors], run) == []

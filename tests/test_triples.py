@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from moricensus import triples as triples_module
 from moricensus.cli import main
-from moricensus.errors import InvariantError
+from moricensus.errors import ConfigError, InvariantError
 from moricensus.triples import (
     COMPONENT_BOUND,
     ELEMENTS,
@@ -210,14 +210,14 @@ def test_canonical_idempotent_and_orbit_constant(t):
 
 def test_component_range_guard():
     Triple(COMPONENT_BOUND, 0, -COMPONENT_BOUND)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         Triple(COMPONENT_BOUND + 1, 0, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         Triple(0, -COMPONENT_BOUND - 1, 0)
 
 
 def test_triple_rejects_non_integers():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         Triple(1.5, 0, 0)
 
 
@@ -248,7 +248,7 @@ def test_triple_checks_agree_with_per_field_checks():
             t = Triple(a, b, c)
             assert (t.a, t.b, t.c) == (a, b, c)
         else:
-            with pytest.raises(ValueError) as exc_info:
+            with pytest.raises(ConfigError) as exc_info:
                 Triple(a, b, c)
             assert str(exc_info.value) == want
 
@@ -273,7 +273,7 @@ def test_every_triples_line_runs(monkeypatch):
             assert orbit(t) == raw_orbit(t)
             assert Triple(*involution(shift(t))) == apply("is", t)
         for components in ((True, 0, 0), (0, 2.0, 0), (0, 0, COMPONENT_BOUND + 1)):
-            expect(ValueError, lambda: Triple(*components))
+            expect(ConfigError, lambda: Triple(*components))
         # a shift that moves a fixed triple: two images, five fixing it
         images = triples_module._images
         monkeypatch.setattr(triples_module, "_images", lambda a, b, c: (
