@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from ._record import Record
 from .declared import DeclaredEntry
-from .errors import ConfigError, InvariantError
+from .errors import ConfigError, InvariantError, check_int
 from .families import RegularModel
 
 __all__ = [
@@ -103,9 +103,10 @@ def build_census_report(
     """Assemble the full census from computed models and declared entries.
 
     Requires entries ``t_models``, ``t_symmetric``, ``p_very_degenerate``
-    and ``p_very_degenerate_symmetric``, none negative, each symmetric
-    count at most its pair's models and the last at most
-    ``MAX_DECLARED_SYMMETRIC``, and totals short enough to print.
+    and ``p_very_degenerate_symmetric``, each an int (a library caller's
+    too) and none negative, each symmetric count at most its pair's
+    models and the last at most ``MAX_DECLARED_SYMMETRIC``, and totals
+    short enough to print.
     Both declared counts give cones by :func:`t_cone_count`'s rule.
     ``p_symmetric`` ends with one shared record, repeated, for the declared
     symmetric models.
@@ -115,6 +116,7 @@ def build_census_report(
         "t_models", "t_symmetric", "p_very_degenerate",
         "p_very_degenerate_symmetric")}
     for label, value in count.items():
+        check_int(label, value)
         if value < 0:
             raise ConfigError(f"{label}={value} is negative", field=label)
     for models, symmetric in (("p_very_degenerate", "p_very_degenerate_symmetric"),

@@ -13,7 +13,8 @@ from moricensus.claims import (
 )
 from moricensus.errors import ConfigError
 
-from linetrace import unrun_lines
+# one digit past the interpreter's int-conversion limit (4300 digits)
+OVER_LIMIT = "9" * 4301
 
 
 def parse_one(line):
@@ -86,6 +87,11 @@ def test_parse_line_numbers_in_errors():
     # the end of a side sits just past its last character, space included
     ("claim x: 1 + == 2 expect=holds\n", "unexpected end of expression", 1, 14),
     ("claim x: (1 + 2 == 3 expect=holds\n", "unexpected end of expression", 1, 17),
+    ("claim x: == expect=holds\n", "unexpected end of expression", 1, 10),
+    ("claim x: ) == 1 expect=holds\n", "expected integer, '-' or '(', got ')'", 1, 10),
+    # int() would raise a bare ValueError past the conversion limit
+    (f"claim x: {OVER_LIMIT} == 1 expect=holds\n",
+     "integer of 4301 digits is too long", 1, 10),
     # a value past the guard is placed at the token that made it: the
     # literal, or the operator whose result it is, first from the left
     ("claim x: 10000000000000 == 1 expect=holds\n",
@@ -102,7 +108,8 @@ def test_parse_line_numbers_in_errors():
     ("claim a: 1000000000000 * 2 == 0 expect=fails\nclaim b: ) == 1 expect=holds\n",
      "claim value 2000000000000 outside guarded range +/-1000000000000", 1, 24),
 ], ids=["trailing_token", "missing_paren", "not_a_claim", "malformed_line",
-        "not_ascii", "operand_missing", "paren_unclosed", "guard_literal",
+        "not_ascii", "operand_missing", "paren_unclosed", "side_empty",
+        "side_starts_with_paren", "literal_too_long", "guard_literal",
         "guard_sum", "guard_difference", "guard_product", "operand_fault_first",
         "guard_before_later_fault"])
 def test_parse_errors_name_their_line_and_column(text, message, line, column):
@@ -135,6 +142,7 @@ def test_expected_failure_claim_parses_and_fails():
         ("-(2 * 3)", -6),
         ("--5", 5),
         ("10 - 2 - 3", 5),
+        ("-(1 + 2) * 3 - 4 * (5 - -6)", -53),
     ],
 )
 def test_exact_evaluation(expr, value):
@@ -332,9 +340,6 @@ def test_generated_claims_law_fails_an_evaluator_sign_error(monkeypatch):
          settings=settings(database=None, derandomize=True, phases=[Phase.generate]))
 
 
-# one digit past the interpreter's int-conversion limit (4300 digits)
-OVER_LIMIT = "9" * 4301
-
 # well-formed claims, each a line with the Claim it must parse to, mixed
 # with claim lines of odd tokens and free joins of the grammar's pieces
 CLAIMS = st.builds(
@@ -376,36 +381,3 @@ def test_parse_claims_raises_only_parse_errors_inside_the_text(lines):
     # the generator is the oracle: well-formed claims parse to its values
     if not any(isinstance(line, str) for line in lines):
         assert parsed == [line[1] for line in lines]
-
-
-def test_every_claims_line_runs():
-    # the shipped file, the malformed lines and literals above, an
-    # expression past the evaluation guard and a claim that fails as
-    # expected reach every line of the module; a line none of them runs
-    # is a branch no input takes
-    rejected = [
-        "claim x: 1 + $ == 2 expect=holds",
-        "claim x: 1 2 == 3 expect=holds",
-        "claim x: (1 + 2 3) == 3 expect=holds",
-        "  entry x: count=1",
-        "claim x 1 == 1 expect=holds",
-        "claim x: 1 == 1 expect=holds\nclaim x: 2 == 2 expect=holds",
-        "claim x: 1 + 1 expect=holds",
-        "claim x: == expect=holds",
-        "claim x: ) == 1 expect=holds",
-        f"claim x: {OVER_LIMIT} == 1 expect=holds",
-        f"claim x: 1 == {nested('parens', MAX_NESTING + 1)} expect=holds",
-        f"claim x: {EVAL_GUARD} * 2 == 0 expect=fails",
-    ]
-
-    def run():
-        report = evaluate_claims(parse_claims(default_claims_text()))
-        assert report.exit_status == 0
-        text = ("# ok\nclaim x: -(1 + 2) * 3 - 4 * (5 - -6) == -53 expect=holds\n"
-                'claim y: 2 + 2 == 5 expect=fails cite="c"\n')
-        assert evaluate_claims(parse_claims(text)).exit_status == 0
-        for text in rejected:
-            with pytest.raises(ConfigError):
-                parse_claims(text)
-
-    assert unrun_lines([claims_module], run) == []

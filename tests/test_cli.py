@@ -11,7 +11,6 @@ from pathlib import Path
 
 import pytest
 
-from linetrace import unrun_lines
 from moricensus import cli, triples
 from moricensus.audit import default_claims_text
 from moricensus.cli import main
@@ -371,7 +370,8 @@ def test_internal_value_error_is_no_input_error(monkeypatch):
 @pytest.mark.parametrize("components, bad", [
     (["\u0661", "\u0662", "\u0663"], "\u0661"),
     ([" 1_0", "0", "0"], " 1_0"),
-], ids=["not_ascii", "underscore_and_space"])
+    (["x", "0", "0"], "x"),
+], ids=["not_ascii", "underscore_and_space", "not_digits"])
 def test_orbits_rejects_integers_off_the_grammar(capsys, components, bad):
     # int() reads these as (1, 2, 3) and (10, 0, 0); the CLI takes -?[0-9]+
     with pytest.raises(SystemExit) as exc_info:
@@ -771,41 +771,13 @@ def test_closed_stdout_exits_141_quietly(unbuffered):
         assert (done.returncode, done.stderr) == (141, ""), argv
 
 
-def test_every_cli_line_runs(monkeypatch, graph_file, unexpected_claims, capsys):
-    def into_closed_pipe(argv):
-        # the handler points the pipe's write end at devnull, so closing
-        # the stream flushes what is left there
-        read_end, write_end = os.pipe()
-        os.close(read_end)
-        with open(write_end, "w") as stream, monkeypatch.context() as patch:
-            patch.setattr(sys, "stdout", stream)
-            assert main(argv) == 141
-
-    def run_all():
-        for name, (_, code) in GOLDEN_RUNS.items():
-            for fmt in ("table", "csv"):
-                argv = golden_argv(name, fmt, graph_file, unexpected_claims)
-                assert main(argv) == code
-        assert main(["orbits", "--format", "json", "1", "2", "3"]) == 0
-        assert main(["closure", "--graph", graph_file, "--moves", "flops"]) == 2
-        with monkeypatch.context() as patch:
-            # a table whose orbit breaks orbit-stabilizer: a program fault
-            patch.setattr(triples, "_images",
-                          lambda a, b, c: ((a, b, c),) * 5 + ((b, c, a),))
-            assert main(["orbits", "1", "2", "3"]) == 1
-        with pytest.raises(SystemExit):
-            main(["orbits", "x", "0", "0"])
-        into_closed_pipe(["orbits", "1", "2", "3"])
-        into_closed_pipe(["--help"])
-        not_utf8 = Path(graph_file).with_name("not_utf8.cfg")
-        not_utf8.write_bytes(b"\xff\n")
-        assert main(["census", "--config", str(not_utf8)]) == 2
-        assert main(["orbits", "2000000", "0", "0"]) == 2
-        with monkeypatch.context() as patch:
-            patch.setattr(sys, "argv", ["moricensus", "orbits", "1", "2", "3"])
-            try:
-                assert cli.run() == 0
-            finally:
-                gc.unfreeze()
-
-    assert unrun_lines([cli], run_all) == []
+@pytest.mark.parametrize("argv", [["orbits", "1", "2", "3"], ["--help"]],
+                         ids=["orbits", "help"])
+def test_closed_stdout_returns_141_in_process(monkeypatch, argv):
+    # the handler points the pipe's write end at devnull, so closing the
+    # stream flushes what is left there
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as stream, monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", stream)
+        assert main(argv) == 141

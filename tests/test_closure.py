@@ -1,4 +1,3 @@
-import importlib
 import itertools
 import random
 
@@ -15,7 +14,6 @@ from moricensus.closure import (
 from moricensus.errors import ConfigError
 from moricensus.graphs import (
     LabeledGraph,
-    canonical_backend,
     canonical_graph,
     iso,
     parse_graph_file,
@@ -23,7 +21,6 @@ from moricensus.graphs import (
 from moricensus.triples import COMPONENT_BOUND, Triple, _images, orbit
 
 from group_action import involution, shift
-from linetrace import unrun_lines
 
 
 # ---------------------------------------------------------------------------
@@ -588,57 +585,3 @@ def test_parse_graph_file_raises_only_config_errors_inside_the_text(text):
     except ConfigError as err:
         if err.line is not None:
             assert 1 <= err.line <= len(text.splitlines())
-
-
-# ---------------------------------------------------------------------------
-# line guard
-
-
-def test_every_closure_and_graph_line_runs():
-    # the triple group, no moves, a pair for each way iso decides (the
-    # multiset check, node keys that differ, a forced map that holds or
-    # fails, and tied keys left to the canonical forms), the rejected
-    # graphs, seeds and graph files (integers past the conversion limit
-    # among them), and a graph past the size limit reach every line of
-    # both modules; a line none of them runs is a branch no input takes
-    closure_module = importlib.import_module("moricensus.closure")
-    graphs_module = importlib.import_module("moricensus.graphs")
-
-    def expect(error, call):
-        with pytest.raises(error):
-            call()
-
-    def run():
-        canonical_backend()
-        for t in (Triple(-6, 0, 3), Triple(0, 0, 0)):
-            seed = encode_triple(t)
-            assert _triple_state(seed) == tuple(t) and len(seed.node_labels) == 3
-            result = closure(seed, MOVE_SETS["triple_group"])
-            assert result.class_count == orbit(t)[1]
-        closure(three_cycle([1, 2, 3]), MOVE_SETS["none"])
-        assert iso(three_cycle([1, 2, 3]), three_cycle([3, 1, 2]))
-        assert iso(three_cycle([1, 1, 1]), three_cycle([1, 1, 1]))
-        assert not iso(three_cycle([1, 2, 3]),
-                       LabeledGraph.build([1, 2, 3], [(0, 1, 0), (1, 2, 0)]))
-        # a path and a star; two squares whose mults sit on other edges
-        assert not iso(LabeledGraph.build([0] * 4, [(0, 1, 0), (1, 2, 0), (2, 3, 0)]),
-                       LabeledGraph.build([0] * 4, [(0, 1, 0), (0, 2, 0), (0, 3, 0)]))
-        assert not iso(
-            LabeledGraph.build([0, 1, 2, 3], [(0, 1, 0, 1), (1, 2, 0, 2),
-                                              (2, 3, 0, 1), (0, 3, 0, 2)]),
-            LabeledGraph.build([0, 1, 2, 3], [(0, 1, 0, 2), (1, 2, 0, 1),
-                                              (2, 3, 0, 2), (0, 3, 0, 1)]))
-        for seed in OFF_ENCODING_SEEDS:
-            expect(ConfigError, lambda: _triple_state(seed))
-        for make in NOT_INT_GRAPHS + [make for make, _ in MALFORMED_EDGES]:
-            expect(ConfigError, make)
-        parse_graph_file(GRAPH_TEXT)
-        for text in BAD_GRAPH_FILES + [
-            "node a label=1\nnode b label=1\nedge a b label=x\n",
-            "node a label=1\nnode b label=1\nedge a b label=0 mult=0\n",
-        ] + [text for text, _, _ in OVER_LIMIT_GRAPH_FILES]:
-            expect(ConfigError, lambda: parse_graph_file(text))
-        expect(ConfigError,
-               lambda: canonical_graph(LabeledGraph.build([0] * 13)))
-
-    assert unrun_lines([closure_module, graphs_module], run) == []

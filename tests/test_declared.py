@@ -3,11 +3,9 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from moricensus import declared
 from moricensus.declared import DeclaredEntry, default_declared_text, load_declared
 from moricensus.errors import ConfigError
 
-from linetrace import unrun_lines
 
 # one digit past the interpreter's int-conversion limit (4300 digits),
 # and the longest integer it converts
@@ -183,27 +181,3 @@ def test_load_declared_raises_only_config_errors_inside_the_text(text):
     except ConfigError as err:
         if err.line is not None:
             assert 1 <= err.line <= len(text.splitlines())
-
-
-def test_every_declared_line_runs():
-    # the shipped config, the accepted entries and every rejected line
-    # above, over-limit integers among them, reach every line of the
-    # module; a line none of them runs is a branch no input takes
-    rejected = [
-        "entry bad: count=10 breakdown=5+4",
-        "entry bad: count=-3",
-        'entry x: count=1 flavour="odd"',
-        'entry x: cite="nothing"',
-        "entry x: count=1\nentry x: count=2",
-        "claim x: 1 == 1",
-    ] + [line for line, _, _ in ENTRY_ERRORS]
-
-    def run():
-        load_declared(default_declared_text())
-        load_declared("# all comments\n\n   \nentry a: count=0\n")
-        load_declared('entry t: count=129 breakdown=83+1+45 cite="Thm 2.1"\n')
-        for text in rejected:
-            with pytest.raises(ConfigError):
-                load_declared(text)
-
-    assert unrun_lines([declared], run) == []

@@ -15,7 +15,6 @@ from moricensus.errors import (
     config_int,
 )
 
-from linetrace import unrun_lines
 
 # every subclass of MoricensusError, the exit code ``cli.main`` gives it
 # and one instance: malformed input exits 2, a failed verification 1
@@ -161,19 +160,3 @@ def test_check_int_takes_ints_and_rejects_bools_and_others():
         err = exc_info.value
         assert str(err) == f"component a must be an int, got {shown}"
         assert (err.line, err.column, err.field) == (None, None, None)
-
-
-def test_every_errors_line_runs():
-    # the tests above build every error type, with and without each of
-    # a ConfigError's optional fields, read an integer that converts and
-    # one that does not, and hold ints and other values to the int rule;
-    # a line none of them runs is a branch no error takes
-    def run():
-        for _, make in CATALOGUE.values():
-            make()
-        test_config_error_names_where_it_is_known()
-        test_errors_carry_their_data()
-        test_config_int_names_where_a_too_long_integer_is()
-        test_check_int_takes_ints_and_rejects_bools_and_others()
-
-    assert unrun_lines([errors], run) == []

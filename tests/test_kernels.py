@@ -18,8 +18,6 @@ from moricensus.closure import encode_triple
 from moricensus.graphs import LabeledGraph, canonical_graph, iso
 from moricensus.triples import Triple
 
-from linetrace import unrun_lines
-
 
 graph_data = st.integers(1, 5).flatmap(
     lambda n: st.tuples(
@@ -509,13 +507,3 @@ def test_triangle_law_fails_an_unsigned_table(monkeypatch):
     monkeypatch.setattr(triples, "_images", lambda a, b, c: (
         (a, b, c), (b, c, a), (c, a, b), (b, a, c), (c, b, a), (a, c, b)))
     assert (1, 2, 3) in triangle_law_breaks()
-
-
-def test_every_kernel_line_runs():
-    # one graph per way the partition ends reaches every line; a line
-    # none of them runs is a branch no input takes
-    def run():
-        for graph, _ in EXIT_CASES:
-            _canon_py.canonical_sequence(*graph)
-
-    assert unrun_lines([_canon_py], run) == []

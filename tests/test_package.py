@@ -1,4 +1,4 @@
-"""The package's top-level names.
+"""The package's top-level names, and the line guard over its code.
 
 ``closure``, ``errors``, ``graphs`` and ``triples`` names load with the
 package; the census modules' names load on first use.  Either way each
@@ -6,12 +6,14 @@ is its submodule's own object, read when accessed.
 """
 
 import importlib
+import importlib.util
+import sys
 
 import pytest
 
 import moricensus
 
-from linetrace import unrun_lines
+from conftest import LineTracer
 
 # every name the package exports, by the submodule that defines it
 EXPORTS = {
@@ -30,14 +32,31 @@ EXPORTS = {
 
 
 def test_every_package_name_is_its_submodules_own():
-    # the exported names and one unknown name reach every line of the
-    # package's own code
-    def run():
-        for module, names in EXPORTS.items():
-            submodule = importlib.import_module(f"moricensus.{module}")
-            for name in names:
-                assert getattr(moricensus, name) is getattr(submodule, name), name
-        with pytest.raises(AttributeError, match="'no_such_name'"):
-            moricensus.no_such_name
+    for module, names in EXPORTS.items():
+        submodule = importlib.import_module(f"moricensus.{module}")
+        for name in names:
+            assert getattr(moricensus, name) is getattr(submodule, name), name
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        moricensus.no_such_name
 
-    assert unrun_lines([moricensus], run) == []
+
+def test_line_guard_names_a_line_no_call_runs(tmp_path):
+    path = tmp_path / "planted.py"
+    path.write_text("def sign(x):\n"
+                    "    if x < 0:\n"
+                    "        return -1\n"
+                    "    return 1\n", encoding="utf-8")
+    spec = importlib.util.spec_from_file_location("planted", path)
+    planted = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(planted)
+    tracer = LineTracer(tmp_path)
+    unrun = []
+    for x in (1, -1):
+        previous = sys.gettrace()
+        sys.settrace(tracer.trace)
+        try:
+            planted.sign(x)
+        finally:
+            sys.settrace(previous)
+        unrun.append(tracer.unrun([("planted", path)]))
+    assert unrun == [["planted:3: return -1"], []]

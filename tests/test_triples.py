@@ -21,7 +21,6 @@ from moricensus.triples import (
 )
 
 from group_action import RAW, involution, raw_orbit, shift
-from linetrace import unrun_lines
 
 
 def apply(g, t):
@@ -257,31 +256,6 @@ def test_orbit_takes_any_triple():
     # the census passes plain tuples and the ``orbits`` command a Triple
     for t in ((1, 2, -2), (0, 0, 0), (-6, 0, 3)):
         assert orbit(t) == orbit(Triple(*t)) == raw_orbit(t)
-
-
-def test_every_triples_line_runs(monkeypatch):
-    # the group action and its orbits on a generic and a fixed triple,
-    # the rejected components and an action planted to break
-    # orbit-stabilizer reach every line of the module; a line none of
-    # them runs is a branch no input takes
-    def expect(error, call):
-        with pytest.raises(error):
-            call()
-
-    def run():
-        for t in (Triple(1, 2, -2), Triple(0, 0, 0)):
-            assert orbit(t) == raw_orbit(t)
-            assert Triple(*involution(shift(t))) == apply("is", t)
-        for components in ((True, 0, 0), (0, 2.0, 0), (0, 0, COMPONENT_BOUND + 1)):
-            expect(ConfigError, lambda: Triple(*components))
-        # a shift that moves a fixed triple: two images, five fixing it
-        images = triples_module._images
-        monkeypatch.setattr(triples_module, "_images", lambda a, b, c: (
-            images(a, b, c)[:1] + ((a + 1, b, c),) + images(a, b, c)[2:]))
-        expect(InvariantError, lambda: orbit(Triple(0, 0, 0)))
-
-    assert unrun_lines([triples_module], run) == []
-
 
 
 def raw_orbits(t):
