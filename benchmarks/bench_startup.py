@@ -18,6 +18,8 @@ them alike), and once more under ``-X importtime``:
                      workload feeds it
   verify             on the shipped inputs
   audit              on the shipped claims
+  audit --claims     on 600 generated claims, the size of the files
+                     the cli-audit workload feeds it
   orbits             one triple
   closure            ``--moves triple_group`` on an encoded triple
 
@@ -47,6 +49,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 FILLERS = 300
+CLAIMS = 600
 
 
 def reading(seed=1):
@@ -61,10 +64,39 @@ def reading(seed=1):
     return "".join(lines)
 
 
+def expression(rng, depth):
+    """Random expression text over literals up to 30, with its value."""
+    if depth == 0 or rng.random() < 0.3:
+        value = rng.randint(0, 30)
+        return str(value), value
+    if rng.random() < 0.1:
+        text, value = expression(rng, depth - 1)
+        return f"-({text})", -value
+    op = rng.choice("+-*")
+    (lt, lv), (rt, rv) = expression(rng, depth - 1), expression(rng, depth - 1)
+    return f"({lt} {op} {rt})", {"+": lv + rv, "-": lv - rv, "*": lv * rv}[op]
+
+
+def claims(seed=1):
+    """``CLAIMS`` claims of depth-3 expressions; a fifth are false and
+    expected to fail, so the audit exits 0."""
+    rng = random.Random(seed)
+    lines = []
+    for i in range(CLAIMS):
+        text, value = expression(rng, 3)
+        rhs = value if rng.random() < 0.8 else value + rng.randint(1, 9)
+        expect = "holds" if rhs == value else "fails"
+        lines.append(f'claim c{i:04d}: {text} == {rhs} expect={expect} '
+                     f'cite="generated {i}"\n')
+    return "".join(lines)
+
+
 def commands(workdir: Path):
     """(name, argv) of each timed command."""
     config = workdir / "reading.cfg"
     config.write_text(reading(), encoding="utf-8")
+    claims_path = workdir / "generated.claims"
+    claims_path.write_text(claims(), encoding="utf-8")
     graph = workdir / "triple.graph"
     graph.write_text("node n0 label=0\nnode n1 label=1\nnode n2 label=2\n"
                      "edge n0 n1 label=-6\nedge n1 n2 label=0\nedge n2 n0 label=3\n",
@@ -78,6 +110,7 @@ def commands(workdir: Path):
         ("census --config", [*cli, "census", "--config", str(config)]),
         ("verify", [*cli, "verify"]),
         ("audit", [*cli, "audit"]),
+        ("audit --claims", [*cli, "audit", "--claims", str(claims_path)]),
         ("orbits", [*cli, "orbits", "--", "-6", "0", "3"]),
         ("closure", [*cli, "closure", "--graph", str(graph), "--moves",
                      "triple_group"]),

@@ -1,6 +1,6 @@
 """Arithmetic claims DSL: parse, evaluate exactly, and audit.
 
-One claim per line (``#`` starts a comment):
+One claim per line, which ends at ``\\n`` alone (``#`` starts a comment):
 
     claim <name>: <expr> == <expr> expect=(holds|fails) [cite="<text>"]
 
@@ -16,7 +16,8 @@ The parser evaluates each side as it reads it, so a :class:`Claim`
 holds the two sides' integer values.  Each literal and each ``+``,
 ``-`` or ``*`` result, from left to right, must lie within
 ``EVAL_GUARD``; a value past it is a ConfigError at the line and column
-of the token that made it.
+of the token that made it.  A side is lexed into plain string tokens;
+a token's column is found only when a fault names it.
 """
 
 from __future__ import annotations
@@ -73,97 +74,109 @@ class AuditReport(Record):
         return 0 if all(v.as_expected for v in self.verdicts) else 1
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<int>[0-9]+)|(?P<op>[()+\-*])|(?P<bad>\S))")
+# one side's tokens; a character of neither class nor whitespace is stray
+_TOKEN_RE = re.compile(r"[0-9]+|[()+*-]")
+_STRAY_RE = re.compile(r"[^\s0-9()+*-]")
+
+# ``int`` checks the int-conversion limit only past
+# sys.int_info.str_digits_check_threshold digits: 640 on every CPython
+# with the limit, which cannot be set lower, so shorter literals convert
+_UNCHECKED_DIGITS = 640
 
 
 class _ExprParser:
     """Recursive-descent parser over one line's expression region; each
     rule returns the guarded value of what it read.
 
-    The region is lexed in one pass into ``(kind, text, column)`` tokens,
-    closed by an ``("end", "", len(text))`` token, so the parser reads
-    the current token without a bounds check.
+    A side with a stray character fails before it is parsed.  Else one
+    ``findall`` lexes it into string tokens, closed by an empty end
+    token, so the parser reads the current token without a bounds
+    check.  No token keeps its column: a fault finds it by lexing the
+    side again.
     """
 
     def __init__(self, text: str, lineno: int, offset: int):
         self.text = text
         self.lineno = lineno
         self.offset = offset  # column of text[0] in the original line, 0-based
-        self.tokens: list[tuple[str, str, int]] = []
-        self._tokenize()
+        stray = _STRAY_RE.search(text)
+        if stray:
+            raise ConfigError(f"unexpected character {stray[0]!r}", line=lineno,
+                              column=offset + stray.start() + 1)
+        self.tokens = _TOKEN_RE.findall(text)
+        self.tokens.append("")
         self.index = 0
         self.depth = 0  # open '(' and unary '-' around the current token
 
-    def _tokenize(self):
-        append = self.tokens.append
-        for m in _TOKEN_RE.finditer(self.text):
-            kind = m.lastgroup
-            if kind == "bad":
-                self._fail(f"unexpected character {m[kind]!r}", m.start(kind))
-            append((kind, m[kind], m.start(kind)))
-        append(("end", "", len(self.text)))
+    def _column(self, index: int) -> int:
+        """The 1-based line column of token ``index``."""
+        starts = [m.start() for m in _TOKEN_RE.finditer(self.text)] + [len(self.text)]
+        return self.offset + starts[index] + 1
 
-    def _fail(self, message: str, col_in_text: int):
-        raise ConfigError(message, line=self.lineno, column=self.offset + col_in_text + 1)
+    def _fail(self, message: str, index: int):
+        raise ConfigError(message, line=self.lineno, column=self._column(index))
 
-    def _next(self):
+    def _next(self) -> str:
         tok = self.tokens[self.index]
-        if tok[0] == "end":
-            self._fail("unexpected end of expression", tok[2])
+        if not tok:
+            self._fail("unexpected end of expression", self.index)
         self.index += 1
         return tok
 
-    def _checked(self, value: int, col_in_text: int) -> int:
+    def _checked(self, value: int, index: int) -> int:
         if abs(value) > EVAL_GUARD:
             self._fail(f"claim value {value} outside guarded range +/-{EVAL_GUARD}",
-                       col_in_text)
+                       index)
         return value
 
     def parse(self) -> int:
         value = self._sum()
         tok = self.tokens[self.index]
-        if tok[0] != "end":
-            self._fail(f"trailing token {tok[1]!r}", tok[2])
+        if tok:
+            self._fail(f"trailing token {tok!r}", self.index)
         return value
 
     def _sum(self) -> int:
         value = self._term()
         tok = self.tokens[self.index]
-        while tok[1] == "+" or tok[1] == "-":
+        while tok == "+" or tok == "-":
+            at = self.index
             self.index += 1
             right = self._term()
-            value = self._checked(value + right if tok[1] == "+" else value - right,
-                                  tok[2])
+            value = self._checked(value + right if tok == "+" else value - right, at)
             tok = self.tokens[self.index]
         return value
 
     def _term(self) -> int:
         value = self._factor()
-        tok = self.tokens[self.index]
-        while tok[1] == "*":
+        while self.tokens[self.index] == "*":
+            at = self.index
             self.index += 1
-            value = self._checked(value * self._factor(), tok[2])
-            tok = self.tokens[self.index]
+            value = self._checked(value * self._factor(), at)
         return value
 
     def _factor(self) -> int:
-        tok = self._next()
-        if tok[0] == "int":
-            return self._checked(config_int(tok[1], line=self.lineno,
-                                            column=self.offset + tok[2] + 1), tok[2])
-        if tok[1] not in "-(":
-            self._fail(f"expected integer, '-' or '(', got {tok[1]!r}", tok[2])
+        at = self.index
+        tok = self.tokens[at]
+        if tok.isdigit():
+            self.index = at + 1
+            return self._checked(
+                int(tok) if len(tok) <= _UNCHECKED_DIGITS
+                else config_int(tok, line=self.lineno, column=self._column(at)), at)
+        self._next()
+        if tok != "-" and tok != "(":
+            self._fail(f"expected integer, '-' or '(', got {tok!r}", at)
         if self.depth == MAX_NESTING:
-            self._fail(f"more than {MAX_NESTING} nested '(' or '-'", tok[2])
+            self._fail(f"more than {MAX_NESTING} nested '(' or '-'", at)
         self.depth += 1
-        if tok[1] == "-":
+        if tok == "-":
             # the guarded range is symmetric, so a negated value stays in it
             value = -self._factor()
         else:
             value = self._sum()
             closing = self._next()
-            if closing[1] != ")":
-                self._fail(f"expected ')', got {closing[1]!r}", closing[2])
+            if closing != ")":
+                self._fail(f"expected ')', got {closing!r}", self.index - 1)
         self.depth -= 1
         return value
 
@@ -179,7 +192,7 @@ def parse_claims(text: str) -> list[Claim]:
     column."""
     claims: list[Claim] = []
     names: set[str] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
             continue

@@ -132,7 +132,7 @@ def load_declared(config_text: str) -> list[DeclaredEntry]:
     """
     entries: list[DeclaredEntry] = []
     labels: set[str] = set()
-    for lineno, raw in enumerate(config_text.splitlines(), start=1):
+    for lineno, raw in enumerate(config_text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

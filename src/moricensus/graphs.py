@@ -231,7 +231,7 @@ def parse_graph_file(text: str) -> LabeledGraph:
     ids: dict[str, int] = {}
     labels: list[int] = []
     raw_edges: list[tuple[int, int, int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -306,8 +306,8 @@ def test_startup_benchmark_runs():
                for line in lines[split:] if line.startswith("  ")}
     for name in ("python -S -c pass", "python -c pass", "python -c freeze"):
         assert float(times[name][0]) > 0 and times[name][1:] == ["-", "-"]
-    for name in ("census", "census --config", "verify", "audit", "orbits",
-                 "closure"):
+    for name in ("census", "census --config", "verify", "audit", "audit --claims",
+                 "orbits", "closure"):
         spawn_ms, package_ms, count = times[name]
         assert float(spawn_ms) > 0 and float(package_ms) > 0
         assert int(count) == len(modules[name])
@@ -315,4 +315,5 @@ def test_startup_benchmark_runs():
         assert {"__init__", "audit", "graphs"} <= set(modules[name])
         assert "_canon_py" not in modules[name]
     assert "declared" in modules["census --config"]
+    assert "claims" in modules["audit --claims"]
     assert "claims" not in modules["orbits"]

@@ -1,5 +1,8 @@
+import ast
+import re
+
 import pytest
-from hypothesis import Phase, find, given, settings, strategies as st
+from hypothesis import Phase, example, find, given, settings, strategies as st
 
 from moricensus import claims as claims_module
 from moricensus.audit import default_claims_text
@@ -118,6 +121,31 @@ def test_parse_errors_name_their_line_and_column(text, message, line, column):
     err = exc_info.value
     assert str(err) == f"{message} (line {line}, column {column})"
     assert (err.line, err.column) == (line, column)
+
+
+# the faults that quote a token, which a column found by lexing again
+# must point at
+TOKEN_FAULT = re.compile(r"(?:unexpected character|trailing token|expected '\)', got"
+                         r"|expected integer, '-' or '\(', got) (.+) \(line 1, column \d+\)")
+SIDES = st.lists(st.sampled_from([
+    "1", "23", OVER_LIMIT, "-", "+", "*", "(", ")", " ", "\t", "$", "\u0663",
+]), max_size=8).map("".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(SIDES, SIDES)
+@example("1 + $", "2")
+@example("1 2", "3")
+@example("2", "(1 + 2 3)")
+@example("1 + )", "1")
+def test_a_fault_column_points_at_the_token_it_names(lhs, rhs):
+    line = f"claim x: {lhs} == {rhs} expect=holds"
+    try:
+        parse_claims(line)
+    except ConfigError as err:
+        quoted = TOKEN_FAULT.fullmatch(str(err))
+        if quoted:
+            assert line[err.column - 1:].startswith(ast.literal_eval(quoted[1]))
 
 
 def test_expected_failure_claim_parses_and_fails():
@@ -328,7 +356,7 @@ def test_generated_claims_law_fails_an_evaluator_sign_error(monkeypatch):
     # a planted parser in which every binary '-' adds
     def sign_error(self):
         value = self._term()
-        while self.tokens[self.index][1] in ("+", "-"):
+        while self.tokens[self.index] in ("+", "-"):
             self.index += 1
             value += self._term()
         return value
@@ -374,7 +402,7 @@ def test_parse_claims_raises_only_parse_errors_inside_the_text(lines):
     try:
         parsed = parse_claims(text)
     except ConfigError as err:
-        rows = text.splitlines()
+        rows = text.split("\n")
         assert 1 <= err.line <= len(rows)
         assert 1 <= err.column <= len(rows[err.line - 1]) + 1
         return

@@ -531,6 +531,28 @@ def test_audit_parse_error_reports_location(tmp_path, capsys):
     assert "line 1" in err
 
 
+# str.splitlines() also breaks lines at these; a comment holding one
+# stays a comment, and the fault after it is on the line grep -n names
+@pytest.mark.parametrize("argv, name, text, message", [
+    (["audit", "--claims"], "claims.txt",
+     "claim a: 1 == 1 expect=holds # a\fb\nclaim b: ) == 1 expect=holds\n",
+     "expected integer, '-' or '(', got ')' (line 2, column 10)"),
+    (["census", "--config"], "declared.cfg",
+     VD_104_READING.replace("83+1+45", "83+1+45 # a\x1cb").replace(
+         "count=11", "count=-1"),
+     "count must be non-negative, got -1 (line 2, field 'count')"),
+    (["closure", "--moves", "none", "--graph"], "seed.graph",
+     GRAPH_TEXT.replace("label=0\n", "label=0 # a\u2028b\n", 1).replace(
+         "label=-6", "label=-6 mult=0"),
+     "edge multiplicity must be >= 1, got 0 (line 4, field 'mult')"),
+], ids=["claims", "config", "graph"])
+def test_input_lines_end_at_newline_only(tmp_path, capsys, argv, name, text, message):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("expr", [
     "(" * 3000 + "1" + ")" * 3000,
     "-" * 3000 + "1",
@@ -577,8 +599,9 @@ def test_interpreter_check_passes_this_interpreter():
     # the tool runs census, verify, orbits and closure (on the seed graph
     # and on the same graph with its nodes listed out of label order)
     # under each interpreter it is given and compares their JSON with the
-    # snapshots, and a symmetric triple's orbits table and csv and
-    # audit's csv with their golden files
+    # snapshots, a symmetric triple's orbits table and csv and audit's
+    # csv with their golden files, and three faulty claims files' stderr
+    # with its own text
     done = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "check_interpreters.py"), sys.executable],
         capture_output=True, text=True, timeout=120,
@@ -587,7 +610,7 @@ def test_interpreter_check_passes_this_interpreter():
     assert done.stdout == "".join(
         f"{sys.executable}  {command:<7} ok\n"
         for command in ("census", "verify", "orbits", "orbits", "orbits", "closure",
-                        "closure", "audit"))
+                        "closure", "audit", "audit", "audit", "audit"))
 
 
 def test_shipped_closure_json_matches_snapshot(graph_file, capsys):

@@ -584,4 +584,4 @@ def test_parse_graph_file_raises_only_config_errors_inside_the_text(text):
         parse_graph_file(text)
     except ConfigError as err:
         if err.line is not None:
-            assert 1 <= err.line <= len(text.splitlines())
+            assert 1 <= err.line <= len(text.split("\n"))

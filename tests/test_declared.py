@@ -180,4 +180,4 @@ def test_load_declared_raises_only_config_errors_inside_the_text(text):
         load_declared(text)
     except ConfigError as err:
         if err.line is not None:
-            assert 1 <= err.line <= len(text.splitlines())
+            assert 1 <= err.line <= len(text.split("\n"))

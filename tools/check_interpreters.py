@@ -15,8 +15,13 @@ order, and ``moricensus audit --format csv`` from this checkout's
 ``src`` (with ``PYTHONPATH=src``), and compares each stdout with its
 expected file: the JSON snapshots in
 ``perfbench/snapshots/`` and the golden files in ``tests/data/cli/``.
-It only reads those files.  It prints one line per run and exits 1 if
-any run exits non-zero or differs from its expected file, else 0.
+It only reads those files.  Three more runs of ``moricensus audit
+--claims`` on claims files it writes to a temporary directory must
+exit 2 with the exact stderr kept below: a trailing token, whose column
+the parser finds only for the fault, a literal of more than 640 digits
+past the evaluation guard, and a 4,301-digit literal, which ``int``
+refuses.  It prints one line per run and exits 1 if any run exits
+with another status or differs from its expected output, else 0.
 
 Usage:
     python tools/check_interpreters.py PYTHON [PYTHON ...]
@@ -29,6 +34,7 @@ import argparse
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -47,19 +53,32 @@ RUNS = [
         "--format", "json"]) for name in ("seed.graph", "seed-permuted.graph")),
     ("tests/data/cli/audit.csv.txt", ["audit", "--format", "csv"]),
 ]
+# claims files ``audit --claims`` refuses, each with its stderr
+FAULTS = [
+    ("claim x: 1 2 == 3 expect=holds\n",
+     "error: trailing token '2' (line 1, column 12)\n"),
+    (f"claim x: 1{'0' * 640} == 1 expect=holds\n",
+     f"error: claim value 1{'0' * 640} outside guarded range +/-1000000000000 "
+     "(line 1, column 10)\n"),
+    (f"claim x: {'9' * 4301} == 1 expect=holds\n",
+     "error: integer of 4301 digits is too long (line 1, column 10)\n"),
+]
 
 
-def status(python: str, argv: list, expected: str, env: dict) -> str:
-    """``ok``, or what is wrong with one run under ``python``."""
+def status(python: str, argv: list, env: dict, code: int, expected: bytes,
+           source: str) -> str:
+    """``ok``, or what is wrong with one run under ``python``: it must
+    exit ``code`` and print ``expected``, read from ``source``, on stdout
+    if ``code`` is 0, else on stderr."""
     try:
         done = subprocess.run([python, "-m", "moricensus.cli", *argv],
                               capture_output=True, env=env, timeout=120)
     except OSError as exc:
         return f"cannot run: {exc.strerror}"
-    if done.returncode != 0:
+    if done.returncode != code:
         return f"exit {done.returncode}"
-    if done.stdout != (ROOT / expected).read_bytes():
-        return f"differs from {expected}"
+    if (done.stderr if code else done.stdout) != expected:
+        return f"differs from {source}"
     return "ok"
 
 
@@ -70,11 +89,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     good = True
-    for python in args.pythons:
-        for expected, command in RUNS:
-            result = status(python, command, expected, env)
-            print(f"{python}  {command[0]:<7} {result}")
-            good = good and result == "ok"
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = [(command, 0, (ROOT / expected).read_bytes(), expected)
+                for expected, command in RUNS]
+        for i, (text, stderr) in enumerate(FAULTS):
+            path = Path(tmp) / f"fault{i}.claims"
+            path.write_text(text, encoding="utf-8")
+            runs.append((["audit", "--claims", str(path)], 2, stderr.encode(),
+                         "FAULTS"))
+        for python in args.pythons:
+            for command, code, expected, source in runs:
+                result = status(python, command, env, code, expected, source)
+                print(f"{python}  {command[0]:<7} {result}")
+                good = good and result == "ok"
     return 0 if good else 1
 
 
