@@ -21,11 +21,16 @@ them alike), and once more under ``-X importtime``:
   audit --claims     on 600 generated claims, the size of the files
                      the cli-audit workload feeds it
   orbits             one triple
+  orbits --form      the same triple with ``--form json``, an
+                     abbreviation, which the CLI leaves to argparse
   closure            ``--moves triple_group`` on an encoded triple
 
 For each command it prints the median spawn time in ms, the sum of the
 self times ``-X importtime`` reports for the ``moricensus`` modules
-(the median over rounds), and which of them the spawn imports.  ``cli``
+(the median over rounds), how many of them the spawn imports and
+whether it imports ``argparse`` and ``json``, then the modules' names.
+A plainly spelled command line is read without argparse, and no run
+prints with ``json``, so only ``orbits --form`` should show ``yes``.  ``cli``
 itself runs as ``__main__``, so its compile time is in the spawn but
 not in that sum.  Spawns run the checkout's ``src`` and inherit the
 environment, so whether bytecode is cached (``PYTHONDONTWRITEBYTECODE``)
@@ -112,6 +117,7 @@ def commands(workdir: Path):
         ("audit", [*cli, "audit"]),
         ("audit --claims", [*cli, "audit", "--claims", str(claims_path)]),
         ("orbits", [*cli, "orbits", "--", "-6", "0", "3"]),
+        ("orbits --form", [*cli, "orbits", "--form", "json", "--", "-6", "0", "3"]),
         ("closure", [*cli, "closure", "--graph", str(graph), "--moves",
                      "triple_group"]),
     ]
@@ -131,16 +137,14 @@ def spawn(argv, env, importtime=False):
     return seconds, done.stderr
 
 
-def package_imports(stderr):
-    """{module: self µs} of the ``moricensus`` modules in importtime output."""
+def imports(stderr):
+    """{module: self µs} of every module in importtime output."""
     modules = {}
     for line in stderr.splitlines():
-        if not line.startswith("import time:"):
-            continue
-        self_us, _, name = line[len("import time:"):].split("|")
-        name = name.strip()
-        if name == "moricensus" or name.startswith("moricensus."):
-            modules[name] = int(self_us)
+        if line.startswith("import time:"):
+            self_us, _, name = line[len("import time:"):].split("|")
+            if self_us.strip().isdigit():  # not the header line
+                modules[name.strip()] = int(self_us)
     return modules
 
 
@@ -157,26 +161,32 @@ def main():
         spawns = {name: [] for name, _ in runs}
         self_ms = {name: [] for name, _ in runs}
         imported = {name: set() for name, _ in runs}
+        stdlib = {name: set() for name, _ in runs}  # argparse, json
         for round_ in range(args.rounds):
             for name, argv in runs[::-1] if round_ % 2 else runs:
                 spawns[name].append(spawn(argv, env)[0])
                 if argv[1] == "-m":
-                    modules = package_imports(spawn(argv, env, importtime=True)[1])
-                    self_ms[name].append(sum(modules.values()) / 1e3)
-                    imported[name] |= modules.keys()
+                    modules = imports(spawn(argv, env, importtime=True)[1])
+                    package = {m: us for m, us in modules.items()
+                               if m == "moricensus" or m.startswith("moricensus.")}
+                    self_ms[name].append(sum(package.values()) / 1e3)
+                    imported[name] |= package.keys()
+                    stdlib[name] |= modules.keys() & {"argparse", "json"}
 
     cache = env.get("PYTHONDONTWRITEBYTECODE") or "unset"
     print(f"CLI start-up, median of {args.rounds} alternating rounds "
           f"(python {sys.version.split()[0]}, PYTHONDONTWRITEBYTECODE={cache})")
-    print(f"  {'command':<18} {'spawn ms':>9} {'package ms':>11} {'modules':>8}")
+    print(f"  {'command':<18} {'spawn ms':>9} {'package ms':>11} {'modules':>8} "
+          f"{'argparse':>9} {'json':>5}")
     for name, _ in runs:
         spawn_ms = 1e3 * statistics.median(spawns[name])
         if self_ms[name]:
+            loads = ["yes" if m in stdlib[name] else "no" for m in ("argparse", "json")]
             print(f"  {name:<18} {spawn_ms:>9.1f} "
                   f"{statistics.median(self_ms[name]):>11.1f} "
-                  f"{len(imported[name]):>8}")
+                  f"{len(imported[name]):>8} {loads[0]:>9} {loads[1]:>5}")
         else:
-            print(f"  {name:<18} {spawn_ms:>9.1f} {'-':>11} {'-':>8}")
+            print(f"  {name:<18} {spawn_ms:>9.1f} {'-':>11} {'-':>8} {'-':>9} {'-':>5}")
     print("package modules each spawn imports")
     for name, modules in imported.items():
         if modules:

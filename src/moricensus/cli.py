@@ -14,6 +14,14 @@ Each subcommand builds one payload, the dict that ``--format json``
 prints, and an exit status; ``--format`` only picks how ``main`` prints
 it: as JSON, or through the subcommand's two views of the payload, the
 ``table`` lines (the default) and the csv ``rows``.
+
+One table, ``_COMMANDS``, names each subcommand's options, integers and
+functions.  ``main`` reads a plainly spelled command line from it
+without argparse (``_plain_args``); argparse, built from the same table
+by ``build_parser``, reads any other line, so it alone prints help and
+usage errors.  JSON is printed by ``_json``, which returns the text of
+``json.dumps(payload, indent=2)``, so a plainly spelled run loads
+neither argparse nor ``json``.
 Exit codes: 0 success, 1 verification failure, 2 input or parse error,
 141 when stdout is closed before the output is written (the status a
 shell shows after a SIGPIPE death).
@@ -28,12 +36,11 @@ no cycle holds; only cyclic garbage is left to the operating system.
 
 from __future__ import annotations
 
-import argparse
 import gc
-import json
 import os
 import re
 import sys
+import types
 from typing import TYPE_CHECKING
 
 # ``audit`` and ``graphs`` stay at the top: ``perfbench`` reads both from
@@ -48,6 +55,8 @@ from .graphs import canonical_backend, parse_graph_file
 from .triples import ELEMENTS, Triple
 
 if TYPE_CHECKING:
+    import argparse
+
     from .claims import AuditReport
 
 EXIT_OK = 0
@@ -254,64 +263,156 @@ def _int(text: str) -> int:
 
 _int.__name__ = "int"  # argparse names it in "invalid int value"
 
+_FORMATS = ("table", "json", "csv")
+_CONFIG = ("declared-census config file", False)
+_CLAIMS = ("claims DSL file", False)
+# name: (help, {option: (help, required)}, int positionals, and the names
+# of the payload function and of the table and csv views), looked up
+# when a command line is read
+_COMMANDS = {
+    "census": ("print the model/cone census", {"config": _CONFIG}, (),
+               "_cmd_census", "_census_table", "_metric_rows"),
+    "verify": ("recompute all counts and audit claims",
+               {"claims": _CLAIMS, "config": _CONFIG}, (),
+               "_cmd_verify", "_verdicts_table", "_verdicts_rows"),
+    "orbits": ("orbit analysis of one triple", {}, ("a", "b", "c"),
+               "_cmd_orbits", "_orbits_table", "_orbits_rows"),
+    "closure": ("close a graph under a move set",
+                {"graph": ("graph spec file", True),
+                 "moves": ("move set name (e.g. triple_group)", True)}, (),
+                "_cmd_closure", "_closure_table", "_metric_rows"),
+    "audit": ("evaluate a claims file", {"claims": _CLAIMS}, (),
+              "_cmd_audit", "_verdicts_table", "_verdicts_rows"),
+}
 
-class _Parser(argparse.ArgumentParser):
-    # argparse's own ``print_help`` drops write errors, or leaves them to
-    # the flush at interpreter exit; this one lets a closed stdout raise
-    # into ``main``, which exits 141.  Subparsers take the parent's class.
-    def print_help(self, file=None):
-        file = file or sys.stdout
-        file.write(self.format_help())
-        file.flush()
+
+def _functions(names) -> dict:
+    return {key: globals()[name] for key, name in zip(("func", "table", "rows"), names)}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse  # only a command line the plain reader declines needs it
+
+    class _Parser(argparse.ArgumentParser):
+        # argparse's own ``print_help`` drops write errors, or leaves them
+        # to the flush at interpreter exit; this one lets a closed stdout
+        # raise into ``main``, which exits 141.  Subparsers take the
+        # parent's class.
+        def print_help(self, file=None):
+            file = file or sys.stdout
+            file.write(self.format_help())
+            file.flush()
+
     parser = _Parser(
         prog="moricensus",
         description="Exact model and maximal-cone census with claims auditing.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p):
-        p.add_argument(
-            "--format",
-            choices=("table", "json", "csv"),
-            default="table",
-            help="output format (default: table)",
-        )
-
-    p_census = sub.add_parser("census", help="print the model/cone census")
-    p_census.add_argument("--config", help="declared-census config file")
-    add_format(p_census)
-    p_census.set_defaults(func=_cmd_census, table=_census_table, rows=_metric_rows)
-
-    p_verify = sub.add_parser("verify", help="recompute all counts and audit claims")
-    p_verify.add_argument("--claims", help="claims DSL file")
-    p_verify.add_argument("--config", help="declared-census config file")
-    add_format(p_verify)
-    p_verify.set_defaults(func=_cmd_verify, table=_verdicts_table, rows=_verdicts_rows)
-
-    p_orbits = sub.add_parser("orbits", help="orbit analysis of one triple")
-    p_orbits.add_argument("a", type=_int)
-    p_orbits.add_argument("b", type=_int)
-    p_orbits.add_argument("c", type=_int)
-    add_format(p_orbits)
-    p_orbits.set_defaults(func=_cmd_orbits, table=_orbits_table, rows=_orbits_rows)
-
-    p_closure = sub.add_parser("closure", help="close a graph under a move set")
-    p_closure.add_argument("--graph", required=True, help="graph spec file")
-    p_closure.add_argument(
-        "--moves", required=True, help="move set name (e.g. triple_group)"
-    )
-    add_format(p_closure)
-    p_closure.set_defaults(func=_cmd_closure, table=_closure_table, rows=_metric_rows)
-
-    p_audit = sub.add_parser("audit", help="evaluate a claims file")
-    p_audit.add_argument("--claims", help="claims DSL file")
-    add_format(p_audit)
-    p_audit.set_defaults(func=_cmd_audit, table=_verdicts_table, rows=_verdicts_rows)
-
+    for command, (text, options, ints, *names) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for option, (option_help, required) in options.items():
+            p.add_argument(f"--{option}", required=required, help=option_help)
+        for name in ints:
+            p.add_argument(name, type=_int)
+        p.add_argument("--format", choices=_FORMATS, default="table",
+                       help="output format (default: table)")
+        p.set_defaults(**_functions(names))
     return parser
+
+
+def _plain_args(argv: list[str]):
+    """The namespace ``build_parser().parse_args(argv)`` returns, for a
+    plainly spelled command line; None for any other.
+
+    Plain is a subcommand, then its options spelled in full as ``--name
+    value`` or ``--name=value``, each value non-empty, not starting with
+    '-' and for ``--format`` one of its choices, and for ``orbits`` three
+    integers, which may follow one ``--``.  Help, abbreviations, values
+    that look like options and every fault are left to argparse.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, options, ints, *names = _COMMANDS[argv[0]]
+    rest, tail = argv[1:], []
+    if "--" in rest:
+        cut = rest.index("--")
+        rest, tail = rest[:cut], rest[cut + 1:]
+        # argparse refuses ``census --``, so a ``--`` that no integer
+        # follows is left to it; a second ``--`` fails the integer check
+        if not tail:
+            return None
+    args = {"command": argv[0], **dict.fromkeys(options), "format": "table"}
+    numbers = []
+    tokens = iter(rest)
+    for token in tokens:
+        if token[:1] != "-":
+            numbers.append(token)
+            continue
+        option, eq, value = token.partition("=")
+        if not eq:
+            value = next(tokens, "")
+        name = option[2:]
+        if (option[:2] != "--" or name not in options and name != "format"
+                or value[:1] in ("", "-")
+                or name == "format" and value not in _FORMATS):
+            return None
+        args[name] = value
+    numbers += tail
+    # a short integer, which ``int`` converts under any digit limit
+    if (len(numbers) != len(ints)
+            or not all(len(n) < 20 and re.fullmatch(_INT_RE, n) for n in numbers)
+            or any(args[o] is None for o, (_, required) in options.items()
+                   if required)):
+        return None
+    args.update(zip(ints, map(int, numbers)))
+    return types.SimpleNamespace(**args, **_functions(names))
+
+
+# the escapes of ``json``'s ASCII encoder; any other character outside
+# printable ASCII is written as ``\uXXXX``
+_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t",
+            "\b": "\\b", "\f": "\\f"}
+
+
+def _escape(match) -> str:
+    char = match.group()
+    if char in _ESCAPES:
+        return _ESCAPES[char]
+    n = ord(char)
+    if n > 0xFFFF:  # a surrogate pair, as UTF-16 spells it
+        n -= 0x10000
+        return f"\\u{0xD800 | n >> 10:04x}\\u{0xDC00 | n & 0x3FF:04x}"
+    return f"\\u{n:04x}"
+
+
+def _string(text: str) -> str:
+    # most payload strings are printable ASCII, and this test is cheaper
+    # than any ``re`` call
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'
+    return '"' + re.sub(r'[\\"]|[^ -~]', _escape, text) + '"'
+
+
+def _json(value, indent: str = "\n") -> str:
+    """The text ``json.dumps(value, indent=2)`` returns, for the str,
+    int, bool, None, list and tuple values and str-keyed dicts that
+    payloads hold; a value of any other type raises ``TypeError``."""
+    if isinstance(value, str):
+        return _string(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f"{inner}{_string(k)}: {_json(v, inner)}" for k, v in value.items()]
+        return "{" + ",".join(items) + indent + "}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        items = [inner + _json(v, inner) for v in value]
+        return "[" + ",".join(items) + indent + "]" if items else "[]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 # every input fault raises one of these, as does a stdout whose encoding
@@ -322,10 +423,12 @@ _INPUT_ERRORS = (OSError, ConfigError, UnicodeEncodeError)
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _plain_args(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            args = build_parser().parse_args(argv)
         payload, code = args.func(args)
         if args.format == "json":
-            print(json.dumps(payload, indent=2))
+            print(_json(payload))
         elif args.format == "csv":
             import csv  # only ``--format csv`` loads the module
 

@@ -305,12 +305,14 @@ def test_startup_benchmark_runs():
     modules = {line[:20].strip(): line[20:].split()
                for line in lines[split:] if line.startswith("  ")}
     for name in ("python -S -c pass", "python -c pass", "python -c freeze"):
-        assert float(times[name][0]) > 0 and times[name][1:] == ["-", "-"]
+        assert float(times[name][0]) > 0 and times[name][1:] == ["-"] * 4
     for name in ("census", "census --config", "verify", "audit", "audit --claims",
-                 "orbits", "closure"):
-        spawn_ms, package_ms, count = times[name]
+                 "orbits", "orbits --form", "closure"):
+        spawn_ms, package_ms, count, *argparse_json = times[name]
         assert float(spawn_ms) > 0 and float(package_ms) > 0
         assert int(count) == len(modules[name])
+        # only the abbreviation is left to argparse, and no run loads json
+        assert argparse_json == ["yes" if name == "orbits --form" else "no", "no"]
         # no subcommand here makes a kernel call
         assert {"__init__", "audit", "graphs"} <= set(modules[name])
         assert "_canon_py" not in modules[name]

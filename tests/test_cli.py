@@ -1,15 +1,19 @@
 import csv
 import gc
 import importlib
+import importlib.util
 import io
+import itertools
 import json
 import os
 import runpy
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from moricensus import cli, triples
 from moricensus.audit import default_claims_text
@@ -588,6 +592,7 @@ def src_env():
     ("census.json", ("census", "--format", "json")),
     ("verify.json", ("verify", "--format", "json")),
     ("orbits.json", ("orbits", "--format", "json", "--", "-6", "0", "3")),
+    ("orbits.json", ("orbits", "--form", "json", "--", "-6", "0", "3")),
 ])
 def test_shipped_json_is_byte_identical_to_snapshot(capsys, snapshot, argv):
     code, out, _ = run(capsys, *argv)
@@ -596,12 +601,13 @@ def test_shipped_json_is_byte_identical_to_snapshot(capsys, snapshot, argv):
 
 
 def test_interpreter_check_passes_this_interpreter():
-    # the tool runs census, verify, orbits and closure (on the seed graph
-    # and on the same graph with its nodes listed out of label order)
-    # under each interpreter it is given and compares their JSON with the
-    # snapshots, a symmetric triple's orbits table and csv and audit's
-    # csv with their golden files, and three faulty claims files' stderr
-    # with its own text
+    # the tool runs census, verify, orbits (also spelled ``--form``) and
+    # closure (on the seed graph and on the same graph with its nodes
+    # listed out of label order) under each interpreter it is given and
+    # compares their JSON with the snapshots, a symmetric triple's orbits
+    # table and csv and audit's csv with their golden files, a usage
+    # error's and three faulty claims files' stderr with its own text,
+    # and checks the plain reader against argparse on its own argv list
     done = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "check_interpreters.py"), sys.executable],
         capture_output=True, text=True, timeout=120,
@@ -609,8 +615,9 @@ def test_interpreter_check_passes_this_interpreter():
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout == "".join(
         f"{sys.executable}  {command:<7} ok\n"
-        for command in ("census", "verify", "orbits", "orbits", "orbits", "closure",
-                        "closure", "audit", "audit", "audit", "audit"))
+        for command in ("census", "verify", "orbits", "orbits", "orbits", "orbits",
+                        "closure", "closure", "audit", "census", "audit", "audit",
+                        "audit", "reader"))
 
 
 def test_shipped_closure_json_matches_snapshot(graph_file, capsys):
@@ -709,11 +716,16 @@ def test_spawn_prints_what_main_prints(tmp_path, graph_file, unexpected_claims,
     assert bool(err) == (status == 2)
 
 
+# what only a command line the plain reader declines loads: argparse and
+# the modules it pulls in; and ``json``, which ``main`` prints without
+ARGPARSE_MODULES = ["argparse", "gettext", "locale", "json"]
+
+
 @pytest.mark.parametrize(
     "module",
     # a thread pool (the closure runs on one thread), the record machinery
     # and what it pulls in, and the writer behind ``--format csv``
-    ["concurrent.futures", "dataclasses", "inspect", "csv"],
+    ["concurrent.futures", "dataclasses", "inspect", "csv", *ARGPARSE_MODULES],
 )
 def test_cli_import_leaves_out_unused_modules(module):
     done = subprocess.run(
@@ -723,6 +735,18 @@ def test_cli_import_leaves_out_unused_modules(module):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def spawn_imports(argv):
+    """A ``python -X importtime -m moricensus.cli`` spawn of ``argv``,
+    which must exit 0, and the names of the modules it imports."""
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "moricensus.cli", *argv],
+        capture_output=True, text=True, env=src_env(), timeout=60,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    return done, {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
+                  if line.startswith("import time:")}
 
 
 @pytest.mark.parametrize("argv, loaded, unused", [
@@ -740,15 +764,17 @@ def test_subcommand_spawn_leaves_out_unused_modules(graph_file, argv, loaded, un
     # subcommand makes a kernel call, so none loads ``_canon_py``
     if argv[-1] == "--graph":
         argv = [*argv, graph_file]
-    done = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "moricensus.cli", *argv],
-        capture_output=True, text=True, env=src_env(), timeout=60,
-    )
-    assert done.returncode == 0, done.stderr[-2000:]
-    imported = {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
-                if line.startswith("import time:")}
+    _, imported = spawn_imports(argv)
     assert {f"moricensus.{m}" for m in loaded} <= imported
     assert imported.isdisjoint(f"moricensus.{m}" for m in unused)
+    assert imported.isdisjoint(ARGPARSE_MODULES)
+
+
+def test_abbreviated_spawn_reads_its_line_with_argparse():
+    # an abbreviation is no plain spelling, so argparse reads the line
+    done, imported = spawn_imports(["orbits", "--form", "json", "--", "-6", "0", "3"])
+    assert "argparse" in imported
+    assert done.stdout.encode() == (SNAPSHOTS / "orbits.json").read_bytes()
 
 
 def test_only_a_canonical_form_loads_the_kernel():
@@ -804,3 +830,103 @@ def test_closed_stdout_returns_141_in_process(monkeypatch, argv):
     with open(write_end, "w") as stream, monkeypatch.context() as patch:
         patch.setattr(sys, "stdout", stream)
         assert main(argv) == 141
+
+
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def argparse_vars(argv):
+    try:
+        return vars(cli.build_parser().parse_args(argv))
+    except SystemExit:
+        pytest.fail(f"argparse refuses {argv}")
+
+
+READER_CASES = load_tool("check_interpreters").READER_CASES
+
+
+@pytest.mark.parametrize("argv, plain", READER_CASES,
+                         ids=[shlex.join(argv) for argv, _ in READER_CASES])
+def test_plain_reader_reads_what_argparse_reads(argv, plain):
+    # the list ``tools/check_interpreters.py`` runs under each interpreter:
+    # cli-audit's and the golden runs' spellings, read without argparse,
+    # and one line for each way the reader declines a line
+    got = cli._plain_args(argv)
+    assert (got is not None) == plain
+    if plain:
+        assert vars(got) == argparse_vars(argv)
+
+
+# odd tokens, each a chunk of argv
+ODD_ARGV = st.one_of(
+    st.sampled_from(["--", "-h", "--help", "-", "--x", "--form", "--co", "--format=x",
+                     "--config=", "=", "-1", "007", "1" * 25, "\u0663", " 1", "a b", "",
+                     *cli._COMMANDS]),
+    st.text(max_size=3),
+).map(lambda token: [token])
+
+
+@st.composite
+def plain_argv(draw):
+    """A command line of a subcommand's own tokens: each of its options
+    zero to two times, as ``--name value`` or ``--name=value``, and its
+    integers, some of them after ``--``; shuffled, with an odd token at
+    times."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    _, options, ints, *_ = cli._COMMANDS[command]
+    chunks = []
+    for name in (*options, "format"):
+        for _ in range(draw(st.integers(0, 2))):
+            value = draw(st.sampled_from(
+                ["json", "csv", "table"] if name == "format" else ["a.cfg", "a=b"]))
+            chunks.append(draw(st.sampled_from([[f"--{name}", value],
+                                                [f"--{name}={value}"]])))
+    numbers = [str(draw(st.integers(-20, 20))) for _ in ints]
+    cut = draw(st.integers(0, len(numbers)))  # the numbers after ``--`` start here
+    chunks += [[n] for n in numbers[:cut]] + draw(st.lists(ODD_ARGV, max_size=1))
+    argv = [command, *itertools.chain.from_iterable(draw(st.permutations(chunks)))]
+    return argv + ["--", *numbers[cut:]] if cut < len(numbers) else argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(plain_argv())
+def test_plain_reader_agrees_with_argparse(argv):
+    got = cli._plain_args(argv)
+    if got is not None:
+        assert vars(got) == argparse_vars(argv)
+
+
+# every escape ``json``'s ASCII encoder writes: quote, backslash, the
+# short control escapes, other control characters, DEL, non-ASCII,
+# astral and lone surrogate characters
+ODD_TEXT = '"\\\n\r\t\b\f\x00\x1f\x7f \xe9\u2028\U0001f600\ud800\udfff'
+JSON_TEXT = st.text(st.one_of(st.sampled_from(ODD_TEXT), st.characters()), max_size=6)
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), JSON_TEXT),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=3).map(tuple),
+                            st.dictionaries(JSON_TEXT, inner, max_size=4)),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_json_writer_prints_what_json_prints(value):
+    assert cli._json(value) == json.dumps(value, indent=2)
+
+
+def test_json_writer_examples():
+    # each odd character also alone in otherwise printable ASCII, which
+    # the writer tests for before it escapes
+    for value in ({}, [], (), {"a": [], "b": {}, "c": ()}, [[], {}],
+                  [None, True, False, 0, -7, 10**30], ODD_TEXT, {ODD_TEXT: ODD_TEXT},
+                  [f"a{char}b" for char in ODD_TEXT]):
+        assert cli._json(value) == json.dumps(value, indent=2)
+    for value in (1.5, {1, 2}, [0.0], {"a": {1}}):
+        with pytest.raises(TypeError):
+            cli._json(value)

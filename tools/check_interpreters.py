@@ -1,27 +1,34 @@
 #!/usr/bin/env python3
 """Check that each given interpreter prints the shipped census, verify,
 orbits and closure JSON, a symmetric triple's orbits table and csv and
-the audit csv byte for byte.
+the audit csv byte for byte, and reads command lines as argparse does.
 
 For each interpreter it runs ``moricensus census --format json``,
 ``moricensus verify --format json``, ``moricensus orbits --format
-json -- -6 0 3``, ``moricensus orbits -- 1 1 1`` (a triple with a
-non-trivial stabilizer) and the same with ``--format csv`` (whose first
-column names the six group elements), ``moricensus closure --graph
-tests/data/cli/seed.graph --moves triple_group --format json`` (the one
-subcommand that reaches ``graphs``' parser), the same closure on
-``seed-permuted.graph``, which lists that graph's nodes out of label
-order, and ``moricensus audit --format csv`` from this checkout's
-``src`` (with ``PYTHONPATH=src``), and compares each stdout with its
-expected file: the JSON snapshots in
-``perfbench/snapshots/`` and the golden files in ``tests/data/cli/``.
-It only reads those files.  Three more runs of ``moricensus audit
---claims`` on claims files it writes to a temporary directory must
-exit 2 with the exact stderr kept below: a trailing token, whose column
-the parser finds only for the fault, a literal of more than 640 digits
-past the evaluation guard, and a 4,301-digit literal, which ``int``
-refuses.  It prints one line per run and exits 1 if any run exits
-with another status or differs from its expected output, else 0.
+json -- -6 0 3``, the same spelled ``--form json`` (an abbreviation,
+which only argparse reads), ``moricensus orbits -- 1 1 1`` (a triple
+with a non-trivial stabilizer) and the same with ``--format csv``
+(whose first column names the six group elements), ``moricensus
+closure --graph tests/data/cli/seed.graph --moves triple_group --format
+json`` (the one subcommand that reaches ``graphs``' parser), the same
+closure on ``seed-permuted.graph``, which lists that graph's nodes out
+of label order, and ``moricensus audit --format csv`` from this
+checkout's ``src`` (with ``PYTHONPATH=src``), and compares each stdout
+with its expected file: the JSON snapshots in ``perfbench/snapshots/``
+and the golden files in ``tests/data/cli/``.  It only reads those
+files.  ``moricensus census --x`` must exit 2 with argparse's usage
+error, and three runs of ``moricensus audit --claims`` on claims files
+it writes to a temporary directory must exit 2 with the exact stderr
+kept below: a trailing token, whose column the parser finds only for
+the fault, a literal of more than 640 digits past the evaluation guard,
+and a 4,301-digit literal, which ``int`` refuses.  Last, one process
+reads each command line of ``READER_CASES`` with ``cli._plain_args``,
+which reads a plainly spelled line without argparse, and with
+``cli.build_parser``: the first must read the lines marked plain, and
+only those, into what argparse reads.  Every run has ``COLUMNS=80``, so
+argparse wraps its usage line alike on any terminal.  It prints one
+line per run and exits 1 if any run exits with another status or
+differs from its expected output, else 0.
 
 Usage:
     python tools/check_interpreters.py PYTHON [PYTHON ...]
@@ -45,6 +52,8 @@ RUNS = [
     ("perfbench/snapshots/verify.json", ["verify", "--format", "json"]),
     ("perfbench/snapshots/orbits.json",
      ["orbits", "--format", "json", "--", "-6", "0", "3"]),
+    ("perfbench/snapshots/orbits.json",
+     ["orbits", "--form", "json", "--", "-6", "0", "3"]),
     ("tests/data/cli/orbits-symmetric.table.txt", ["orbits", "--", "1", "1", "1"]),
     ("tests/data/cli/orbits-symmetric.csv.txt",
      ["orbits", "--format", "csv", "--", "1", "1", "1"]),
@@ -53,6 +62,9 @@ RUNS = [
         "--format", "json"]) for name in ("seed.graph", "seed-permuted.graph")),
     ("tests/data/cli/audit.csv.txt", ["audit", "--format", "csv"]),
 ]
+USAGE_ERROR = (["census", "--x"],
+               b"usage: moricensus [-h] {census,verify,orbits,closure,audit} ...\n"
+               b"moricensus: error: unrecognized arguments: --x\n")
 # claims files ``audit --claims`` refuses, each with its stderr
 FAULTS = [
     ("claim x: 1 2 == 3 expect=holds\n",
@@ -63,6 +75,77 @@ FAULTS = [
     (f"claim x: {'9' * 4301} == 1 expect=holds\n",
      "error: integer of 4301 digits is too long (line 1, column 10)\n"),
 ]
+
+# (argv, whether it is plainly spelled): cli-audit's spellings, the
+# golden runs' spellings and edge cases found by a differential fuzz
+READER_CASES = [
+    (["census", "--config", "reading0.cfg", "--format", "json"], True),
+    (["audit", "--claims", "audit0.txt", "--format", "json"], True),
+    (["verify", "--claims", "verify0.txt", "--format", "json"], True),
+    (["orbits", "--format", "json", "--", "-6", "0", "3"], True),
+    (["closure", "--graph", "triple0.graph", "--moves", "triple_group",
+      "--format", "json"], True),
+    (["census", "--format", "table"], True),
+    (["verify", "--format", "csv"], True),
+    (["audit", "--format", "csv", "--claims", "unexpected.claims"], True),
+    (["orbits", "--", "1", "1", "1"], True),
+    (["orbits", "--format", "csv", "--", "1", "1", "1"], True),
+    (["closure", "--format", "table", "--graph", "seed.graph", "--moves", "none"],
+     True),
+    (["orbits", "1", "--", "2", "3"], True),
+    (["orbits", "1", "2", "3", "--format=csv"], True),
+    (["census", "--config=a=b", "--format", "json", "--format", "table"], True),
+    (["verify", "--claims", "a b", "--claims", "c", "--config", "x"], True),
+    (["orbits", "--", "007", "-0", "1234567890123456789"], True),
+    ([], False),
+    (["--help"], False),
+    (["bogus"], False),
+    (["census", "--"], False),
+    (["audit", "--format=csv", "--"], False),
+    (["orbits", "1", "2", "3", "--"], False),
+    (["orbits", "--", "1", "--", "2", "3"], False),
+    (["orbits", "-6", "0", "3"], False),
+    (["orbits", "-h"], False),
+    (["census", "--x"], False),
+    (["orbits", "--form", "json", "--", "-6", "0", "3"], False),
+    (["census", "--config"], False),
+    (["census", "--config="], False),
+    (["census", "--config", ""], False),
+    (["census", "--config", "-x"], False),
+    (["census", "--format", "x", "--format", "json"], False),
+    (["orbits", "1", "2"], False),
+    (["orbits", "x", "0", "0"], False),
+    (["orbits", "--", "1" * 25, "0", "0"], False),
+    (["closure", "--graph", "seed.graph"], False),
+]
+# run in one process under each interpreter; prints each case it gets wrong
+READER_CHECK = """\
+import ast, contextlib, io, sys
+from moricensus import cli
+parser = cli.build_parser()
+for argv, plain in ast.literal_eval(sys.stdin.read()):
+    got = cli._plain_args(argv)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \\
+                contextlib.redirect_stderr(io.StringIO()):
+            want = vars(parser.parse_args(argv))
+    except SystemExit:
+        want = None
+    if (got is not None) != plain or got is not None and vars(got) != want:
+        print(argv)
+"""
+
+
+def reader_status(python: str, env: dict) -> str:
+    """``ok``, or what is wrong with the ``READER_CASES`` under ``python``."""
+    try:
+        done = subprocess.run([python, "-c", READER_CHECK], input=repr(READER_CASES),
+                              capture_output=True, text=True, env=env, timeout=120)
+    except OSError as exc:
+        return f"cannot run: {exc.strerror}"
+    if done.returncode or done.stdout:
+        return f"exit {done.returncode}: {(done.stdout or done.stderr).strip()}"
+    return "ok"
 
 
 def status(python: str, argv: list, env: dict, code: int, expected: bytes,
@@ -87,11 +170,12 @@ def main(argv=None) -> int:
     parser.add_argument("pythons", nargs="+", metavar="PYTHON",
                         help="interpreter to run the checkout under")
     args = parser.parse_args(argv)
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), COLUMNS="80")
     good = True
     with tempfile.TemporaryDirectory() as tmp:
         runs = [(command, 0, (ROOT / expected).read_bytes(), expected)
                 for expected, command in RUNS]
+        runs.append((USAGE_ERROR[0], 2, USAGE_ERROR[1], "USAGE_ERROR"))
         for i, (text, stderr) in enumerate(FAULTS):
             path = Path(tmp) / f"fault{i}.claims"
             path.write_text(text, encoding="utf-8")
@@ -102,6 +186,9 @@ def main(argv=None) -> int:
                 result = status(python, command, env, code, expected, source)
                 print(f"{python}  {command[0]:<7} {result}")
                 good = good and result == "ok"
+            result = reader_status(python, env)
+            print(f"{python}  {'reader':<7} {result}")
+            good = good and result == "ok"
     return 0 if good else 1
 
 
