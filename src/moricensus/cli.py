@@ -20,7 +20,8 @@ functions.  ``main`` reads a plainly spelled command line from it
 without argparse (``_plain_args``); argparse, built from the same table
 by ``build_parser``, reads any other line, so it alone prints help and
 usage errors.  JSON is printed by ``_json``, which returns the text of
-``json.dumps(payload, indent=2)``, so a plainly spelled run loads
+``json.dumps(payload, indent=2)`` and hands ``json`` only a string that
+needs an escape, so a plainly spelled run on printable-ASCII text loads
 neither argparse nor ``json``.
 Exit codes: 0 success, 1 verification failure, 2 input or parse error,
 141 when stdout is closed before the output is written (the status a
@@ -325,10 +326,10 @@ def _plain_args(argv: list[str]):
     plainly spelled command line; None for any other.
 
     Plain is a subcommand, then its options spelled in full as ``--name
-    value`` or ``--name=value``, each value non-empty, not starting with
-    '-' and for ``--format`` one of its choices, and for ``orbits`` three
-    integers, which may follow one ``--``.  Help, abbreviations, values
-    that look like options and every fault are left to argparse.
+    value``, each value non-empty, not starting with '-' and for
+    ``--format`` one of its choices, and for ``orbits`` three integers,
+    which may follow one ``--``.  Help, abbreviations, ``--name=value``,
+    values that look like options and every fault are left to argparse.
     """
     if not argv or argv[0] not in _COMMANDS:
         return None
@@ -348,11 +349,9 @@ def _plain_args(argv: list[str]):
         if token[:1] != "-":
             numbers.append(token)
             continue
-        option, eq, value = token.partition("=")
-        if not eq:
-            value = next(tokens, "")
-        name = option[2:]
-        if (option[:2] != "--" or name not in options and name != "format"
+        value = next(tokens, "")
+        name = token[2:]
+        if (token[:2] != "--" or name not in options and name != "format"
                 or value[:1] in ("", "-")
                 or name == "format" and value not in _FORMATS):
             return None
@@ -368,29 +367,14 @@ def _plain_args(argv: list[str]):
     return types.SimpleNamespace(**args, **_functions(names))
 
 
-# the escapes of ``json``'s ASCII encoder; any other character outside
-# printable ASCII is written as ``\uXXXX``
-_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t",
-            "\b": "\\b", "\f": "\\f"}
-
-
-def _escape(match) -> str:
-    char = match.group()
-    if char in _ESCAPES:
-        return _ESCAPES[char]
-    n = ord(char)
-    if n > 0xFFFF:  # a surrogate pair, as UTF-16 spells it
-        n -= 0x10000
-        return f"\\u{0xD800 | n >> 10:04x}\\u{0xDC00 | n & 0x3FF:04x}"
-    return f"\\u{n:04x}"
-
-
 def _string(text: str) -> str:
-    # most payload strings are printable ASCII, and this test is cheaper
-    # than any ``re`` call
+    """``text`` as ``json.dumps`` writes it; printable ASCII, as most
+    payload strings are, needs no escape and skips the call."""
     if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
         return f'"{text}"'
-    return '"' + re.sub(r'[\\"]|[^ -~]', _escape, text) + '"'
+    import json  # only a string that needs an escape loads the module
+
+    return json.dumps(text)
 
 
 def _json(value, indent: str = "\n") -> str:

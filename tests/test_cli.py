@@ -605,9 +605,10 @@ def test_interpreter_check_passes_this_interpreter():
     # closure (on the seed graph and on the same graph with its nodes
     # listed out of label order) under each interpreter it is given and
     # compares their JSON with the snapshots, a symmetric triple's orbits
-    # table and csv and audit's csv with their golden files, a usage
-    # error's and three faulty claims files' stderr with its own text,
-    # and checks the plain reader against argparse on its own argv list
+    # table and csv, audit's csv and the odd cites' JSON with their golden
+    # files, a usage error's and three faulty claims files' stderr with
+    # its own text, and checks the plain reader against argparse on its
+    # own argv list
     done = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "check_interpreters.py"), sys.executable],
         capture_output=True, text=True, timeout=120,
@@ -616,8 +617,8 @@ def test_interpreter_check_passes_this_interpreter():
     assert done.stdout == "".join(
         f"{sys.executable}  {command:<7} ok\n"
         for command in ("census", "verify", "orbits", "orbits", "orbits", "orbits",
-                        "closure", "closure", "audit", "census", "audit", "audit",
-                        "audit", "reader"))
+                        "closure", "closure", "audit", "audit", "census", "audit",
+                        "audit", "audit", "reader"))
 
 
 def test_shipped_closure_json_matches_snapshot(graph_file, capsys):
@@ -717,7 +718,8 @@ def test_spawn_prints_what_main_prints(tmp_path, graph_file, unexpected_claims,
 
 
 # what only a command line the plain reader declines loads: argparse and
-# the modules it pulls in; and ``json``, which ``main`` prints without
+# the modules it pulls in; and ``json``, which only a payload string that
+# needs an escape loads
 ARGPARSE_MODULES = ["argparse", "gettext", "locale", "json"]
 
 
@@ -775,6 +777,23 @@ def test_abbreviated_spawn_reads_its_line_with_argparse():
     done, imported = spawn_imports(["orbits", "--form", "json", "--", "-6", "0", "3"])
     assert "argparse" in imported
     assert done.stdout.encode() == (SNAPSHOTS / "orbits.json").read_bytes()
+
+
+def test_equals_spelled_spawn_reads_its_line_with_argparse():
+    # ``--name=value`` is no plain spelling either, so argparse reads it
+    done, imported = spawn_imports(["census", "--format=json"])
+    assert "argparse" in imported
+    assert done.stdout.encode() == (SNAPSHOTS / "census.json").read_bytes()
+
+
+def test_spawn_hands_strings_that_need_escapes_to_json():
+    # the cites hold non-ASCII, astral, backslash, tab and DEL characters,
+    # so ``json`` escapes them; the line is plain, so argparse stays out
+    done, imported = spawn_imports(["audit", "--claims", str(GOLDEN / "odd-cites.claims"),
+                                    "--format", "json"])
+    assert "json" in imported
+    assert imported.isdisjoint(["argparse", "gettext", "locale"])
+    assert done.stdout.encode() == (GOLDEN / "audit-odd.json.txt").read_bytes()
 
 
 def test_only_a_canonical_form_loads_the_kernel():

@@ -12,9 +12,11 @@ with a non-trivial stabilizer) and the same with ``--format csv``
 closure --graph tests/data/cli/seed.graph --moves triple_group --format
 json`` (the one subcommand that reaches ``graphs``' parser), the same
 closure on ``seed-permuted.graph``, which lists that graph's nodes out
-of label order, and ``moricensus audit --format csv`` from this
-checkout's ``src`` (with ``PYTHONPATH=src``), and compares each stdout
-with its expected file: the JSON snapshots in ``perfbench/snapshots/``
+of label order, ``moricensus audit --format csv`` and ``moricensus
+audit --claims tests/data/cli/odd-cites.claims --format json`` (whose
+cites hold characters that only ``json`` escapes) from this checkout's
+``src`` (with ``PYTHONPATH=src``), and compares each stdout with its
+expected file: the JSON snapshots in ``perfbench/snapshots/``
 and the golden files in ``tests/data/cli/``.  It only reads those
 files.  ``moricensus census --x`` must exit 2 with argparse's usage
 error, and three runs of ``moricensus audit --claims`` on claims files
@@ -45,7 +47,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-GRAPHS = ROOT / "tests" / "data" / "cli"
+DATA = ROOT / "tests" / "data" / "cli"
 # each run's expected stdout, relative to ROOT, and its arguments
 RUNS = [
     ("perfbench/snapshots/census.json", ["census", "--format", "json"]),
@@ -58,9 +60,11 @@ RUNS = [
     ("tests/data/cli/orbits-symmetric.csv.txt",
      ["orbits", "--format", "csv", "--", "1", "1", "1"]),
     *(("perfbench/snapshots/closure.json",
-       ["closure", "--graph", str(GRAPHS / name), "--moves", "triple_group",
+       ["closure", "--graph", str(DATA / name), "--moves", "triple_group",
         "--format", "json"]) for name in ("seed.graph", "seed-permuted.graph")),
     ("tests/data/cli/audit.csv.txt", ["audit", "--format", "csv"]),
+    ("tests/data/cli/audit-odd.json.txt",
+     ["audit", "--claims", str(DATA / "odd-cites.claims"), "--format", "json"]),
 ]
 USAGE_ERROR = (["census", "--x"],
                b"usage: moricensus [-h] {census,verify,orbits,closure,audit} ...\n"
@@ -93,8 +97,6 @@ READER_CASES = [
     (["closure", "--format", "table", "--graph", "seed.graph", "--moves", "none"],
      True),
     (["orbits", "1", "--", "2", "3"], True),
-    (["orbits", "1", "2", "3", "--format=csv"], True),
-    (["census", "--config=a=b", "--format", "json", "--format", "table"], True),
     (["verify", "--claims", "a b", "--claims", "c", "--config", "x"], True),
     (["orbits", "--", "007", "-0", "1234567890123456789"], True),
     ([], False),
@@ -110,6 +112,8 @@ READER_CASES = [
     (["orbits", "--form", "json", "--", "-6", "0", "3"], False),
     (["census", "--config"], False),
     (["census", "--config="], False),
+    (["orbits", "1", "2", "3", "--format=csv"], False),
+    (["census", "--config=a=b", "--format", "json", "--format", "table"], False),
     (["census", "--config", ""], False),
     (["census", "--config", "-x"], False),
     (["census", "--format", "x", "--format", "json"], False),
