@@ -9,8 +9,9 @@ on inputs built before the timer starts, and so is the whole run:
   claims evaluate  ``evaluate_claims`` on the parsed claims
   families         the three family generators, 347 models
   census report    ``build_census_report`` on those models
-  closure oracle   one closure per census model, 347 in all
-  closure, no moves  the same 347 closures' seeds under no moves: the
+  closure oracle   one closure per census model, 347 in all, and the
+                   union of their classes
+  closure, no moves  ``closure(t, None)`` on the same 347 triples: the
                    engine's fixed cost per call
   full run         ``run_full_verification()``, which reads both files
 
@@ -21,7 +22,8 @@ works through:
   closure call     closure oracle / closures (347)
   expansion step   (closure oracle - closure, no moves) / the steps
                    summed from the oracle's results (4,084): the cost
-                   of a step beyond the fixed cost of its call
+                   of a step, with its share of the union, beyond the
+                   fixed cost of its call
   claim parsed     claims parse / claims (22)
   census model     full run / census models (347)
 
@@ -42,7 +44,7 @@ from collections import Counter
 from moricensus import audit
 from moricensus._record import Record
 from moricensus.claims import evaluate_claims, parse_claims
-from moricensus.closure import MoveSet, closure
+from moricensus.closure import closure
 from moricensus.cones import build_census_report
 from moricensus.declared import default_declared_text, load_declared
 from moricensus.families import (
@@ -63,17 +65,14 @@ def stages():
     declared = load_declared(declared_text)
     claims = parse_claims(claims_text)
     regular = families()
-    report = build_census_report(regular, declared)
-    no_moves = MoveSet(to_state=audit._TRIPLE_STATES.to_state)
     return [
         ("declared load", lambda: load_declared(declared_text)),
         ("claims parse", lambda: parse_claims(claims_text)),
         ("claims evaluate", lambda: evaluate_claims(claims)),
         ("families", families),
         ("census report", lambda: build_census_report(regular, declared)),
-        ("closure oracle", lambda: audit._closure_oracle_matches(report.computed)),
-        ("closure, no moves",
-         lambda: [closure(r.triple, no_moves) for r in report.computed]),
+        ("closure oracle", lambda: audit._closure_oracle_matches(regular)),
+        ("closure, no moves", lambda: [closure(r.triple, None) for r in regular]),
         ("full run", audit.run_full_verification),
     ]
 
@@ -81,10 +80,8 @@ def stages():
 def unit_costs(times: dict) -> list:
     """(unit, seconds per unit, units per full run) from stage times."""
     claims = parse_claims(audit.default_claims_text())
-    models = build_census_report(
-        families(), load_declared(default_declared_text())).computed
-    steps = sum(closure(r.triple, audit._TRIPLE_STATES).expansion_steps
-                for r in models)
+    models = families()
+    steps = sum(closure(r.triple, tuple).expansion_steps for r in models)
     oracle = times["closure oracle"]
     return [
         ("closure call", oracle / len(models), len(models)),

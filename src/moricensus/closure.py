@@ -1,28 +1,25 @@
-"""Breadth-first closure of a seed under pluggable move sets.
+"""Breadth-first closure of a seed under the triple group.
 
-A move set (:class:`MoveSet`) acts on *states*: it checks the seed once,
-at the boundary, and turns it into a state, and each of its moves is a
-plain function from a state to its images.  The search keys classes by
-state: it walks one queue of states in the order they were first
-reached, applies every move to each, and appends each new state to the
-queue; the result is the set of states reached from the seed.  That set
-is the smallest iso-closed set of classes containing the seed as long
-as the move set keeps its contract: its distinct states are distinct
-classes.
+A move set is only how the seed is read as a triple: ``MOVE_SETS`` maps
+each name to that reader, or to ``None`` for no moves.  Under ``none``
+the seed, whatever it is, is its own one class, reached in no steps.
+Otherwise the search reads the seed as an ``(a, b, c)`` tuple and walks
+one queue of tuples in the order they were first reached, appending
+each new one of a tuple's two generator images, the shift ``(b, c, a)``
+and the involution ``(-b, -a, -c)``.  The tuples reached are the seed's
+orbit, so the closure is finite and has no budget.  Both images of each
+tuple count as steps, rediscoveries included: a triple's closure takes
+twice its orbit length in steps.
 
-The shipped move sets have small, finite closures, so the search has
-no budget.  ``none`` has no moves and keeps the default state, the
-seed itself: its closure is one class in no steps, and no move set
-reaches the canonicalizer.  The geometric flop rules live elsewhere,
-so the only shipped moves are the triple group action, which doubles
-as a test oracle (the closure of a rigidly encoded triple has exactly
-as many classes as the triple's orbit).  Its states are plain
-``(a, b, c)`` tuples, which the rigid encoding maps one-to-one onto
-classes, so a move builds no graph.  Its one move writes out the two
-generators itself and reads no group table of the census, so the
-oracle's class counts do not share the census's arithmetic.  Verify's
-oracle uses the same move with the default ``to_state``, seeding each
-closure with a census ``(a, b, c)`` tuple, so it builds no graph.
+The generators are written out here and read no group table of the
+census, so verify's closure oracle, which calls ``closure(triple,
+tuple)`` on each census model, shares no arithmetic with the census.
+The images of a valid triple are valid, because the component bound is
+symmetric, so only the seed is checked.  ``triple_group`` reads a graph,
+as ``closure --moves triple_group`` does: it accepts only the rigid
+encoding that :func:`encode_triple` writes, with its nodes in any order.
+Distinct triples encode to distinct classes, so the tuples reached
+stand one-to-one for the graph classes reached.
 """
 
 from __future__ import annotations
@@ -35,31 +32,9 @@ from .triples import Triple
 __all__ = [
     "ClosureResult",
     "MOVE_SETS",
-    "MoveSet",
     "closure",
     "encode_triple",
 ]
-
-
-def _seed_state(seed):
-    """The default ``to_state``, for ``none`` and verify's oracle: the
-    seed is its own state.  A module function, so that a MoveSet pickles."""
-    return seed
-
-
-class MoveSet(Record):
-    """Moves over states, with the map from the seed to its state.
-
-    Each move maps a state to an iterable of its images.  ``to_state``
-    turns the seed into a state once, at the closure boundary, and
-    raises ConfigError for a seed the moves cannot act on.
-    The closure counts states as classes, so a move set's distinct
-    states must be distinct classes.  By default the seed is its own
-    state, which is all ``none``, with no moves, needs.
-    """
-
-    __slots__ = ("moves", "to_state")
-    _defaults = {"moves": (), "to_state": _seed_state}
 
 
 class ClosureResult(Record):
@@ -76,35 +51,24 @@ class ClosureResult(Record):
         return len(self.classes)
 
 
-def closure(
-    seed: object,
-    move_set: MoveSet,
-    *,
-    workers: int = 1,
-) -> ClosureResult:
-    """Breadth-first fixed point of ``move_set`` starting from ``seed``.
+def closure(seed, move_set, *, workers: int = 1) -> ClosureResult:
+    """The triples the group reaches from ``move_set(seed)``, or ``seed``
+    alone in 0 steps when ``move_set`` is None.
 
-    States are expanded in the order they were first reached, the seed
-    first, each by every move in turn.
-
-    The seed is whatever the move set's ``to_state`` accepts: both
-    shipped move sets take a :class:`LabeledGraph`.  Raises the move
-    set's ConfigError for a seed it cannot act on.  Rediscovered states
-    still count as expansion steps.  ``workers`` has no effect.
+    ``move_set`` raises ConfigError for a seed it cannot read as a
+    triple.  ``workers`` has no effect.
     """
-    start = move_set.to_state(seed)
+    if move_set is None:
+        return ClosureResult(frozenset({seed}), 0)
+    start = move_set(seed)
     seen = {start}
     queue = [start]  # grows while it is walked, so states leave in BFS order
-    steps = 0
-    for state in queue:
-        for move in move_set.moves:
-            for image in move(state):
-                steps += 1
-                if image in seen:
-                    continue
+    for a, b, c in queue:
+        for image in ((b, c, a), (-b, -a, -c)):
+            if image not in seen:
                 seen.add(image)
                 queue.append(image)
-    return ClosureResult(frozenset(seen), steps)
+    return ClosureResult(frozenset(seen), 2 * len(queue))
 
 
 # Triples embed as rigid 3-cycles: node k carries label k, so the only
@@ -137,21 +101,4 @@ def _triple_state(g: LabeledGraph) -> tuple[int, int, int]:
     return a, b, c
 
 
-def _generator_images(state):
-    """The shift ``(b, c, a)`` and the involution ``(-b, -a, -c)`` of a
-    state.
-
-    The images of a valid state are valid, because the component bound
-    is symmetric, so states are checked only at the boundary.
-    """
-    a, b, c = state
-    return (b, c, a), (-b, -a, -c)
-
-
-MOVE_SETS: dict[str, MoveSet] = {
-    "none": MoveSet(),
-    "triple_group": MoveSet(
-        moves=(_generator_images,),
-        to_state=_triple_state,
-    ),
-}
+MOVE_SETS = {"none": None, "triple_group": _triple_state}

@@ -34,15 +34,9 @@ MAX_DECLARED_SYMMETRIC = 10_000
 
 
 class CensusReport(Record):
-    """Reconciliation of computed and declared counts.
+    """Reconciliation of computed and declared counts."""
 
-    ``computed`` holds the regular models themselves, in input order.
-    """
-
-    __slots__ = ("p_models", "t_models", "p_symmetric", "p_cones", "t_cones",
-                 "computed")
-
-    _defaults = {"computed": ()}
+    __slots__ = ("p_models", "t_models", "p_symmetric", "p_cones", "t_cones")
 
     @property
     def total_cones(self) -> int:
@@ -141,7 +135,6 @@ def build_census_report(
         p_symmetric=tuple(symmetric_p_models(regular)) + (declared_record,) * p_vd_sym,
         p_cones=p_cone_count(regular) + t_cone_count(p_vd, p_vd_sym),
         t_cones=t_cone_count(t_models, t_symmetric),
-        computed=tuple(regular),
     )
     # counts that parse can give totals past the interpreter's int-to-text
     # limit; total_cones is the largest number a report prints

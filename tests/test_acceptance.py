@@ -11,7 +11,7 @@ from collections import Counter
 from moricensus.audit import run_full_verification
 from moricensus.claims import evaluate_claims, parse_claims
 from moricensus.cli import main
-from moricensus.closure import MOVE_SETS, MoveSet, closure, encode_triple
+from moricensus.closure import MOVE_SETS, closure, encode_triple
 from moricensus.cones import build_census_report, t_cone_count
 from moricensus.declared import default_declared_text, load_declared
 from moricensus.families import (
@@ -166,18 +166,11 @@ def test_criterion_9_property_suite():
         for image in _images(*t):
             assert orbit(Triple(*image))[0] == key
 
-    moves = MOVE_SETS["triple_group"]
-    order = list(moves.moves)
-    rng.shuffle(order)
-    shuffled = MoveSet(moves=tuple(order), to_state=moves.to_state)
     for model in regular_models():
-        expected = orbit(model.triple)[1]
-        seed = encode_triple(model.triple)
-        result = closure(seed, moves)
-        assert result.class_count == expected, model.triple
-        assert closure(seed, shuffled).classes == result.classes
+        result = closure(encode_triple(model.triple), MOVE_SETS["triple_group"])
+        assert result.class_count == orbit(model.triple)[1], model.triple
     ok(9, "group axioms, orbit-stabilizer, canonical idempotence, closure oracle "
-          "on all 347 triples, order independence")
+          "on all 347 triples")
 
 
 def test_full_verification_is_green():

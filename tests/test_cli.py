@@ -605,10 +605,10 @@ def test_interpreter_check_passes_this_interpreter():
     # closure (on the seed graph and on the same graph with its nodes
     # listed out of label order) under each interpreter it is given and
     # compares their JSON with the snapshots, a symmetric triple's orbits
-    # table and csv, audit's csv and the odd cites' JSON with their golden
-    # files, a usage error's and three faulty claims files' stderr with
-    # its own text, and checks the plain reader against argparse on its
-    # own argv list
+    # table and csv, the seed's closure under no moves, audit's csv and
+    # the odd cites' JSON with their golden files, a usage error's and
+    # three faulty claims files' stderr with its own text, and checks the
+    # plain reader against argparse on its own argv list
     done = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "check_interpreters.py"), sys.executable],
         capture_output=True, text=True, timeout=120,
@@ -617,8 +617,8 @@ def test_interpreter_check_passes_this_interpreter():
     assert done.stdout == "".join(
         f"{sys.executable}  {command:<7} ok\n"
         for command in ("census", "verify", "orbits", "orbits", "orbits", "orbits",
-                        "closure", "closure", "audit", "audit", "census", "audit",
-                        "audit", "audit", "reader"))
+                        "closure", "closure", "closure", "audit", "audit", "census",
+                        "audit", "audit", "audit", "reader"))
 
 
 def test_shipped_closure_json_matches_snapshot(graph_file, capsys):
@@ -643,6 +643,15 @@ def test_closure_reads_a_seed_listed_out_of_label_order(capsys):
                          "--moves", "triple_group", "--format", "json")
     assert (code, err) == (0, "")
     assert out.encode() == (SNAPSHOTS / "closure.json").read_bytes()
+
+
+def test_closure_with_no_moves_is_byte_identical_to_golden(capsys):
+    # ``none`` reads no triple: the seed is its one class, in no steps
+    code, out, err = run(capsys, "closure", "--graph", str(GOLDEN / "seed.graph"),
+                         "--moves", "none", "--format", "json")
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN / "closure-none.json.txt").read_bytes()
+
 
 # ``{name}.{format}.txt`` in GOLDEN holds each run's stdout; the JSON
 # format is pinned by the snapshots above

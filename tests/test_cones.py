@@ -219,7 +219,8 @@ def test_build_census_report_builds_only_declared_symmetric_records(monkeypatch)
     report = build_census_report(models, load_declared(default_declared_text()))
     assert report.p_cones == 2657
     assert built == expected
-    assert all(type(r) is RegularModel for r in report.computed)
+    own = {id(m) for m in models}
+    assert all(id(r) in own for r in report.p_symmetric[:-1])
 
 
 def test_verification_builds_one_model_record(monkeypatch):
@@ -505,6 +506,25 @@ def test_duplicate_law_fails_a_dedup_on_raw_triples(monkeypatch):
     assert all(v.holds for v in run_full_verification().verdicts
                if v.name.startswith("census."))
     assert not another_models_image_is_a_duplicate(0, 1, 3)
+
+
+def test_closure_oracle_catches_a_duplicate_the_key_misses(monkeypatch, capsys):
+    # with keys that are the triples themselves, M-2's first triple
+    # swapped for the shift image of N-2's first passes the class count;
+    # the union of the closures, which reads no key, is one orbit short
+    a, b, c = next(m.triple for m in families.family_two_degenerate()
+                   if m.family == "N-2")
+    models = families._models
+    monkeypatch.setattr(families, "_models", lambda components, family: models(
+        [(b, c, a), *sorted(components)[1:]] if family == "M-2" else components,
+        family))
+    monkeypatch.setattr(triples, "orbit", lambda t: (tuple(t), *orbit(t)[1:]))
+    report = run_full_verification()
+    assert [(v.name, v.lhs_value) for v in report.verdicts if not v.as_expected] \
+        == [("census.closure_oracle", 346)]
+    assert report.exit_status == 1
+    assert main(["verify"]) == 1
+    capsys.readouterr()
 
 
 def test_verification_builds_no_graph(monkeypatch):

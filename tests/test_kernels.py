@@ -11,7 +11,7 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from moricensus import _canon_py, graphs, triples
 from moricensus.closure import encode_triple
@@ -390,25 +390,20 @@ SWAPPED_MULTS = (4, [0, 1, 2, 3], [(0, 1, 0, 2), (1, 2, 0, 1), (2, 3, 0, 2),
 ISO_EXAMPLES = [(PATH, STAR), (HEXAGON, TRIANGLES), (SQUARE, SWAPPED_MULTS)]
 
 
-def test_iso_matches_brute_isomorphism(monkeypatch):
-    # each pair with equal multisets takes one of three routes, and only
-    # tied node keys compute canonical forms; every route is taken
+def iso_routes(d1, d2, rng):
+    """The routes ``iso`` takes from ``d1`` to its relabelling, a rewiring,
+    ``d2`` and, with edges, a mutant, each pair checked against brute
+    force, and canonical forms computed only for tied node keys."""
     forms = []
-    monkeypatch.setattr(graphs, "canonical_graph",
-                        lambda g: forms.append(g) or canonical_graph(g))
     routes = set()
-
-    @settings(max_examples=150)
-    @given(graph_data, graph_data, st.randoms(use_true_random=False))
-    @example(*ISO_EXAMPLES[0], random.Random(0))
-    @example(*ISO_EXAMPLES[1], random.Random(0))
-    @example(*ISO_EXAMPLES[2], random.Random(0))
-    def check(d1, d2, rng):
-        g1 = normalize(*d1)
-        others = [normalize(*bench_canonical.relabelled(rng, *g1)),
-                  rewired(*g1, rng), normalize(*d2)]
-        if g1[2]:
-            others.append(bench_canonical.mutant(rng, *g1))
+    g1 = normalize(*d1)
+    others = [normalize(*bench_canonical.relabelled(rng, *g1)),
+              rewired(*g1, rng), normalize(*d2)]
+    if g1[2]:
+        others.append(bench_canonical.mutant(rng, *g1))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graphs, "canonical_graph",
+                      lambda g: forms.append(g) or canonical_graph(g))
         for g2 in others:
             forms.clear()
             route = iso_route(g1, g2)
@@ -417,10 +412,23 @@ def test_iso_matches_brute_isomorphism(monkeypatch):
                        LabeledGraph.build(*g2[1:])) \
                 == brute_isomorphic(g1, g2)
             assert len(forms) == (2 if route == "keys tie" else 0), route
+    return routes
 
-    check()
+
+def test_iso_matches_brute_isomorphism():
+    # each pair with equal multisets takes one of three routes, and only
+    # tied node keys compute canonical forms; every route is taken
+    routes = set()
+    for d1, d2 in ISO_EXAMPLES:
+        routes |= iso_routes(d1, d2, random.Random(0))
     assert routes == {"multisets differ", "keys differ", "keys distinct",
                       "keys tie"}
+
+
+@settings(max_examples=150)
+@given(graph_data, graph_data, st.randoms(use_true_random=False))
+def test_generated_pairs_match_brute_isomorphism(d1, d2, rng):
+    iso_routes(d1, d2, rng)
 
 
 # ---------------------------------------------------------------------------

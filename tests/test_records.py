@@ -12,7 +12,7 @@ import pytest
 import moricensus
 from moricensus._record import Record
 from moricensus.claims import AuditReport, Claim, Verdict
-from moricensus.closure import ClosureResult, MoveSet
+from moricensus.closure import ClosureResult
 from moricensus.cones import CensusReport
 from moricensus.declared import DeclaredEntry
 from moricensus.families import RegularModel
@@ -25,7 +25,6 @@ RECORDS = {
     Claim: lambda: Claim("c", 1, 1, True),
     Verdict: lambda: Verdict("c", True, 1, 1, True),
     AuditReport: lambda: AuditReport((Verdict("c", True, 1, 1, True),)),
-    MoveSet: lambda: MoveSet((tuple,)),
     ClosureResult: lambda: ClosureResult(frozenset({(1, 2)}), 0),
     CensusReport: lambda: CensusReport(450, 129, (), 2657, 741),
     DeclaredEntry: lambda: DeclaredEntry("t_models", 129, "cite", (83, 1, 45)),
@@ -130,11 +129,7 @@ def test_record_defaults():
     assert Claim("c", 1, 1, True).cite == ""
     assert Verdict("c", True, 1, 1, True).cite == ""
     assert AuditReport(()).findings == ()
-    moves = MoveSet()
-    g = LabeledGraph.build([5])
-    assert moves.moves == () and moves.to_state(g) is g
     assert DeclaredEntry("x", 1) == DeclaredEntry("x", 1, "", None)
-    assert CensusReport(450, 129, (), 2657, 741).computed == ()
 
 
 def test_triple_equality_and_repr():

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Check that each given interpreter prints the shipped census, verify,
-orbits and closure JSON, a symmetric triple's orbits table and csv and
-the audit csv byte for byte, and reads command lines as argparse does.
+orbits and closure JSON (closure under both move sets), a symmetric
+triple's orbits table and csv and the audit csv byte for byte, and reads command lines as argparse does.
 
 For each interpreter it runs ``moricensus census --format json``,
 ``moricensus verify --format json``, ``moricensus orbits --format
@@ -12,12 +12,13 @@ with a non-trivial stabilizer) and the same with ``--format csv``
 closure --graph tests/data/cli/seed.graph --moves triple_group --format
 json`` (the one subcommand that reaches ``graphs``' parser), the same
 closure on ``seed-permuted.graph``, which lists that graph's nodes out
-of label order, ``moricensus audit --format csv`` and ``moricensus
-audit --claims tests/data/cli/odd-cites.claims --format json`` (whose
-cites hold characters that only ``json`` escapes) from this checkout's
-``src`` (with ``PYTHONPATH=src``), and compares each stdout with its
-expected file: the JSON snapshots in ``perfbench/snapshots/``
-and the golden files in ``tests/data/cli/``.  It only reads those
+of label order, the closure of ``seed.graph`` under ``--moves none``
+(the move set that reads no triple), ``moricensus audit --format csv``
+and ``moricensus audit --claims tests/data/cli/odd-cites.claims
+--format json`` (whose cites hold characters that only ``json``
+escapes) from this checkout's ``src`` (with ``PYTHONPATH=src``), and
+compares each stdout with its expected file: the JSON snapshots in
+``perfbench/snapshots/`` and the golden files in ``tests/data/cli/``.  It only reads those
 files.  ``moricensus census --x`` must exit 2 with argparse's usage
 error, and three runs of ``moricensus audit --claims`` on claims files
 it writes to a temporary directory must exit 2 with the exact stderr
@@ -62,6 +63,9 @@ RUNS = [
     *(("perfbench/snapshots/closure.json",
        ["closure", "--graph", str(DATA / name), "--moves", "triple_group",
         "--format", "json"]) for name in ("seed.graph", "seed-permuted.graph")),
+    ("tests/data/cli/closure-none.json.txt",
+     ["closure", "--graph", str(DATA / "seed.graph"), "--moves", "none",
+      "--format", "json"]),
     ("tests/data/cli/audit.csv.txt", ["audit", "--format", "csv"]),
     ("tests/data/cli/audit-odd.json.txt",
      ["audit", "--claims", str(DATA / "odd-cites.claims"), "--format", "json"]),
