@@ -13,13 +13,15 @@ them alike), and once more under ``-X importtime``:
                      ``python -c pass`` is what the interpreter's
                      shutdown collections cost
   census             on the shipped declared config
-  census --config    on the shipped config and 300 generated filler
-                     entries, the size of the readings the cli-audit
-                     workload feeds it
+  census --config    on a reading of 300 generated filler entries
+                     besides the four the census needs, made by
+                     ``perfbench/workloads.py``'s ``declared_file``
+                     as the cli-audit workload makes its readings
   verify             on the shipped inputs
   audit              on the shipped claims
-  audit --claims     on 600 generated claims, the size of the files
-                     the cli-audit workload feeds it
+  audit --claims     on 600 generated claims, made by the same
+                     file's ``claims_file`` as the cli-audit
+                     workload makes its claims files
   orbits             one triple
   orbits --form      the same triple with ``--form json``, an
                      abbreviation, which the CLI leaves to argparse
@@ -42,6 +44,7 @@ Usage:
 """
 
 import argparse
+import importlib.util
 import os
 import random
 import statistics
@@ -53,55 +56,26 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
-FILLERS = 300
-CLAIMS = 600
 
 
-def reading(seed=1):
-    """The shipped declared config and ``FILLERS`` filler entries."""
-    rng = random.Random(seed)
-    lines = [(SRC / "moricensus" / "data" / "declared.cfg").read_text("utf-8")]
-    for i in range(FILLERS):
-        cuts = sorted(rng.randint(0, 500) for _ in range(rng.randint(0, 3)))
-        parts = [b - a for a, b in zip([0, *cuts], [*cuts, 500])]
-        lines.append(f"entry filler_{i:04d}: count=500 "
-                     f"breakdown={'+'.join(map(str, parts))} cite=\"x {i}\"\n")
-    return "".join(lines)
-
-
-def expression(rng, depth):
-    """Random expression text over literals up to 30, with its value."""
-    if depth == 0 or rng.random() < 0.3:
-        value = rng.randint(0, 30)
-        return str(value), value
-    if rng.random() < 0.1:
-        text, value = expression(rng, depth - 1)
-        return f"-({text})", -value
-    op = rng.choice("+-*")
-    (lt, lv), (rt, rv) = expression(rng, depth - 1), expression(rng, depth - 1)
-    return f"({lt} {op} {rt})", {"+": lv + rv, "-": lv - rv, "*": lv * rv}[op]
-
-
-def claims(seed=1):
-    """``CLAIMS`` claims of depth-3 expressions; a fifth are false and
-    expected to fail, so the audit exits 0."""
-    rng = random.Random(seed)
-    lines = []
-    for i in range(CLAIMS):
-        text, value = expression(rng, 3)
-        rhs = value if rng.random() < 0.8 else value + rng.randint(1, 9)
-        expect = "holds" if rhs == value else "fails"
-        lines.append(f'claim c{i:04d}: {text} == {rhs} expect={expect} '
-                     f'cite="generated {i}"\n')
-    return "".join(lines)
+def workloads():
+    """``perfbench/workloads.py``, loaded by path, whose input generators
+    make the files the cli-audit workload feeds the CLI."""
+    spec = importlib.util.spec_from_file_location(
+        "_perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 def commands(workdir: Path):
     """(name, argv) of each timed command."""
+    inputs, rng = workloads(), random.Random(1)
     config = workdir / "reading.cfg"
-    config.write_text(reading(), encoding="utf-8")
+    config.write_text(inputs.declared_file(rng, 129, 11, 103, 300), encoding="utf-8")
     claims_path = workdir / "generated.claims"
-    claims_path.write_text(claims(), encoding="utf-8")
+    claims_path.write_text(inputs.claims_file(rng, 600, False)[0], encoding="utf-8")
     graph = workdir / "triple.graph"
     graph.write_text("node n0 label=0\nnode n1 label=1\nnode n2 label=2\n"
                      "edge n0 n1 label=-6\nedge n1 n2 label=0\nedge n2 n0 label=3\n",

@@ -28,8 +28,9 @@ works through:
   census model     full run / census models (347)
 
 The last table lists the records one full run constructs, per record
-class: 770 on the shipped inputs, of which 348 are ``RegularModel``s
-and 347 ``ClosureResult``s.  The census's triples are plain tuples, so
+class: 748 on the shipped inputs, of which 348 are ``RegularModel``s,
+347 ``ClosureResult``s and 45 ``Verdict``s, one per ``census.*`` count
+and per claim line.  The census's triples are plain tuples, so
 no ``Triple`` is among them.  The end-to-end benchmark is
 ``perfbench/run.py``.
 

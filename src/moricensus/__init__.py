@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 
 # the census modules' package-level names, each with its submodule
 _LAZY = {
-    **dict.fromkeys(("AuditReport", "Claim", "Verdict", "evaluate", "evaluate_claims",
+    **dict.fromkeys(("AuditReport", "Verdict", "evaluate", "evaluate_claims",
                      "parse_claims"), "claims"),
     **dict.fromkeys(("CensusReport", "build_census_report", "p_cone_count",
                      "symmetric_p_models", "t_cone_count"), "cones"),

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING
 from .closure import closure
 
 if TYPE_CHECKING:
-    from .claims import AuditReport, Claim
+    from .claims import AuditReport, Verdict
     from .declared import DeclaredEntry
 
 __all__ = ["CLAIMED", "default_claims_text", "run_full_verification"]
@@ -90,7 +90,7 @@ def _closure_oracle_matches(records) -> int:
 
 def run_full_verification(
     declared: list[DeclaredEntry] | None = None,
-    claims: list[Claim] | None = None,
+    claims: list[Verdict] | None = None,
 ) -> AuditReport:
     """Recompute censuses, run the closure oracle, and evaluate claims.
 
@@ -136,8 +136,7 @@ def run_full_verification(
         "census.closure_oracle": _closure_oracle_matches(regular),
     }
     verdicts = tuple(
-        Verdict(name=n, holds=(got[n] == want), lhs_value=got[n], rhs_value=want,
-                expect_holds=True, cite="computed")
+        Verdict(n, got[n], want, True, "computed")
         for n, want in CLAIMED.items()
     )
 

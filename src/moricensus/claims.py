@@ -1,6 +1,7 @@
 """Arithmetic claims DSL: parse, evaluate exactly, and audit.
 
-One claim per line, which ends at ``\\n`` alone (``#`` starts a comment):
+One claim per line, which ends at ``\\n`` alone (``#`` starts a comment
+unless it is inside a quoted ``cite``):
 
     claim <name>: <expr> == <expr> expect=(holds|fails) [cite="<text>"]
 
@@ -12,11 +13,12 @@ Whitespace within a line is insignificant.  ``expect=fails`` marks an
 identity recorded from a source text that is arithmetically false; the
 audit passes when it indeed fails.
 
-The parser evaluates each side as it reads it, so a :class:`Claim`
-holds the two sides' integer values.  Each literal and each ``+``,
-``-`` or ``*`` result, from left to right, must lie within
-``EVAL_GUARD``; a value past it is a ConfigError at the line and column
-of the token that made it.  A side is lexed into plain string tokens;
+The parser evaluates each side as it reads it, so a line parses to
+its :class:`Verdict`, which holds the two sides' integer values and
+derives ``holds`` from them.  Each literal and each ``+``, ``-`` or
+``*`` result, from left to right, must lie within ``EVAL_GUARD``; a
+value past it is a ConfigError at the line and column of the token
+that made it.  A side is lexed into plain string tokens;
 a token's column is found only when a fault names it.
 """
 
@@ -25,11 +27,10 @@ from __future__ import annotations
 import re
 
 from ._record import Record
-from .errors import ConfigError, config_int
+from .errors import ConfigError, config_int, strip_comment
 
 __all__ = [
     "AuditReport",
-    "Claim",
     "EVAL_GUARD",
     "MAX_NESTING",
     "Verdict",
@@ -48,14 +49,13 @@ EVAL_GUARD = 10**12
 MAX_NESTING = 100
 
 
-class Claim(Record):
-    __slots__ = ("name", "lhs", "rhs", "expect_holds", "cite")
-    _defaults = {"cite": ""}
-
-
 class Verdict(Record):
-    __slots__ = ("name", "holds", "lhs_value", "rhs_value", "expect_holds", "cite")
+    __slots__ = ("name", "lhs_value", "rhs_value", "expect_holds", "cite")
     _defaults = {"cite": ""}
+
+    @property
+    def holds(self) -> bool:
+        return evaluate(self)
 
     @property
     def as_expected(self) -> bool:
@@ -187,13 +187,13 @@ _CLAIM_RE = re.compile(
 )
 
 
-def parse_claims(text: str) -> list[Claim]:
-    """Parse a claims file; every fault is a ConfigError with line and
-    column."""
-    claims: list[Claim] = []
+def parse_claims(text: str) -> list[Verdict]:
+    """Parse a claims file into one verdict per claim; every fault is a
+    ConfigError with line and column."""
+    claims: list[Verdict] = []
     names: set[str] = set()
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0].rstrip()
+        line = strip_comment(raw).rstrip()
         if not line.strip():
             continue
         stripped = line.strip()
@@ -216,33 +216,18 @@ def parse_claims(text: str) -> list[Claim]:
         base = line.index(stripped[0]) + m.start(2)
         lhs = _ExprParser(lhs_text, lineno, base).parse()
         rhs = _ExprParser(rhs_text, lineno, base + len(lhs_text) + 2).parse()
-        claims.append(
-            Claim(
-                name=name,
-                lhs=lhs,
-                rhs=rhs,
-                expect_holds=(expect == "holds"),
-                cite=cite or "",
-            )
-        )
+        claims.append(Verdict(name, lhs, rhs, expect == "holds", cite or ""))
     return claims
 
 
-def evaluate(claim: Claim) -> Verdict:
-    """Compare a claim's two sides, evaluated when it was parsed."""
-    return Verdict(
-        name=claim.name,
-        holds=(claim.lhs == claim.rhs),
-        lhs_value=claim.lhs,
-        rhs_value=claim.rhs,
-        expect_holds=claim.expect_holds,
-        cite=claim.cite,
-    )
+def evaluate(verdict: Verdict) -> bool:
+    """Whether a verdict's two sides, evaluated when parsed, are equal."""
+    return verdict.lhs_value == verdict.rhs_value
 
 
-def evaluate_claims(claims: list[Claim]) -> AuditReport:
-    """Evaluate every claim; expected failures become findings."""
-    verdicts = tuple(evaluate(c) for c in claims)
+def evaluate_claims(claims: list[Verdict]) -> AuditReport:
+    """The report of parsed claims; expected failures become findings."""
+    verdicts = tuple(claims)
     findings = tuple(
         f"claim {v.name}: recorded identity fails as expected "
         f"({v.lhs_value} != {v.rhs_value})"

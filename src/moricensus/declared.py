@@ -5,7 +5,8 @@ Counts whose defining enumeration lives in the companion case analysis
 inputs, not computations.  They ship in a config file so alternative
 readings of the source text can be audited with the same engine.
 
-Config grammar (UTF-8, one entry per line; ``#`` starts a comment):
+Config grammar (UTF-8, one entry per line; ``#`` starts a comment
+unless it is inside a quoted ``cite``):
 
     entry <label>: count=<int> breakdown=<int>[+<int>]* cite="<text>"
 
@@ -22,7 +23,7 @@ import re
 from importlib import resources
 
 from ._record import Record
-from .errors import ConfigError, config_int
+from .errors import ConfigError, config_int, strip_comment
 
 __all__ = ["DeclaredEntry", "default_declared_text", "load_declared"]
 
@@ -133,7 +134,7 @@ def load_declared(config_text: str) -> list[DeclaredEntry]:
     entries: list[DeclaredEntry] = []
     labels: set[str] = set()
     for lineno, raw in enumerate(config_text.split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = strip_comment(raw).strip()
         if not line:
             continue
         head = line.split(None, 1)[0]

@@ -8,7 +8,8 @@ bound), and names where it is by line, column and field; the other
 ``ValueError`` is a program fault.  Every error carries the offending
 data as attributes so reports can print actionable diffs instead of
 bare messages.  :func:`config_int` is the input parsers' one way to
-read an integer, :func:`check_int` the records' one int rule.
+read an integer, :func:`strip_comment` the claims and config parsers'
+one comment rule, :func:`check_int` the records' one int rule.
 """
 
 from __future__ import annotations
@@ -53,6 +54,20 @@ def config_int(text: str, *, line: int, column: int | None = None,
             f"integer of {len(text.lstrip('-'))} digits is too long",
             line=line, column=column, field=field,
         ) from None
+
+
+def strip_comment(line: str) -> str:
+    """``line`` without its comment, which starts at the first ``#``
+    preceded by an even number of ``"``, so a quoted value may hold
+    ``#``.  A line whose quote is still open at every ``#`` is cut at
+    its first, so an unterminated quote is reported where it always
+    was."""
+    first = at = line.find("#")
+    while at >= 0:
+        if not line.count('"', 0, at) % 2:
+            return line[:at]
+        at = line.find("#", at + 1)
+    return line[:first] if first >= 0 and line.count('"') % 2 else line
 
 
 def check_int(what: str, value) -> None:

@@ -82,14 +82,11 @@ class LabeledGraph(Record):
     def __post_init__(self):
         n = len(self.node_labels)
         for label in self.node_labels:
-            if type(label) is not int:
-                check_int("node label", label)
+            check_int("node label", label)
         prev = None
         for entry in self.edges:
             u, v, label, mult = entry
-            if not (type(u) is int and type(v) is int
-                    and type(label) is int and type(mult) is int):
-                _check_edge_ints(u, v, label, mult)
+            _check_edge_ints(u, v, label, mult)
             if not 0 <= u < v < n:
                 raise ConfigError(f"bad edge endpoints {entry} for {n} nodes")
             if mult < 1:

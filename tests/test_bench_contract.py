@@ -288,7 +288,7 @@ def test_verify_stage_benchmark_runs():
     assert rows["ClosureResult"] == ["347"]
     assert rows["RegularModel"] == ["348"]
     assert "ModelRecord" not in rows and "Triple" not in rows
-    assert rows["total"] == ["770"]
+    assert rows["total"] == ["748"]
 
 
 def test_startup_benchmark_runs():

@@ -9,7 +9,7 @@ from moricensus.audit import default_claims_text
 from moricensus.claims import (
     EVAL_GUARD,
     MAX_NESTING,
-    Claim,
+    Verdict,
     evaluate,
     evaluate_claims,
     parse_claims,
@@ -28,7 +28,7 @@ def parse_one(line):
 def test_parse_basic_claim():
     claim = parse_one("claim t_total: 83+1+45 == 129 expect=holds")
     assert claim.name == "t_total"
-    assert (claim.lhs, claim.rhs) == (129, 129)
+    assert (claim.lhs_value, claim.rhs_value) == (129, 129)
     assert claim.expect_holds
     assert claim.cite == ""
 
@@ -38,8 +38,7 @@ def test_parse_with_cite_and_spacing():
         'claim   x :  1 *  2+3 ==   5   expect=holds   cite="someplace"'
     )
     assert claim.cite == "someplace"
-    verdict = evaluate(claim)
-    assert verdict.holds
+    assert evaluate(claim) is True
 
 
 def test_parse_rejects_empty_expressions():
@@ -84,6 +83,8 @@ def test_parse_line_numbers_in_errors():
     ("claim a: 1 == 1 expect=holds\n  entry x: count=1\n",
      "expected 'claim', got 'entry'", 2, 3),
     ("claim x 1 == 1 expect=holds\n", "malformed claim line", 1, 1),
+    # a quote still open at the '#' leaves the line cut at its first '#'
+    ('claim x: 1 == "1 expect=holds # c\n', "unexpected character '\"'", 1, 15),
     # int() reads Arabic-Indic digits as 129; the grammar takes 0-9
     ("claim x: \u0661\u0662\u0669 == 129 expect=holds\n",
      "unexpected character '\u0661'", 1, 10),
@@ -111,8 +112,8 @@ def test_parse_line_numbers_in_errors():
     ("claim a: 1000000000000 * 2 == 0 expect=fails\nclaim b: ) == 1 expect=holds\n",
      "claim value 2000000000000 outside guarded range +/-1000000000000", 1, 24),
 ], ids=["trailing_token", "missing_paren", "not_a_claim", "malformed_line",
-        "not_ascii", "operand_missing", "paren_unclosed", "side_empty",
-        "side_starts_with_paren", "literal_too_long", "guard_literal",
+        "quote_open_at_comment", "not_ascii", "operand_missing", "paren_unclosed",
+        "side_empty", "side_starts_with_paren", "literal_too_long", "guard_literal",
         "guard_sum", "guard_difference", "guard_product", "operand_fault_first",
         "guard_before_later_fault"])
 def test_parse_errors_name_their_line_and_column(text, message, line, column):
@@ -152,11 +153,11 @@ def test_expected_failure_claim_parses_and_fails():
     claim = parse_one(
         'claim t_cones_proof: 118*6+11*3 == 747 expect=fails cite="proof display"'
     )
-    verdict = evaluate(claim)
-    assert verdict.lhs_value == 741
-    assert verdict.rhs_value == 747
-    assert not verdict.holds
-    assert verdict.as_expected
+    assert evaluate(claim) is False
+    assert claim.lhs_value == 741
+    assert claim.rhs_value == 747
+    assert not claim.holds
+    assert claim.as_expected
 
 
 @pytest.mark.parametrize(
@@ -175,14 +176,13 @@ def test_expected_failure_claim_parses_and_fails():
 )
 def test_exact_evaluation(expr, value):
     claim = parse_one(f"claim x: {expr} == {value} expect=holds")
-    verdict = evaluate(claim)
-    assert verdict.lhs_value == value
-    assert verdict.holds
+    assert claim.lhs_value == value
+    assert claim.holds
 
 
 def test_evaluation_overflow_guard():
     big = EVAL_GUARD
-    assert parse_one(f"claim x: {big} == -{big} expect=fails").rhs == -big
+    assert parse_one(f"claim x: {big} == -{big} expect=fails").rhs_value == -big
     with pytest.raises(ConfigError) as exc_info:
         parse_claims(f"claim x: {big} * 2 == 0 expect=fails")
     assert str(exc_info.value) == \
@@ -208,7 +208,7 @@ def test_parse_rejects_deep_nesting_with_position(shape):
 @pytest.mark.parametrize("shape", ["parens", "unary_minus"])
 def test_nesting_at_the_bound_parses(shape):
     claim = parse_one(f"claim x: {nested(shape, MAX_NESTING)} == 0 expect=fails")
-    assert abs(evaluate(claim).lhs_value) == 1
+    assert abs(claim.lhs_value) == 1
 
 
 def test_parse_rejects_overlong_literal_with_position():
@@ -225,7 +225,7 @@ def test_long_sums_and_products_evaluate():
     claim = parse_one(
         f"claim x: {' + '.join(['2 * 1 * 1'] * terms)} == {2 * terms} expect=holds"
     )
-    assert evaluate(claim).holds
+    assert claim.holds
 
 
 @pytest.mark.parametrize("op, factor, value", [("+", "2", 6002), ("*", "-1", -1)],
@@ -234,13 +234,13 @@ def test_long_chains_parse_to_their_value(op, factor, value):
     # each step of a chain returns to the loop that reads the next one,
     # so a chain does not deepen the parser's recursion
     text = f"claim x: {f' {op} '.join([factor] * 3001)} == {value} expect=holds"
-    assert parse_one(text).lhs == value
+    assert parse_one(text).lhs_value == value
 
 
 def test_parenthesized_chains_evaluate():
     claim = parse_one("claim x: (1 + 2) + 3 * (4 * 5) == 63 expect=holds")
-    assert (claim.lhs, claim.rhs) == (63, 63)
-    assert parse_one("claim x: 2 * (3 + 4) - (5 - 6) == 15 expect=holds").lhs == 15
+    assert (claim.lhs_value, claim.rhs_value) == (63, 63)
+    assert parse_one("claim x: 2 * (3 + 4) - (5 - 6) == 15 expect=holds").lhs_value == 15
 
 
 def test_empty_claims_file():
@@ -269,6 +269,26 @@ def test_expected_failures_become_findings():
     )
     assert len(report.findings) == 1
     assert "36 != 45" in report.findings[0]
+
+
+def test_a_verdict_holds_exactly_when_its_values_are_equal():
+    verdict = Verdict("c", 1, 2, True)
+    assert not verdict.holds and not verdict.as_expected
+    assert Verdict("c", 2, 2, True).holds
+
+
+def test_the_report_holds_the_parsed_verdicts():
+    parsed = parse_claims("claim a: 1 == 1 expect=holds\n"
+                          "claim b: 36 == 45 expect=fails\n")
+    verdicts = evaluate_claims(parsed).verdicts
+    assert len(verdicts) == 2
+    assert all(v is p for v, p in zip(verdicts, parsed))
+
+
+def test_a_hash_inside_a_quoted_cite_starts_no_comment():
+    # the comment starts at the first '#' after an even number of '"'
+    text = 'claim x: 1 == 1 expect=holds cite="Eq. #3"  # note "q\n'
+    assert parse_claims(text) == [Verdict("x", 1, 1, True, "Eq. #3")]
 
 
 def test_shipped_claims_all_as_expected():
@@ -377,15 +397,15 @@ def test_generator_finds_an_evaluator_sign_error(batch):
         assert not all(map(claims_match_the_generator, batch))
 
 
-# well-formed claims, each a line with the Claim it must parse to, mixed
+# well-formed claims, each a line with the Verdict it must parse to, mixed
 # with claim lines of odd tokens and free joins of the grammar's pieces
 CLAIMS = st.builds(
     lambda name, lhs, rhs, holds, cite: (
         f"claim {name}: {lhs[0]} == {rhs[0]} expect={'holds' if holds else 'fails'}"
         + (f' cite="{cite}"' if cite else ""),
-        Claim(name, lhs[1], rhs[1], holds, cite)),
+        Verdict(name, lhs[1], rhs[1], holds, cite)),
     st.sampled_from(["x", "y", "t_cones"]), GENERATED, GENERATED, st.booleans(),
-    st.sampled_from(["", "Thm 2.1", "proof display"]))
+    st.sampled_from(["", "Thm 2.1", "proof display", "Eq. #3"]))
 TOKENS = st.sampled_from([
     "1", "07", "-", "+", "*", "(", ")", " ", "==", "$", "n", "\u0663",
     "1000000000000", OVER_LIMIT, "#",

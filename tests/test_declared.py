@@ -66,6 +66,8 @@ ENTRY_ERRORS = [
     ("entry x: count=1 junk", "expected key=value, got 'junk'", None),
     ("entry x: count=1 count=2", "duplicate key 'count'", "count"),
     ('entry x: count=1 cite="open', "unterminated quoted value", "cite"),
+    # a quote still open at every '#' leaves the line cut at its first '#'
+    ('entry x: count=1 cite="a#b" flavour="open', "unterminated quoted value", "cite"),
     ("entry x: count=", "missing value for 'count'", "count"),
     ("entry x: count= 5", "missing value for 'count'", "count"),
     # a duplicate key is reported before anything about its value
@@ -95,7 +97,8 @@ ENTRY_ERRORS = [
 
 @pytest.mark.parametrize("line, message, field", ENTRY_ERRORS, ids=[
         "missing_colon", "bad_label", "not_key_value", "duplicate_key",
-        "unterminated_quote", "missing_value", "missing_value_before_space",
+        "unterminated_quote", "quote_open_at_comment", "missing_value",
+        "missing_value_before_space",
         "duplicate_before_bad_value", "count_not_int",
         "addend_not_int", "count_not_ascii", "addend_not_ascii",
         "count_too_long", "negative_count_too_long",
@@ -138,6 +141,13 @@ def test_comments_and_blank_lines_ignored():
     assert len(entries) == 1
 
 
+def test_a_hash_inside_a_quoted_cite_starts_no_comment():
+    # the comment starts at the first '#' after an even number of '"'
+    assert load_declared('entry t_models: count=129 cite="Thm 2.1 #a" # "q\n') == [
+        DeclaredEntry(label="t_models", count=129, provenance="Thm 2.1 #a")
+    ]
+
+
 def test_default_config_loads_and_validates():
     entries = {e.label: e for e in load_declared(default_declared_text())}
     assert entries["t_models"].count == 129
@@ -149,6 +159,32 @@ def test_default_config_loads_and_validates():
     assert entries["p_very_degenerate_symmetric"].count == 1
 
 
+def entry(label, values, cite, order, gap, comment):
+    """A well-formed entry line, in the field order ``order``, with the
+    record it must parse to; ``values`` is the count and its breakdown
+    (None for none), ``cite`` None for no cite field."""
+    count, breakdown = values
+    fields = [f"count={count}",
+              None if breakdown is None else "breakdown=" + "+".join(map(str, breakdown)),
+              None if cite is None else f'cite="{cite}"']
+    line = f"entry {label}: " + gap.join(fields[k] for k in order if fields[k])
+    return (line + comment,
+            DeclaredEntry(label, count, cite or "",
+                          None if breakdown is None else tuple(breakdown)))
+
+
+ADDENDS = st.lists(st.integers(-3, 200), min_size=1, max_size=4).filter(
+    lambda parts: sum(parts) >= 0)
+ENTRIES = st.builds(
+    entry,
+    st.sampled_from(["x", "t_models", "p_very_degenerate", "_a1"]),
+    st.one_of(st.integers(0, 10**6).map(lambda n: (n, None)),
+              ADDENDS.map(lambda parts: (sum(parts), parts))),
+    st.sampled_from([None, "", "Thm 2.1", "Eq. #3", "a # b #c"]),
+    st.permutations(range(3)),
+    st.sampled_from([" ", "  ", "\t"]),
+    st.sampled_from(["", " # note", '  # "q" #']),
+)
 # entry lines of well-formed shape with odd keys and values, mixed
 # with free joins of the grammar's pieces
 INTS = st.sampled_from(["0", "7", "129", "-3", "two", "", OVER_LIMIT, "\u0663"])
@@ -174,10 +210,24 @@ PIECES = st.lists(st.sampled_from([
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(st.one_of(ENTRY_LINES, PIECES), max_size=4).map("\n".join))
-def test_load_declared_raises_only_config_errors_inside_the_text(text):
+@given(st.one_of(st.lists(ENTRIES, max_size=4),
+                 st.lists(st.one_of(ENTRIES, ENTRY_LINES, PIECES), max_size=4)))
+def test_load_declared_raises_only_config_errors_inside_the_text(lines):
+    text = "\n".join(line if isinstance(line, str) else line[0] for line in lines)
     try:
-        load_declared(text)
+        parsed = load_declared(text)
     except ConfigError as err:
         if err.line is not None:
             assert 1 <= err.line <= len(text.split("\n"))
+        parsed = err
+    # the generator is the oracle: well-formed entries parse to its
+    # records, and the first repeated label is the only fault
+    if not any(isinstance(line, str) for line in lines):
+        entries = [line[1] for line in lines]
+        labels = [e.label for e in entries]
+        repeat = next((n for n, label in enumerate(labels) if label in labels[:n]), None)
+        if repeat is None:
+            assert parsed == entries
+        else:
+            assert str(parsed) == (f"duplicate entry label {labels[repeat]!r} "
+                                   f"(line {repeat + 1}, field 'label')")

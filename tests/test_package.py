@@ -17,7 +17,7 @@ from conftest import LineTracer
 
 # every name the package exports, by the submodule that defines it
 EXPORTS = {
-    "claims": ["AuditReport", "Claim", "Verdict", "evaluate", "evaluate_claims",
+    "claims": ["AuditReport", "Verdict", "evaluate", "evaluate_claims",
                "parse_claims"],
     "closure": ["MOVE_SETS", "ClosureResult", "closure", "encode_triple"],
     "cones": ["CensusReport", "build_census_report", "p_cone_count",

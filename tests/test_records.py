@@ -11,7 +11,7 @@ import pytest
 
 import moricensus
 from moricensus._record import Record
-from moricensus.claims import AuditReport, Claim, Verdict
+from moricensus.claims import AuditReport, Verdict
 from moricensus.closure import ClosureResult
 from moricensus.cones import CensusReport
 from moricensus.declared import DeclaredEntry
@@ -22,9 +22,8 @@ from moricensus.triples import Triple
 
 # One builder per record class; each call builds a new, equal instance.
 RECORDS = {
-    Claim: lambda: Claim("c", 1, 1, True),
-    Verdict: lambda: Verdict("c", True, 1, 1, True),
-    AuditReport: lambda: AuditReport((Verdict("c", True, 1, 1, True),)),
+    Verdict: lambda: Verdict("c", 1, 1, True),
+    AuditReport: lambda: AuditReport((Verdict("c", 1, 1, True),)),
     ClosureResult: lambda: ClosureResult(frozenset({(1, 2)}), 0),
     CensusReport: lambda: CensusReport(450, 129, (), 2657, 741),
     DeclaredEntry: lambda: DeclaredEntry("t_models", 129, "cite", (83, 1, 45)),
@@ -117,17 +116,14 @@ def test_records_of_different_types_differ_on_equal_fields():
 
 
 def test_record_repr_names_the_fields():
-    assert repr(Claim("c", 741, 747, False)) == (
-        "Claim(name='c', lhs=741, rhs=747, expect_holds=False, cite='')")
-    assert repr(Verdict("c", True, 1, 2, False)) == (
-        "Verdict(name='c', holds=True, lhs_value=1, rhs_value=2, "
-        "expect_holds=False, cite='')"
+    assert repr(Verdict("c", 741, 747, False)) == (
+        "Verdict(name='c', lhs_value=741, rhs_value=747, expect_holds=False, "
+        "cite='')"
     )
 
 
 def test_record_defaults():
-    assert Claim("c", 1, 1, True).cite == ""
-    assert Verdict("c", True, 1, 1, True).cite == ""
+    assert Verdict("c", 1, 1, True).cite == ""
     assert AuditReport(()).findings == ()
     assert DeclaredEntry("x", 1) == DeclaredEntry("x", 1, "", None)
 
