@@ -28,7 +28,7 @@ works through:
   census model     full run / census models (347)
 
 The last table lists the records one full run constructs, per record
-class: 748 on the shipped inputs, of which 348 are ``RegularModel``s,
+class: 743 on the shipped inputs, of which 348 are ``RegularModel``s,
 347 ``ClosureResult``s and 45 ``Verdict``s, one per ``census.*`` count
 and per claim line.  The census's triples are plain tuples, so
 no ``Triple`` is among them.  The end-to-end benchmark is

@@ -28,7 +28,7 @@ _LAZY = {
                      "parse_claims"), "claims"),
     **dict.fromkeys(("CensusReport", "build_census_report", "p_cone_count",
                      "symmetric_p_models", "t_cone_count"), "cones"),
-    **dict.fromkeys(("DeclaredEntry", "load_declared"), "declared"),
+    "load_declared": "declared",
     **dict.fromkeys(("RegularModel", "family_nondegenerate",
                      "family_one_degenerate", "family_two_degenerate",
                      "regular_models"), "families"),

@@ -1,12 +1,11 @@
 """Immutable records over ``__slots__``.
 
-A record class declares its fields once, in ``__slots__``, and may give
-trailing fields defaults in a class-level ``_defaults`` dict.
+A record class declares its fields once, in ``__slots__``.
 :class:`Record` derives everything else from the slot names:
 
 - the constructor, written at class creation: one positional-or-keyword
-  parameter per slot, in slot order, defaults from ``_defaults``, storing
-  each field through its slot's descriptor, past ``__setattr__``.  When
+  parameter per slot, in slot order, with no defaults, storing each
+  field through its slot's descriptor, past ``__setattr__``.  When
   the class defines ``__post_init__``, the constructor calls it last,
   looking it up on the instance at call time, so a patched
   ``__post_init__`` is seen by records built afterwards;
@@ -23,16 +22,14 @@ __all__ = ["Record"]
 
 def _make_init(cls):
     # each field is stored through its slot's descriptor, bound once here
-    namespace = {"__name__": __name__, "_defaults": cls._defaults}
-    params, body = [], []
+    namespace = {"__name__": __name__}
+    body = []
     for name in cls.__slots__:
-        params.append(f"{name}=_defaults[{name!r}]" if name in cls._defaults
-                      else name)
         namespace[f"_set_{name}"] = getattr(cls, name).__set__
         body.append(f"    _set_{name}(self, {name})")
     if hasattr(cls, "__post_init__"):
         body.append("    self.__post_init__()")
-    source = f"def __init__(self, {', '.join(params)}):\n" + "\n".join(body)
+    source = f"def __init__(self, {', '.join(cls.__slots__)}):\n" + "\n".join(body)
     # __name__ makes this module the generated function's __module__
     exec(source, namespace)
     init = namespace["__init__"]
@@ -44,7 +41,6 @@ class Record:
     """Base of the package's value records; fields are ``__slots__``."""
 
     __slots__ = ()
-    _defaults: dict = {}
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)

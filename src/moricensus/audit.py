@@ -31,7 +31,6 @@ from .closure import closure
 
 if TYPE_CHECKING:
     from .claims import AuditReport, Verdict
-    from .declared import DeclaredEntry
 
 __all__ = ["CLAIMED", "default_claims_text", "run_full_verification"]
 
@@ -89,7 +88,7 @@ def _closure_oracle_matches(records) -> int:
 
 
 def run_full_verification(
-    declared: list[DeclaredEntry] | None = None,
+    declared: dict[str, int] | None = None,
     claims: list[Verdict] | None = None,
 ) -> AuditReport:
     """Recompute censuses, run the closure oracle, and evaluate claims.

@@ -51,11 +51,10 @@ MAX_NESTING = 100
 
 class Verdict(Record):
     __slots__ = ("name", "lhs_value", "rhs_value", "expect_holds", "cite")
-    _defaults = {"cite": ""}
 
     @property
     def holds(self) -> bool:
-        return evaluate(self)
+        return self.lhs_value == self.rhs_value
 
     @property
     def as_expected(self) -> bool:
@@ -67,7 +66,6 @@ class AuditReport(Record):
     claim behaved as its ``expect`` marker demands."""
 
     __slots__ = ("verdicts", "findings")
-    _defaults = {"findings": ()}
 
     @property
     def exit_status(self) -> int:
@@ -222,7 +220,7 @@ def parse_claims(text: str) -> list[Verdict]:
 
 def evaluate(verdict: Verdict) -> bool:
     """Whether a verdict's two sides, evaluated when parsed, are equal."""
-    return verdict.lhs_value == verdict.rhs_value
+    return verdict.holds
 
 
 def evaluate_claims(claims: list[Verdict]) -> AuditReport:
@@ -233,6 +231,6 @@ def evaluate_claims(claims: list[Verdict]) -> AuditReport:
         f"({v.lhs_value} != {v.rhs_value})"
         + (f" [{v.cite}]" if v.cite else "")
         for v in verdicts
-        if not v.expect_holds and not v.holds
+        if not evaluate(v) and not v.expect_holds
     )
     return AuditReport(verdicts=verdicts, findings=findings)

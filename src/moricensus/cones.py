@@ -14,7 +14,6 @@ label ``"very_degenerate"``.
 from __future__ import annotations
 
 from ._record import Record
-from .declared import DeclaredEntry
 from .errors import ConfigError, InvariantError, check_int
 from .families import RegularModel
 
@@ -72,13 +71,6 @@ def t_cone_count(models: int, symmetric: int) -> int:
     return (models - symmetric) * 6 + symmetric * 3
 
 
-def _require(entries: dict[str, DeclaredEntry], label: str) -> DeclaredEntry:
-    try:
-        return entries[label]
-    except KeyError:
-        raise ConfigError(f"missing required entry {label!r}", field=label) from None
-
-
 # printed by ``census`` and ``verify``
 RECORDED_FINDINGS = (
     "two-component cone proof display: 118*6 + 11*3 evaluates to 741, "
@@ -92,9 +84,10 @@ RECORDED_FINDINGS = (
 
 def build_census_report(
     regular: list[RegularModel],
-    declared: list[DeclaredEntry],
+    declared: dict[str, int],
 ) -> CensusReport:
-    """Assemble the full census from computed models and declared entries.
+    """Assemble the full census from computed models and declared counts,
+    keyed by entry label.
 
     Requires entries ``t_models``, ``t_symmetric``, ``p_very_degenerate``
     and ``p_very_degenerate_symmetric``, each an int (a library caller's
@@ -105,10 +98,12 @@ def build_census_report(
     ``p_symmetric`` ends with one shared record, repeated, for the declared
     symmetric models.
     """
-    by_label = {e.label: e for e in declared}
-    count = {label: _require(by_label, label).count for label in (
-        "t_models", "t_symmetric", "p_very_degenerate",
-        "p_very_degenerate_symmetric")}
+    count = {}
+    for label in ("t_models", "t_symmetric", "p_very_degenerate",
+                  "p_very_degenerate_symmetric"):
+        if label not in declared:
+            raise ConfigError(f"missing required entry {label!r}", field=label)
+        count[label] = declared[label]
     for label, value in count.items():
         check_int(label, value)
         if value < 0:

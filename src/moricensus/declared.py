@@ -15,6 +15,8 @@ unless it is inside a quoted ``cite``):
 non-negative; ``breakdown`` and ``cite`` are optional.  Unknown keys are
 rejected.  A breakdown must sum to the count.  An integer too long for
 the interpreter to convert is rejected like any other malformed value.
+An entry loads as its count: the breakdown and the cite are checked,
+not kept.
 """
 
 from __future__ import annotations
@@ -22,18 +24,9 @@ from __future__ import annotations
 import re
 from importlib import resources
 
-from ._record import Record
 from .errors import ConfigError, config_int, strip_comment
 
-__all__ = ["DeclaredEntry", "default_declared_text", "load_declared"]
-
-
-class DeclaredEntry(Record):
-    """A count taken on trust, with its citation and optional addends."""
-
-    __slots__ = ("label", "count", "provenance", "breakdown")
-    _defaults = {"provenance": "", "breakdown": None}
-
+__all__ = ["default_declared_text", "load_declared"]
 
 _LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 _INT_RE = re.compile(r"-?[0-9]+$")
@@ -43,7 +36,7 @@ _INT_RE = re.compile(r"-?[0-9]+$")
 _FIELD_RE = re.compile(r'([A-Za-z_][A-Za-z0-9_]*)=(?:"([^"]*)(")?|(\S*))\s*')
 
 
-def _parse_entry_line(line: str, lineno: int) -> DeclaredEntry:
+def _parse_entry_line(line: str, lineno: int) -> tuple[str, int]:
     body = line[len("entry"):].strip()
     if ":" not in body:
         raise ConfigError("missing ':' after entry label", line=lineno)
@@ -92,7 +85,6 @@ def _parse_entry_line(line: str, lineno: int) -> DeclaredEntry:
         raise ConfigError(f"count must be non-negative, got {count}",
                           line=lineno, field="count")
 
-    breakdown = None
     if "breakdown" in fields:
         parts = fields["breakdown"].split("+")
         for part in parts:
@@ -102,9 +94,7 @@ def _parse_entry_line(line: str, lineno: int) -> DeclaredEntry:
                     line=lineno,
                     field="breakdown",
                 )
-        breakdown = tuple(config_int(p, line=lineno, field="breakdown")
-                          for p in parts)
-        total = sum(breakdown)
+        total = sum([config_int(p, line=lineno, field="breakdown") for p in parts])
         if total != count:
             try:
                 shown = f"={total}"
@@ -117,22 +107,17 @@ def _parse_entry_line(line: str, lineno: int) -> DeclaredEntry:
                 field="breakdown",
             )
 
-    return DeclaredEntry(
-        label=label,
-        count=count,
-        provenance=fields.get("cite", ""),
-        breakdown=breakdown,
-    )
+    return label, count
 
 
-def load_declared(config_text: str) -> list[DeclaredEntry]:
-    """Parse declared-census entries, validating breakdown sums.
+def load_declared(config_text: str) -> dict[str, int]:
+    """Parse declared-census entries into their counts by label, in file
+    order, validating breakdown sums.
 
     Raises ConfigError with line/field location on malformed input,
     duplicate labels, negative counts, or breakdown mismatches.
     """
-    entries: list[DeclaredEntry] = []
-    labels: set[str] = set()
+    counts: dict[str, int] = {}
     for lineno, raw in enumerate(config_text.split("\n"), start=1):
         line = strip_comment(raw).strip()
         if not line:
@@ -140,14 +125,13 @@ def load_declared(config_text: str) -> list[DeclaredEntry]:
         head = line.split(None, 1)[0]
         if head != "entry":
             raise ConfigError(f"expected 'entry', got {head!r}", line=lineno)
-        entry = _parse_entry_line(line, lineno)
-        if entry.label in labels:
+        label, count = _parse_entry_line(line, lineno)
+        if label in counts:
             raise ConfigError(
-                f"duplicate entry label {entry.label!r}", line=lineno, field="label"
+                f"duplicate entry label {label!r}", line=lineno, field="label"
             )
-        labels.add(entry.label)
-        entries.append(entry)
-    return entries
+        counts[label] = count
+    return counts
 
 
 def default_declared_text() -> str:

@@ -141,20 +141,24 @@ def test_trace_counts_of_one_verification():
     # census reads orbits off the families' records and the closure
     # oracle seeds each closure with that tuple: no Triple is built, the
     # orbits are the families' 347, and the oracle keys its classes by
-    # state, so the kernel never runs
+    # state, so the kernel never runs.  ``evaluate`` runs once per claim
+    # line, and reading a verdict's ``holds`` calls no spanned function
     tracing = load("tracing")
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        run_full_verification()
+        report = run_full_verification()
+        counts = tracing.exact_counts(tracer.spans, tracer.counts)
+        assert all(v.holds == v.expect_holds for v in report.verdicts)
+        assert tracing.exact_counts(tracer.spans, tracer.counts) == counts
     finally:
         tracer.uninstall()
-    counts = tracing.exact_counts(tracer.spans, tracer.counts)
     assert counts["calls.triples.orbit"] == 347
     assert counts.get("triples.triple_constructions", 0) == 0
     assert "calls.graphs.canonical_graph" not in counts
     assert counts["calls.closure.closure"] == 347
     assert counts["closure.expansion_steps"] == 4084
+    assert counts["calls.claims.evaluate"] == 22
 
 
 def src_env():
@@ -288,7 +292,7 @@ def test_verify_stage_benchmark_runs():
     assert rows["ClosureResult"] == ["347"]
     assert rows["RegularModel"] == ["348"]
     assert "ModelRecord" not in rows and "Triple" not in rows
-    assert rows["total"] == ["748"]
+    assert rows["total"] == ["743"]
 
 
 def test_startup_benchmark_runs():

@@ -272,9 +272,9 @@ def test_expected_failures_become_findings():
 
 
 def test_a_verdict_holds_exactly_when_its_values_are_equal():
-    verdict = Verdict("c", 1, 2, True)
+    verdict = Verdict("c", 1, 2, True, "")
     assert not verdict.holds and not verdict.as_expected
-    assert Verdict("c", 2, 2, True).holds
+    assert Verdict("c", 2, 2, True, "").holds
 
 
 def test_the_report_holds_the_parsed_verdicts():

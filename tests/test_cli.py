@@ -153,6 +153,16 @@ def test_census_with_alternative_reading(tmp_path, capsys):
     assert payload["p_cones"] == 2663
 
 
+@pytest.mark.parametrize("command, status", [("census", 0), ("verify", 1)])
+def test_config_reading_is_byte_identical_to_golden(capsys, command, status):
+    # every declared count differs from the shipped one, so verify fails;
+    # a cite with '#', a filler entry and a trailing comment are read too
+    code, out, err = run(capsys, command, "--config", str(GOLDEN / "reading.cfg"),
+                         "--format", "json")
+    assert (code, err) == (status, "")
+    assert out.encode() == (GOLDEN / f"{command}-reading.json.txt").read_bytes()
+
+
 def test_verify_bad_config_is_input_error(tmp_path, capsys):
     config = tmp_path / "declared.cfg"
     config.write_text("entry bad: count=10 breakdown=5+4\n", encoding="utf-8")
@@ -606,7 +616,8 @@ def test_interpreter_check_passes_this_interpreter():
     # listed out of label order) under each interpreter it is given and
     # compares their JSON with the snapshots, a symmetric triple's orbits
     # table and csv, the seed's closure under no moves, audit's csv and
-    # the odd cites' JSON with their golden files, a usage error's and
+    # the odd cites' JSON and a declared reading's census JSON with their
+    # golden files, a usage error's and
     # three faulty claims files' stderr with its own text, and checks the
     # plain reader against argparse on its own argv list
     done = subprocess.run(
@@ -618,7 +629,7 @@ def test_interpreter_check_passes_this_interpreter():
         f"{sys.executable}  {command:<7} ok\n"
         for command in ("census", "verify", "orbits", "orbits", "orbits", "orbits",
                         "closure", "closure", "closure", "audit", "audit", "census",
-                        "audit", "audit", "audit", "reader"))
+                        "census", "audit", "audit", "audit", "reader"))
 
 
 def test_shipped_closure_json_matches_snapshot(graph_file, capsys):

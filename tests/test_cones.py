@@ -17,7 +17,7 @@ from moricensus.cones import (
     symmetric_p_models,
     t_cone_count,
 )
-from moricensus.declared import DeclaredEntry, default_declared_text, load_declared
+from moricensus.declared import default_declared_text, load_declared
 from moricensus.errors import ConfigError, DuplicateClassError, InvariantError
 from moricensus.families import RegularModel, regular_models
 from moricensus.graphs import LabeledGraph
@@ -260,12 +260,11 @@ def test_build_census_report_names_the_entry_of_a_total_too_long_to_print():
 
 
 def library_reading(**counts):
-    """The shipped four counts with ``counts`` in their place, as entries a
-    library caller builds, with no config file's checks."""
+    """The shipped four counts with ``counts`` in their place, as a
+    mapping a library caller builds, with no config file's checks."""
     shipped = {"t_models": 129, "t_symmetric": 11, "p_very_degenerate": 104,
                "p_very_degenerate_symmetric": 1}
-    return [DeclaredEntry(label, count)
-            for label, count in {**shipped, **counts}.items()]
+    return {**shipped, **counts}
 
 
 @pytest.mark.parametrize("counts, label, value", [

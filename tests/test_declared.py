@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from moricensus.declared import DeclaredEntry, default_declared_text, load_declared
+from moricensus.declared import default_declared_text, load_declared
 from moricensus.errors import ConfigError
 
 
@@ -17,18 +17,12 @@ def test_accepts_t_model_entry():
     entries = load_declared(
         'entry t_models: count=129 breakdown=83+1+45 cite="Thm 2.1"\n'
     )
-    assert entries == [
-        DeclaredEntry(
-            label="t_models", count=129, provenance="Thm 2.1", breakdown=(83, 1, 45)
-        )
-    ]
+    assert entries == {"t_models": 129}
 
 
 def test_accepts_very_degenerate_entry():
-    (entry,) = load_declared("entry p_vd: count=103 breakdown=71+7+25\n")
-    assert entry.count == 103
-    assert entry.breakdown == (71, 7, 25)
-    assert entry.provenance == ""
+    assert load_declared("entry p_vd: count=103 breakdown=71+7+25\n") == {
+        "p_vd": 103}
 
 
 def test_breakdown_mismatch_rejected_with_location():
@@ -113,17 +107,14 @@ def test_entry_errors_name_their_line_and_field(line, message, field):
 
 
 def test_quoted_value_may_touch_the_next_key():
-    assert load_declared('entry x: cite="a"count=1\n') == [
-        DeclaredEntry(label="x", count=1, provenance="a")
-    ]
+    assert load_declared('entry x: cite="a"count=1\n') == {"x": 1}
 
 
 @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
 def test_field_order_does_not_matter(order):
     fields = ["count=129", "breakdown=83+1+45", 'cite="Thm 2.1"']
     line = "entry t: " + " ".join(fields[k] for k in order)
-    assert load_declared(line) == [DeclaredEntry(
-        label="t", count=129, provenance="Thm 2.1", breakdown=(83, 1, 45))]
+    assert load_declared(line) == {"t": 129}
 
 
 def test_non_entry_line_rejected():
@@ -133,7 +124,7 @@ def test_non_entry_line_rejected():
 
 
 def test_any_whitespace_may_follow_entry():
-    assert load_declared("entry\tx: count=1\n") == [DeclaredEntry(label="x", count=1)]
+    assert load_declared("entry\tx: count=1\n") == {"x": 1}
 
 
 def test_comments_and_blank_lines_ignored():
@@ -143,34 +134,30 @@ def test_comments_and_blank_lines_ignored():
 
 def test_a_hash_inside_a_quoted_cite_starts_no_comment():
     # the comment starts at the first '#' after an even number of '"'
-    assert load_declared('entry t_models: count=129 cite="Thm 2.1 #a" # "q\n') == [
-        DeclaredEntry(label="t_models", count=129, provenance="Thm 2.1 #a")
-    ]
+    assert load_declared('entry t_models: count=129 cite="Thm 2.1 #a" # "q\n') == {
+        "t_models": 129}
 
 
 def test_default_config_loads_and_validates():
-    entries = {e.label: e for e in load_declared(default_declared_text())}
-    assert entries["t_models"].count == 129
-    assert entries["t_models"].breakdown == (83, 1, 45)
-    assert entries["t_models_n1_ge_minus1"].breakdown == (30, 19, 34)
-    assert entries["t_symmetric"].count == 11
-    assert entries["p_very_degenerate"].count == 103
-    assert entries["p_very_degenerate"].breakdown == (71, 7, 25)
-    assert entries["p_very_degenerate_symmetric"].count == 1
+    entries = load_declared(default_declared_text())
+    assert list(entries.items()) == [
+        ("t_models", 129),
+        ("t_symmetric", 11),
+        ("p_very_degenerate", 103),
+        ("p_very_degenerate_symmetric", 1),
+    ]
 
 
 def entry(label, values, cite, order, gap, comment):
     """A well-formed entry line, in the field order ``order``, with the
-    record it must parse to; ``values`` is the count and its breakdown
-    (None for none), ``cite`` None for no cite field."""
+    label and count it must parse to; ``values`` is the count and its
+    breakdown (None for none), ``cite`` None for no cite field."""
     count, breakdown = values
     fields = [f"count={count}",
               None if breakdown is None else "breakdown=" + "+".join(map(str, breakdown)),
               None if cite is None else f'cite="{cite}"']
     line = f"entry {label}: " + gap.join(fields[k] for k in order if fields[k])
-    return (line + comment,
-            DeclaredEntry(label, count, cite or "",
-                          None if breakdown is None else tuple(breakdown)))
+    return line + comment, (label, count)
 
 
 ADDENDS = st.lists(st.integers(-3, 200), min_size=1, max_size=4).filter(
@@ -221,13 +208,14 @@ def test_load_declared_raises_only_config_errors_inside_the_text(lines):
             assert 1 <= err.line <= len(text.split("\n"))
         parsed = err
     # the generator is the oracle: well-formed entries parse to its
-    # records, and the first repeated label is the only fault
+    # counts, in file order, and the first repeated label is the only fault
     if not any(isinstance(line, str) for line in lines):
         entries = [line[1] for line in lines]
-        labels = [e.label for e in entries]
+        labels = [label for label, _ in entries]
         repeat = next((n for n, label in enumerate(labels) if label in labels[:n]), None)
         if repeat is None:
-            assert parsed == entries
+            assert parsed == dict(entries)
+            assert list(parsed) == labels
         else:
             assert str(parsed) == (f"duplicate entry label {labels[repeat]!r} "
                                    f"(line {repeat + 1}, field 'label')")

@@ -22,7 +22,7 @@ EXPORTS = {
     "closure": ["MOVE_SETS", "ClosureResult", "closure", "encode_triple"],
     "cones": ["CensusReport", "build_census_report", "p_cone_count",
               "symmetric_p_models", "t_cone_count"],
-    "declared": ["DeclaredEntry", "load_declared"],
+    "declared": ["load_declared"],
     "errors": ["ConfigError", "DuplicateClassError", "MoricensusError"],
     "families": ["RegularModel", "family_nondegenerate",
                  "family_one_degenerate", "family_two_degenerate", "regular_models"],

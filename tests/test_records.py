@@ -14,7 +14,6 @@ from moricensus._record import Record
 from moricensus.claims import AuditReport, Verdict
 from moricensus.closure import ClosureResult
 from moricensus.cones import CensusReport
-from moricensus.declared import DeclaredEntry
 from moricensus.families import RegularModel
 from moricensus.graphs import LabeledGraph
 from moricensus.triples import Triple
@@ -22,11 +21,10 @@ from moricensus.triples import Triple
 
 # One builder per record class; each call builds a new, equal instance.
 RECORDS = {
-    Verdict: lambda: Verdict("c", 1, 1, True),
-    AuditReport: lambda: AuditReport((Verdict("c", 1, 1, True),)),
+    Verdict: lambda: Verdict("c", 1, 1, True, ""),
+    AuditReport: lambda: AuditReport((Verdict("c", 1, 1, True, ""),), ()),
     ClosureResult: lambda: ClosureResult(frozenset({(1, 2)}), 0),
     CensusReport: lambda: CensusReport(450, 129, (), 2657, 741),
-    DeclaredEntry: lambda: DeclaredEntry("t_models", 129, "cite", (83, 1, 45)),
     RegularModel: lambda: RegularModel((0, 1, 2), "nondeg", (0, 1, 2), 6, 1),
     LabeledGraph: lambda: LabeledGraph((0, 1), ((0, 1, 5, 1),)),
     Triple: lambda: Triple(1, 2, 3),
@@ -55,9 +53,11 @@ def test_record_semantics(cls):
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
 def test_record_constructor(cls):
     params = list(inspect.signature(cls).parameters.values())
-    # Record.__reduce__ passes the fields positionally, in slot order
+    # Record.__reduce__ passes the fields positionally, in slot order,
+    # and every builder passes every field
     assert tuple(p.name for p in params) == cls.__slots__
-    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD and p.default is p.empty
+               for p in params)
     record = RECORDS[cls]()
     values = tuple(getattr(record, name) for name in cls.__slots__)
     fields = dict(zip(cls.__slots__, values))
@@ -116,16 +116,10 @@ def test_records_of_different_types_differ_on_equal_fields():
 
 
 def test_record_repr_names_the_fields():
-    assert repr(Verdict("c", 741, 747, False)) == (
+    assert repr(Verdict("c", 741, 747, False, "")) == (
         "Verdict(name='c', lhs_value=741, rhs_value=747, expect_holds=False, "
         "cite='')"
     )
-
-
-def test_record_defaults():
-    assert Verdict("c", 1, 1, True).cite == ""
-    assert AuditReport(()).findings == ()
-    assert DeclaredEntry("x", 1) == DeclaredEntry("x", 1, "", None)
 
 
 def test_triple_equality_and_repr():

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Check that each given interpreter prints the shipped census, verify,
 orbits and closure JSON (closure under both move sets), a symmetric
-triple's orbits table and csv and the audit csv byte for byte, and reads command lines as argparse does.
+triple's orbits table and csv, the audit csv and a declared reading's
+census JSON byte for byte, and reads command lines as argparse does.
 
 For each interpreter it runs ``moricensus census --format json``,
 ``moricensus verify --format json``, ``moricensus orbits --format
@@ -13,10 +14,12 @@ closure --graph tests/data/cli/seed.graph --moves triple_group --format
 json`` (the one subcommand that reaches ``graphs``' parser), the same
 closure on ``seed-permuted.graph``, which lists that graph's nodes out
 of label order, the closure of ``seed.graph`` under ``--moves none``
-(the move set that reads no triple), ``moricensus audit --format csv``
-and ``moricensus audit --claims tests/data/cli/odd-cites.claims
+(the move set that reads no triple), ``moricensus audit --format csv``,
+``moricensus audit --claims tests/data/cli/odd-cites.claims
 --format json`` (whose cites hold characters that only ``json``
-escapes) from this checkout's ``src`` (with ``PYTHONPATH=src``), and
+escapes) and ``moricensus census --config tests/data/cli/reading.cfg
+--format json`` (a declared reading whose every count differs from the
+shipped one) from this checkout's ``src`` (with ``PYTHONPATH=src``), and
 compares each stdout with its expected file: the JSON snapshots in
 ``perfbench/snapshots/`` and the golden files in ``tests/data/cli/``.  It only reads those
 files.  ``moricensus census --x`` must exit 2 with argparse's usage
@@ -69,6 +72,8 @@ RUNS = [
     ("tests/data/cli/audit.csv.txt", ["audit", "--format", "csv"]),
     ("tests/data/cli/audit-odd.json.txt",
      ["audit", "--claims", str(DATA / "odd-cites.claims"), "--format", "json"]),
+    ("tests/data/cli/census-reading.json.txt",
+     ["census", "--config", str(DATA / "reading.cfg"), "--format", "json"]),
 ]
 USAGE_ERROR = (["census", "--x"],
                b"usage: moricensus [-h] {census,verify,orbits,closure,audit} ...\n"
