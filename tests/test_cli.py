@@ -54,10 +54,7 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-@pytest.mark.parametrize("line, code, stdout, stderr, argv", RUNS,
-                         ids=[shlex.join(argv) for *_, argv in RUNS])
-def test_run_prints_its_pinned_output(monkeypatch, capsys, line, code, stdout,
-                                      stderr, argv):
+def check_run(monkeypatch, capsys, line, code, stdout, stderr, argv):
     # in process, from the root as the manifest's paths ask; argparse
     # wraps its usage line at COLUMNS and exits on the lines it refuses
     monkeypatch.chdir(ROOT)
@@ -73,6 +70,19 @@ def test_run_prints_its_pinned_output(monkeypatch, capsys, line, code, stdout,
         code, TOOL.expected(stdout), TOOL.expected(stderr)), f"RUNS:{line}"
 
 
+def pinned(command):
+    """The ``RUNS`` entry whose argv, quoted as a shell would, is ``command``."""
+    [entry] = [entry for entry in RUNS if shlex.join(entry[-1]) == command]
+    return entry
+
+
+@pytest.mark.parametrize("line, code, stdout, stderr, argv", RUNS,
+                         ids=[shlex.join(argv) for *_, argv in RUNS])
+def test_run_prints_its_pinned_output(monkeypatch, capsys, line, code, stdout,
+                                      stderr, argv):
+    check_run(monkeypatch, capsys, line, code, stdout, stderr, argv)
+
+
 def test_manifest_names_every_expected_file():
     # each file a line names exists, and each golden file and snapshot is
     # some line's, so none goes unchecked
@@ -82,6 +92,214 @@ def test_manifest_names_every_expected_file():
              for pattern in ("tests/data/cli/*.txt", "perfbench/snapshots/*.json")
              for path in ROOT.glob(pattern)}
     assert sorted(files - named) == []
+
+
+# The byte compares below check one line each, as the test above does,
+# under the names they had before the manifest held their runs.
+@pytest.mark.parametrize("snapshot, argv", [
+    ("census.json", ("census", "--format", "json")),
+    ("verify.json", ("verify", "--format", "json")),
+    ("orbits.json", ("orbits", "--format", "json", "--", "-6", "0", "3")),
+    ("orbits.json", ("orbits", "--form", "json", "--", "-6", "0", "3")),
+])
+def test_shipped_json_is_byte_identical_to_snapshot(monkeypatch, capsys, snapshot,
+                                                    argv):
+    entry = pinned(shlex.join(argv))
+    assert entry[1:3] == (0, f"perfbench/snapshots/{snapshot}")
+    check_run(monkeypatch, capsys, *entry)
+
+
+@pytest.mark.parametrize("command, status", [("census", 0), ("verify", 1)])
+def test_config_reading_is_byte_identical_to_golden(monkeypatch, capsys, command,
+                                                    status):
+    # every declared count differs from the shipped one, so verify fails;
+    # a cite with '#', a filler entry and a trailing comment are read too
+    entry = pinned(f"{command} --config tests/data/cli/reading.cfg --format json")
+    assert entry[1:4] == (status, f"tests/data/cli/{command}-reading.json.txt", "-")
+    check_run(monkeypatch, capsys, *entry)
+
+
+def test_shipped_closure_json_matches_snapshot(monkeypatch, capsys):
+    check_run(monkeypatch, capsys, *pinned(
+        "closure --format json --graph tests/data/cli/seed.graph --moves triple_group"))
+
+
+def test_closure_reads_a_seed_listed_out_of_label_order(monkeypatch, capsys):
+    # node ids are arbitrary, so the seed graph with the node labelled 2
+    # listed first is the same class and prints the same closure
+    check_run(monkeypatch, capsys, *pinned(
+        "closure --graph tests/data/cli/seed-permuted.graph --moves triple_group"
+        " --format json"))
+
+
+def test_closure_with_no_moves_is_byte_identical_to_golden(monkeypatch, capsys):
+    # ``none`` reads no triple: the seed is its one class, in no steps
+    check_run(monkeypatch, capsys, *pinned(
+        "closure --graph tests/data/cli/seed.graph --moves none --format json"))
+
+
+# ``{name}.{format}.txt`` in GOLDEN holds each run's stdout
+GOLDEN_RUNS = {
+    "census": "census --format {}",
+    "verify": "verify --format {}",
+    "audit": "audit --format {}",
+    "audit-unexpected": "audit --format {} --claims tests/data/cli/unexpected.claims",
+    "orbits": "orbits --format {} -- -6 0 3",
+    "orbits-symmetric": "orbits --format {} -- 1 1 1",
+    "closure": "closure --format {} --graph tests/data/cli/seed.graph"
+               " --moves triple_group",
+}
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv"])
+@pytest.mark.parametrize("name", GOLDEN_RUNS)
+def test_table_and_csv_are_byte_identical_to_golden(monkeypatch, capsys, name, fmt):
+    entry = pinned(GOLDEN_RUNS[name].format(fmt))
+    assert entry[2] == f"tests/data/cli/{name}.{fmt}.txt"
+    check_run(monkeypatch, capsys, *entry)
+
+
+# the lines that main runs in process above and a spawn runs too
+SPAWN_RUNS = {
+    "census": "census --format json",
+    "census-config": "census --config tests/data/cli/reading.cfg --format json",
+    "verify": "verify --format json",
+    "verify-unexpected": "verify --format json --claims tests/data/cli/unexpected.claims",
+    "audit": "audit --format json",
+    "orbits": "orbits --format json -- -6 0 3",
+    "closure": "closure --format json --graph tests/data/cli/seed.graph"
+               " --moves triple_group",
+    "input-error": "orbits --format json -- 2000000 0 0",
+}
+
+
+@pytest.mark.parametrize("name", SPAWN_RUNS)
+def test_spawn_prints_what_main_prints(name):
+    # under ``-X dev`` a file left unclosed warns on stderr, so the spawn
+    # must print the line's files, as main does, and nothing more
+    _, code, stdout, stderr, argv = pinned(SPAWN_RUNS[name])
+    env = dict(src_env(), COLUMNS="80")
+    assert TOOL.status(sys.executable, env, code, stdout, stderr, argv) == "ok"
+
+
+# Each test below checks a corrigendum figure or a verdict that its
+# line's byte compare also pins, and fails if a golden file is rewritten
+# without it.
+def test_census_table(capsys):
+    code, out, _ = run(capsys, "census")
+    assert code == 0
+    assert "3398" in out
+    assert "2657" in out
+    assert "741" in out
+
+
+def test_census_json_keys(capsys):
+    code, out, _ = run(capsys, "census", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["p_models"] == 450
+    assert payload["t_models"] == 129
+    assert payload["p_cones"] == 2657
+    assert payload["t_cones"] == 741
+    assert payload["total_cones"] == 3398
+    assert len(payload["p_symmetric"]) == 13
+    first = payload["p_symmetric"][0]
+    assert set(first) == {"source", "family", "triple", "orbit_length",
+                          "symmetry_order"}
+    assert payload["findings"]
+
+
+def test_census_csv(capsys):
+    code, out, _ = run(capsys, "census", "--format", "csv")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "metric,value"
+    assert "total_cones,3398" in lines
+
+
+def test_verify_default_inputs_exit_zero(capsys):
+    code, out, _ = run(capsys, "verify")
+    assert code == 0
+    assert "exit status: 0" in out
+
+
+def test_verify_json(capsys):
+    code, out, _ = run(capsys, "verify", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["exit_status"] == 0
+    names = {v["name"] for v in payload["verdicts"]}
+    assert "census.total_cones" in names
+    assert "t_cones_proof_display" in names
+    assert all(v["as_expected"] for v in payload["verdicts"])
+
+
+def test_orbits_out_of_range_is_input_error(capsys):
+    code, out, err = run(capsys, "orbits", "2000000", "0", "0")
+    assert (code, out) == (2, "")
+    assert err == \
+        "error: component a=2000000 outside guarded range [-1000000, 1000000]\n"
+
+
+def test_claim_value_past_the_guard_is_input_error(capsys):
+    code, out, err = run(capsys, "audit", "--claims",
+                         str(GOLDEN / "product-past-guard.claims"))
+    assert (code, out) == (2, "")
+    assert err == ("error: claim value 2000000000000 outside guarded range "
+                   "+/-1000000000000 (line 2, column 26)\n")
+
+
+def test_closure_table(capsys):
+    code, out, _ = run(capsys, "closure", "--graph", SEED_GRAPH,
+                       "--moves", "triple_group")
+    assert code == 0
+    assert "class count     : 6" in out
+
+
+def test_closure_json(capsys):
+    code, out, _ = run(capsys, "closure", "--graph", SEED_GRAPH,
+                       "--moves", "triple_group", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["class_count"] == 6
+    assert payload["moves"] == "triple_group"
+    assert payload["backend"] == "pure"
+
+
+def test_closure_unknown_move_set(capsys):
+    code, out, err = run(capsys, "closure", "--graph", SEED_GRAPH,
+                         "--moves", "flops")
+    assert (code, out) == (2, "")
+    assert err == "error: unknown move set 'flops' (known: none, triple_group)\n"
+
+
+def test_closure_missing_graph_file(capsys):
+    code, _, err = run(capsys, "closure", "--graph", "/nonexistent.graph",
+                       "--moves", "none")
+    assert code == 2
+
+
+def test_audit_default_claims(capsys):
+    code, out, _ = run(capsys, "audit")
+    assert code == 0
+    assert "t_cones_proof_display" in out
+    assert "741 != 747" in out
+
+
+def test_audit_custom_claims_unexpected_failure(tmp_path, capsys):
+    claims = tmp_path / "claims.txt"
+    claims.write_text("claim wrong: 1 + 1 == 3 expect=holds\n", encoding="utf-8")
+    code, out, _ = run(capsys, "audit", "--claims", str(claims))
+    assert code == 1
+    assert "UNEXPECTED" in out
+
+
+def test_audit_parse_error_reports_location(tmp_path, capsys):
+    claims = tmp_path / "claims.txt"
+    claims.write_text("claim broken: 1 + == 2 expect=holds\n", encoding="utf-8")
+    code, _, err = run(capsys, "audit", "--claims", str(claims))
+    assert code == 2
+    assert "line 1" in err
 
 
 def test_verify_with_wrong_symmetric_count(tmp_path, capsys):
