@@ -9,20 +9,19 @@ from :func:`triples.orbit`, which checks orbit-stabilizer.  An input
 fault, CLI or library, is a ``ConfigError``, a failed verification any
 other ``MoricensusError``, and a ``ValueError`` a program fault.
 
-The names of ``closure``, ``errors``, ``graphs`` and ``triples`` load
-with the package.  Those of the census modules (``claims``, ``cones``,
-``declared``, ``families``) load on first use, through ``__getattr__``,
-so ``import moricensus`` compiles none of them.
+The names of ``closure``, ``errors`` and ``triples`` load with the
+package.  Those of the graph layer (``graphs``) and the census modules
+(``claims``, ``cones``, ``declared``, ``families``) load on first use,
+through ``__getattr__``, so ``import moricensus`` compiles none of them.
 """
 
 from .closure import MOVE_SETS, ClosureResult, closure, encode_triple
 from .errors import ConfigError, DuplicateClassError, MoricensusError
-from .graphs import LabeledGraph, parse_graph_file
 from .triples import Triple, orbit
 
 __version__ = "0.1.0"
 
-# the census modules' package-level names, each with its submodule
+# the package-level names that load on first use, each with its submodule
 _LAZY = {
     **dict.fromkeys(("AuditReport", "Verdict", "evaluate", "evaluate_claims",
                      "parse_claims"), "claims"),
@@ -32,6 +31,7 @@ _LAZY = {
     **dict.fromkeys(("RegularModel", "family_nondegenerate",
                      "family_one_degenerate", "family_two_degenerate",
                      "regular_models"), "families"),
+    **dict.fromkeys(("LabeledGraph", "parse_graph_file"), "graphs"),
 }
 
 

@@ -24,10 +24,14 @@ stand one-to-one for the graph classes reached.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from ._record import Record
 from .errors import ConfigError
-from .graphs import LabeledGraph
 from .triples import Triple
+
+if TYPE_CHECKING:
+    from .graphs import LabeledGraph
 
 __all__ = [
     "ClosureResult",
@@ -78,6 +82,7 @@ def closure(seed, move_set, *, workers: int = 1) -> ClosureResult:
 
 def encode_triple(t) -> LabeledGraph:
     """Rigid encoding of any ``(a, b, c)``; the isomorphism test sees its order."""
+    from .graphs import LabeledGraph  # only a graph seed needs the graph layer
     a, b, c = t
     return LabeledGraph(node_labels=(0, 1, 2),
                         edges=((0, 1, a, 1), (0, 2, c, 1), (1, 2, b, 1)))

@@ -198,12 +198,23 @@ def in_fresh_interpreter(code):
 
 
 def test_cli_import_loads_what_the_workloads_read():
-    # VerifyWorkload and CanonSearchWorkload read these two from
-    # sys.modules after ``import moricensus.cli``, outside their ``try``
+    # In ``run.run_one``'s order: the workload is built, then
+    # ``moricensus.cli`` imported.  CanonSearchWorkload and VerifyWorkload
+    # then read ``graphs`` and ``audit`` from sys.modules, outside their
+    # ``try``.  Canon-search's generators, from bench_canonical.py, load
+    # ``graphs``; ``cli`` loads ``audit`` at its top.
+    in_fresh_interpreter(
+        "import run\n"
+        "run.WORKLOADS['canon-search'](0, run.ROOT)\n"
+        "run.WORKLOADS['verify'](0, run.ROOT)\n"
+        "import moricensus.cli\n"
+        "assert callable(sys.modules['moricensus.graphs'].iso)\n"
+        "assert callable(sys.modules['moricensus.audit'].run_full_verification)\n"
+    )
+    # the CLI alone leaves the graph layer out
     in_fresh_interpreter(
         "import moricensus.cli\n"
-        "assert callable(sys.modules['moricensus.audit'].run_full_verification)\n"
-        "assert callable(sys.modules['moricensus.graphs'].iso)\n"
+        "assert 'moricensus.graphs' not in sys.modules\n"
     )
 
 
@@ -317,9 +328,10 @@ def test_startup_benchmark_runs():
         assert int(count) == len(modules[name])
         # only the abbreviation is left to argparse, and no run loads json
         assert argparse_json == ["yes" if name == "orbits --form" else "no", "no"]
-        # no subcommand here makes a kernel call
-        assert {"__init__", "audit", "graphs"} <= set(modules[name])
+        # no subcommand here makes a kernel call, and only closure reads a graph
+        assert {"__init__", "audit"} <= set(modules[name])
         assert "_canon_py" not in modules[name]
+        assert ("graphs" in modules[name]) == (name == "closure")
     assert "declared" in modules["census --config"]
     assert "claims" in modules["audit --claims"]
     assert "claims" not in modules["orbits"]

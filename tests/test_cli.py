@@ -429,27 +429,33 @@ def test_verdicts_as_csv(capsys, command):
     ]
 
 
-def test_orbits_table(capsys):
-    code, out, _ = run(capsys, "orbits", "0", "--", "-1", "1")
-    assert code == 0
+# Each of these checks its RUNS line byte for byte, then reads the
+# figures off the golden file, so a golden file rewritten to a wrong
+# figure still fails.
+def pinned_stdout(monkeypatch, capsys, command):
+    entry = pinned(command)
+    check_run(monkeypatch, capsys, *entry)
+    return TOOL.expected(entry[2]).decode()
+
+
+def test_orbits_table(monkeypatch, capsys):
+    out = pinned_stdout(monkeypatch, capsys, "orbits 0 -- -1 1")
     assert "orbit length     : 3" in out
     assert "stabilizer order : 2" in out
 
 
-def test_orbits_json(capsys):
-    code, out, _ = run(capsys, "orbits", "--format", "json", "1", "1", "1")
-    assert code == 0
-    payload = json.loads(out)
+def test_orbits_json(monkeypatch, capsys):
+    payload = json.loads(pinned_stdout(monkeypatch, capsys,
+                                       "orbits --format json 1 1 1"))
     assert payload["orbit_length"] == 2
     assert payload["stabilizer_order"] == 3
     assert payload["canonical"] == [-1, -1, -1]
     assert sorted(payload["orbit"]) == [[-1, -1, -1], [1, 1, 1]]
 
 
-def test_orbits_csv(capsys):
-    code, out, _ = run(capsys, "orbits", "--format", "csv", "1", "2", "3")
-    assert code == 0
-    lines = out.strip().splitlines()
+def test_orbits_csv(monkeypatch, capsys):
+    lines = pinned_stdout(monkeypatch, capsys,
+                          "orbits --format csv 1 2 3").strip().splitlines()
     assert lines[0] == "element,a,b,c"
     assert len(lines) == 7
 
@@ -760,10 +766,11 @@ def spawn_imports(argv):
 
 
 @pytest.mark.parametrize("argv, loaded, unused", [
-    (["census"], ["cones", "declared", "families"], ["claims", "_canon_py"]),
-    (["audit"], ["claims"], ["cones", "declared", "families", "_canon_py"]),
-    (["verify"], CENSUS_MODULES, ["_canon_py"]),
-    (["orbits", "--", "1", "2", "3"], ["triples"], [*CENSUS_MODULES, "_canon_py"]),
+    (["census"], ["cones", "declared", "families"], ["claims", "graphs", "_canon_py"]),
+    (["audit"], ["claims"], ["cones", "declared", "families", "graphs", "_canon_py"]),
+    (["verify"], CENSUS_MODULES, ["graphs", "_canon_py"]),
+    (["orbits", "--", "1", "2", "3"], ["triples"],
+     [*CENSUS_MODULES, "graphs", "_canon_py"]),
     (["closure", "--moves", "triple_group", "--graph"], ["closure", "graphs"],
      [*CENSUS_MODULES, "_canon_py"]),
     (["closure", "--moves", "none", "--graph"], ["closure", "graphs"],
@@ -771,7 +778,8 @@ def spawn_imports(argv):
 ], ids=["census", "audit", "verify", "orbits", "closure", "closure_none"])
 def test_subcommand_spawn_leaves_out_unused_modules(argv, loaded, unused):
     # ``-X importtime`` names each module the spawn imports on stderr; no
-    # subcommand makes a kernel call, so none loads ``_canon_py``
+    # subcommand makes a kernel call, so none loads ``_canon_py``, and only
+    # ``closure`` reads a graph, so only it loads ``graphs``
     if argv[-1] == "--graph":
         argv = [*argv, SEED_GRAPH]
     _, imported = spawn_imports(argv)

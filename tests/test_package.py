@@ -1,8 +1,8 @@
 """The package's top-level names, and the line guard over its code.
 
-``closure``, ``errors``, ``graphs`` and ``triples`` names load with the
-package; the census modules' names load on first use.  Either way each
-is its submodule's own object, read when accessed.
+``closure``, ``errors`` and ``triples`` names load with the package;
+the graph layer's and the census modules' names load on first use.
+Either way each is its submodule's own object, read when accessed.
 """
 
 import importlib
